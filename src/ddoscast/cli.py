@@ -35,6 +35,7 @@ from .errors import (
     DivergedNonFiniteError,
     EmptyDatasetError,
     EmptySplitError,
+    InvalidConfigError,
     NotJsonError,
     SchemaViolationError,
     SeriesTooShortError,
@@ -67,11 +68,11 @@ from .lstm import (
     train,
 )
 from .preprocess import Granularity, Metric, aggregate, enrich_all, series_for
-from .windowing import NormSource, build_windowed
+from .windowing import NormSource, build_windowed, check_window_fits
 
 
 def _exit_code_for(exc: DdoscastError) -> int:
-    if isinstance(exc, (NotJsonError, SchemaViolationError)):
+    if isinstance(exc, (NotJsonError, SchemaViolationError, InvalidConfigError)):
         return 2
     if isinstance(exc, (EmptyDatasetError, EmptySplitError)):
         return 3
@@ -232,23 +233,8 @@ def _history_csv(history) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _check_window_fits(n: int, window: int):
-    min_split = min(n // 2, n // 5, n - n // 2 - n // 5)
-    if min_split < window + 1:
-        raise SeriesTooShortForWindowError(
-            window,
-            f"shortest split has {min_split} values; window {window} needs W+1",
-        )
-
-
 def _cmd_train(params: dict) -> int:
     started = _now()
-    out = _out_dir(params, "train")
-    series = _load_series(params["records"], params["subclass"], params["metric"])
-    _check_window_fits(series.values.size, params["window"])
-
-    norm = NormSource(params["norm_source"])
-    dataset = build_windowed(series.values, params["window"], norm)
     config = TrainConfig(
         window_size=params["window"],
         hidden_size=params["hidden"],
@@ -257,6 +243,12 @@ def _cmd_train(params: dict) -> int:
         batch_size=params["batch_size"],
         seed=params["seed"],
     )
+    out = _out_dir(params, "train")
+    series = _load_series(params["records"], params["subclass"], params["metric"])
+    check_window_fits(series.values.size, config.window_size)
+
+    norm = NormSource(params["norm_source"])
+    dataset = build_windowed(series.values, config.window_size, norm)
     model = init_model(config.hidden_size, config.seed)
     model, history = train(model, dataset, config)
 
@@ -281,9 +273,6 @@ def _cmd_train(params: dict) -> int:
 
 def _cmd_grid(params: dict) -> int:
     started = _now()
-    out = _out_dir(params, "grid")
-    series = _load_series(params["records"], params["subclass"], params["metric"])
-
     base = TrainConfig(
         window_size=params["windows"][0],
         hidden_size=params["hiddens"][0],
@@ -298,6 +287,8 @@ def _cmd_grid(params: dict) -> int:
         master_seed=params["seed"],
         norm_source=NormSource(params["norm_source"]),
     )
+    out = _out_dir(params, "grid")
+    series = _load_series(params["records"], params["subclass"], params["metric"])
     result = run_grid(series, spec)
     window, hidden = best_config(result)
 
@@ -386,7 +377,10 @@ def _as_bool(text: str) -> bool:
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
+    values = [int(part) for part in text.split(",") if part.strip()]
+    if not values:
+        raise InvalidConfigError(f"expected a comma-separated list of integers, got {text!r}")
+    return values
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -5,6 +5,10 @@ class DdoscastError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
+class InvalidConfigError(DdoscastError, ValueError):
+    """A hyperparameter or grid setting is out of range (also a ValueError)."""
+
+
 # --- ingest ---------------------------------------------------------------
 
 

@@ -15,10 +15,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import EmptyGridError, SeriesTooShortForWindowError
+from .errors import EmptyGridError, InvalidConfigError
 from .lstm import TrainConfig, init_model, mse, predict_series, train
 from .preprocess import TimeSeries
-from .windowing import NormSource, build_windowed
+from .windowing import NormSource, build_windowed, check_window_fits
 
 DEFAULT_WINDOW_SIZES = (8, 16, 24, 32)
 DEFAULT_HIDDEN_SIZES = (32, 64, 128)
@@ -34,7 +34,9 @@ class GridSpec:
 
     def __post_init__(self):
         if not self.window_sizes or not self.hidden_sizes:
-            raise ValueError("window_sizes and hidden_sizes must be non-empty")
+            raise InvalidConfigError("window_sizes and hidden_sizes must be non-empty")
+        if min(self.window_sizes) < 1 or min(self.hidden_sizes) < 1:
+            raise InvalidConfigError("window and hidden sizes must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -74,15 +76,8 @@ def run_grid(series, spec: GridSpec) -> GridResult:
         values = np.asarray(series, dtype=np.float64)
         identity = (None, None)
 
-    n = values.size
-    min_split = min(n // 2, n // 5, n - n // 2 - n // 5)
-    bad = [w for w in spec.window_sizes if min_split < w + 1]
-    if bad:
-        raise SeriesTooShortForWindowError(
-            bad[0],
-            f"shortest split has {min_split} values; window sizes {bad} need "
-            "at least W+1 per split",
-        )
+    for window in spec.window_sizes:
+        check_window_fits(values.size, window)
 
     cells = []
     for window in spec.window_sizes:

@@ -62,6 +62,11 @@ _ATTACK_CLASS_BY_NAME = {v.value: v for v in AttackClass}
 
 _REQUIRED_FIELDS = ("attack_class", "subclass", "max_bps", "start", "stop")
 
+# 9999-12-31T23:59:59Z, the last second a datetime can hold
+MAX_UNIX_SECONDS = 253402300799
+# max_bps must fit a signed 64-bit integer
+MAX_BPS_EXCLUSIVE = 2**63
+
 
 @dataclass(frozen=True)
 class AttackRecord:
@@ -174,12 +179,19 @@ def _entry_to_record(entry) -> tuple[AttackRecord | None, str | None]:
     max_bps = _as_int(entry["max_bps"])
     if max_bps is None or max_bps < 0:
         return None, f"max_bps must be a non-negative integer, got {entry['max_bps']!r}"
+    if max_bps >= MAX_BPS_EXCLUSIVE:
+        return None, "max_bps out of range: must be below 2**63"
     start = _as_int(entry["start"])
     stop = _as_int(entry["stop"])
     if start is None or stop is None:
         return None, "start/stop must be integer Unix seconds"
     if stop < start:
         return None, "stop before start"
+    if start < 0 or stop > MAX_UNIX_SECONDS:
+        return None, (
+            f"start/stop out of range: must lie in [0, {MAX_UNIX_SECONDS}] "
+            "(1970-01-01 to 9999-12-31T23:59:59Z)"
+        )
 
     dst_cc, err = _parse_cc_list(entry.get("dst_cc"))
     if err:

@@ -11,16 +11,27 @@ The cell is the standard gated recurrence:
 
 Input is univariate (one scalar per timestep), the prediction is a linear
 readout of the final hidden state: y = wy.h_W + by, no output activation.
-Everything is float64 so finite-difference checks are meaningful. Forward
-and backward are vectorized over the sample batch; the per-sample
-``lstm_step``/``forward`` surfaces wrap the same math and are cross-checked
-in the tests.
+Everything is float64 so finite-difference checks are meaningful.
+
+All parameters live in one float64 vector, ``LstmParams.flat``, in the
+fused-gate layout of cuDNN and Keras with gates stacked i/f/o/g:
+
+    W (4H) | U (4H, H) | b (4H) | wy (H) | by (1)
+
+The named attributes are views into that vector, so forward and backward
+work on the stacked gate blocks directly, and RMSprop, clipping and the
+finiteness check are whole-vector operations. Forward and backward are
+vectorized over the sample batch with a time-major activation cache; the
+per-sample ``lstm_step``/``forward`` surfaces are the per-gate oracle the
+tests compare against. Checkpoint format v1 stores the vector as 14 named
+blocks (wi..wg, ui..ug, bi..bg, wy, by).
 """
 
 from __future__ import annotations
 
 import base64
 import binascii
+import itertools
 import json
 import math
 from dataclasses import dataclass, fields
@@ -34,6 +45,7 @@ from .errors import (
     DivergedNonFiniteError,
     EmptyInputError,
     EmptySplitError,
+    InvalidConfigError,
     LengthMismatchError,
     NonFiniteStateError,
     TrainSetEmptyError,
@@ -43,43 +55,56 @@ from .windowing import WindowedDataset
 
 CHECKPOINT_VERSION = 1
 
-# Gate order everywhere: input, forget, output, candidate.
-PARAM_FIELDS = (
-    "wi", "wf", "wo", "wg",
-    "ui", "uf", "uo", "ug",
-    "bi", "bf", "bo", "bg",
-    "wy", "by",
-)
+
+def _param_size(hidden_size: int) -> int:
+    return 4 * hidden_size * hidden_size + 9 * hidden_size + 1
 
 
 @dataclass(frozen=True)
 class LstmParams:
-    """All trainable parameters. Shapes for hidden size H:
+    """All trainable parameters as one float64 vector of 4H^2 + 9H + 1 values.
 
-    wi/wf/wo/wg: (H,) input-to-hidden weights (univariate input),
-    ui/uf/uo/ug: (H, H) recurrent weights,
-    bi/bf/bo/bg: (H,) gate biases,
-    wy: (H,) readout weights, by: (1,) readout bias.
+    The properties are views into ``flat``, so writing to them writes the
+    vector: W (4H,) input weights, U (4H, H) recurrent weights and b (4H,)
+    gate biases, each stacked i/f/o/g; wy (H,) readout weights and by (1,)
+    readout bias.
     """
 
-    wi: np.ndarray
-    wf: np.ndarray
-    wo: np.ndarray
-    wg: np.ndarray
-    ui: np.ndarray
-    uf: np.ndarray
-    uo: np.ndarray
-    ug: np.ndarray
-    bi: np.ndarray
-    bf: np.ndarray
-    bo: np.ndarray
-    bg: np.ndarray
-    wy: np.ndarray
-    by: np.ndarray
+    flat: np.ndarray
+    hidden_size: int
+
+    def __post_init__(self):
+        if self.flat.shape != (_param_size(self.hidden_size),):
+            raise ValueError(
+                f"flat parameters have shape {self.flat.shape}, "
+                f"expected ({_param_size(self.hidden_size)},) for H={self.hidden_size}"
+            )
+
+    @staticmethod
+    def zeros(hidden_size: int) -> "LstmParams":
+        return LstmParams(np.zeros(_param_size(hidden_size)), hidden_size)
 
     @property
-    def hidden_size(self) -> int:
-        return self.wi.shape[0]
+    def W(self) -> np.ndarray:
+        return self.flat[: 4 * self.hidden_size]
+
+    @property
+    def U(self) -> np.ndarray:
+        h = self.hidden_size
+        return self.flat[4 * h : 4 * h * (h + 1)].reshape(4 * h, h)
+
+    @property
+    def b(self) -> np.ndarray:
+        lo = 4 * self.hidden_size * (self.hidden_size + 1)
+        return self.flat[lo : lo + 4 * self.hidden_size]
+
+    @property
+    def wy(self) -> np.ndarray:
+        return self.flat[-self.hidden_size - 1 : -1]
+
+    @property
+    def by(self) -> np.ndarray:
+        return self.flat[-1:]
 
 
 @dataclass(frozen=True)
@@ -101,12 +126,18 @@ class TrainConfig:
     clip_norm: float = 5.0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        # written as "not ok" so that NaN fails every check
+        for ok, name, rule in (
+            (self.window_size >= 1, "window_size", ">= 1"),
+            (self.hidden_size >= 1, "hidden_size", ">= 1"),
+            (self.learning_rate > 0, "learning_rate", "positive"),
+            (self.epochs >= 1, "epochs", ">= 1"),
+            (self.batch_size >= 1, "batch_size", ">= 1"),
+            (0.0 <= self.rho < 1.0, "rho", "in [0, 1)"),
+            (self.clip_norm > 0, "clip_norm", "positive"),
+        ):
+            if not ok:
+                raise InvalidConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -120,33 +151,13 @@ class TrainHistory:
 
 @dataclass(frozen=True)
 class RmsPropState:
-    """Per-parameter squared-gradient accumulators, same shapes as the params."""
+    """Squared-gradient accumulators, laid out like the params."""
 
     acc: LstmParams
 
     @staticmethod
     def zeros_like(params: LstmParams) -> "RmsPropState":
-        return RmsPropState(
-            acc=LstmParams(**{n: np.zeros_like(getattr(params, n)) for n in PARAM_FIELDS})
-        )
-
-
-def param_count(params: LstmParams) -> int:
-    return sum(getattr(params, n).size for n in PARAM_FIELDS)
-
-
-def flatten_params(params: LstmParams) -> np.ndarray:
-    return np.concatenate([getattr(params, n).ravel() for n in PARAM_FIELDS])
-
-
-def unflatten_params(flat: np.ndarray, like: LstmParams) -> LstmParams:
-    out = {}
-    offset = 0
-    for name in PARAM_FIELDS:
-        ref = getattr(like, name)
-        out[name] = flat[offset : offset + ref.size].reshape(ref.shape).copy()
-        offset += ref.size
-    return LstmParams(**out)
+        return RmsPropState(acc=LstmParams.zeros(params.hidden_size))
 
 
 def init_model(hidden_size: int, seed: int) -> LstmParams:
@@ -155,44 +166,38 @@ def init_model(hidden_size: int, seed: int) -> LstmParams:
     Input and readout weights are Glorot-uniform (+-sqrt(6/(fan_in+fan_out))
     with fan 1 on the scalar side), recurrent matrices are orthogonalized
     seeded Gaussians (QR with sign-fixed diagonal), biases start at zero
-    except the forget gate at one.
+    except the forget gate at one. Draws run i, f, o, g within each block.
     """
     if hidden_size < 1:
-        raise ValueError("hidden_size must be >= 1")
+        raise InvalidConfigError("hidden_size must be >= 1")
     rng = np.random.default_rng(seed)
     h = hidden_size
+    params = LstmParams.zeros(h)
 
     lim_in = math.sqrt(6.0 / (1 + h))
-    w_in = {k: rng.uniform(-lim_in, lim_in, size=h) for k in ("wi", "wf", "wo", "wg")}
-
-    def orthogonal() -> np.ndarray:
-        m = rng.standard_normal((h, h))
-        q, r = np.linalg.qr(m)
-        return q * np.sign(np.diag(r))[np.newaxis, :]
-
-    u = {k: orthogonal() for k in ("ui", "uf", "uo", "ug")}
+    params.W[:] = rng.uniform(-lim_in, lim_in, size=4 * h)
+    for u_gate in params.U.reshape(4, h, h):
+        q, r = np.linalg.qr(rng.standard_normal((h, h)))
+        u_gate[:] = q * np.sign(np.diag(r))[np.newaxis, :]
     lim_out = math.sqrt(6.0 / (h + 1))
-    wy = rng.uniform(-lim_out, lim_out, size=h)
-
-    return LstmParams(
-        **w_in,
-        **u,
-        bi=np.zeros(h),
-        bf=np.ones(h),
-        bo=np.zeros(h),
-        bg=np.zeros(h),
-        wy=wy,
-        by=np.zeros(1),
-    )
+    params.wy[:] = rng.uniform(-lim_out, lim_out, size=h)
+    params.b[h : 2 * h] = 1.0
+    return params
 
 
 def lstm_step(params: LstmParams, x_t: float, state: LstmState) -> LstmState:
     """One recurrence step for a single sample; direct gate equations."""
     h, c = state.h, state.c
-    i = expit(params.wi * x_t + params.ui @ h + params.bi)
-    f = expit(params.wf * x_t + params.uf @ h + params.bf)
-    o = expit(params.wo * x_t + params.uo @ h + params.bo)
-    g = np.tanh(params.wg * x_t + params.ug @ h + params.bg)
+    n = params.hidden_size
+
+    def pre(k: int) -> np.ndarray:  # pre-activation of gate k in i/f/o/g order
+        rows = slice(k * n, (k + 1) * n)
+        return params.W[rows] * x_t + params.U[rows] @ h + params.b[rows]
+
+    i = expit(pre(0))
+    f = expit(pre(1))
+    o = expit(pre(2))
+    g = np.tanh(pre(3))
     c_new = f * c + i * g
     h_new = o * np.tanh(c_new)
     if not (np.isfinite(h_new).all() and np.isfinite(c_new).all()):
@@ -202,24 +207,14 @@ def lstm_step(params: LstmParams, x_t: float, state: LstmState) -> LstmState:
 
 @dataclass
 class ForwardCache:
-    """Per-timestep activations retained for the backward pass."""
+    """Per-timestep activations retained for the backward pass, time-major."""
 
     x: np.ndarray      # (B, W) inputs
-    i: np.ndarray      # (B, W, H) input gate
-    f: np.ndarray      # (B, W, H) forget gate
-    o: np.ndarray      # (B, W, H) output gate
-    g: np.ndarray      # (B, W, H) candidate
-    c: np.ndarray      # (B, W, H) cell state after the step
-    h: np.ndarray      # (B, W, H) hidden state after the step
-    tc: np.ndarray     # (B, W, H) tanh of the cell state
+    gates: np.ndarray  # (W, B, 4H) activated gates, i|f|o|g
+    c: np.ndarray      # (W, B, H) cell state after the step
+    h: np.ndarray      # (W, B, H) hidden state after the step
+    tc: np.ndarray     # (W, B, H) tanh of the cell state
     pred: np.ndarray   # (B,) readout
-
-
-def _stacked(params: LstmParams):
-    w = np.concatenate([params.wi, params.wf, params.wo, params.wg])
-    u = np.vstack([params.ui, params.uf, params.uo, params.ug])
-    b = np.concatenate([params.bi, params.bf, params.bo, params.bg])
-    return w, u, b
 
 
 def _run_batch(params: LstmParams, x: np.ndarray, want_cache: bool):
@@ -228,38 +223,34 @@ def _run_batch(params: LstmParams, x: np.ndarray, want_cache: bool):
     if x.ndim != 2:
         raise ValueError("batch input must have shape (B, W)")
     n_batch, n_steps = x.shape
-    h_dim = params.hidden_size
-    w_st, u_st, b_st = _stacked(params)
+    n = params.hidden_size
+    w, u, b = params.W, params.U, params.b
 
-    h = np.zeros((n_batch, h_dim))
-    c = np.zeros((n_batch, h_dim))
+    h = np.zeros((n_batch, n))
+    c = np.zeros((n_batch, n))
     cache = None
     if want_cache:
-        shape = (n_batch, n_steps, h_dim)
+        shape = (n_steps, n_batch, n)
         cache = ForwardCache(
             x=x,
-            i=np.empty(shape), f=np.empty(shape), o=np.empty(shape), g=np.empty(shape),
+            gates=np.empty((n_steps, n_batch, 4 * n)),
             c=np.empty(shape), h=np.empty(shape), tc=np.empty(shape),
             pred=np.empty(n_batch),
         )
 
     for t in range(n_steps):
-        a = x[:, t, np.newaxis] * w_st[np.newaxis, :] + h @ u_st.T + b_st[np.newaxis, :]
-        i = expit(a[:, :h_dim])
-        f = expit(a[:, h_dim : 2 * h_dim])
-        o = expit(a[:, 2 * h_dim : 3 * h_dim])
-        g = np.tanh(a[:, 3 * h_dim :])
+        a = x[:, t, np.newaxis] * w + h @ u.T + b
+        expit(a[:, : 3 * n], out=a[:, : 3 * n])
+        np.tanh(a[:, 3 * n :], out=a[:, 3 * n :])
+        i, f, o, g = a[:, :n], a[:, n : 2 * n], a[:, 2 * n : 3 * n], a[:, 3 * n :]
         c = f * c + i * g
         tc = np.tanh(c)
         h = o * tc
         if want_cache:
-            cache.i[:, t] = i
-            cache.f[:, t] = f
-            cache.o[:, t] = o
-            cache.g[:, t] = g
-            cache.c[:, t] = c
-            cache.h[:, t] = h
-            cache.tc[:, t] = tc
+            cache.gates[t] = a
+            cache.c[t] = c
+            cache.h[t] = h
+            cache.tc[t] = tc
 
     pred = h @ params.wy + params.by[0]
     if not (np.isfinite(pred).all() and np.isfinite(h).all() and np.isfinite(c).all()):
@@ -312,88 +303,71 @@ def mae(targets, predictions) -> float:
 def backward(params: LstmParams, cache: ForwardCache, targets) -> LstmParams:
     """Exact gradients of batch-mean MSE w.r.t. every parameter.
 
-    Unrolls the recurrence backwards over all timesteps, accumulating into
-    stacked gate blocks, then splits them back out per gate.
+    Unrolls the recurrence backwards over all timesteps. Each step writes its
+    gate pre-activation gradients into one (B, 4H) buffer and accumulates
+    them straight into the W/U/b views of a zero gradient vector.
     """
     y = np.asarray(targets, dtype=np.float64)
-    n_batch, n_steps, h_dim = cache.h.shape
+    n_steps, n_batch, n = cache.h.shape
     if y.shape != (n_batch,):
         raise CacheMismatchError(f"targets {y.shape} vs cached batch of {n_batch}")
 
-    _, u_st, _ = _stacked(params)
+    u = params.U
+    grads = LstmParams.zeros(n)
+    dw, du, db = grads.W, grads.U, grads.b
 
     # d(loss)/d(pred) for loss = (1/B) sum (pred - y)^2
     dpred = 2.0 * (cache.pred - y) / n_batch
+    grads.wy[:] = cache.h[-1].T @ dpred
+    grads.by[0] = dpred.sum()
 
-    d_wy = cache.h[:, -1, :].T @ dpred
-    d_by = np.array([dpred.sum()])
-
-    dw_st = np.zeros(4 * h_dim)
-    du_st = np.zeros((4 * h_dim, h_dim))
-    db_st = np.zeros(4 * h_dim)
-
+    zeros = np.zeros((n_batch, n))
+    da = np.empty((n_batch, 4 * n))
     dh = dpred[:, np.newaxis] * params.wy[np.newaxis, :]
-    dc = np.zeros((n_batch, h_dim))
+    dc = np.zeros((n_batch, n))
     for t in range(n_steps - 1, -1, -1):
-        i = cache.i[:, t]
-        f = cache.f[:, t]
-        o = cache.o[:, t]
-        g = cache.g[:, t]
-        tc = cache.tc[:, t]
-        if t > 0:
-            h_prev = cache.h[:, t - 1]
-            c_prev = cache.c[:, t - 1]
-        else:
-            h_prev = np.zeros((n_batch, h_dim))
-            c_prev = np.zeros((n_batch, h_dim))
+        gates = cache.gates[t]
+        i, f, o, g = gates[:, :n], gates[:, n : 2 * n], gates[:, 2 * n : 3 * n], gates[:, 3 * n :]
+        tc = cache.tc[t]
+        h_prev = cache.h[t - 1] if t > 0 else zeros
+        c_prev = cache.c[t - 1] if t > 0 else zeros
 
-        do = dh * tc
         dc = dc + dh * o * (1.0 - tc * tc)
-        di = dc * g
-        dg = dc * i
-        df = dc * c_prev
+        da[:, :n] = dc * g * i * (1.0 - i)
+        da[:, n : 2 * n] = dc * c_prev * f * (1.0 - f)
+        da[:, 2 * n : 3 * n] = dh * tc * o * (1.0 - o)
+        da[:, 3 * n :] = dc * i * (1.0 - g * g)
+        dw += da.T @ cache.x[:, t]
+        du += da.T @ h_prev
+        db += da.sum(axis=0)
 
-        da = np.hstack(
-            [
-                di * i * (1.0 - i),
-                df * f * (1.0 - f),
-                do * o * (1.0 - o),
-                dg * (1.0 - g * g),
-            ]
-        )
-        dw_st += da.T @ cache.x[:, t]
-        du_st += da.T @ h_prev
-        db_st += da.sum(axis=0)
-
-        dh = da @ u_st
+        dh = da @ u
         dc = dc * f
 
-    return LstmParams(
-        wi=dw_st[:h_dim], wf=dw_st[h_dim : 2 * h_dim],
-        wo=dw_st[2 * h_dim : 3 * h_dim], wg=dw_st[3 * h_dim :],
-        ui=du_st[:h_dim], uf=du_st[h_dim : 2 * h_dim],
-        uo=du_st[2 * h_dim : 3 * h_dim], ug=du_st[3 * h_dim :],
-        bi=db_st[:h_dim], bf=db_st[h_dim : 2 * h_dim],
-        bo=db_st[2 * h_dim : 3 * h_dim], bg=db_st[3 * h_dim :],
-        wy=d_wy, by=d_by,
-    )
+    return grads
 
 
 def gradient_norm(grads: LstmParams) -> float:
+    """Global L2 norm, summed block by block in checkpoint v1 order.
+
+    One dot over the whole vector rounds differently in the last bit, which
+    is enough to flip a clipping decision and change a training run.
+    """
     total = 0.0
-    for name in PARAM_FIELDS:
-        g = getattr(grads, name)
-        total += float(np.dot(g.ravel(), g.ravel()))
+    for block in _v1_blocks(grads).values():
+        total += float(np.dot(block.ravel(), block.ravel()))
     return math.sqrt(total)
 
 
 def clip_gradients(grads: LstmParams, max_norm: float) -> LstmParams:
-    """Scale all gradients down so their global norm is at most max_norm."""
+    """Scale all gradients down so their global norm is at most max_norm.
+
+    Returns ``grads`` itself when no scaling is needed.
+    """
     norm = gradient_norm(grads)
     if norm <= max_norm or norm == 0.0:
         return grads
-    scale = max_norm / norm
-    return LstmParams(**{n: getattr(grads, n) * scale for n in PARAM_FIELDS})
+    return LstmParams(grads.flat * (max_norm / norm), grads.hidden_size)
 
 
 def rmsprop_update(
@@ -405,15 +379,11 @@ def rmsprop_update(
     epsilon: float = 1e-7,
 ) -> tuple[LstmParams, RmsPropState]:
     """a <- rho*a + (1-rho)*g^2 ; theta <- theta - lr*g/(sqrt(a)+eps)."""
-    new_params = {}
-    new_acc = {}
-    for name in PARAM_FIELDS:
-        theta = getattr(params, name)
-        g = getattr(grads, name)
-        a = rho * getattr(opt_state.acc, name) + (1.0 - rho) * g * g
-        new_acc[name] = a
-        new_params[name] = theta - lr * g / (np.sqrt(a) + epsilon)
-    return LstmParams(**new_params), RmsPropState(acc=LstmParams(**new_acc))
+    g = grads.flat
+    acc = rho * opt_state.acc.flat + (1.0 - rho) * g * g
+    theta = params.flat - lr * g / (np.sqrt(acc) + epsilon)
+    h = params.hidden_size
+    return LstmParams(theta, h), RmsPropState(acc=LstmParams(acc, h))
 
 
 def train(
@@ -445,7 +415,7 @@ def train(
             except NonFiniteStateError as exc:
                 raise DivergedNonFiniteError(str(exc), history=history) from exc
             grads = backward(params, cache, train_ws.y[idx])
-            if not all(np.isfinite(getattr(grads, f)).all() for f in PARAM_FIELDS):
+            if not np.isfinite(grads.flat).all():
                 raise DivergedNonFiniteError("non-finite gradients", history=history)
             grads = clip_gradients(grads, config.clip_norm)
             params, opt_state = rmsprop_update(
@@ -495,6 +465,23 @@ def predict_series(
 # --- checkpointing ----------------------------------------------------------
 
 
+def _v1_layout(hidden_size: int) -> list[tuple[str, int, tuple[int, ...]]]:
+    """The 14 blocks that checkpoint format v1 names: (name, offset, shape)."""
+    h = hidden_size
+    names = [kind + gate for kind in "wub" for gate in "ifog"] + ["wy", "by"]
+    shapes = [(h,)] * 4 + [(h, h)] * 4 + [(h,)] * 5 + [(1,)]
+    offsets = itertools.accumulate((math.prod(shape) for shape in shapes), initial=0)
+    return list(zip(names, offsets, shapes))
+
+
+def _v1_blocks(params: LstmParams) -> dict[str, np.ndarray]:
+    """Views of the 14 checkpoint v1 blocks, in vector order."""
+    return {
+        name: params.flat[lo : lo + math.prod(shape)].reshape(shape)
+        for name, lo, shape in _v1_layout(params.hidden_size)
+    }
+
+
 def _encode_array(arr: np.ndarray) -> dict:
     contiguous = np.ascontiguousarray(arr, dtype="<f8")
     return {
@@ -507,6 +494,21 @@ def _decode_array(obj: dict) -> np.ndarray:
     raw = base64.b64decode(obj["data"].encode("ascii"), validate=True)
     arr = np.frombuffer(raw, dtype="<f8").copy()
     return arr.reshape([int(s) for s in obj["shape"]])
+
+
+def _encode_params(params: LstmParams) -> dict:
+    return {name: _encode_array(block) for name, block in _v1_blocks(params).items()}
+
+
+def _decode_params(encoded: dict, hidden_size: int) -> LstmParams:
+    """Join the 14 v1 blocks into one vector; each must have its H-derived shape."""
+    parts = []
+    for name, _offset, shape in _v1_layout(hidden_size):
+        arr = _decode_array(encoded[name])
+        if arr.shape != shape:
+            raise CorruptCheckpointError(f"block {name} has shape {arr.shape}, expected {shape}")
+        parts.append(arr.ravel())
+    return LstmParams(np.concatenate(parts), hidden_size)
 
 
 def save_checkpoint(
@@ -523,8 +525,8 @@ def save_checkpoint(
         "rho": config.rho,
         "epsilon": config.epsilon,
         "config": {f.name: getattr(config, f.name) for f in fields(config)},
-        "params": {n: _encode_array(getattr(params, n)) for n in PARAM_FIELDS},
-        "opt_acc": {n: _encode_array(getattr(opt_state.acc, n)) for n in PARAM_FIELDS},
+        "params": _encode_params(params),
+        "opt_acc": _encode_params(opt_state.acc),
         "meta": meta or {},
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -550,12 +552,9 @@ def load_checkpoint(raw: bytes):
         )
     try:
         config = TrainConfig(**payload["config"])
-        params = LstmParams(**{n: _decode_array(payload["params"][n]) for n in PARAM_FIELDS})
-        acc = LstmParams(**{n: _decode_array(payload["opt_acc"][n]) for n in PARAM_FIELDS})
+        params = _decode_params(payload["params"], config.hidden_size)
+        acc = _decode_params(payload["opt_acc"], config.hidden_size)
         meta = payload.get("meta", {})
     except (KeyError, TypeError, ValueError, binascii.Error) as exc:
         raise CorruptCheckpointError(f"malformed checkpoint field: {exc}") from exc
-    h = config.hidden_size
-    if params.hidden_size != h or params.ui.shape != (h, h):
-        raise CorruptCheckpointError("parameter shapes disagree with header")
     return params, RmsPropState(acc=acc), config, meta

@@ -18,7 +18,9 @@ import numpy as np
 
 from .errors import (
     DegenerateSigmaError,
+    InvalidConfigError,
     SeriesTooShortError,
+    SeriesTooShortForWindowError,
     TooFewValuesError,
 )
 
@@ -96,14 +98,18 @@ def normalize(values, stats: NormalizationStats) -> np.ndarray:
     return np.asarray(values, dtype=np.float64) / stats.sigma
 
 
+def _split_sizes(n: int) -> tuple[int, int, int]:
+    """Train, validation and test lengths of an n-value series."""
+    return n // 2, n // 5, n - n // 2 - n // 5
+
+
 def split(values) -> SplitSeries:
     """Chronological 50/20/30 split, floor rule, remainder to test."""
     arr = np.asarray(values, dtype=np.float64)
     n = arr.size
     if n < 10:
         raise SeriesTooShortError(f"need at least 10 values to split, got {n}")
-    n_train = n // 2
-    n_val = n // 5
+    n_train, n_val, _ = _split_sizes(n)
     return SplitSeries(
         train=arr[:n_train],
         validation=arr[n_train : n_train + n_val],
@@ -111,10 +117,26 @@ def split(values) -> SplitSeries:
     )
 
 
+def check_window_fits(n_values: int, window_size: int) -> None:
+    """Raise unless every split of an n-value series holds window_size + 1 values.
+
+    W+1 values are the fewest that give a split one (window, next value)
+    sample, so a window that passes yields samples in train, validation
+    and test alike.
+    """
+    shortest = min(_split_sizes(n_values))
+    if shortest < window_size + 1:
+        raise SeriesTooShortForWindowError(
+            window_size,
+            f"shortest split has {shortest} values; window {window_size} "
+            f"needs at least W+1 = {window_size + 1}",
+        )
+
+
 def make_windows(values, window_size: int) -> WindowSet:
     """All (window, next value) samples of one split; max(0, L - W) of them."""
     if window_size < 1:
-        raise ValueError("window_size must be >= 1")
+        raise InvalidConfigError("window_size must be >= 1")
     arr = np.asarray(values, dtype=np.float64)
     n_samples = max(0, arr.size - window_size)
     x = np.empty((n_samples, window_size), dtype=np.float64)

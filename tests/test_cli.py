@@ -1,11 +1,14 @@
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ddoscast
 from conftest import as_ndjson, record_obj
 from ddoscast.analytics import global_stats, rank_subclasses, ranking_to_csv, stats_to_csv
 from ddoscast.cli import _build_parser, _resolve_params, main, replay_manifest
@@ -91,6 +94,23 @@ class TestAnalyze:
         empty = tmp_path / "empty.ndjson"
         empty.write_text("")
         assert run(["analyze", empty, "--out", tmp_path / "o"]) == 3
+
+    def test_out_of_range_records_are_dropped(self, tmp_path):
+        path = tmp_path / "records.ndjson"
+        huge = [record_obj(start=10**13, stop=10**13), record_obj(max_bps=10**400)]
+        path.write_bytes(as_ndjson(record_obj(), *huge))
+        assert run(["analyze", path, "--out", tmp_path / "o"]) == 0
+        stats = (tmp_path / "o" / "analyze-0" / "stats.csv").read_text()
+        assert stats.split("\n")[1].startswith("1,")  # record_count
+        # with no valid record left, analyze reports an empty dataset (exit 3)
+        path.write_bytes(as_ndjson(*huge))
+        assert run(["analyze", path, "--out", tmp_path / "o"]) == 3
+
+    def test_out_of_range_records_fail_strict_ingest_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "records.ndjson"
+        path.write_bytes(as_ndjson(record_obj(), record_obj(start=10**13, stop=10**13)))
+        assert run(["ingest", path, "--strict", "--out", tmp_path / "o"]) == 2
+        assert "out of range" in capsys.readouterr().err
 
 
 class TestTrainCmd:
@@ -280,9 +300,42 @@ class TestManifestReplay:
         ).read_bytes()
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("train", "--epochs", 0),
+        ("train", "--hidden", 0),
+        ("train", "--window", 0),
+        ("train", "--batch-size", 0),
+        ("train", "--learning-rate", -1),
+        ("grid", "--hiddens", 0),
+    ],
+)
+def test_bad_hyperparameter_exit_two(tmp_path, records_file, capsys, command, flag, value):
+    code = run([command, records_file, flag, value, "--out", tmp_path / "o"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()  # rejected before any work or output
+
+
+def test_empty_grid_list_exit_two(tmp_path, records_file):
+    with pytest.raises(SystemExit) as err:  # argparse rejects the flag value
+        run(["grid", records_file, "--hiddens", ",", "--out", tmp_path / "o"])
+    assert err.value.code == 2
+    config = tmp_path / "grid.conf"
+    config.write_text("windows = ,\n")
+    assert run(["grid", records_file, "--config", config, "--out", tmp_path / "o"]) == 2
+
+
 def test_console_script_version():
+    # the child imports ddoscast from wherever this process did, installed or not
+    src = str(Path(ddoscast.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
-        [sys.executable, "-m", "ddoscast.cli", "--version"], capture_output=True, text=True
+        [sys.executable, "-m", "ddoscast.cli", "--version"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0
     assert "ddoscast" in proc.stdout

@@ -4,7 +4,7 @@ import io
 import numpy as np
 import pytest
 
-from ddoscast.errors import EmptyGridError, SeriesTooShortForWindowError
+from ddoscast.errors import EmptyGridError, InvalidConfigError, SeriesTooShortForWindowError
 from ddoscast.grid import (
     GridCell,
     GridResult,
@@ -72,6 +72,13 @@ class TestRunGrid:
         with pytest.raises(SeriesTooShortForWindowError) as err:
             run_grid(tiny_series(60), spec)
         assert err.value.window == 50
+
+    @pytest.mark.parametrize(
+        "windows, hiddens", [((), (2,)), ((3,), ()), ((3, 0), (2,)), ((3,), (2, -1))]
+    )
+    def test_spec_rejects_empty_or_non_positive_sizes(self, windows, hiddens):
+        with pytest.raises(InvalidConfigError):
+            GridSpec(window_sizes=windows, hidden_sizes=hiddens, base_config=tiny_config())
 
     def test_cell_seed_is_stable_hash(self):
         assert cell_seed(0, 24, 64) == cell_seed(0, 24, 64)

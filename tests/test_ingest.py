@@ -13,6 +13,7 @@ from ddoscast.errors import (
     UnknownSubclassError,
 )
 from ddoscast.ingest import (
+    MAX_UNIX_SECONDS,
     AttackClass,
     Subclass,
     SyntheticSpec,
@@ -39,6 +40,40 @@ def test_stop_before_start_rejected_lenient():
     assert report.rejected == 1
     location, reason = report.rejection_reasons[0]
     assert reason == "stop before start"
+
+
+OUT_OF_RANGE = [
+    pytest.param({"start": -5, "stop": 10}, id="negative-start"),
+    pytest.param({"start": 10**13, "stop": 10**13}, id="start-year-318857"),
+    pytest.param({"start": 0, "stop": MAX_UNIX_SECONDS + 1}, id="stop-past-9999"),
+    pytest.param({"max_bps": 2**63}, id="max-bps-2**63"),
+    pytest.param({"max_bps": 10**400}, id="max-bps-400-digits"),
+]
+
+
+@pytest.mark.parametrize("fields", OUT_OF_RANGE)
+def test_out_of_range_numbers_rejected_lenient(fields):
+    records, report = parse_records(as_array(record_obj(**fields), record_obj()))
+    assert len(records) == 1
+    assert report.rejected == 1
+    location, reason = report.rejection_reasons[0]
+    assert location == 0
+    assert "out of range" in reason
+
+
+@pytest.mark.parametrize("fields", OUT_OF_RANGE)
+def test_out_of_range_numbers_abort_strict(fields):
+    with pytest.raises(SchemaViolationError) as err:
+        parse_records(as_array(record_obj(), record_obj(**fields)), strict=True)
+    assert err.value.location == 1
+    assert "out of range" in err.value.reason
+
+
+def test_range_bounds_are_inclusive():
+    obj = record_obj(start=0, stop=MAX_UNIX_SECONDS, max_bps=2**63 - 1)
+    records, report = parse_records(as_array(obj), strict=True)
+    assert report.accepted == 1
+    assert (records[0].start, records[0].stop) == (0, MAX_UNIX_SECONDS)
 
 
 def test_subclass_spellings_normalize():

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,20 +11,19 @@ from ddoscast.errors import (
     DivergedNonFiniteError,
     EmptyInputError,
     EmptySplitError,
+    InvalidConfigError,
     LengthMismatchError,
     NonFiniteStateError,
     TrainSetEmptyError,
     VersionMismatchError,
 )
 from ddoscast.lstm import (
-    PARAM_FIELDS,
     LstmParams,
     LstmState,
     RmsPropState,
     TrainConfig,
     backward,
     clip_gradients,
-    flatten_params,
     forward,
     forward_batch,
     init_model,
@@ -31,13 +31,11 @@ from ddoscast.lstm import (
     lstm_step,
     mae,
     mse,
-    param_count,
     predict_batch,
     predict_series,
     rmsprop_update,
     save_checkpoint,
     train,
-    unflatten_params,
 )
 from ddoscast.windowing import (
     NormalizationStats,
@@ -50,12 +48,11 @@ from ddoscast.windowing import (
 
 
 def zero_params(h: int) -> LstmParams:
-    ref = init_model(h, seed=0)
-    return LstmParams(**{n: np.zeros_like(getattr(ref, n)) for n in PARAM_FIELDS})
+    return LstmParams.zeros(h)
 
 
 def params_equal(a: LstmParams, b: LstmParams) -> bool:
-    return all(np.array_equal(getattr(a, n), getattr(b, n)) for n in PARAM_FIELDS)
+    return a.hidden_size == b.hidden_size and np.array_equal(a.flat, b.flat)
 
 
 def manual_dataset(x: np.ndarray, y: np.ndarray, window: int, sigma=1.0) -> WindowedDataset:
@@ -83,28 +80,39 @@ class TestInit:
 
     def test_parameter_count_h64(self):
         # 4*(H + H^2 + H) + H + 1 for H=64
-        assert param_count(init_model(64, seed=0)) == 4 * (64 + 64 * 64 + 64) + 64 + 1 == 16961
+        assert init_model(64, seed=0).flat.size == 4 * (64 + 64 * 64 + 64) + 64 + 1 == 16961
+
+    def test_views_partition_the_vector_in_order(self):
+        h = 3
+        params = LstmParams(np.arange(4 * h * h + 9 * h + 1, dtype=np.float64), h)
+        views = (params.W, params.U, params.b, params.wy, params.by)
+        assert [v.shape for v in views] == [(4 * h,), (4 * h, h), (4 * h,), (h,), (1,)]
+        assert np.array_equal(np.concatenate([v.ravel() for v in views]), params.flat)
+        params.U[2 * h, 1] = -1.0  # views write through to the vector
+        assert params.flat[4 * h + 2 * h * h + 1] == -1.0
+
+    def test_wrong_vector_length_rejected(self):
+        with pytest.raises(ValueError):
+            LstmParams(np.zeros(10), 3)
 
     def test_forget_bias_ones_other_biases_zero(self):
-        params = init_model(12, seed=1)
-        assert np.all(params.bf == 1.0)
-        assert np.all(params.bi == 0.0)
-        assert np.all(params.bo == 0.0)
-        assert np.all(params.bg == 0.0)
+        h = 12
+        params = init_model(h, seed=1)
+        assert np.all(params.b[h : 2 * h] == 1.0)  # forget gate
+        assert np.all(params.b[:h] == 0.0)
+        assert np.all(params.b[2 * h :] == 0.0)
         assert np.all(params.by == 0.0)
 
     def test_input_weights_in_glorot_bounds(self):
         h = 30
         params = init_model(h, seed=2)
         lim = math.sqrt(6.0 / (1 + h))
-        for name in ("wi", "wf", "wo", "wg", "wy"):
-            w = getattr(params, name)
+        for w in (params.W, params.wy):
             assert np.all(np.abs(w) <= lim)
 
     def test_recurrent_weights_orthogonal(self):
         params = init_model(24, seed=5)
-        for name in ("ui", "uf", "uo", "ug"):
-            u = getattr(params, name)
+        for u in params.U.reshape(4, 24, 24):
             assert np.allclose(u.T @ u, np.eye(24), atol=1e-10)
 
 
@@ -117,20 +125,16 @@ class TestStep:
 
     def test_matches_direct_gate_equations(self):
         # H=2, hand-picked small weights evaluated with math.* directly
+        wi, wf, wo, wg = [0.1, -0.2], [0.3, 0.05], [-0.15, 0.25], [0.4, -0.1]
+        ui = np.array([[0.05, -0.02], [0.03, 0.07]])
+        uf = np.array([[0.02, 0.01], [-0.06, 0.04]])
+        uo = np.array([[0.08, -0.03], [0.02, 0.09]])
+        ug = np.array([[-0.04, 0.06], [0.05, -0.07]])
+        bi, bf, bo, bg = [0.01, -0.01], [1.0, 1.0], [0.02, 0.03], [-0.02, 0.04]
         p = zero_params(2)
-        p = LstmParams(**{**{n: getattr(p, n) for n in PARAM_FIELDS},
-                          "wi": np.array([0.1, -0.2]),
-                          "wf": np.array([0.3, 0.05]),
-                          "wo": np.array([-0.15, 0.25]),
-                          "wg": np.array([0.4, -0.1]),
-                          "ui": np.array([[0.05, -0.02], [0.03, 0.07]]),
-                          "uf": np.array([[0.02, 0.01], [-0.06, 0.04]]),
-                          "uo": np.array([[0.08, -0.03], [0.02, 0.09]]),
-                          "ug": np.array([[-0.04, 0.06], [0.05, -0.07]]),
-                          "bi": np.array([0.01, -0.01]),
-                          "bf": np.array([1.0, 1.0]),
-                          "bo": np.array([0.02, 0.03]),
-                          "bg": np.array([-0.02, 0.04])})
+        p.W[:] = wi + wf + wo + wg
+        p.U[:] = np.vstack([ui, uf, uo, ug])
+        p.b[:] = bi + bf + bo + bg
         x = 0.7
         h0 = np.array([0.1, -0.3])
         c0 = np.array([0.2, 0.5])
@@ -140,10 +144,10 @@ class TestStep:
 
         expect_h, expect_c = [], []
         for k in range(2):
-            a_i = p.wi[k] * x + p.ui[k, 0] * h0[0] + p.ui[k, 1] * h0[1] + p.bi[k]
-            a_f = p.wf[k] * x + p.uf[k, 0] * h0[0] + p.uf[k, 1] * h0[1] + p.bf[k]
-            a_o = p.wo[k] * x + p.uo[k, 0] * h0[0] + p.uo[k, 1] * h0[1] + p.bo[k]
-            a_g = p.wg[k] * x + p.ug[k, 0] * h0[0] + p.ug[k, 1] * h0[1] + p.bg[k]
+            a_i = wi[k] * x + ui[k, 0] * h0[0] + ui[k, 1] * h0[1] + bi[k]
+            a_f = wf[k] * x + uf[k, 0] * h0[0] + uf[k, 1] * h0[1] + bf[k]
+            a_o = wo[k] * x + uo[k, 0] * h0[0] + uo[k, 1] * h0[1] + bo[k]
+            a_g = wg[k] * x + ug[k, 0] * h0[0] + ug[k, 1] * h0[1] + bg[k]
             c_new = sig(a_f) * c0[k] + sig(a_i) * math.tanh(a_g)
             expect_c.append(c_new)
             expect_h.append(sig(a_o) * math.tanh(c_new))
@@ -241,19 +245,22 @@ class TestMetrics:
 
 
 def finite_difference_check(params, x, y, step=1e-5, floor=1e-8):
-    """Max relative disagreement between BPTT and central differences."""
+    """Max relative disagreement between BPTT and central differences.
+
+    Perturbs ``params.flat`` in place, one entry at a time, and restores it.
+    """
     _, cache = forward_batch(params, x)
-    analytic = flatten_params(backward(params, cache, y))
-    flat = flatten_params(params)
+    analytic = backward(params, cache, y).flat
+    flat = params.flat
 
     worst = 0.0
     for k in range(flat.size):
-        up = flat.copy()
-        up[k] += step
-        down = flat.copy()
-        down[k] -= step
-        loss_up = mse(y, predict_batch(unflatten_params(up, params), x))
-        loss_down = mse(y, predict_batch(unflatten_params(down, params), x))
+        original = flat[k]
+        flat[k] = original + step
+        loss_up = mse(y, predict_batch(params, x))
+        flat[k] = original - step
+        loss_down = mse(y, predict_batch(params, x))
+        flat[k] = original
         fd = (loss_up - loss_down) / (2 * step)
         rel = abs(fd - analytic[k]) / max(abs(fd), abs(analytic[k]), floor)
         worst = max(worst, rel)
@@ -266,7 +273,7 @@ class TestBackward:
         x = np.random.default_rng(1).normal(size=(3, 5))
         preds, cache = forward_batch(params, x)
         grads = backward(params, cache, preds)  # targets == predictions
-        assert all(np.all(getattr(grads, n) == 0.0) for n in PARAM_FIELDS)
+        assert np.all(grads.flat == 0.0)
 
     def test_head_gradient_closed_form(self):
         params = init_model(5, seed=7)
@@ -275,7 +282,7 @@ class TestBackward:
         pred, cache = forward_batch(params, window[np.newaxis, :])
         grads = backward(params, cache, target)
         residual = 2.0 * (pred[0] - target[0])
-        assert grads.wy == pytest.approx(residual * cache.h[0, -1, :], rel=1e-12)
+        assert grads.wy == pytest.approx(residual * cache.h[-1, 0, :], rel=1e-12)
         assert grads.by[0] == pytest.approx(residual, rel=1e-12)
 
     def test_finite_differences_random_instance(self):
@@ -296,23 +303,20 @@ class TestRmsProp:
     def test_zero_gradient_keeps_params(self):
         params = init_model(3, seed=9)
         grads = zero_params(3)
-        state = RmsPropState.zeros_like(params)
-        state = RmsPropState(
-            acc=LstmParams(**{n: np.full_like(getattr(params, n), 0.5) for n in PARAM_FIELDS})
-        )
+        state = RmsPropState(acc=LstmParams(np.full_like(params.flat, 0.5), 3))
         new_params, new_state = rmsprop_update(params, grads, state, lr=0.1)
         assert params_equal(new_params, params)
-        assert np.all(new_state.acc.wi == 0.45)  # rho * a
+        assert np.all(new_state.acc.flat == 0.45)  # rho * a
 
     def test_hand_evaluation(self):
         params = zero_params(1)
-        grads = LstmParams(**{n: np.ones_like(getattr(params, n)) for n in PARAM_FIELDS})
+        grads = LstmParams(np.ones_like(params.flat), 1)
         state = RmsPropState.zeros_like(params)
         new_params, new_state = rmsprop_update(params, grads, state, lr=0.0002)
-        assert new_state.acc.wi[0] == pytest.approx(0.1, rel=1e-12)
+        assert new_state.acc.W[0] == pytest.approx(0.1, rel=1e-12)
         expected_step = -0.0002 / (math.sqrt(0.1) + 1e-7)
-        assert new_params.wi[0] == pytest.approx(expected_step, rel=1e-12)
-        assert new_params.wi[0] == pytest.approx(-6.3245e-4, abs=1e-8)
+        assert new_params.W[0] == pytest.approx(expected_step, rel=1e-12)
+        assert new_params.W[0] == pytest.approx(-6.3245e-4, abs=1e-8)
 
     def test_two_updates_match_scalar_recurrence(self):
         params = zero_params(1)
@@ -320,26 +324,25 @@ class TestRmsProp:
         g_values = (0.8, -1.3)
         theta, a = 0.0, 0.0
         for g in g_values:
-            grads = LstmParams(**{n: np.full_like(getattr(params, n), g) for n in PARAM_FIELDS})
+            grads = LstmParams(np.full_like(params.flat, g), 1)
             params, state = rmsprop_update(params, grads, state, lr=0.01)
             a = 0.9 * a + 0.1 * g * g
             theta = theta - 0.01 * g / (math.sqrt(a) + 1e-7)
-        assert params.ug[0, 0] == pytest.approx(theta, rel=1e-12)
+        assert params.U[3, 0] == pytest.approx(theta, rel=1e-12)  # candidate gate
         assert state.acc.by[0] == pytest.approx(a, rel=1e-12)
 
 
 class TestClip:
     def test_small_gradients_untouched(self):
-        grads = zero_params(2)
-        grads = LstmParams(**{n: getattr(grads, n) + 0.01 for n in PARAM_FIELDS})
+        grads = LstmParams(zero_params(2).flat + 0.01, 2)
         clipped = clip_gradients(grads, 5.0)
         assert params_equal(clipped, grads)
+        assert clipped is grads
 
     def test_large_gradients_scaled_to_cap(self):
         from ddoscast.lstm import gradient_norm
 
-        grads = LstmParams(**{n: np.full_like(getattr(zero_params(2), n), 10.0)
-                              for n in PARAM_FIELDS})
+        grads = LstmParams(np.full_like(zero_params(2).flat, 10.0), 2)
         clipped = clip_gradients(grads, 5.0)
         assert gradient_norm(clipped) == pytest.approx(5.0, rel=1e-12)
 
@@ -447,9 +450,7 @@ class TestCheckpoint:
     def trained_bits(self):
         params = init_model(6, seed=4)
         rng = np.random.default_rng(20)
-        acc = LstmParams(
-            **{n: np.abs(rng.normal(size=getattr(params, n).shape)) for n in PARAM_FIELDS}
-        )
+        acc = LstmParams(np.abs(rng.normal(size=params.flat.shape)), 6)
         state = RmsPropState(acc=acc)
         config = TrainConfig(window_size=9, hidden_size=6, epochs=3, seed=4)
         meta = {"subclass": "TotalTraffic", "metric": "count"}
@@ -497,3 +498,59 @@ class TestCheckpoint:
         doc["config"]["hidden_size"] = 7
         with pytest.raises(CorruptCheckpointError):
             load_checkpoint(json.dumps(doc).encode())
+
+    def test_block_shape_drift_corrupt(self):
+        params, state, config, meta = self.trained_bits()
+        doc = json.loads(save_checkpoint(params, state, config, meta))
+        doc["params"]["wy"] = doc["params"]["by"]
+        with pytest.raises(CorruptCheckpointError):
+            load_checkpoint(json.dumps(doc).encode())
+
+
+# Written by ddoscast at commit c0cc8aa, when LstmParams held 14 separate
+# arrays: init_model(3, seed=11), three RMSprop steps (lr 0.01) on seeded
+# random batches, so both the params and the accumulators are non-trivial.
+V1_CHECKPOINT = Path(__file__).parent / "data" / "checkpoint_v1_h3.json"
+
+
+class TestCheckpointV1Compatibility:
+    def test_loads_and_resaves_identical_bytes(self):
+        blob = V1_CHECKPOINT.read_bytes()
+        params, state, config, meta = load_checkpoint(blob)
+        assert params.hidden_size == config.hidden_size == 3
+        assert np.any(state.acc.flat != 0.0)
+        assert save_checkpoint(params, state, config, meta) == blob
+
+    def test_predicts_the_recorded_value(self):
+        params, _, _, _ = load_checkpoint(V1_CHECKPOINT.read_bytes())
+        window = np.array([[0.5, -1.0, 2.0, 0.25, -0.75]])
+        # value computed with the 14-array implementation that wrote the file
+        assert predict_batch(params, window)[0] == float.fromhex("0x1.1f71d1ba17a4bp-3")
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("window_size", 0),
+            ("hidden_size", 0),
+            ("learning_rate", 0.0),
+            ("learning_rate", -1.0),
+            ("learning_rate", math.nan),
+            ("epochs", 0),
+            ("batch_size", 0),
+            ("rho", -0.1),
+            ("rho", 1.0),
+            ("clip_norm", 0.0),
+            ("clip_norm", math.nan),
+        ],
+    )
+    def test_out_of_range_rejected(self, field, value):
+        kwargs = {"window_size": 24, "hidden_size": 64, field: value}
+        # also a ValueError, so a checkpoint holding such a config reads as corrupt
+        with pytest.raises(ValueError, match=field) as err:
+            TrainConfig(**kwargs)
+        assert isinstance(err.value, InvalidConfigError)
+
+    def test_boundary_values_accepted(self):
+        TrainConfig(window_size=1, hidden_size=1, epochs=1, batch_size=1, rho=0.0)

@@ -6,11 +6,13 @@ from hypothesis import strategies as st
 from ddoscast.errors import (
     DegenerateSigmaError,
     SeriesTooShortError,
+    SeriesTooShortForWindowError,
     TooFewValuesError,
 )
 from ddoscast.windowing import (
     NormSource,
     build_windowed,
+    check_window_fits,
     make_windows,
     normalization_stats,
     normalize,
@@ -171,3 +173,28 @@ class TestBuildWindowed:
         expected_rows = len(ds.train) + len(ds.validation) + len(ds.test)
         assert len(lines) == 1 + expected_rows
         assert lines[0] == "split,sample_index," + ",".join(f"x_{j}" for j in range(4)) + ",y"
+
+
+class TestCheckWindowFits:
+    def test_boundary(self):
+        # n=50 splits 25/10/15: validation is the shortest, so W=9 is the largest fit
+        check_window_fits(50, 9)
+        with pytest.raises(SeriesTooShortForWindowError) as err:
+            check_window_fits(50, 10)
+        assert err.value.window == 10
+
+    @pytest.mark.parametrize("part", ["train", "validation", "test"])
+    @pytest.mark.parametrize("n", [10, 11, 17, 24, 33, 49, 50, 99, 128])
+    def test_fits_iff_every_split_has_a_sample(self, n, part):
+        parts = split(np.arange(float(n)))
+        for window in range(1, n):
+            samples = {
+                name: len(make_windows(getattr(parts, name), window))
+                for name in ("train", "validation", "test")
+            }
+            try:
+                check_window_fits(n, window)
+            except SeriesTooShortForWindowError:
+                assert min(samples.values()) == 0
+            else:
+                assert samples[part] >= 1
