@@ -2,8 +2,8 @@
 ====================================================
 
 Global totals, duration/throughput histograms, subclass rankings, and
-year-on-year growth, all computed from enriched records (duration in
-minutes, peak Gbps, unit count).
+year-on-year growth, all computed from one columnar table of enriched
+records (duration in minutes, peak Gbps).
 """
 
 from ddoscast import (

@@ -1,12 +1,13 @@
 """ddoscast: DDoS attack-record ETL, trend statistics, and LSTM forecasting.
 
 The pipeline: ``ingest`` parses (or synthesizes) attack records,
-``preprocess`` derives per-record features and buckets them into
-per-subclass time series, ``analytics`` reproduces the descriptive
-statistics, ``windowing`` turns a daily series into normalized sliding
-windows, ``lstm`` trains the from-scratch forecaster, ``grid`` sweeps the
-hyperparameters and ``chart`` renders SVG comparisons. ``cli`` ties the
-stages together behind the ``ddoscast`` command.
+``preprocess`` derives per-record features into one columnar
+``RecordTable`` and buckets them into per-subclass time series,
+``analytics`` reproduces the descriptive statistics, ``windowing`` turns a
+daily series into normalized sliding windows, ``lstm`` trains the
+from-scratch forecaster, ``grid`` sweeps the hyperparameters and ``chart``
+renders SVG comparisons. ``cli`` ties the stages together behind the
+``ddoscast`` command.
 """
 
 __version__ = "0.1.0"
@@ -28,6 +29,7 @@ from .preprocess import (
     EnrichedRecord,
     Granularity,
     Metric,
+    RecordTable,
     TimeSeries,
     aggregate,
     enrich,
@@ -90,6 +92,7 @@ __all__ = [
     "EnrichedRecord",
     "Granularity",
     "Metric",
+    "RecordTable",
     "TimeSeries",
     "aggregate",
     "enrich",

@@ -1,8 +1,9 @@
-"""Descriptive statistics over enriched attack records.
+"""Descriptive statistics over a RecordTable of enriched attack records.
 
-Single-scan global totals, fixed-bin histograms of duration and peak
-throughput (optionally sliced per year), year-on-year growth, and subclass
-rankings. Year attribution always uses the attack's UTC start year.
+Global totals, fixed-bin histograms of duration and peak throughput
+(optionally sliced per year), year-on-year growth, and subclass rankings,
+each computed as array reductions over the table's columns. Year
+attribution always uses the attack's UTC start year.
 """
 
 from __future__ import annotations
@@ -14,9 +15,11 @@ import io
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import EmptyDatasetError, YearAbsentError
 from .ingest import Subclass
-from .preprocess import EnrichedRecord, Metric
+from .preprocess import SUBCLASSES, Metric, RecordTable, utc
 
 SECONDS_PER_YEAR = 31_536_000  # 365-day year
 
@@ -46,8 +49,7 @@ class Histogram:
 
     def bin_label(self, index: int) -> str:
         lo, hi = self.bins[index]
-        hi_txt = "inf" if math.isinf(hi) else f"{hi:g}"
-        return f"[{lo:g},{hi_txt})"
+        return f"[{lo:g},{hi:g})"  # format(math.inf, "g") is "inf"
 
 
 @dataclass(frozen=True)
@@ -72,69 +74,57 @@ class GrowthDimension(enum.Enum):
     SUBCLASS_COUNTS = "subclass_counts"
 
 
-def global_stats(records: list[EnrichedRecord]) -> GlobalStats:
-    """Totals and extrema in one pass over the records."""
+def global_stats(records: RecordTable) -> GlobalStats:
+    """Totals and extrema as reductions over the columns."""
     if not records:
         raise EmptyDatasetError("global_stats needs at least one record")
-    total_s = 0
-    longest = 0
-    max_gbps = 0.0
-    date_min = date_max = records[0].start_time.date()
-    for rec in records:
-        seconds = rec.duration_s
-        total_s += seconds
-        longest = max(longest, seconds)
-        max_gbps = max(max_gbps, rec.max_gbps)
-        day = rec.start_time.date()
-        date_min = min(date_min, day)
-        date_max = max(date_max, day)
+    seconds = records.stop - records.start
+    # object dtype adds Python ints, so the total is exact at any record count
+    total_s = int(seconds.sum(dtype=object))
     return GlobalStats(
         record_count=len(records),
         total_duration_s=total_s,
         total_duration_years=total_s / SECONDS_PER_YEAR,
-        max_throughput_gbps=max_gbps,
-        longest_attack_s=longest,
-        date_min=date_min,
-        date_max=date_max,
+        max_throughput_gbps=float(records.max_gbps.max()),
+        longest_attack_s=int(seconds.max()),
+        date_min=utc(records.start.min()).date(),
+        date_max=utc(records.start.max()).date(),
     )
 
 
-def _bin_index(bins, value: float) -> int:
-    for idx, (lo, hi) in enumerate(bins):
-        if lo <= value < hi:
-            return idx
-    raise ValueError(f"value {value} outside bin partition")  # negative input
+def _counts_by_year(years: np.ndarray, index: np.ndarray, size: int) -> dict[int, list[int]]:
+    """Per-year counts of ``index`` values in [0, size), ascending years present."""
+    present, year_index = np.unique(years, return_inverse=True)
+    counts = np.bincount(year_index * size + index, minlength=present.size * size)
+    return dict(zip(present.tolist(), counts.reshape(present.size, size).tolist()))
 
 
-def _histogram(records, bins, value_of, metric: str, unit: str, per_year: bool) -> Histogram:
+def _histogram(
+    records: RecordTable, values, bins, metric: str, unit: str, per_year: bool
+) -> Histogram:
     if not records:
         raise EmptyDatasetError(f"{metric} histogram needs at least one record")
-    counts = [0] * len(bins)
-    by_year: dict[int, list[int]] = {}
-    for rec in records:
-        idx = _bin_index(bins, value_of(rec))
-        counts[idx] += 1
-        if per_year:
-            year = rec.start_time.year
-            by_year.setdefault(year, [0] * len(bins))[idx] += 1
+    lows = np.array([lo for lo, _ in bins])
+    # bincount rejects the -1 a negative value would get
+    index = np.searchsorted(lows, values, side="right") - 1
     return Histogram(
         metric=metric,
         unit=unit,
         bins=bins,
-        counts=counts,
-        by_year=dict(sorted(by_year.items())) if per_year else None,
+        counts=np.bincount(index, minlength=len(bins)).tolist(),
+        by_year=_counts_by_year(records.start_years(), index, len(bins)) if per_year else None,
     )
 
 
-def histogram_duration(records, per_year: bool = False) -> Histogram:
+def histogram_duration(records: RecordTable, per_year: bool = False) -> Histogram:
     return _histogram(
-        records, DURATION_BINS_MIN, lambda r: r.duration_min, "duration_min", "minutes", per_year
+        records, records.duration_min, DURATION_BINS_MIN, "duration_min", "minutes", per_year
     )
 
 
-def histogram_throughput(records, per_year: bool = False) -> Histogram:
+def histogram_throughput(records: RecordTable, per_year: bool = False) -> Histogram:
     return _histogram(
-        records, THROUGHPUT_BINS_GBPS, lambda r: r.max_gbps, "max_gbps", "gbps", per_year
+        records, records.max_gbps, THROUGHPUT_BINS_GBPS, "max_gbps", "gbps", per_year
     )
 
 
@@ -146,37 +136,33 @@ def growth_pct(value_a: float, value_b: float) -> float | None:
 
 
 def yoy_growth(
-    records, year_a: int, year_b: int, dimension: GrowthDimension
+    records: RecordTable, year_a: int, year_b: int, dimension: GrowthDimension
 ) -> GrowthReport:
     """Compare per-cell values between two years present in the data."""
-    years = {rec.start_time.year for rec in records}
+    years = records.start_years()
     for year in (year_a, year_b):
-        if year not in years:
+        if not np.any(years == year):
             raise YearAbsentError(f"no records in year {year}")
 
-    in_a = [r for r in records if r.start_time.year == year_a]
-    in_b = [r for r in records if r.start_time.year == year_b]
-
-    cells = []
     if dimension is GrowthDimension.SUBCLASS_COUNTS:
-        for sub in sorted(Subclass, key=lambda s: s.value):
-            a = sum(1 for r in in_a if r.subclass is sub)
-            b = sum(1 for r in in_b if r.subclass is sub)
-            cells.append(GrowthCell(sub.value, a, b, growth_pct(a, b)))
+        by_year = _counts_by_year(years, records.subclass, len(SUBCLASSES))
+        labels = [sub.value for sub in SUBCLASSES]
+        order = sorted(range(len(labels)), key=labels.__getitem__)
     else:
-        if dimension is GrowthDimension.DURATION_BINS:
-            bins, value_of = DURATION_BINS_MIN, lambda r: r.duration_min
-        else:
-            bins, value_of = THROUGHPUT_BINS_GBPS, lambda r: r.max_gbps
-        for idx, (lo, hi) in enumerate(bins):
-            a = sum(1 for r in in_a if _bin_index(bins, value_of(r)) == idx)
-            b = sum(1 for r in in_b if _bin_index(bins, value_of(r)) == idx)
-            hi_txt = "inf" if math.isinf(hi) else f"{hi:g}"
-            cells.append(GrowthCell(f"[{lo:g},{hi_txt})", a, b, growth_pct(a, b)))
+        histogram = (
+            histogram_duration if dimension is GrowthDimension.DURATION_BINS
+            else histogram_throughput
+        )
+        hist = histogram(records, per_year=True)
+        by_year = hist.by_year
+        labels = [hist.bin_label(i) for i in range(len(hist.bins))]
+        order = range(len(labels))
+    a, b = by_year[year_a], by_year[year_b]
+    cells = [GrowthCell(labels[i], a[i], b[i], growth_pct(a[i], b[i])) for i in order]
     return GrowthReport(dimension=dimension.value, year_a=year_a, year_b=year_b, cells=cells)
 
 
-def rank_subclasses(records, metric: Metric) -> list[tuple[Subclass, float]]:
+def rank_subclasses(records: RecordTable, metric: Metric) -> list[tuple[Subclass, float]]:
     """Subclasses ordered by descending value, ties alphabetical.
 
     Count ranks by total count; duration/throughput rank by the subclass
@@ -185,25 +171,15 @@ def rank_subclasses(records, metric: Metric) -> list[tuple[Subclass, float]]:
     """
     if not records:
         raise EmptyDatasetError("rank_subclasses needs at least one record")
-    totals: dict[Subclass, list[float]] = {}
-    for rec in records:
-        acc = totals.setdefault(rec.subclass, [0.0, 0.0, 0.0, 0])
-        acc[0] += rec.count
-        acc[1] += rec.duration_min
-        acc[2] += rec.max_gbps
-        acc[3] += 1
-    values = {}
-    for sub in Subclass:
-        acc = totals.get(sub)
-        if acc is None:
-            values[sub] = 0.0
-        elif metric is Metric.COUNT:
-            values[sub] = acc[0]
-        elif metric is Metric.DURATION_MIN:
-            values[sub] = acc[1] / acc[3]
-        else:
-            values[sub] = acc[2] / acc[3]
-    return sorted(values.items(), key=lambda item: (-item[1], item[0].value))
+    n = np.bincount(records.subclass, minlength=len(SUBCLASSES))
+    if metric is Metric.COUNT:
+        values = n.astype(np.float64)
+    else:
+        weights = records.duration_min if metric is Metric.DURATION_MIN else records.max_gbps
+        sums = np.bincount(records.subclass, weights=weights, minlength=len(SUBCLASSES))
+        values = sums / np.maximum(n, 1)  # an absent subclass sums to 0.0
+    ranking = zip(SUBCLASSES, values.tolist())
+    return sorted(ranking, key=lambda item: (-item[1], item[0].value))
 
 
 # --- CSV exports ----------------------------------------------------------
@@ -244,9 +220,8 @@ def histogram_to_csv(hist: Histogram) -> str:
     writer.writerow(["metric", "bin_lo", "bin_hi", "year", "count"])
 
     def write_rows(year_label, counts):
-        for idx, (lo, hi) in enumerate(hist.bins):
-            hi_txt = "inf" if math.isinf(hi) else f"{hi:g}"
-            writer.writerow([hist.metric, f"{lo:g}", hi_txt, year_label, counts[idx]])
+        for (lo, hi), count in zip(hist.bins, counts):
+            writer.writerow([hist.metric, f"{lo:g}", f"{hi:g}", year_label, count])
 
     write_rows("all", hist.counts)
     if hist.by_year:

@@ -193,7 +193,7 @@ def _cmd_ingest(params: dict) -> int:
 
 def _growth_years(params: dict, enriched) -> tuple[int, int]:
     """Explicit flags win; otherwise compare the two most recent years seen."""
-    years = sorted({r.start_time.year for r in enriched})
+    years = sorted(set(enriched.start_years().tolist()))
     default_a = years[-2] if len(years) > 1 else years[-1]
     year_a = params["year_a"] if params["year_a"] is not None else default_a
     year_b = params["year_b"] if params["year_b"] is not None else years[-1]
@@ -387,8 +387,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="output root directory (default: out)")
     common.add_argument("--seed", type=int, help="master seed (default: 0)")
-    common.add_argument("--strict", action="store_const", const=True, default=None,
-                        help="abort on the first malformed record")
     common.add_argument("--config", help="key=value file mirroring flags; flags win")
 
     parser = argparse.ArgumentParser(
@@ -400,6 +398,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", parents=[common], help="parse or synthesize a record file")
     p.add_argument("input", nargs="?", help="attack-record JSON/NDJSON export")
+    p.add_argument("--strict", action="store_const", const=True, default=None,
+                   help="abort on the first malformed record")
     p.add_argument("--synthetic", action="store_const", const=True, default=None,
                    help="generate records instead of reading a file")
     p.add_argument("--count", type=int, help="synthetic record count (default: 1000)")
@@ -445,11 +445,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMON_DEFAULTS = {"out": ("out", str), "seed": (0, int), "strict": (False, _as_bool)}
+_COMMON_DEFAULTS = {"out": ("out", str), "seed": (0, int)}
 
 _COMMAND_DEFAULTS: dict[str, dict] = {
     "ingest": {
         "input": (None, str),
+        "strict": (False, _as_bool),
         "synthetic": (False, _as_bool),
         "count": (1000, int),
         "start_date": ("2019-01-01", str),
@@ -498,7 +499,12 @@ def _resolve_params(args: argparse.Namespace) -> dict:
         if flag_value is not None:
             params[name] = flag_value
         elif name in config:
-            params[name] = cast(config[name])
+            try:
+                params[name] = cast(config[name])
+            except ValueError:
+                raise InvalidConfigError(
+                    f"config key {name!r}: cannot use value {config[name]!r}"
+                ) from None
         else:
             params[name] = default
     return params

@@ -219,6 +219,12 @@ def _entry_to_record(entry) -> tuple[AttackRecord | None, str | None]:
     ), None
 
 
+# json.loads raises JSONDecodeError (a ValueError) on bad syntax, a plain
+# ValueError on an integer longer than sys.get_int_max_str_digits() and
+# RecursionError on deeply nested arrays or objects.
+_DECODE_ERRORS = (ValueError, RecursionError)
+
+
 def _detect_entries(text: str):
     """Return (entries, locations). Raises NotJsonError if no format fits.
 
@@ -233,7 +239,7 @@ def _detect_entries(text: str):
     if stripped[0] == "[":
         try:
             doc = json.loads(stripped)
-        except json.JSONDecodeError as exc:
+        except _DECODE_ERRORS as exc:
             raise NotJsonError(f"broken JSON array: {exc}") from exc
         return [(entry, i, None) for i, entry in enumerate(doc)]
 
@@ -241,7 +247,7 @@ def _detect_entries(text: str):
         # Could be a single object, a wrapper around the array, or NDJSON.
         try:
             doc = json.loads(stripped)
-        except json.JSONDecodeError:
+        except _DECODE_ERRORS:
             doc = None
         if isinstance(doc, dict):
             if all(name in doc for name in _REQUIRED_FIELDS):
@@ -262,8 +268,8 @@ def _detect_entries(text: str):
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            rows.append((None, lineno, f"unparseable line: {exc.msg}"))
+        except _DECODE_ERRORS as exc:
+            rows.append((None, lineno, f"unparseable line: {getattr(exc, 'msg', exc)}"))
             continue
         parsed_any = True
         rows.append((obj, lineno, None))

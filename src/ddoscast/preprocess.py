@@ -1,10 +1,10 @@
 """Feature derivation and per-subclass time bucketing.
 
-Records are enriched with duration in minutes, peak Gbps and a unit count,
-then grouped into (period, subclass) cells at daily, weekly (ISO-8601),
-monthly or yearly granularity. Bucketing uses the attack's start time only,
-in UTC. Means are always taken over the underlying records of a cell, never
-over finer-grained means.
+Records are enriched with duration in minutes and peak Gbps into one
+columnar ``RecordTable``, then grouped into (period, subclass) cells at
+daily, weekly (ISO-8601), monthly or yearly granularity. Bucketing uses the
+attack's start time only, in UTC. Means are always taken over the underlying
+records of a cell, never over finer-grained means.
 """
 
 from __future__ import annotations
@@ -21,6 +21,12 @@ from .errors import SubclassAbsentError
 from .ingest import AttackRecord, Subclass
 
 _UTC = dt.timezone.utc
+_EPOCH = dt.date(1970, 1, 1)
+SECONDS_PER_DAY = 86_400
+
+# Subclass codes in RecordTable.subclass index this tuple (declaration order).
+SUBCLASSES = tuple(Subclass)
+_CODE = {sub: code for code, sub in enumerate(SUBCLASSES)}
 
 
 class Granularity(enum.Enum):
@@ -36,14 +42,20 @@ class Metric(enum.Enum):
     MAX_GBPS = "max_gbps"
 
 
+def utc(seconds) -> dt.datetime:
+    """Aware UTC datetime of integer Unix seconds."""
+    return dt.datetime.fromtimestamp(int(seconds), tz=_UTC)
+
+
 @dataclass(frozen=True)
 class EnrichedRecord:
+    """One row of a RecordTable, as Python values."""
+
     subclass: Subclass
     start_time: dt.datetime
     stop_time: dt.datetime
     duration_min: float
     max_gbps: float
-    count: float = 1.0
 
     @property
     def duration_s(self) -> int:
@@ -51,23 +63,61 @@ class EnrichedRecord:
         return int((self.stop_time - self.start_time).total_seconds())
 
 
-def enrich(record: AttackRecord) -> EnrichedRecord:
-    """Derive the engineered fields from one raw record.
+@dataclass(frozen=True, eq=False)
+class RecordTable:
+    """Enriched records as parallel read-only columns, in input order.
+
+    ``subclass`` holds uint8 codes into ``SUBCLASSES``; ``start``/``stop``
+    are int64 Unix seconds; ``duration_min`` and ``max_gbps`` are float64.
+    Indexing gives ``EnrichedRecord`` rows built from the columns, and
+    iteration uses indexing (an index past the end raises IndexError).
+    """
+
+    subclass: np.ndarray
+    start: np.ndarray
+    stop: np.ndarray
+    duration_min: np.ndarray
+    max_gbps: np.ndarray
+
+    def __len__(self) -> int:
+        return self.start.size
+
+    def __getitem__(self, index: int) -> EnrichedRecord:
+        return EnrichedRecord(
+            subclass=SUBCLASSES[self.subclass[index]],
+            start_time=utc(self.start[index]),
+            stop_time=utc(self.stop[index]),
+            duration_min=float(self.duration_min[index]),
+            max_gbps=float(self.max_gbps[index]),
+        )
+
+    def start_years(self) -> np.ndarray:
+        """UTC calendar year of each record's start."""
+        return self.start.astype("datetime64[s]").astype("datetime64[Y]").astype(np.int64) + 1970
+
+
+def enrich_all(records) -> RecordTable:
+    """Derive the engineered columns from a sequence of raw records.
 
     duration_min is (stop - start) / 60; max_gbps divides by the decimal
-    10^9 (bits-per-second convention, not 2^30).
+    10^9 (bits-per-second convention, not 2^30). numpy converts the int64
+    operands to float64 as Python does (exactly for stop - start, which stays
+    below 2^53), so each value equals the Python float expression bit for bit.
     """
-    return EnrichedRecord(
-        subclass=record.subclass,
-        start_time=dt.datetime.fromtimestamp(record.start, tz=_UTC),
-        stop_time=dt.datetime.fromtimestamp(record.stop, tz=_UTC),
-        duration_min=(record.stop - record.start) / 60,
-        max_gbps=record.max_bps / 1e9,
-    )
+    n = len(records)
+    codes = np.fromiter((_CODE[r.subclass] for r in records), np.uint8, n)
+    start = np.fromiter((r.start for r in records), np.int64, n)
+    stop = np.fromiter((r.stop for r in records), np.int64, n)
+    max_bps = np.fromiter((r.max_bps for r in records), np.int64, n)
+    table = RecordTable(codes, start, stop, (stop - start) / 60, max_bps / 1e9)
+    for column in vars(table).values():
+        column.flags.writeable = False
+    return table
 
 
-def enrich_all(records) -> list[EnrichedRecord]:
-    return [enrich(r) for r in records]
+def enrich(record: AttackRecord) -> EnrichedRecord:
+    """Derive the engineered fields from one raw record."""
+    return enrich_all([record])[0]
 
 
 # --- period keys ----------------------------------------------------------
@@ -102,28 +152,15 @@ def _key_to_anchor(key: str, granularity: Granularity) -> dt.date:
     return dt.date(int(key), 1, 1)
 
 
-def _next_key(key: str, granularity: Granularity) -> str:
-    anchor = _key_to_anchor(key, granularity)
-    if granularity is Granularity.DAILY:
-        nxt = anchor + dt.timedelta(days=1)
-    elif granularity is Granularity.WEEKLY:
-        nxt = anchor + dt.timedelta(days=7)
-    elif granularity is Granularity.MONTHLY:
-        if anchor.month == 12:
-            nxt = dt.date(anchor.year + 1, 1, 1)
-        else:
-            nxt = dt.date(anchor.year, anchor.month + 1, 1)
-    else:
-        nxt = dt.date(anchor.year + 1, 1, 1)
-    return period_key(dt.datetime.combine(nxt, dt.time(), _UTC), granularity)
+def _day_key(day: int, granularity: Granularity) -> str:
+    """Period key of the UTC day ``day`` days after 1970-01-01."""
+    return period_key(utc(day * SECONDS_PER_DAY), granularity)
 
 
 def period_range(first: str, last: str, granularity: Granularity) -> list[str]:
     """All period keys from first to last inclusive, no gaps."""
-    keys = [first]
-    while keys[-1] != last:
-        keys.append(_next_key(keys[-1], granularity))
-    return keys
+    lo, hi = ((_key_to_anchor(key, granularity) - _EPOCH).days for key in (first, last))
+    return list(dict.fromkeys(_day_key(day, granularity) for day in range(lo, hi + 1)))
 
 
 # --- aggregation ----------------------------------------------------------
@@ -147,29 +184,34 @@ class AggregateTable:
         return sorted({key for key, _ in self.rows})
 
 
-def aggregate(records, granularity: Granularity) -> AggregateTable:
+def aggregate(records: RecordTable, granularity: Granularity) -> AggregateTable:
     """Group enriched records into (period, subclass) cells.
 
-    count_sum is the sum of the per-record count column (1.0 each), so it
-    always equals the cell's record count; duration and throughput are
-    arithmetic means over the cell's records.
+    count_sum is the cell's record count as a float; duration and throughput
+    are arithmetic means over the cell's records. ``np.bincount`` adds the
+    weights in input order, so each sum equals the sequential Python sum.
     """
-    sums: dict[tuple[str, Subclass], list[float]] = {}
-    for rec in records:
-        cell = (period_key(rec.start_time, granularity), rec.subclass)
-        acc = sums.setdefault(cell, [0.0, 0.0, 0.0, 0])
-        acc[0] += rec.count
-        acc[1] += rec.duration_min
-        acc[2] += rec.max_gbps
-        acc[3] += 1
+    days, day_index = np.unique(records.start // SECONDS_PER_DAY, return_inverse=True)
+    key_ids: dict[str, int] = {}
+    key_of_day = np.array(
+        [key_ids.setdefault(_day_key(day, granularity), len(key_ids)) for day in days.tolist()],
+        dtype=np.int64,
+    )
+    keys = list(key_ids)
+    width = len(SUBCLASSES)
+    cells = key_of_day[day_index] * width + records.subclass
+    size = len(keys) * width
+    n = np.bincount(cells, minlength=size)
+    duration = np.bincount(cells, weights=records.duration_min, minlength=size)
+    gbps = np.bincount(cells, weights=records.max_gbps, minlength=size)
     rows = {
-        cell: CellStats(
-            count_sum=acc[0],
-            duration_mean=acc[1] / acc[3],
-            gbps_mean=acc[2] / acc[3],
-            n=acc[3],
+        (keys[cell // width], SUBCLASSES[cell % width]): CellStats(
+            count_sum=float(n[cell]),
+            duration_mean=float(duration[cell] / n[cell]),
+            gbps_mean=float(gbps[cell] / n[cell]),
+            n=int(n[cell]),
         )
-        for cell, acc in sums.items()
+        for cell in np.flatnonzero(n).tolist()
     }
     return AggregateTable(granularity=granularity, rows=rows)
 

@@ -24,6 +24,15 @@ def record_obj(
     return obj
 
 
+# 5,000 digits: over Python's default int-to-str limit of 4,300
+HUGE_INT = "9" * 5000
+
+
+def huge_int_line(field="max_bps") -> str:
+    """One record object as JSON text whose ``field`` is HUGE_INT."""
+    return json.dumps(record_obj(**{field: "@huge@"})).replace('"@huge@"', HUGE_INT)
+
+
 def as_array(*objs) -> bytes:
     return json.dumps(list(objs)).encode()
 

@@ -54,7 +54,7 @@ class TestGlobalStats:
 
     def test_empty_dataset(self):
         with pytest.raises(EmptyDatasetError):
-            global_stats([])
+            global_stats(enriched())
 
 
 class TestHistograms:
@@ -92,7 +92,7 @@ class TestHistograms:
 
     def test_empty_dataset(self):
         with pytest.raises(EmptyDatasetError):
-            histogram_duration([])
+            histogram_duration(enriched())
 
 
 class TestGrowth:
@@ -182,6 +182,17 @@ class TestRanking:
         )
         ranking = rank_subclasses(records, Metric.COUNT)
         assert [sub for sub, _ in ranking[:2]] == [Subclass.BANDWIDTH, Subclass.ICMP]
+
+    def test_mean_metrics_equal_sequential_loop_exactly(self, synthetic_1000):
+        records = enrich_all(synthetic_1000)
+        for metric, value_of in ((Metric.DURATION_MIN, lambda r: r.duration_min),
+                                 (Metric.MAX_GBPS, lambda r: r.max_gbps)):
+            sums = {sub: [0.0, 0] for sub in Subclass}
+            for rec in records:
+                sums[rec.subclass][0] += value_of(rec)
+                sums[rec.subclass][1] += 1
+            expected = {sub: total / n if n else 0.0 for sub, (total, n) in sums.items()}
+            assert dict(rank_subclasses(records, metric)) == expected
 
     def test_mean_metrics(self):
         records = enriched(

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import ddoscast
-from conftest import as_ndjson, record_obj
+from conftest import as_ndjson, huge_int_line, record_obj
 from ddoscast.analytics import global_stats, rank_subclasses, ranking_to_csv, stats_to_csv
 from ddoscast.cli import _build_parser, _resolve_params, main, replay_manifest
 from ddoscast.ingest import Subclass, SyntheticSpec, generate_synthetic, records_to_ndjson
@@ -71,6 +71,23 @@ class TestIngest:
 
     def test_missing_input_flag_usage_error(self, tmp_path, capsys):
         assert run(["ingest", "--out", tmp_path / "o"]) == 2
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_oversized_integer_exit_two(self, tmp_path, capsys, strict):
+        path = tmp_path / "huge.json"
+        line = huge_int_line()
+        path.write_text(f"{json.dumps(record_obj())}\n{line}\n" if strict else f"[{line}]")
+        flags = ["--strict"] if strict else []
+        assert run(["ingest", path, *flags, "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["analyze", "train", "grid", "forecast"])
+    def test_strict_is_an_ingest_only_flag(self, tmp_path, records_file, command):
+        args = [command, records_file] + ([records_file] if command == "forecast" else [])
+        with pytest.raises(SystemExit) as err:  # argparse usage error
+            run(args + ["--strict", "--out", tmp_path / "o"])
+        assert err.value.code == 2
 
 
 class TestAnalyze:
@@ -233,6 +250,19 @@ class TestConfigFile:
                     "--out", tmp_path / "b"]) == 0
         assert (tmp_path / "b" / "ingest-9").is_dir()
 
+    @pytest.mark.parametrize(
+        "command, line",
+        [("train", "epochs = abc"), ("train", "learning_rate = fast"), ("grid", "windows = 8,x")],
+    )
+    def test_uncastable_value_exit_two_names_key(
+        self, tmp_path, records_file, capsys, command, line
+    ):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        assert run([command, records_file, "--config", cfg, "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(line.split(" =")[0]) in err
+
 
 class TestManifestReplay:
     def test_every_command_writes_manifest(self, tmp_path, records_file):
@@ -265,6 +295,20 @@ class TestManifestReplay:
         assert originals
         for name, blob in originals.items():
             assert (second_dir / name).read_bytes() == blob, name
+
+    def test_replay_of_manifest_with_strict_param(self, tmp_path, records_file):
+        # manifests written when every command took --strict carry it in params
+        out = tmp_path / "first"
+        assert run(["analyze", records_file, "--out", out, "--seed", 6]) == 0
+        manifest = out / "analyze-6" / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["params"]["strict"] = False
+        manifest.write_text(json.dumps(doc))
+        assert replay_manifest(manifest, str(tmp_path / "second")) == 0
+        for name in ("stats.csv", "histogram.csv", "growth.csv", "ranking.csv"):
+            assert (tmp_path / "second" / "analyze-6" / name).read_bytes() == (
+                out / "analyze-6" / name
+            ).read_bytes()
 
     def test_replay_grid_and_forecast(self, tmp_path, records_file):
         out = tmp_path / "first"

@@ -3,10 +3,13 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import as_array, as_ndjson, record_obj
+from conftest import HUGE_INT, as_array, as_ndjson, huge_int_line, record_obj
 from ddoscast.errors import (
     AllZeroWeightsError,
+    DdoscastError,
     EmptyDateRangeError,
     NotJsonError,
     SchemaViolationError,
@@ -139,6 +142,34 @@ def test_not_json_inputs():
             parse_records(raw)
 
 
+def test_oversized_integer_in_array_or_wrapper_is_not_json():
+    for text in (f"[{huge_int_line()}]", f'{{"attacks": [{huge_int_line()}]}}', huge_int_line()):
+        with pytest.raises(NotJsonError):
+            parse_records(text.encode())
+
+
+def test_oversized_integer_ndjson_line_rejected_lenient():
+    text = "\n".join([json.dumps(record_obj()), huge_int_line("start"), json.dumps(record_obj())])
+    records, report = parse_records(text.encode())
+    assert len(records) == 2
+    assert report.rejected == 1
+    location, reason = report.rejection_reasons[0]
+    assert location == 2 and reason.startswith("unparseable line")
+
+
+def test_oversized_integer_ndjson_line_aborts_strict():
+    text = "\n".join([json.dumps(record_obj()), huge_int_line("stop")])
+    with pytest.raises(SchemaViolationError) as err:
+        parse_records(text.encode(), strict=True)
+    assert err.value.location == 2
+
+
+def test_deep_nesting_is_not_json():
+    for text in ("[" * 100_000 + "]" * 100_000, '{"a":' * 100_000 + "1" + "}" * 100_000):
+        with pytest.raises(NotJsonError):
+            parse_records(text.encode())
+
+
 def test_object_wrapper_unwraps_single_key_array():
     wrapped = json.dumps({"attacks": [record_obj(), record_obj()]}).encode()
     records, report = parse_records(wrapped)
@@ -230,3 +261,55 @@ def test_round_trip_of_random_mutations():
         records = generate_synthetic(spec)
         parsed, report = parse_records(records_to_ndjson(records))
         assert parsed == records and report.rejected == 0
+
+
+# --- property tests: any input either parses or raises a DdoscastError ----
+
+_json_scalars = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12)
+    | st.sampled_from(["@huge@", "Misuse", "Detector", "TCP SYN", "Total Traffic", "US"])
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: (
+        st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4)
+    ),
+    max_leaves=12,
+)
+_record_like = st.fixed_dictionaries(
+    {name: _json_values for name in ("attack_class", "subclass", "max_bps", "start", "stop")},
+    optional={name: _json_values for name in ("dst_cc", "src_cc", "dst_ports", "src_ports")},
+)
+_entries = st.lists(_record_like | _json_values, max_size=5)
+
+
+def _dump(value) -> str:
+    return json.dumps(value).replace('"@huge@"', HUGE_INT)
+
+
+_documents = st.one_of(
+    _entries.map(_dump),
+    _entries.map(lambda entries: "\n".join(_dump(e) for e in entries)),
+    _entries.map(lambda entries: _dump({"attacks": entries})),
+    _json_values.map(_dump),
+)
+
+
+def _parses_or_domain_error(raw, strict):
+    try:
+        records, report = parse_records(raw, strict=strict)
+    except DdoscastError:
+        return
+    assert report.accepted == len(records)
+
+
+@given(st.text(max_size=200) | st.binary(max_size=200), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_arbitrary_input_parses_or_raises_domain_error(raw, strict):
+    _parses_or_domain_error(raw, strict)
+
+
+@given(_documents, st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_json_shaped_documents_parse_or_raise_domain_error(text, strict):
+    _parses_or_domain_error(text, strict)

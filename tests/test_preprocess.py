@@ -7,6 +7,8 @@ import pytest
 from ddoscast.errors import SubclassAbsentError
 from ddoscast.ingest import AttackClass, AttackRecord, Subclass, SyntheticSpec, generate_synthetic
 from ddoscast.preprocess import (
+    SUBCLASSES,
+    CellStats,
     Granularity,
     Metric,
     aggregate,
@@ -49,12 +51,53 @@ class TestEnrich:
     def test_zero_duration(self):
         rec = enrich(make_record(start=1000, stop=1000))
         assert rec.duration_min == 0.0
-        assert rec.count == 1.0
+        assert rec.duration_s == 0
 
     def test_utc_datetimes(self):
         rec = enrich(make_record(start=epoch(2020, 6, 1, 23, 30), stop=epoch(2020, 6, 2, 0, 30)))
         assert rec.start_time == dt.datetime(2020, 6, 1, 23, 30, tzinfo=UTC)
         assert rec.stop_time == dt.datetime(2020, 6, 2, 0, 30, tzinfo=UTC)
+
+
+class TestRecordTable:
+    def test_columns_match_per_record_python_derivation(self, synthetic_1000):
+        table = enrich_all(synthetic_1000)
+        assert len(table) == len(synthetic_1000)
+        assert table.subclass.dtype == np.uint8
+        assert table.start.dtype == table.stop.dtype == np.int64
+        assert table.duration_min.dtype == table.max_gbps.dtype == np.float64
+        assert [SUBCLASSES[c] for c in table.subclass] == [r.subclass for r in synthetic_1000]
+        assert table.start.tolist() == [r.start for r in synthetic_1000]
+        assert table.stop.tolist() == [r.stop for r in synthetic_1000]
+        # exact equality: each column value is the Python float expression
+        assert table.duration_min.tolist() == [(r.stop - r.start) / 60 for r in synthetic_1000]
+        assert table.max_gbps.tolist() == [r.max_bps / 1e9 for r in synthetic_1000]
+
+    def test_row_view(self, synthetic_1000):
+        table = enrich_all(synthetic_1000[:20])
+        rows = list(table)
+        assert len(rows) == 20
+        assert rows[3] == table[3] == enrich(synthetic_1000[3])
+        raw = synthetic_1000[3]
+        assert rows[3].start_time == dt.datetime.fromtimestamp(raw.start, tz=UTC)
+        assert rows[3].duration_s == raw.stop - raw.start
+        assert type(rows[3].max_gbps) is float
+
+    def test_columns_are_read_only(self, synthetic_1000):
+        table = enrich_all(synthetic_1000[:5])
+        with pytest.raises(ValueError):
+            table.start[0] = 0
+
+    def test_empty(self):
+        table = enrich_all([])
+        assert len(table) == 0 and list(table) == []
+
+    def test_start_years_are_utc(self):
+        table = enrich_all(
+            [make_record(epoch(2019, 12, 31, 23, 59, 59), epoch(2020, 1, 1)),
+             make_record(epoch(2020, 1, 1), epoch(2020, 1, 1))]
+        )
+        assert table.start_years().tolist() == [2019, 2020]
 
 
 class TestPeriodKeys:
@@ -95,7 +138,7 @@ class TestAggregate:
         assert cell.n == 2
 
     def test_empty_input(self):
-        table = aggregate([], Granularity.DAILY)
+        table = aggregate(enrich_all([]), Granularity.DAILY)
         assert table.rows == {}
 
     def test_monthly_mean_is_record_weighted_not_mean_of_daily_means(self):
@@ -127,6 +170,28 @@ class TestAggregate:
         table = aggregate(records, Granularity.DAILY)
         assert ("2020-01-01", Subclass.TOTAL_TRAFFIC) in table.rows
         assert ("2020-01-02", Subclass.TOTAL_TRAFFIC) not in table.rows
+
+
+def sequential_cells(records, granularity):
+    """Loop reference: per-cell sums added one record at a time, in input order."""
+    sums = {}
+    for rec in records:
+        cell = (period_key(rec.start_time, granularity), rec.subclass)
+        acc = sums.setdefault(cell, [0.0, 0.0, 0])
+        acc[0] += rec.duration_min
+        acc[1] += rec.max_gbps
+        acc[2] += 1
+    return {
+        cell: CellStats(float(n), duration / n, gbps / n, n)
+        for cell, (duration, gbps, n) in sums.items()
+    }
+
+
+@pytest.mark.parametrize("granularity", list(Granularity))
+def test_aggregate_equals_sequential_loop_exactly(granularity, synthetic_1000):
+    # bincount adds weights in input order, so every mean matches to the bit
+    records = enrich_all(synthetic_1000)
+    assert aggregate(records, granularity).rows == sequential_cells(records, granularity)
 
 
 def brute_force_cells(records, granularity):
