@@ -17,6 +17,7 @@ from .ingest import (
     AttackClass,
     AttackRecord,
     ParseReport,
+    RecordColumns,
     Subclass,
     SyntheticSpec,
     generate_synthetic,
@@ -82,6 +83,7 @@ __all__ = [
     "AttackClass",
     "AttackRecord",
     "ParseReport",
+    "RecordColumns",
     "Subclass",
     "SyntheticSpec",
     "generate_synthetic",

@@ -10,10 +10,15 @@ from __future__ import annotations
 
 import argparse
 import datetime as dt
+import hashlib
 import json
 import sys
+import zipfile
+import zlib
 from dataclasses import dataclass, asdict
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .analytics import (
@@ -35,6 +40,7 @@ from .errors import (
     DivergedNonFiniteError,
     EmptyDatasetError,
     EmptySplitError,
+    InputChangedError,
     InvalidConfigError,
     NotJsonError,
     SchemaViolationError,
@@ -52,6 +58,8 @@ from .grid import (
     run_grid,
 )
 from .ingest import (
+    MAX_UNIX_SECONDS,
+    SUBCLASSES,
     Subclass,
     SyntheticSpec,
     generate_synthetic,
@@ -67,7 +75,7 @@ from .lstm import (
     save_checkpoint,
     train,
 )
-from .preprocess import Granularity, Metric, aggregate, enrich_all, series_for
+from .preprocess import Granularity, Metric, RecordTable, aggregate, enrich_all, series_for
 from .windowing import NormSource, build_windowed, check_window_fits
 
 
@@ -82,6 +90,8 @@ def _exit_code_for(exc: DdoscastError) -> int:
         return 5
     if isinstance(exc, (VersionMismatchError, CorruptCheckpointError)):
         return 6
+    if isinstance(exc, InputChangedError):
+        return 7
     return 1
 
 
@@ -91,20 +101,30 @@ class RunManifest:
     version: str
     command: str
     params: dict
-    inputs: list[str]
+    inputs: list[dict]
     seed: int
     out_dir: str
     started_utc: str
     finished_utc: str
 
 
-def _write_manifest(out_dir: Path, command: str, params: dict, inputs: list[str], started: str):
+def sha256_hex(raw: bytes) -> str:
+    return hashlib.sha256(raw).hexdigest()
+
+
+def _input(param: str, path: str, raw: bytes) -> dict:
+    """Manifest entry of the input file ``path``, given as parameter ``param``."""
+    return {"param": param, "path": str(Path(path).resolve()), "sha256": sha256_hex(raw),
+            "bytes": len(raw)}
+
+
+def _write_manifest(out_dir: Path, command: str, params: dict, inputs: list[dict], started: str):
     manifest = RunManifest(
         tool="ddoscast",
         version=__version__,
         command=command,
         params=params,
-        inputs=[str(Path(p).resolve()) for p in inputs],
+        inputs=inputs,
         seed=params["seed"],
         out_dir=str(out_dir),
         started_utc=started,
@@ -125,15 +145,71 @@ def _out_dir(params: dict, command: str) -> Path:
     return out
 
 
+# --- records.npz: the parsed columns of records.ndjson ------------------------
+#
+# ingest writes the source columns of the records it accepted next to
+# records.ndjson, with the SHA-256 of the NDJSON bytes. Reading a records
+# file uses them only when that digest matches the file's bytes and every
+# column has the expected dtype, shape and range; otherwise it parses the
+# file. The sidecar is a cache: deleting it changes nothing but speed.
+
+SIDECAR_NAME = "records.npz"
+_SIDECAR_COLUMNS = {"subclass": np.uint8, "start": np.int64, "stop": np.int64, "max_bps": np.int64}
+# What np.load and reading a member raise on a truncated, corrupt or foreign
+# file; zipfile raises NotImplementedError for an unknown compression method
+# and RuntimeError for an encrypted member.
+_UNREADABLE = (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile, zlib.error,
+               NotImplementedError, RuntimeError)
+
+
+def _write_sidecar(path: Path, records, digest: str) -> None:
+    columns = {name: getattr(records, name) for name in _SIDECAR_COLUMNS}
+    with open(path, "wb") as fh:
+        np.savez(fh, sha256=np.array(digest), **columns)
+
+
+def _load_sidecar(path: Path, digest: str) -> RecordTable | None:
+    """The table cached in ``path`` for records whose bytes hash to ``digest``, or None."""
+    try:
+        npz = np.load(path, allow_pickle=False)
+    except _UNREADABLE:
+        return None
+    if not isinstance(npz, np.lib.npyio.NpzFile):
+        return None
+    with npz:
+        try:
+            if sorted(npz.files) != sorted(["sha256", *_SIDECAR_COLUMNS]):
+                return None
+            stamp = npz["sha256"]  # read first: a stale file costs no column load
+            if stamp.shape != () or stamp.dtype.kind != "U" or str(stamp) != digest:
+                return None
+            columns = [npz[name] for name in _SIDECAR_COLUMNS]
+        except _UNREADABLE:
+            return None
+    if any(c.dtype != dtype or c.ndim != 1 or c.size != columns[0].size
+           for c, dtype in zip(columns, _SIDECAR_COLUMNS.values())):
+        return None
+    codes, start, stop, max_bps = columns
+    if not (np.all(codes < len(SUBCLASSES)) and np.all(start >= 0) and np.all(start <= stop)
+            and np.all(stop <= MAX_UNIX_SECONDS) and np.all(max_bps >= 0)):
+        return None
+    return RecordTable(codes, start, stop, max_bps)
+
+
 def _read_records(path: str):
+    """The RecordTable of a records file and its manifest entry."""
     raw = Path(path).read_bytes()
-    if not raw.strip():
+    if not raw or raw.isspace():
         raise EmptyDatasetError(f"records file {path} is empty")
-    records, _report = parse_records(raw)
-    enriched = enrich_all(records)
+    entry = _input("records", path, raw)
+    enriched = _load_sidecar(Path(path).with_name(SIDECAR_NAME), entry["sha256"])
+    entry["read_from"] = "parse" if enriched is None else SIDECAR_NAME
+    if enriched is None:
+        records, _report = parse_records(raw)
+        enriched = enrich_all(records)
     if not enriched:
         raise EmptyDatasetError(f"no valid records in {path}")
-    return enriched
+    return enriched, entry
 
 
 def _subclass_of(name: str) -> Subclass:
@@ -147,9 +223,10 @@ def _subclass_of(name: str) -> Subclass:
 
 
 def _load_series(records_path: str, subclass: str, metric: str):
-    enriched = _read_records(records_path)
+    """The daily series of a records file and the file's manifest entry."""
+    enriched, entry = _read_records(records_path)
     table = aggregate(enriched, Granularity.DAILY)
-    return series_for(table, _subclass_of(subclass), Metric(metric))
+    return series_for(table, _subclass_of(subclass), Metric(metric)), entry
 
 
 # --- commands ---------------------------------------------------------------
@@ -172,9 +249,11 @@ def _cmd_ingest(params: dict) -> int:
         raw = Path(params["input"]).read_bytes()
         records, report = parse_records(raw, strict=params["strict"])
         ndjson = records_to_ndjson(records)
-        inputs = [params["input"]]
+        inputs = [_input("input", params["input"], raw)]
 
-    (out / "records.ndjson").write_text(ndjson)
+    data = ndjson.encode()
+    (out / "records.ndjson").write_bytes(data)
+    _write_sidecar(out / SIDECAR_NAME, records, sha256_hex(data))
     (out / "parse_report.json").write_text(
         json.dumps(
             {
@@ -203,7 +282,7 @@ def _growth_years(params: dict, enriched) -> tuple[int, int]:
 def _cmd_analyze(params: dict) -> int:
     started = _now()
     out = _out_dir(params, "analyze")
-    enriched = _read_records(params["records"])
+    enriched, records_input = _read_records(params["records"])
 
     (out / "stats.csv").write_text(stats_to_csv(global_stats(enriched)))
 
@@ -221,7 +300,7 @@ def _cmd_analyze(params: dict) -> int:
 
     (out / "ranking.csv").write_text(ranking_to_csv(rank_subclasses(enriched, Metric.COUNT)))
 
-    _write_manifest(out, "analyze", params, [params["records"]], started)
+    _write_manifest(out, "analyze", params, [records_input], started)
     print(f"analyze: {len(enriched)} records, growth {year_a}->{year_b} -> {out}")
     return 0
 
@@ -244,7 +323,7 @@ def _cmd_train(params: dict) -> int:
         seed=params["seed"],
     )
     out = _out_dir(params, "train")
-    series = _load_series(params["records"], params["subclass"], params["metric"])
+    series, records_input = _load_series(params["records"], params["subclass"], params["metric"])
     check_window_fits(series.values.size, config.window_size)
 
     norm = NormSource(params["norm_source"])
@@ -263,7 +342,7 @@ def _cmd_train(params: dict) -> int:
         save_checkpoint(model, RmsPropState.zeros_like(model), config, meta)
     )
     (out / "history.csv").write_text(_history_csv(history))
-    _write_manifest(out, "train", params, [params["records"]], started)
+    _write_manifest(out, "train", params, [records_input], started)
     print(
         f"train: {config.epochs} epochs, final train_mse={history.train_mse[-1]:.6f} "
         f"val_mse={history.val_mse[-1]:.6f} -> {out}"
@@ -288,7 +367,7 @@ def _cmd_grid(params: dict) -> int:
         norm_source=NormSource(params["norm_source"]),
     )
     out = _out_dir(params, "grid")
-    series = _load_series(params["records"], params["subclass"], params["metric"])
+    series, records_input = _load_series(params["records"], params["subclass"], params["metric"])
     result = run_grid(series, spec)
     window, hidden = best_config(result)
 
@@ -297,7 +376,7 @@ def _cmd_grid(params: dict) -> int:
     (out / "grid_table.txt").write_text(
         table + f"\nrecommended: window={window} hidden={hidden}\n"
     )
-    _write_manifest(out, "grid", params, [params["records"]], started)
+    _write_manifest(out, "grid", params, [records_input], started)
     print(f"grid: {len(result.cells)} cells, recommended window={window} hidden={hidden} -> {out}")
     return 0
 
@@ -312,7 +391,7 @@ def _cmd_forecast(params: dict) -> int:
     metric = params["metric"] or meta.get("metric", Metric.COUNT.value)
     norm = NormSource(meta.get("norm_source", NormSource.FULL_SERIES.value))
 
-    series = _load_series(params["records"], subclass, metric)
+    series, records_input = _load_series(params["records"], subclass, metric)
     dataset = build_windowed(series.values, config.window_size, norm)
     targets, preds = predict_series(model, dataset, "test", denormalized=True)
 
@@ -331,7 +410,8 @@ def _cmd_forecast(params: dict) -> int:
         x_labels=list(periods),
     )
     (out / "forecast.svg").write_bytes(svg)
-    _write_manifest(out, "forecast", params, [params["checkpoint"], params["records"]], started)
+    inputs = [_input("checkpoint", params["checkpoint"], raw), records_input]
+    _write_manifest(out, "forecast", params, inputs, started)
     print(f"forecast: {targets.size} test points -> {out}")
     return 0
 
@@ -345,12 +425,39 @@ _DISPATCH = {
 }
 
 
+def _check_inputs(doc: dict, params: dict) -> None:
+    """Raise InputChangedError unless each recorded input still has its SHA-256.
+
+    Manifests written before inputs carried digests list bare paths; those
+    entries have nothing to check.
+    """
+    for entry in doc["inputs"]:
+        if not isinstance(entry, dict):
+            continue
+        path = params[entry["param"]]
+        digest = sha256_hex(Path(path).read_bytes())
+        if digest != entry["sha256"]:
+            raise InputChangedError(
+                f"replay refused: {path} has sha256 {digest}, the manifest recorded "
+                f"{entry['sha256']}"
+            )
+
+
 def replay_manifest(manifest_path: str | Path, out_root: str | None = None) -> int:
-    """Re-run a recorded invocation; outputs are byte-identical per seed."""
+    """Re-run a recorded invocation; outputs are byte-identical per seed.
+
+    Returns the exit code ``main`` would; an input whose bytes changed since
+    the recorded run refuses the replay with exit code 7.
+    """
     doc = json.loads(Path(manifest_path).read_text())
     params = dict(doc["params"])
     if out_root is not None:
         params["out"] = str(out_root)
+    return _run(_replay, doc, params)
+
+
+def _replay(doc: dict, params: dict) -> int:
+    _check_inputs(doc, params)
     return _DISPATCH[doc["command"]](params)
 
 
@@ -510,20 +617,28 @@ def _resolve_params(args: argparse.Namespace) -> dict:
     return params
 
 
-def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+def _run(command, *args) -> int:
+    """Exit code of ``command(*args)``; a domain error becomes one stderr line."""
     try:
-        params = _resolve_params(args)
-        if args.command == "ingest" and not params["synthetic"] and params["input"] is None:
-            print("error: ingest needs an input file or --synthetic", file=sys.stderr)
-            return 2
-        return _DISPATCH[args.command](params)
+        return command(*args)
     except DdoscastError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code_for(exc)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+
+
+def _run_args(args: argparse.Namespace) -> int:
+    params = _resolve_params(args)
+    if args.command == "ingest" and not params["synthetic"] and params["input"] is None:
+        print("error: ingest needs an input file or --synthetic", file=sys.stderr)
+        return 2
+    return _DISPATCH[args.command](params)
+
+
+def main(argv=None) -> int:
+    return _run(_run_args, _build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

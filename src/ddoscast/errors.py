@@ -9,6 +9,10 @@ class InvalidConfigError(DdoscastError, ValueError):
     """A hyperparameter or grid setting is out of range (also a ValueError)."""
 
 
+class InputChangedError(DdoscastError):
+    """A replayed run's input no longer has the SHA-256 its manifest recorded."""
+
+
 # --- ingest ---------------------------------------------------------------
 
 

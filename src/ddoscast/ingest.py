@@ -10,11 +10,16 @@ spaces are stripped before enum mapping so both spellings parse.
 
 from __future__ import annotations
 
+import contextlib
 import datetime as dt
 import enum
+import gc
 import json
 import random
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, fields
+
+import numpy as np
 
 from .errors import (
     AllZeroWeightsError,
@@ -57,8 +62,14 @@ WIRE_NAMES = {
     Subclass.DNS_MISUSE: "DNS Misuse",
 }
 
-_SUBCLASS_BY_SQUASHED = {v.value: v for v in Subclass}
-_ATTACK_CLASS_BY_NAME = {v.value: v for v in AttackClass}
+# Subclass and attack-class codes index these tuples (declaration order).
+SUBCLASSES = tuple(Subclass)
+ATTACK_CLASSES = tuple(AttackClass)
+# Both spellings of each subclass; any other spacing is squashed first.
+_SUBCLASS_CODE = {
+    name: code for code, sub in enumerate(SUBCLASSES) for name in (sub.value, WIRE_NAMES[sub])
+}
+_ATTACK_CLASS_CODE = {cls.value: code for code, cls in enumerate(ATTACK_CLASSES)}
 
 _REQUIRED_FIELDS = ("attack_class", "subclass", "max_bps", "start", "stop")
 
@@ -81,6 +92,78 @@ class AttackRecord:
     src_cc: tuple[str, ...] | None = None
     dst_ports: tuple[int, ...] | None = None
     src_ports: tuple[int, ...] | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class RecordColumns(Sequence):
+    """Records as parallel columns, in input order: what parsing returns.
+
+    ``attack_class`` and ``subclass`` hold uint8 codes into
+    ``ATTACK_CLASSES`` and ``SUBCLASSES``; ``max_bps``, ``start`` and
+    ``stop`` are int64; the optional country and port lists hold one tuple
+    (or None) per record. The arrays are read-only. As a sequence the
+    columns read as ``AttackRecord`` rows, and they compare equal to any
+    sequence of the same records.
+    """
+
+    attack_class: np.ndarray
+    subclass: np.ndarray
+    max_bps: np.ndarray
+    start: np.ndarray
+    stop: np.ndarray
+    dst_cc: tuple
+    src_cc: tuple
+    dst_ports: tuple
+    src_ports: tuple
+
+    @classmethod
+    def from_lists(cls, columns) -> "RecordColumns":
+        """Columns from one list per field, in field order, codes in place of the enums."""
+        arrays = [
+            np.array(values, dtype)
+            for values, dtype in zip(columns, (np.uint8, np.uint8, np.int64, np.int64, np.int64))
+        ]
+        for array in arrays:
+            array.flags.writeable = False
+        return cls(*arrays, *map(tuple, columns[5:]))
+
+    @classmethod
+    def of(cls, records) -> "RecordColumns":
+        """Columns of AttackRecords from any iterable; columns are returned as they are."""
+        if isinstance(records, cls):
+            return records
+        records = list(records)  # iterated once per field below
+        return cls.from_lists([
+            [_ATTACK_CLASS_CODE[r.attack_class.value] for r in records],
+            [_SUBCLASS_CODE[r.subclass.value] for r in records],
+            *([getattr(r, name) for r in records] for name in _FIELDS[2:]),
+        ])
+
+    def __len__(self) -> int:
+        return self.start.size
+
+    def __getitem__(self, index: int) -> AttackRecord:
+        return AttackRecord(
+            attack_class=ATTACK_CLASSES[self.attack_class[index]],
+            subclass=SUBCLASSES[self.subclass[index]],
+            max_bps=int(self.max_bps[index]),
+            start=int(self.start[index]),
+            stop=int(self.stop[index]),
+            dst_cc=self.dst_cc[index],
+            src_cc=self.src_cc[index],
+            dst_ports=self.dst_ports[index],
+            src_ports=self.src_ports[index],
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+
+_FIELDS = tuple(f.name for f in fields(RecordColumns))
 
 
 @dataclass
@@ -119,6 +202,8 @@ class SyntheticSpec:
 
 def _as_int(value):
     """Accept JSON ints and integral floats, reject everything else."""
+    if type(value) is int:  # the common case; bool is a subclass, not this type
+        return value
     if isinstance(value, bool):
         return None
     if isinstance(value, int):
@@ -129,21 +214,15 @@ def _as_int(value):
 
 
 def _parse_cc_list(value):
-    if value is None:
-        return None, None
     if not isinstance(value, list):
         return None, "not a list"
-    out = []
     for item in value:
         if not isinstance(item, str) or len(item) != 2:
             return None, f"bad country code {item!r}"
-        out.append(item)
-    return tuple(out), None
+    return tuple(value), None
 
 
 def _parse_port_list(value):
-    if value is None:
-        return None, None
     if not isinstance(value, list):
         return None, "not a list"
     out = []
@@ -155,8 +234,21 @@ def _parse_port_list(value):
     return tuple(out), None
 
 
-def _entry_to_record(entry) -> tuple[AttackRecord | None, str | None]:
-    """Validate one raw entry. Returns (record, None) or (None, reason)."""
+_OPTIONAL_FIELDS = (
+    ("dst_cc", _parse_cc_list),
+    ("src_cc", _parse_cc_list),
+    ("dst_ports", _parse_port_list),
+    ("src_ports", _parse_port_list),
+)
+
+
+def _check_entry(entry):
+    """Validate one decoded entry into its row of column values.
+
+    Returns (row, None) or (None, reason). A row is (attack class code,
+    subclass code, max_bps, start, stop, dst_cc, src_cc, dst_ports,
+    src_ports), the field order of ``RecordColumns``.
+    """
     if not isinstance(entry, dict):
         return None, "entry is not a JSON object"
     for name in _REQUIRED_FIELDS:
@@ -164,17 +256,18 @@ def _entry_to_record(entry) -> tuple[AttackRecord | None, str | None]:
             return None, f"missing field {name!r}"
 
     raw_class = entry["attack_class"]
-    if not isinstance(raw_class, str) or raw_class not in _ATTACK_CLASS_BY_NAME:
+    class_code = _ATTACK_CLASS_CODE.get(raw_class) if isinstance(raw_class, str) else None
+    if class_code is None:
         return None, f"unknown attack_class {raw_class!r}"
-    attack_class = _ATTACK_CLASS_BY_NAME[raw_class]
 
     raw_subclass = entry["subclass"]
     if not isinstance(raw_subclass, str):
         return None, f"subclass is not a string: {raw_subclass!r}"
-    squashed = raw_subclass.replace(" ", "")
-    if squashed not in _SUBCLASS_BY_SQUASHED:
-        return None, f"unknown subclass {raw_subclass!r}"
-    subclass = _SUBCLASS_BY_SQUASHED[squashed]
+    code = _SUBCLASS_CODE.get(raw_subclass)
+    if code is None:
+        code = _SUBCLASS_CODE.get(raw_subclass.replace(" ", ""))
+        if code is None:
+            return None, f"unknown subclass {raw_subclass!r}"
 
     max_bps = _as_int(entry["max_bps"])
     if max_bps is None or max_bps < 0:
@@ -193,30 +286,15 @@ def _entry_to_record(entry) -> tuple[AttackRecord | None, str | None]:
             "(1970-01-01 to 9999-12-31T23:59:59Z)"
         )
 
-    dst_cc, err = _parse_cc_list(entry.get("dst_cc"))
-    if err:
-        return None, f"dst_cc: {err}"
-    src_cc, err = _parse_cc_list(entry.get("src_cc"))
-    if err:
-        return None, f"src_cc: {err}"
-    dst_ports, err = _parse_port_list(entry.get("dst_ports"))
-    if err:
-        return None, f"dst_ports: {err}"
-    src_ports, err = _parse_port_list(entry.get("src_ports"))
-    if err:
-        return None, f"src_ports: {err}"
-
-    return AttackRecord(
-        attack_class=attack_class,
-        subclass=subclass,
-        max_bps=max_bps,
-        start=start,
-        stop=stop,
-        dst_cc=dst_cc,
-        src_cc=src_cc,
-        dst_ports=dst_ports,
-        src_ports=src_ports,
-    ), None
+    row = [class_code, code, max_bps, start, stop]
+    for name, parse in _OPTIONAL_FIELDS:
+        value = entry.get(name)
+        if value is not None:
+            value, err = parse(value)
+            if err:
+                return None, f"{name}: {err}"
+        row.append(value)
+    return row, None
 
 
 # json.loads raises JSONDecodeError (a ValueError) on bad syntax, a plain
@@ -260,10 +338,12 @@ def _detect_entries(text: str):
                 f"wrapper (keys: {sorted(doc)})"
             )
 
-    # NDJSON: one object per non-blank line.
+    # NDJSON: one object per non-blank line. Lines end at "\n" only: JSON
+    # strings may hold U+2028 and other characters str.splitlines() breaks
+    # at, and a trailing "\r" is JSON whitespace.
     rows = []
     parsed_any = False
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:
@@ -278,8 +358,25 @@ def _detect_entries(text: str):
     return rows
 
 
+@contextlib.contextmanager
+def _cycle_collector_paused():
+    """Pause the cyclic garbage collector, restoring its state on exit.
+
+    Decoding and validating an export creates hundreds of thousands of
+    containers and no reference cycles; left running, the collector would
+    traverse all of them again and again for nothing to free.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def parse_records(raw: bytes | str, strict: bool = False):
-    """Parse an export file into records plus a report.
+    """Parse an export file into a ``RecordColumns`` of records plus a report.
 
     Lenient mode (default) skips malformed entries and logs (location,
     reason) pairs; strict mode raises SchemaViolationError (or the
@@ -294,54 +391,66 @@ def parse_records(raw: bytes | str, strict: bool = False):
     else:
         text = raw
 
-    records: list[AttackRecord] = []
+    columns = [[] for _ in _FIELDS]
     report = ParseReport()
-    for entry, location, pre_error in _detect_entries(text):
-        reason = pre_error
-        record = None
-        if reason is None:
-            record, reason = _entry_to_record(entry)
-        if record is not None:
-            records.append(record)
-            report.accepted += 1
-            continue
-        if strict:
-            if reason.startswith("unknown subclass"):
-                raise UnknownSubclassError(location, reason)
-            raise SchemaViolationError(location, reason)
-        report.rejected += 1
-        report.rejection_reasons.append((location, reason))
+    with _cycle_collector_paused():
+        for entry, location, reason in _detect_entries(text):
+            if reason is None:
+                row, reason = _check_entry(entry)
+                if row is not None:
+                    for column, value in zip(columns, row):
+                        column.append(value)
+                    continue
+            if strict:
+                if reason.startswith("unknown subclass"):
+                    raise UnknownSubclassError(location, reason)
+                raise SchemaViolationError(location, reason)
+            report.rejection_reasons.append((location, reason))
+        records = RecordColumns.from_lists(columns)
+    report.accepted = len(records)
+    report.rejected = len(report.rejection_reasons)
     return records, report
 
 
-def _record_to_obj(record: AttackRecord) -> dict:
-    obj = {
-        "attack_class": record.attack_class.value,
-        "max_bps": record.max_bps,
-        "start": record.start,
-        "stop": record.stop,
-        "subclass": WIRE_NAMES[record.subclass],
-    }
-    if record.dst_cc is not None:
-        obj["dst_cc"] = list(record.dst_cc)
-    if record.src_cc is not None:
-        obj["src_cc"] = list(record.src_cc)
-    if record.dst_ports is not None:
-        obj["dst_ports"] = list(record.dst_ports)
-    if record.src_ports is not None:
-        obj["src_ports"] = list(record.src_ports)
-    return obj
+# One encoder for every record: json.dumps(..., sort_keys=True) would build a
+# new JSONEncoder per call. The output is the same bytes.
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
+def _wire_objects(records):
+    """The export-format object of each record, in order."""
+    cols = RecordColumns.of(records)
+    class_names = [c.value for c in ATTACK_CLASSES]
+    wire_names = [WIRE_NAMES[s] for s in SUBCLASSES]
+    optional = [name for name, _ in _OPTIONAL_FIELDS]
+    for class_code, code, max_bps, start, stop, *lists in zip(
+        cols.attack_class.tolist(), cols.subclass.tolist(), cols.max_bps.tolist(),
+        cols.start.tolist(), cols.stop.tolist(),
+        cols.dst_cc, cols.src_cc, cols.dst_ports, cols.src_ports,
+    ):
+        obj = {
+            "attack_class": class_names[class_code],
+            "max_bps": max_bps,
+            "start": start,
+            "stop": stop,
+            "subclass": wire_names[code],
+        }
+        for name, value in zip(optional, lists):
+            if value is not None:
+                obj[name] = value
+        yield obj
 
 
 def records_to_json(records) -> str:
     """Serialize records to a JSON array in the export's own format."""
-    return json.dumps([_record_to_obj(r) for r in records], sort_keys=True)
+    return _ENCODER.encode(list(_wire_objects(records)))
 
 
 def records_to_ndjson(records) -> str:
     """Serialize records one-per-line; parse_records round-trips the result."""
-    lines = [json.dumps(_record_to_obj(r), sort_keys=True) for r in records]
-    return "\n".join(lines) + ("\n" if lines else "")
+    lines = [_ENCODER.encode(obj) for obj in _wire_objects(records)]
+    lines.append("")  # the final newline, without copying the joined text again
+    return "\n".join(lines)
 
 
 _COUNTRIES = ("US", "CN", "DE", "FR", "GB", "RU", "BR", "IN", "KR", "NL")

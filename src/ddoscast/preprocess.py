@@ -13,20 +13,16 @@ import csv
 import datetime as dt
 import enum
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import SubclassAbsentError
-from .ingest import AttackRecord, Subclass
+from .ingest import SUBCLASSES, AttackRecord, RecordColumns, Subclass
 
 _UTC = dt.timezone.utc
 _EPOCH = dt.date(1970, 1, 1)
 SECONDS_PER_DAY = 86_400
-
-# Subclass codes in RecordTable.subclass index this tuple (declaration order).
-SUBCLASSES = tuple(Subclass)
-_CODE = {sub: code for code, sub in enumerate(SUBCLASSES)}
 
 
 class Granularity(enum.Enum):
@@ -67,17 +63,31 @@ class EnrichedRecord:
 class RecordTable:
     """Enriched records as parallel read-only columns, in input order.
 
-    ``subclass`` holds uint8 codes into ``SUBCLASSES``; ``start``/``stop``
-    are int64 Unix seconds; ``duration_min`` and ``max_gbps`` are float64.
-    Indexing gives ``EnrichedRecord`` rows built from the columns, and
-    iteration uses indexing (an index past the end raises IndexError).
+    Built from the source columns: ``subclass`` (uint8 codes into
+    ``SUBCLASSES``) and int64 ``start``/``stop`` (Unix seconds) and
+    ``max_bps``. The constructor derives the float64 ``duration_min`` and
+    ``max_gbps`` and makes every column read-only. Indexing gives
+    ``EnrichedRecord`` rows built from the columns, and iteration uses
+    indexing (an index past the end raises IndexError).
+
+    duration_min is (stop - start) / 60; max_gbps divides by the decimal
+    10^9 (bits-per-second convention, not 2^30). numpy converts the int64
+    operands to float64 as Python does (exactly for stop - start, which stays
+    below 2^53), so each value equals the Python float expression bit for bit.
     """
 
     subclass: np.ndarray
     start: np.ndarray
     stop: np.ndarray
-    duration_min: np.ndarray
-    max_gbps: np.ndarray
+    max_bps: np.ndarray
+    duration_min: np.ndarray = field(init=False)
+    max_gbps: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "duration_min", (self.stop - self.start) / 60)
+        object.__setattr__(self, "max_gbps", self.max_bps / 1e9)
+        for column in vars(self).values():
+            column.flags.writeable = False
 
     def __len__(self) -> int:
         return self.start.size
@@ -97,22 +107,9 @@ class RecordTable:
 
 
 def enrich_all(records) -> RecordTable:
-    """Derive the engineered columns from a sequence of raw records.
-
-    duration_min is (stop - start) / 60; max_gbps divides by the decimal
-    10^9 (bits-per-second convention, not 2^30). numpy converts the int64
-    operands to float64 as Python does (exactly for stop - start, which stays
-    below 2^53), so each value equals the Python float expression bit for bit.
-    """
-    n = len(records)
-    codes = np.fromiter((_CODE[r.subclass] for r in records), np.uint8, n)
-    start = np.fromiter((r.start for r in records), np.int64, n)
-    stop = np.fromiter((r.stop for r in records), np.int64, n)
-    max_bps = np.fromiter((r.max_bps for r in records), np.int64, n)
-    table = RecordTable(codes, start, stop, (stop - start) / 60, max_bps / 1e9)
-    for column in vars(table).values():
-        column.flags.writeable = False
-    return table
+    """The RecordTable of parsed ``RecordColumns`` or any sequence of raw records."""
+    cols = RecordColumns.of(records)
+    return RecordTable(cols.subclass, cols.start, cols.stop, cols.max_bps)
 
 
 def enrich(record: AttackRecord) -> EnrichedRecord:

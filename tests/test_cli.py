@@ -205,7 +205,7 @@ class TestForecastCmd:
         from ddoscast.cli import _load_series
         from ddoscast.windowing import build_windowed
 
-        series = _load_series(str(records_file), "TotalTraffic", "count")
+        series, _ = _load_series(str(records_file), "TotalTraffic", "count")
         ds = build_windowed(series.values, 6)
         expected = ds.test.y * ds.normalization.sigma
         actuals = np.array([float(line.split(",")[1]) for line in csv_lines[1:]])
@@ -383,3 +383,206 @@ def test_console_script_version():
     )
     assert proc.returncode == 0
     assert "ddoscast" in proc.stdout
+
+
+# --- records.npz beside ingest's NDJSON ---------------------------------------
+
+SIDECAR_COMMANDS = (
+    ("analyze", [], ("stats.csv", "histogram.csv", "growth.csv", "ranking.csv")),
+    ("train", ["--window", 5, "--hidden", 2, "--epochs", 2], ("history.csv", "checkpoint.json")),
+    ("grid", ["--windows", "3,4", "--hiddens", "2", "--epochs", 1], ("grid_table.txt",)),
+    ("forecast", [], ("forecast.csv", "forecast.svg")),
+)
+
+
+def run_after_ingest(records_path, out, capsys):
+    """Run analyze/train/grid/forecast on one records file: outputs, stdout, sources."""
+    outputs, sources, stdout = {}, set(), []
+    for command, flags, names in SIDECAR_COMMANDS:
+        inputs = [out / "train-3" / "checkpoint.json"] if command == "forecast" else []
+        code = run([command, *inputs, records_path, *flags, "--out", out, "--seed", 3])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert "Traceback" not in captured.err
+        stdout.append(captured.out)
+        for name in names:
+            outputs[f"{command}/{name}"] = (out / f"{command}-3" / name).read_bytes()
+        doc = json.loads((out / f"{command}-3" / "manifest.json").read_text())
+        sources.add(doc["inputs"][-1]["read_from"])
+    return outputs, stdout, sources
+
+
+class Tripwire:
+    """Unpickling an instance writes the file its path names."""
+
+    def __init__(self, path):
+        self.path = str(path)
+
+    def __reduce__(self):
+        return (Path.touch, (Path(self.path),))
+
+
+def _rewrite_sidecar(path: Path, **changes):
+    with np.load(path) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    arrays.update(changes)
+    for name in [name for name, value in arrays.items() if value is None]:
+        del arrays[name]
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def _sidecar_state(state: str, ndjson: Path, sidecar: Path, tmp_path: Path) -> None:
+    columns = dict(np.load(sidecar))
+    if state == "deleted":
+        sidecar.unlink()
+    elif state == "stale-whitespace":  # same records, other bytes
+        ndjson.write_bytes(ndjson.read_bytes()[:-1] + b" ")
+    elif state == "stale-record":  # the first record now starts after it stops
+        raw = bytearray(ndjson.read_bytes())
+        at = raw.index(b'"start": 1') + len(b'"start": ')
+        raw[at] = ord("2")
+        ndjson.write_bytes(bytes(raw))
+    elif state == "truncated":
+        sidecar.write_bytes(sidecar.read_bytes()[: sidecar.stat().st_size // 2])
+    elif state == "not-a-zip":
+        sidecar.write_bytes(b"not a zip file\n")
+    elif state == "wrong-dtype":
+        _rewrite_sidecar(sidecar, start=columns["start"].astype(np.int32))
+    elif state == "wrong-length":
+        _rewrite_sidecar(sidecar, stop=columns["stop"][:-1])
+    elif state == "missing-array":
+        _rewrite_sidecar(sidecar, max_bps=None)
+    elif state == "bad-code":
+        _rewrite_sidecar(sidecar, subclass=np.full_like(columns["subclass"], 200))
+    elif state == "object-array":
+        tripwire = np.empty(len(columns["subclass"]), dtype=object)
+        tripwire[:] = Tripwire(tmp_path / "unpickled")
+        _rewrite_sidecar(sidecar, subclass=tripwire)
+    else:
+        assert state == "present"
+
+
+SIDECAR_STATES = ["present", "deleted", "stale-whitespace", "stale-record", "truncated",
+                  "not-a-zip", "wrong-dtype", "wrong-length", "missing-array", "bad-code",
+                  "object-array"]
+
+
+@pytest.mark.parametrize("state", SIDECAR_STATES)
+def test_sidecar_state_never_changes_outputs(tmp_path, records_file, capsys, state):
+    assert run(["ingest", records_file, "--out", tmp_path / "i", "--seed", 1]) == 0
+    ndjson = tmp_path / "i" / "ingest-1" / "records.ndjson"
+    sidecar = ndjson.with_name("records.npz")
+    assert sidecar.is_file()
+    _sidecar_state(state, ndjson, sidecar, tmp_path)
+
+    # the reference parses a copy of the same bytes with no sidecar beside it
+    plain = tmp_path / "plain" / "records.ndjson"
+    plain.parent.mkdir()
+    plain.write_bytes(ndjson.read_bytes())
+    capsys.readouterr()
+    expected, expected_stdout, plain_sources = run_after_ingest(plain, tmp_path / "o", capsys)
+    got, stdout, sources = run_after_ingest(ndjson, tmp_path / "o", capsys)
+
+    assert got == expected
+    assert stdout == expected_stdout
+    record_count = 599 if state == "stale-record" else 600
+    assert got["analyze/stats.csv"].split(b"\n")[1].startswith(b"%d," % record_count)
+    assert plain_sources == {"parse"}
+    assert sources == {"records.npz" if state == "present" else "parse"}
+    assert not (tmp_path / "unpickled").exists()
+
+
+def test_sidecar_table_equals_parsed_table(tmp_path, records_file):
+    from ddoscast.cli import _load_sidecar, sha256_hex
+    from ddoscast.ingest import parse_records
+
+    assert run(["ingest", records_file, "--out", tmp_path, "--seed", 1]) == 0
+    ndjson = tmp_path / "ingest-1" / "records.ndjson"
+    raw = ndjson.read_bytes()
+    cached = _load_sidecar(ndjson.with_name("records.npz"), sha256_hex(raw))
+    parsed = enrich_all(parse_records(raw)[0])
+    assert cached is not None and len(cached) == len(parsed) == 600
+    for name in ("subclass", "start", "stop", "max_bps", "duration_min", "max_gbps"):
+        got, want = getattr(cached, name), getattr(parsed, name)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert not got.flags.writeable
+    assert _load_sidecar(ndjson.with_name("records.npz"), sha256_hex(raw + b"\n")) is None
+
+
+def test_synthetic_ingest_writes_sidecar(tmp_path):
+    assert run(["ingest", "--synthetic", "--count", 50, "--out", tmp_path, "--seed", 2]) == 0
+    with np.load(tmp_path / "ingest-2" / "records.npz") as npz:
+        assert sorted(npz.files) == ["max_bps", "sha256", "start", "stop", "subclass"]
+        assert len(npz["start"]) == 50
+
+
+@pytest.mark.parametrize("rejected_only", [False, True])
+def test_empty_ingest_output_keeps_exit_three(tmp_path, capsys, rejected_only):
+    source = tmp_path / "export.ndjson"
+    source.write_bytes(as_ndjson(record_obj(subclass="??")) if rejected_only else b"[]")
+    assert run(["ingest", source, "--out", tmp_path / "i"]) == 0
+    ndjson = tmp_path / "i" / "ingest-0" / "records.ndjson"
+    assert ndjson.read_bytes() == b"" and ndjson.with_name("records.npz").exists()
+    capsys.readouterr()
+    assert run(["analyze", ndjson, "--out", tmp_path / "o"]) == 3
+    assert capsys.readouterr().err == f"error: records file {ndjson} is empty\n"
+
+
+# --- manifest input digests and replay ----------------------------------------
+
+
+def test_manifest_records_input_digests(tmp_path, records_file):
+    import hashlib
+
+    out = tmp_path / "o"
+    assert run(["train", records_file, "--window", 5, "--hidden", 2, "--epochs", 1,
+                "--out", out, "--seed", 6]) == 0
+    checkpoint = out / "train-6" / "checkpoint.json"
+    assert run(["forecast", checkpoint, records_file, "--out", out, "--seed", 6]) == 0
+    doc = json.loads((out / "forecast-6" / "manifest.json").read_text())
+    assert [(e["param"], e["path"]) for e in doc["inputs"]] == [
+        ("checkpoint", str(checkpoint.resolve())), ("records", str(records_file.resolve()))]
+    for entry, path in zip(doc["inputs"], (checkpoint, records_file)):
+        assert entry["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert entry["bytes"] == path.stat().st_size
+    assert doc["inputs"][1]["read_from"] == "parse"  # records_file has no sidecar
+
+    assert run(["ingest", records_file, "--out", out, "--seed", 6]) == 0
+    doc = json.loads((out / "ingest-6" / "manifest.json").read_text())
+    assert doc["inputs"][0]["param"] == "input"
+    assert doc["inputs"][0]["bytes"] == records_file.stat().st_size
+
+
+@pytest.mark.parametrize("command", ["ingest", "analyze", "forecast"])
+def test_replay_refuses_changed_input(tmp_path, records_file, capsys, command):
+    out = tmp_path / "first"
+    assert run(["train", records_file, "--window", 5, "--hidden", 2, "--epochs", 1,
+                "--out", out, "--seed", 6]) == 0
+    checkpoint = out / "train-6" / "checkpoint.json"
+    args = {"ingest": ["ingest", records_file], "analyze": ["analyze", records_file],
+            "forecast": ["forecast", checkpoint, records_file]}[command]
+    assert run(args + ["--out", out, "--seed", 6]) == 0
+    edited = checkpoint if command == "forecast" else records_file
+    edited.write_bytes(edited.read_bytes() + b"\n")  # same content, other bytes
+    capsys.readouterr()
+    code = replay_manifest(out / f"{command}-6" / "manifest.json", str(tmp_path / "second"))
+    assert code == 7
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: replay refused: {edited}") and err.count("\n") == 1
+    assert not (tmp_path / "second").exists()
+
+
+def test_replay_of_manifest_without_digests(tmp_path, records_file):
+    out = tmp_path / "first"
+    assert run(["analyze", records_file, "--out", out, "--seed", 6]) == 0
+    manifest = out / "analyze-6" / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    doc["inputs"] = [str(records_file.resolve())]  # as written before inputs had digests
+    manifest.write_text(json.dumps(doc))
+    assert replay_manifest(manifest, str(tmp_path / "second")) == 0
+    for name in ("stats.csv", "histogram.csv", "growth.csv", "ranking.csv"):
+        assert (tmp_path / "second" / "analyze-6" / name).read_bytes() == (
+            out / "analyze-6" / name
+        ).read_bytes()

@@ -2,11 +2,13 @@ import datetime as dt
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import HUGE_INT, as_array, as_ndjson, huge_int_line, record_obj
+from parse_oracle import oracle_parse
 from ddoscast.errors import (
     AllZeroWeightsError,
     DdoscastError,
@@ -17,7 +19,10 @@ from ddoscast.errors import (
 )
 from ddoscast.ingest import (
     MAX_UNIX_SECONDS,
+    SUBCLASSES,
+    WIRE_NAMES,
     AttackClass,
+    RecordColumns,
     Subclass,
     SyntheticSpec,
     generate_synthetic,
@@ -313,3 +318,158 @@ def test_arbitrary_input_parses_or_raises_domain_error(raw, strict):
 @settings(max_examples=150, deadline=None)
 def test_json_shaped_documents_parse_or_raise_domain_error(text, strict):
     _parses_or_domain_error(text, strict)
+
+
+# --- columnar parse -----------------------------------------------------------
+
+
+def test_parse_returns_read_only_columns(synthetic_1000):
+    records, _ = parse_records(records_to_ndjson(synthetic_1000))
+    assert isinstance(records, RecordColumns)
+    assert records.subclass.dtype == records.attack_class.dtype == np.uint8
+    assert records.start.dtype == records.stop.dtype == records.max_bps.dtype == np.int64
+    assert [SUBCLASSES[c] for c in records.subclass] == [r.subclass for r in synthetic_1000]
+    assert records.max_bps.tolist() == [r.max_bps for r in synthetic_1000]
+    assert list(records.src_ports) == [r.src_ports for r in synthetic_1000]
+    assert records[5] == synthetic_1000[5] and records[-1] == synthetic_1000[-1]
+    with pytest.raises(ValueError):
+        records.start[0] = 0
+
+
+def test_columns_of_records_round_trip(synthetic_1000):
+    cols = RecordColumns.of(synthetic_1000)
+    assert RecordColumns.of(cols) is cols
+    assert cols == synthetic_1000 and list(cols) == synthetic_1000
+    assert cols != synthetic_1000[:-1] and cols != "not records"
+    assert RecordColumns.of([]) == [] and len(RecordColumns.of([])) == 0
+    assert RecordColumns.of(iter(synthetic_1000)) == synthetic_1000
+    assert records_to_ndjson(iter(synthetic_1000)) == records_to_ndjson(synthetic_1000)
+
+
+def test_serializers_keep_the_per_call_json_dumps_bytes(synthetic_1000):
+    def wire(r):
+        obj = {"attack_class": r.attack_class.value, "max_bps": r.max_bps, "start": r.start,
+               "stop": r.stop, "subclass": WIRE_NAMES[r.subclass]}
+        for name in ("dst_cc", "src_cc", "dst_ports", "src_ports"):
+            if getattr(r, name) is not None:
+                obj[name] = list(getattr(r, name))
+        return obj
+
+    objs = [wire(r) for r in synthetic_1000]
+    lines = [json.dumps(obj, sort_keys=True) for obj in objs]
+    assert records_to_ndjson(synthetic_1000) == "\n".join(lines) + "\n"
+    assert records_to_json(synthetic_1000) == json.dumps(objs, sort_keys=True)
+    parsed, _ = parse_records(records_to_ndjson(synthetic_1000))
+    assert records_to_ndjson(parsed) == records_to_ndjson(synthetic_1000)
+    assert records_to_ndjson([]) == ""
+
+
+@pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85", "\x0b", "\x1c"])
+def test_ndjson_lines_end_at_newline_only(separator):
+    # JSON allows these raw inside strings; str.splitlines() would break there
+    objs = [record_obj(note=f"a{separator}b"), record_obj(start=1577836801, note="c")]
+    ndjson = "\n".join(json.dumps(o, ensure_ascii=False) for o in objs) + "\n"
+    from_ndjson, report = parse_records(ndjson.encode())
+    from_array, _ = parse_records(json.dumps(objs, ensure_ascii=False).encode())
+    assert report.rejected == 0 and len(from_ndjson) == 2
+    assert from_ndjson == from_array
+
+
+def test_crlf_ndjson_keeps_line_numbers():
+    objs = [record_obj(), record_obj(subclass="nope"), record_obj(start=5, stop=1)]
+    crlf = "".join(json.dumps(o) + "\r\n" for o in objs).encode()
+    lf_records, lf_report = parse_records(as_ndjson(*objs))
+    crlf_records, crlf_report = parse_records(crlf)
+    assert crlf_records == lf_records and len(crlf_records) == 1
+    assert crlf_report.rejection_reasons == lf_report.rejection_reasons
+    assert [loc for loc, _ in crlf_report.rejection_reasons] == [2, 3]
+
+
+# --- differential test: columnar validator against the per-entry oracle ------
+
+_FIELD_VALUES = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.sampled_from([0, 1, 80, 443, 65535, 65536, -1, -5, 2**63 - 1, 2**63, 2**64, 10**13,
+                     -(10**13), MAX_UNIX_SECONDS, MAX_UNIX_SECONDS + 1, 1577836800]),
+    st.integers(),
+    st.sampled_from([0.0, 80.0, 1577836800.0, 1.5, -2.0, 1e19, 1e300, float("nan"),
+                     float("inf")]),
+    st.floats(),
+    st.sampled_from(["", "1", "80", "US", "USA", "Misuse", "Detector", "misuse", "TCP SYN",
+                     "TCPSYN", "T C P S Y N", " ICMP", "UDP Misuse", "Quantum", "Total Traffic"]),
+    st.text(max_size=4),
+    st.sampled_from([[], [1], [[1]], [1, [2]], {"a": 1}, ["US", "CN"], ["US", "USA"], ["U"],
+                     [80, 443.0], [80, 1.5], [True], [-1], [70000], ["80"], [None]]),
+    st.lists(st.sampled_from(["US", "CN", 80, 0, 65535, 65536, 1.0, "X", None]), max_size=3),
+)
+_FIELDS = ("attack_class", "subclass", "max_bps", "start", "stop",
+           "dst_cc", "src_cc", "dst_ports", "src_ports")
+
+
+@st.composite
+def _mutated_entry(draw):
+    entry = record_obj(dst_cc=["US"], src_ports=[80])
+    for name in draw(st.lists(st.sampled_from(_FIELDS), max_size=3)):
+        if draw(st.booleans()):
+            entry[name] = draw(_FIELD_VALUES)
+        else:
+            entry.pop(name, None)
+    return entry
+
+
+_DIFF_ENTRIES = st.lists(
+    st.one_of(
+        _mutated_entry(), _mutated_entry(), _mutated_entry(), st.just(record_obj()),
+        st.sampled_from([None, 1, "record", [], [record_obj()]]),  # not objects
+    ),
+    max_size=6,
+)
+
+
+def _outcome(parse, raw, strict):
+    try:
+        records, report = parse(raw, strict=strict)
+    except SchemaViolationError as exc:
+        return type(exc), exc.location, exc.reason
+    return list(records), report.accepted, report.rejected, report.rejection_reasons
+
+
+@given(_DIFF_ENTRIES, st.booleans(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_columnar_validator_matches_per_entry_oracle(entries, ndjson, strict):
+    if ndjson:
+        raw = "".join(json.dumps(e) + "\n" for e in entries).encode()
+    else:
+        raw = json.dumps(entries).encode()
+    try:
+        expected = _outcome(oracle_parse, raw, strict)
+    except NotJsonError:
+        with pytest.raises(NotJsonError):
+            parse_records(raw, strict=strict)
+        return
+    assert _outcome(parse_records, raw, strict) == expected
+    if not strict:
+        records, _ = parse_records(raw)
+        oracle_cols = RecordColumns.of(expected[0])
+        for name in ("attack_class", "subclass", "max_bps", "start", "stop"):
+            got, want = getattr(records, name), getattr(oracle_cols, name)
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        for name in ("dst_cc", "src_cc", "dst_ports", "src_ports"):
+            assert getattr(records, name) == getattr(oracle_cols, name)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_parse_restores_cycle_collector_state(enabled):
+    import gc
+
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        parse_records(as_ndjson(record_obj(), record_obj(subclass="?")))
+        assert gc.isenabled() is enabled
+        with pytest.raises(SchemaViolationError):
+            parse_records(as_ndjson(record_obj(subclass="?")), strict=True)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
