@@ -47,6 +47,7 @@ from .errors import (
     SeriesTooShortError,
     SeriesTooShortForWindowError,
     VersionMismatchError,
+    WorkerLostError,
 )
 from .grid import (
     DEFAULT_HIDDEN_SIZES,
@@ -60,6 +61,8 @@ from .grid import (
 from .ingest import (
     MAX_UNIX_SECONDS,
     SUBCLASSES,
+    ParseReport,
+    RecordColumns,
     Subclass,
     SyntheticSpec,
     generate_synthetic,
@@ -92,6 +95,8 @@ def _exit_code_for(exc: DdoscastError) -> int:
         return 6
     if isinstance(exc, InputChangedError):
         return 7
+    if isinstance(exc, WorkerLostError):
+        return 8
     return 1
 
 
@@ -232,18 +237,51 @@ def _load_series(records_path: str, subclass: str, metric: str):
 # --- commands ---------------------------------------------------------------
 
 
+def _date(params: dict, name: str) -> dt.date:
+    try:
+        return dt.date.fromisoformat(params[name])
+    except ValueError:
+        raise InvalidConfigError(
+            f"{name}: expected a date as YYYY-MM-DD, got {params[name]!r}"
+        ) from None
+
+
+def _synthetic_records(params: dict) -> RecordColumns:
+    """Generated records as columns, held to the bounds parsing enforces.
+
+    They are valid by construction, so they are not serialized and parsed
+    again; a draw outside the bounds (or beyond int64) is a config error.
+    """
+    if params["count"] < 1:
+        raise InvalidConfigError(f"count must be >= 1, got {params['count']}")
+    spec = SyntheticSpec(
+        record_count=params["count"],
+        start_date=_date(params, "start_date"),
+        end_date=_date(params, "end_date"),
+        seed=params["seed"],
+    )
+    try:
+        records = RecordColumns.of(generate_synthetic(spec))
+    except OverflowError:
+        records = None
+    if records is None or not (
+        np.all(records.start >= 0) and np.all(records.start <= records.stop)
+        and np.all(records.stop <= MAX_UNIX_SECONDS) and np.all(records.max_bps >= 0)
+    ):
+        raise InvalidConfigError(
+            "a synthetic record falls outside the bounds parsing enforces "
+            f"(0 <= start <= stop <= {MAX_UNIX_SECONDS}, 0 <= max_bps < 2**63)"
+        )
+    return records
+
+
 def _cmd_ingest(params: dict) -> int:
     started = _now()
     out = _out_dir(params, "ingest")
     if params["synthetic"]:
-        spec = SyntheticSpec(
-            record_count=params["count"],
-            start_date=dt.date.fromisoformat(params["start_date"]),
-            end_date=dt.date.fromisoformat(params["end_date"]),
-            seed=params["seed"],
-        )
-        ndjson = records_to_ndjson(generate_synthetic(spec))
-        records, report = parse_records(ndjson, strict=True)
+        records = _synthetic_records(params)
+        report = ParseReport(accepted=len(records))
+        ndjson = records_to_ndjson(records)
         inputs = []
     else:
         raw = Path(params["input"]).read_bytes()
@@ -627,6 +665,9 @@ def _run(command, *args) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 def _run_args(args: argparse.Namespace) -> int:

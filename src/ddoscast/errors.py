@@ -1,8 +1,20 @@
 """Exception taxonomy shared by every ddoscast module."""
 
+import copyreg
+
 
 class DdoscastError(Exception):
-    """Base class for all domain errors raised by this package."""
+    """Base class for all domain errors raised by this package.
+
+    Errors pickle with their type, message and attributes, so an error
+    raised in a grid worker process reaches the parent intact.
+    """
+
+    def __reduce__(self):
+        # Exception.__reduce__ rebuilds by calling cls(*args), and args holds
+        # only the message, which breaks subclasses whose __init__ takes
+        # (location, reason) or (window, message). Rebuild without __init__.
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class InvalidConfigError(DdoscastError, ValueError):
@@ -127,6 +139,10 @@ class SeriesTooShortForWindowError(DdoscastError):
 
 class EmptyGridError(DdoscastError):
     """Grid result holds no cells."""
+
+
+class WorkerLostError(DdoscastError):
+    """A grid worker process ended without returning its cell (e.g. killed by a signal)."""
 
 
 # --- chart ----------------------------------------------------------------

@@ -7,15 +7,23 @@ another cell's result.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import ctypes
 import hashlib
 import io
+import multiprocessing
+import os
+import signal
+import threading
 import time
+from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import EmptyGridError, InvalidConfigError
+from .errors import EmptyGridError, InvalidConfigError, WorkerLostError
 from .lstm import TrainConfig, init_model, mse, predict_series, train
 from .preprocess import TimeSeries
 from .windowing import NormSource, build_windowed, check_window_fits
@@ -68,6 +76,10 @@ def run_grid(series, spec: GridSpec) -> GridResult:
 
     ``series`` is a TimeSeries or a plain value array. Every window size
     must fit in every split with at least one sample (split length >= W+1).
+    Cells train in a pool of forked worker processes, each running OpenBLAS
+    on one thread, and come back in spec order (windows outer, hiddens
+    inner). The first cell that raises stops the others and its error is
+    raised here; a worker that dies raises WorkerLostError.
     """
     if isinstance(series, TimeSeries):
         values = series.values
@@ -79,32 +91,156 @@ def run_grid(series, spec: GridSpec) -> GridResult:
     for window in spec.window_sizes:
         check_window_fits(values.size, window)
 
-    cells = []
-    for window in spec.window_sizes:
-        dataset = build_windowed(values, window, spec.norm_source)
-        for hidden in spec.hidden_sizes:
-            seed = cell_seed(spec.master_seed, window, hidden)
-            config = replace(
-                spec.base_config, window_size=window, hidden_size=hidden, seed=seed
-            )
-            started = time.perf_counter()
-            params = init_model(hidden, seed)
-            params, history = train(params, dataset, config)
-            targets, preds = predict_series(params, dataset, "test")
-            wall_ms = (time.perf_counter() - started) * 1000.0
-            cells.append(
-                GridCell(
-                    window=window,
-                    hidden=hidden,
-                    train_mse=history.train_mse[-1],
-                    test_mse=mse(targets, preds),
-                    wall_ms=wall_ms,
-                    seed=seed,
-                )
-            )
+    keys = [(window, hidden) for window in spec.window_sizes for hidden in spec.hidden_sizes]
     return GridResult(
-        cells=cells, master_seed=spec.master_seed, subclass=identity[0], metric=identity[1]
+        cells=_run_pool(values, spec, keys),
+        master_seed=spec.master_seed,
+        subclass=identity[0],
+        metric=identity[1],
     )
+
+
+def _train_cell(values: np.ndarray, spec: GridSpec, window: int, hidden: int) -> GridCell:
+    """One grid cell, start to finish; ``wall_ms`` is its time in the worker."""
+    started = time.perf_counter()
+    dataset = build_windowed(values, window, spec.norm_source)
+    seed = cell_seed(spec.master_seed, window, hidden)
+    config = replace(spec.base_config, window_size=window, hidden_size=hidden, seed=seed)
+    params = init_model(hidden, seed)
+    params, history = train(params, dataset, config)
+    targets, preds = predict_series(params, dataset, "test")
+    return GridCell(
+        window=window,
+        hidden=hidden,
+        train_mse=history.train_mse[-1],
+        test_mse=mse(targets, preds),
+        wall_ms=(time.perf_counter() - started) * 1000.0,
+        seed=seed,
+    )
+
+
+# --- the worker pool ----------------------------------------------------------
+#
+# Every cell, even of a 1-cell grid, trains in a worker whose OpenBLAS runs
+# one thread, so a cell's bits never depend on the core count, the worker
+# count or the grid's shape, and two workers' BLAS threads never fight over
+# the same CPUs. Workers are forked rather than spawned: they start with
+# numpy, scipy and ddoscast imported and the series in memory, and a script
+# without a __main__ guard is not run again. The fork is safe here because
+# ProcessPoolExecutor forks every worker before it starts its own threads,
+# and OpenBLAS stops its thread pool before a fork and restarts it on use.
+
+
+def _openblas_thread_setters() -> list:
+    """``openblas_set_num_threads`` of every OpenBLAS library loaded in this process.
+
+    numpy and scipy each bundle their own build under its own symbol name.
+    Empty when no library is found or one of them has no setter.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line.lower() and "/" in line}
+    except OSError:
+        return []
+    setters = []
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        names = [f"{prefix}openblas_set_num_threads{suffix}"
+                 for prefix in ("scipy_", "") for suffix in ("64_", "")]
+        found = [getattr(lib, name) for name in names if hasattr(lib, name)]
+        if not found:
+            return []
+        found[0].argtypes, found[0].restype = [ctypes.c_int], None
+        setters.append(found[0])
+    return setters
+
+
+def _worker_count(cells: int) -> int:
+    """One worker per usable CPU, but only if every worker can pin BLAS to one thread."""
+    if not _openblas_thread_setters():
+        return 1
+    return min(cells, len(os.sched_getaffinity(0)))
+
+
+_STOP_SIGNALS = {signal.SIGINT, signal.SIGTERM}
+
+
+@contextlib.contextmanager
+def _stop_signals(how: int):
+    """Block (SIG_BLOCK) or let in (SIG_UNBLOCK) SIGINT and SIGTERM in this thread."""
+    previous = signal.pthread_sigmask(how, _STOP_SIGNALS)
+    try:
+        yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, previous)
+
+
+def _init_worker() -> None:
+    # Forked with SIGINT and SIGTERM blocked. A worker leaves SIGINT to the
+    # parent, which stops it, and dies at once on SIGTERM.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, _STOP_SIGNALS)
+    for set_threads in _openblas_thread_setters():
+        set_threads(1)
+
+
+def _exit_on_sigterm(signum, _frame):
+    raise SystemExit(128 + signum)
+
+
+@contextlib.contextmanager
+def _sigterm_unwinds():
+    """Make SIGTERM raise SystemExit, so the pool's workers are stopped on the way out.
+
+    Only where SIGTERM would otherwise kill the process outright: a handler
+    the caller installed, or an ignored signal, is left as it is.
+    """
+    if (threading.current_thread() is not threading.main_thread()
+            or signal.getsignal(signal.SIGTERM) is not signal.SIG_DFL):
+        yield
+        return
+    signal.signal(signal.SIGTERM, _exit_on_sigterm)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
+def _run_pool(values: np.ndarray, spec: GridSpec, keys: list) -> list[GridCell]:
+    """Train the cells ``keys`` in worker processes; cells in the order of ``keys``."""
+    # Longest cells first, so the last cell to start is a short one.
+    order = sorted(range(len(keys)), key=lambda i: keys[i][0] * keys[i][1], reverse=True)
+    # SIGINT and SIGTERM wait while workers are forked and tracked, and again
+    # while they are stopped, so an interrupt never strands a worker.
+    with _sigterm_unwinds(), _stop_signals(signal.SIG_BLOCK):
+        pool = ProcessPoolExecutor(
+            _worker_count(len(keys)),
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_init_worker,
+        )
+        try:
+            futures = [None] * len(keys)
+            for i in order:
+                futures[i] = pool.submit(_train_cell, values, spec, *keys[i])
+            with _stop_signals(signal.SIG_UNBLOCK):
+                wait(futures, return_when=FIRST_EXCEPTION)
+            for future in futures:
+                if future.done() and future.exception() is not None:
+                    raise future.exception()
+            return [future.result() for future in futures]
+        except BrokenProcessPool:
+            raise WorkerLostError(
+                "a grid worker process ended abruptly (killed by a signal or out of memory)"
+            ) from None
+        except BaseException:
+            # ProcessPoolExecutor has no public way to stop a busy worker
+            # before Python 3.14, so kill each one directly.
+            for process in list(pool._processes.values()):
+                process.kill()
+            raise
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
 
 
 def best_config(result: GridResult) -> tuple[int, int]:

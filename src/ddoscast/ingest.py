@@ -24,6 +24,7 @@ import numpy as np
 from .errors import (
     AllZeroWeightsError,
     EmptyDateRangeError,
+    InvalidConfigError,
     NotJsonError,
     SchemaViolationError,
     UnknownSubclassError,
@@ -454,13 +455,16 @@ def records_to_ndjson(records) -> str:
 
 
 _COUNTRIES = ("US", "CN", "DE", "FR", "GB", "RU", "BR", "IN", "KR", "NL")
+_UNIX_EPOCH = dt.date(1970, 1, 1)
+_SECONDS_PER_DAY = 86400
 
 
 def generate_synthetic(spec: SyntheticSpec) -> list[AttackRecord]:
     """Deterministic synthetic record set for a SyntheticSpec.
 
     Output is bit-identical for a fixed seed across runs and platforms
-    (random.Random only). All timestamps fall inside the spec's date range.
+    (random.Random only). All timestamps fall inside the spec's date range,
+    which must start no earlier than 1970-01-01 (InvalidConfigError).
     """
     if spec.end_date < spec.start_date:
         raise EmptyDateRangeError(
@@ -476,14 +480,15 @@ def generate_synthetic(spec: SyntheticSpec) -> list[AttackRecord]:
         raise AllZeroWeightsError("all subclass weights are zero")
     pop_weights = [weights[sub] for sub in population]
 
-    epoch_lo = int(
-        dt.datetime.combine(spec.start_date, dt.time(), dt.timezone.utc).timestamp()
-    )
-    epoch_hi = int(
-        dt.datetime.combine(
-            spec.end_date + dt.timedelta(days=1), dt.time(), dt.timezone.utc
-        ).timestamp()
-    )
+    if spec.start_date < _UNIX_EPOCH:
+        raise InvalidConfigError(
+            f"start_date {spec.start_date} is before 1970-01-01, the first second a record "
+            "can hold"
+        )
+    # Day arithmetic, not datetimes: end_date + 1 day overflows datetime at
+    # 9999-12-31, whose last second is MAX_UNIX_SECONDS.
+    epoch_lo = (spec.start_date - _UNIX_EPOCH).days * _SECONDS_PER_DAY
+    epoch_hi = ((spec.end_date - _UNIX_EPOCH).days + 1) * _SECONDS_PER_DAY
 
     rng = random.Random(spec.seed)
     records = []

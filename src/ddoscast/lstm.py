@@ -386,6 +386,9 @@ def rmsprop_update(
     return LstmParams(theta, h), RmsPropState(acc=LstmParams(acc, h))
 
 
+# Divergence is detected below and raised as DivergedNonFiniteError; numpy's
+# overflow warnings on the way there would only repeat it on stderr.
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     params: LstmParams, dataset: WindowedDataset, config: TrainConfig
 ) -> tuple[LstmParams, TrainHistory]:

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -44,3 +45,37 @@ def as_ndjson(*objs) -> bytes:
 @pytest.fixture(scope="session")
 def synthetic_1000():
     return generate_synthetic(SyntheticSpec(record_count=1000, seed=7))
+
+
+def child_pids(pid: int) -> list[int]:
+    """Processes whose parent is ``pid``, zombies included (read from /proc)."""
+    children = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                stat = fh.read()
+        except OSError:  # the process ended while we looked
+            continue
+        # "pid (comm) state ppid ...": comm may hold spaces and parentheses
+        ppid = int(stat.rsplit(")", 1)[1].split()[1])
+        if ppid == pid:
+            children.append(int(entry))
+    return children
+
+
+def is_running(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Every test reaps what it starts: grid workers, CLI subprocesses, demos."""
+    yield
+    assert child_pids(os.getpid()) == []

@@ -1,18 +1,31 @@
+import contextlib
+import dataclasses
+import hashlib
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ddoscast
-from conftest import as_ndjson, huge_int_line, record_obj
+from conftest import as_ndjson, child_pids, huge_int_line, is_running, record_obj
+from ddoscast import cli
 from ddoscast.analytics import global_stats, rank_subclasses, ranking_to_csv, stats_to_csv
 from ddoscast.cli import _build_parser, _resolve_params, main, replay_manifest
-from ddoscast.ingest import Subclass, SyntheticSpec, generate_synthetic, records_to_ndjson
+from ddoscast.ingest import (
+    MAX_UNIX_SECONDS,
+    Subclass,
+    SyntheticSpec,
+    generate_synthetic,
+    parse_records,
+    records_to_ndjson,
+)
 from ddoscast.lstm import TrainConfig, load_checkpoint, save_checkpoint, RmsPropState, init_model
 from ddoscast.preprocess import Metric, enrich_all
 
@@ -373,13 +386,17 @@ def test_empty_grid_list_exit_two(tmp_path, records_file):
     assert run(["grid", records_file, "--config", config, "--out", tmp_path / "o"]) == 2
 
 
-def test_console_script_version():
-    # the child imports ddoscast from wherever this process did, installed or not
+def cli_env() -> dict:
+    """Environment in which a child imports ddoscast from wherever this process did."""
     src = str(Path(ddoscast.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_console_script_version():
     proc = subprocess.run(
-        [sys.executable, "-m", "ddoscast.cli", "--version"], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "ddoscast.cli", "--version"], capture_output=True, text=True,
+        env=cli_env(),
     )
     assert proc.returncode == 0
     assert "ddoscast" in proc.stdout
@@ -534,8 +551,6 @@ def test_empty_ingest_output_keeps_exit_three(tmp_path, capsys, rejected_only):
 
 
 def test_manifest_records_input_digests(tmp_path, records_file):
-    import hashlib
-
     out = tmp_path / "o"
     assert run(["train", records_file, "--window", 5, "--hidden", 2, "--epochs", 1,
                 "--out", out, "--seed", 6]) == 0
@@ -586,3 +601,138 @@ def test_replay_of_manifest_without_digests(tmp_path, records_file):
         assert (tmp_path / "second" / "analyze-6" / name).read_bytes() == (
             out / "analyze-6" / name
         ).read_bytes()
+
+
+# --- synthetic ingest -----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--start-date", "2020-13-01"), ("--end-date", "31/12/2020"), ("--start-date", "1969-12-31"),
+     ("--count", "0")],
+)
+def test_bad_synthetic_settings_exit_two(tmp_path, capsys, flag, value):
+    assert run(["ingest", "--synthetic", flag, value, "--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_synthetic_range_may_end_on_the_last_representable_day(tmp_path):
+    args = ["--count", 40, "--start-date", "9999-01-01", "--end-date", "9999-12-31"]
+    assert run(["ingest", "--synthetic", *args, "--out", tmp_path]) == 0
+    records, report = parse_records((tmp_path / "ingest-0" / "records.ndjson").read_bytes(),
+                                    strict=True)
+    assert report.accepted == 40 and max(records.stop) <= MAX_UNIX_SECONDS
+
+
+# SHA-256 of records.ndjson from `ingest --synthetic --count 500 --start-date
+# 2013-06-01 --seed N` as written when ingest still parsed its own output.
+SYNTHETIC_NDJSON_SHA256 = {
+    0: "63508ce23831f5635113470897c7d23a8afd75ec4ee2b010e04adeea9a07178c",
+    3: "3910972edc5a2fb0a7de0512f55b2edaa04d165d056548426499d8fb25c02bd3",
+    11: "b37e3fb78b8ccd0e5af73f8c7a1961cf14e5e11f050674d7096162767d20ca01",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SYNTHETIC_NDJSON_SHA256))
+def test_synthetic_ingest_writes_what_parsing_its_records_gives(tmp_path, seed):
+    args = ["--count", 500, "--start-date", "2013-06-01", "--seed", seed]
+    assert run(["ingest", "--synthetic", *args, "--out", tmp_path]) == 0
+    out = tmp_path / f"ingest-{seed}"
+    ndjson = (out / "records.ndjson").read_bytes()
+    assert hashlib.sha256(ndjson).hexdigest() == SYNTHETIC_NDJSON_SHA256[seed]
+    assert (out / "parse_report.json").read_text() == (
+        '{\n  "accepted": 500,\n  "rejected": 0,\n  "rejection_reasons": []\n}\n'
+    )
+    parsed, _report = parse_records(ndjson, strict=True)
+    cli._write_sidecar(tmp_path / "parsed.npz", parsed, cli.sha256_hex(ndjson))
+    assert (out / "records.npz").read_bytes() == (tmp_path / "parsed.npz").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("max_bps", -1), ("max_bps", 2**63), ("start", -5), ("stop", MAX_UNIX_SECONDS + 1)],
+)
+def test_out_of_range_synthetic_draw_exits_two(tmp_path, capsys, monkeypatch, field, value):
+    drawn = generate_synthetic(SyntheticSpec(record_count=3, seed=1))
+    drawn[1] = dataclasses.replace(drawn[1], **{field: value})
+    monkeypatch.setattr(cli, "generate_synthetic", lambda spec: drawn)
+    assert run(["ingest", "--synthetic", "--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: a synthetic record") and err.count("\n") == 1
+
+
+# --- grid worker processes --------------------------------------------------------
+
+
+@contextlib.contextmanager
+def running_grid(tmp_path, records_file):
+    """A grid run long enough to be caught while its workers train.
+
+    It runs in a session of its own, so SIGINT can go to the whole group as
+    a terminal's Ctrl-C does, and so whatever is left of it when the test
+    ends, a stranded worker too, is killed with the group.
+    """
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ddoscast.cli", "grid", str(records_file), "--windows", "3,4",
+         "--hiddens", "8,16", "--epochs", "100000", "--out", str(tmp_path / "o")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=cli_env(),
+        start_new_session=True,
+    )
+    try:
+        yield proc
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
+
+
+def wait_for_workers(proc: subprocess.Popen, timeout: float = 60.0) -> list[int]:
+    expected = min(4, len(os.sched_getaffinity(0)))
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        workers = child_pids(proc.pid)
+        if len(workers) >= expected:
+            return workers
+        assert proc.poll() is None, proc.communicate()
+        time.sleep(0.05)
+    raise AssertionError("grid started no workers")
+
+
+@pytest.mark.parametrize(
+    "signum, code, message",
+    [(signal.SIGTERM, 143, ""), (signal.SIGINT, 130, "error: interrupted\n")],
+)
+def test_signal_stops_grid_and_its_workers(tmp_path, records_file, signum, code, message):
+    with running_grid(tmp_path, records_file) as proc:
+        workers = wait_for_workers(proc)
+        if signum == signal.SIGINT:
+            os.killpg(proc.pid, signum)
+        else:
+            proc.send_signal(signum)
+        _out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (code, message)
+        assert not [pid for pid in workers if is_running(pid)]
+
+
+def test_killed_worker_fails_grid_with_exit_eight(tmp_path, records_file):
+    with running_grid(tmp_path, records_file) as proc:
+        workers = wait_for_workers(proc)
+        os.kill(workers[0], signal.SIGKILL)
+        _out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 8
+        assert err.startswith("error: a grid worker process ended") and err.count("\n") == 1
+        assert not [pid for pid in workers if is_running(pid)]
+
+
+def test_diverging_grid_exits_five_with_one_stderr_line(tmp_path, records_file):
+    proc = subprocess.run(
+        [sys.executable, "-m", "ddoscast.cli", "grid", str(records_file), "--windows", "3,4",
+         "--hiddens", "2,3", "--epochs", "1", "--learning-rate", "1e300",
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=cli_env(), timeout=120,
+    )
+    assert proc.returncode == 5
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1

@@ -1,10 +1,27 @@
 import csv
+import ctypes
+import faulthandler
+import functools
 import io
+import multiprocessing
+import os
+import signal
+import time
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ddoscast.errors import EmptyGridError, InvalidConfigError, SeriesTooShortForWindowError
+from ddoscast import grid
+from ddoscast.cli import _exit_code_for
+from ddoscast.errors import (
+    EmptyGridError,
+    InvalidConfigError,
+    SchemaViolationError,
+    SeriesTooShortForWindowError,
+    WorkerLostError,
+)
 from ddoscast.grid import (
     GridCell,
     GridResult,
@@ -84,6 +101,158 @@ class TestRunGrid:
         assert cell_seed(0, 24, 64) == cell_seed(0, 24, 64)
         assert cell_seed(0, 24, 64) != cell_seed(1, 24, 64)
         assert cell_seed(0, 24, 64) != cell_seed(0, 32, 64)
+
+
+# --- the worker pool ----------------------------------------------------------
+#
+# Stand-ins for grid._train_cell live at module level: the pool pickles the
+# function it runs by name, and forked workers find this module imported.
+
+_REAL_TRAIN_CELL = grid._train_cell
+
+
+def _delayed_cell(delays, values, spec, window, hidden):
+    time.sleep(delays[(window, hidden)])
+    return _REAL_TRAIN_CELL(values, spec, window, hidden)
+
+
+def _failing_cell(values, spec, window, hidden):
+    if (window, hidden) == (5, 4):
+        raise SchemaViolationError(7, "planted failure")
+    time.sleep(60)
+
+
+def _killed_cell(values, spec, window, hidden):
+    if (window, hidden) == (5, 4):
+        os.kill(os.getpid(), signal.SIGKILL)
+    time.sleep(60)
+
+
+def _openblas_thread_counts() -> list[int]:
+    """Thread count of every OpenBLAS library loaded in this process."""
+    with open("/proc/self/maps") as fh:
+        paths = {line.split()[-1] for line in fh if "openblas" in line.lower() and "/" in line}
+    counts = []
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            if hasattr(lib, name):
+                getter = getattr(lib, name)
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                counts.append(getter())
+                break
+    return counts
+
+
+POOL_SPEC = GridSpec(
+    window_sizes=(3, 5), hidden_sizes=(2, 4), base_config=tiny_config(), master_seed=3
+)
+
+
+def each_cell_alone(series, spec):
+    """Every cell of ``spec`` run as a 1-cell grid of its own, in spec order."""
+    return [
+        run_grid(series, replace(spec, window_sizes=(w,), hidden_sizes=(h,))).cells[0]
+        for w in spec.window_sizes
+        for h in spec.hidden_sizes
+    ]
+
+
+class TestPool:
+    @pytest.fixture(autouse=True)
+    def hang_guard(self):
+        # A pool that hangs ends the test run with every thread's traceback.
+        faulthandler.dump_traceback_later(120, exit=True)
+        yield
+        faulthandler.cancel_dump_traceback_later()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_same_cells_as_each_cell_alone_for_any_worker_count(self, monkeypatch, workers):
+        series = tiny_series()
+        alone = strip_wall(GridResult(each_cell_alone(series, POOL_SPEC), master_seed=3))
+        monkeypatch.setattr(grid, "_worker_count", lambda cells: workers)
+        assert strip_wall(run_grid(series, POOL_SPEC)) == alone
+
+    @pytest.mark.parametrize("slow", ["first", "last"])
+    def test_same_cells_whatever_the_completion_order(self, monkeypatch, slow):
+        series = tiny_series()
+        alone = strip_wall(GridResult(each_cell_alone(series, POOL_SPEC), master_seed=3))
+        keys = [(w, h) for w in POOL_SPEC.window_sizes for h in POOL_SPEC.hidden_sizes]
+        if slow == "last":
+            keys.reverse()
+        delays = {key: 0.15 * (len(keys) - rank) for rank, key in enumerate(keys)}
+        monkeypatch.setattr(grid, "_train_cell", functools.partial(_delayed_cell, delays))
+        monkeypatch.setattr(grid, "_worker_count", lambda cells: 2)
+        assert strip_wall(run_grid(series, POOL_SPEC)) == alone
+
+    def test_cells_come_back_in_spec_order(self, monkeypatch):
+        monkeypatch.setattr(grid, "_worker_count", lambda cells: 2)
+        spec = GridSpec(window_sizes=(5, 3, 4), hidden_sizes=(3, 2), base_config=tiny_config(1))
+        cells = run_grid(tiny_series(), spec).cells
+        assert [(c.window, c.hidden) for c in cells] == [
+            (5, 3), (5, 2), (3, 3), (3, 2), (4, 3), (4, 2)
+        ]
+
+    def test_duplicate_sizes_keep_every_cell(self):
+        spec = GridSpec(window_sizes=(3, 3), hidden_sizes=(2,), base_config=tiny_config(1))
+        cells = run_grid(tiny_series(), spec).cells
+        assert len(cells) == 2 and strip_wall(GridResult(cells[:1], 0)) == strip_wall(
+            GridResult(cells[1:], 0)
+        )
+
+    def test_failing_cell_stops_the_grid_with_its_error(self, monkeypatch):
+        monkeypatch.setattr(grid, "_train_cell", _failing_cell)
+        monkeypatch.setattr(grid, "_worker_count", lambda cells: 2)
+        started = time.monotonic()
+        with pytest.raises(SchemaViolationError) as err:
+            run_grid(tiny_series(), POOL_SPEC)
+        assert time.monotonic() - started < 30  # the sleeping cells were stopped
+        assert (err.value.location, err.value.reason) == (7, "planted failure")
+        assert _exit_code_for(err.value) == 2
+
+    def test_killed_worker_raises_worker_lost(self, monkeypatch):
+        monkeypatch.setattr(grid, "_train_cell", _killed_cell)
+        monkeypatch.setattr(grid, "_worker_count", lambda cells: 2)
+        started = time.monotonic()
+        with pytest.raises(WorkerLostError) as err:
+            run_grid(tiny_series(), POOL_SPEC)
+        assert time.monotonic() - started < 30
+        assert _exit_code_for(err.value) == 8
+
+    def test_sigterm_handler_restored(self):
+        spec = GridSpec(window_sizes=(3,), hidden_sizes=(2,), base_config=tiny_config(1))
+        assert signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
+        run_grid(tiny_series(), spec)
+        assert signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
+
+        def own_handler(signum, frame):
+            pass
+
+        previous = signal.signal(signal.SIGTERM, own_handler)
+        try:
+            run_grid(tiny_series(), spec)
+            assert signal.getsignal(signal.SIGTERM) is own_handler
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+
+    def test_worker_count_is_one_per_cpu_up_to_the_cell_count(self, monkeypatch):
+        cpus = len(os.sched_getaffinity(0))
+        monkeypatch.setattr(grid, "_openblas_thread_setters", lambda: ["a setter"])
+        assert grid._worker_count(1) == 1
+        assert grid._worker_count(1000) == cpus
+        monkeypatch.setattr(grid, "_openblas_thread_setters", lambda: [])
+        assert grid._worker_count(1000) == 1
+
+    def test_workers_run_one_blas_thread_and_the_parent_keeps_its_own(self):
+        if not grid._openblas_thread_setters():
+            pytest.skip("no OpenBLAS thread setter in this numpy/scipy build")
+        before = _openblas_thread_counts()
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(1, mp_context=context, initializer=grid._init_worker) as pool:
+            in_worker = pool.submit(_openblas_thread_counts).result(timeout=60)
+        assert in_worker == [1] * len(before)
+        assert _openblas_thread_counts() == before
 
 
 def planted_result():
