@@ -59,15 +59,11 @@ from .windowing import (
 )
 from .lstm import (
     LstmParams,
-    LstmState,
     TrainConfig,
     TrainHistory,
     backward,
-    forward,
     init_model,
     load_checkpoint,
-    lstm_step,
-    mae,
     mse,
     predict_series,
     rmsprop_update,
@@ -117,15 +113,11 @@ __all__ = [
     "split",
     "std_dev",
     "LstmParams",
-    "LstmState",
     "TrainConfig",
     "TrainHistory",
     "backward",
-    "forward",
     "init_model",
     "load_checkpoint",
-    "lstm_step",
-    "mae",
     "mse",
     "predict_series",
     "rmsprop_update",

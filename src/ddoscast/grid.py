@@ -15,6 +15,7 @@ import io
 import multiprocessing
 import os
 import signal
+import sys
 import threading
 import time
 from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
@@ -125,7 +126,7 @@ def _train_cell(values: np.ndarray, spec: GridSpec, window: int, hidden: int) ->
 # one thread, so a cell's bits never depend on the core count, the worker
 # count or the grid's shape, and two workers' BLAS threads never fight over
 # the same CPUs. Workers are forked rather than spawned: they start with
-# numpy, scipy and ddoscast imported and the series in memory, and a script
+# numpy and ddoscast imported and the series in memory, and a script
 # without a __main__ guard is not run again. The fork is safe here because
 # ProcessPoolExecutor forks every worker before it starts its own threads,
 # and OpenBLAS stops its thread pool before a fork and restarts it on use.
@@ -134,8 +135,10 @@ def _train_cell(values: np.ndarray, spec: GridSpec, window: int, hidden: int) ->
 def _openblas_thread_setters() -> list:
     """``openblas_set_num_threads`` of every OpenBLAS library loaded in this process.
 
-    numpy and scipy each bundle their own build under its own symbol name.
-    Empty when no library is found or one of them has no setter.
+    numpy's bundled build exports it as ``scipy_openblas_set_num_threads64_``
+    (the ``scipy_`` prefix names the scipy-openblas wheel numpy ships, not
+    scipy), a system build as plain ``openblas_set_num_threads``. Empty when
+    no library is found or one of them has no setter.
     """
     try:
         with open("/proc/self/maps") as fh:
@@ -175,7 +178,35 @@ def _stop_signals(how: int):
         signal.pthread_sigmask(signal.SIG_SETMASK, previous)
 
 
-def _init_worker() -> None:
+_PR_SET_PDEATHSIG = 1
+
+
+def _die_with_parent(owner_pid: int) -> None:
+    """Have the kernel SIGKILL this process when ``owner_pid``, its parent, dies.
+
+    Linux only; elsewhere a no-op. A parent killed outright (SIGKILL, the
+    OOM killer) cannot stop its workers, and they would otherwise train on
+    under PID 1. The signal follows the thread that forked the worker, not
+    the process; every worker is forked by the thread that calls run_grid,
+    which outlives the pool.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        prctl = ctypes.CDLL(None).prctl
+    except (OSError, AttributeError):
+        return
+    prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
+    prctl.restype = ctypes.c_int
+    if prctl(_PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0) != 0:
+        return
+    # The owner may have died between the fork and the prctl call above.
+    if os.getppid() != owner_pid:
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _init_worker(owner_pid: int) -> None:
+    _die_with_parent(owner_pid)
     # Forked with SIGINT and SIGTERM blocked. A worker leaves SIGINT to the
     # parent, which stops it, and dies at once on SIGTERM.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -218,6 +249,7 @@ def _run_pool(values: np.ndarray, spec: GridSpec, keys: list) -> list[GridCell]:
             _worker_count(len(keys)),
             mp_context=multiprocessing.get_context("fork"),
             initializer=_init_worker,
+            initargs=(os.getpid(),),
         )
         try:
             futures = [None] * len(keys)

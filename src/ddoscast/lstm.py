@@ -21,10 +21,12 @@ fused-gate layout of cuDNN and Keras with gates stacked i/f/o/g:
 The named attributes are views into that vector, so forward and backward
 work on the stacked gate blocks directly, and RMSprop, clipping and the
 finiteness check are whole-vector operations. Forward and backward are
-vectorized over the sample batch with a time-major activation cache; the
-per-sample ``lstm_step``/``forward`` surfaces are the per-gate oracle the
-tests compare against. Checkpoint format v1 stores the vector as 14 named
-blocks (wi..wg, ui..ug, bi..bg, wy, by).
+vectorized over the sample batch and run feature-major: a step's gate
+pre-activations are one (4H, B) array and h and c are (H, B), so each gate
+is a contiguous block of rows and every element-wise pass runs on
+contiguous memory; the recurrent product U @ h is the step's one GEMM.
+Checkpoint format v1 stores the vector as 14 named blocks (wi..wg,
+ui..ug, bi..bg, wy, by).
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import (
     CacheMismatchError,
@@ -105,12 +106,6 @@ class LstmParams:
     @property
     def by(self) -> np.ndarray:
         return self.flat[-1:]
-
-
-@dataclass(frozen=True)
-class LstmState:
-    h: np.ndarray
-    c: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -185,86 +180,74 @@ def init_model(hidden_size: int, seed: int) -> LstmParams:
     return params
 
 
-def lstm_step(params: LstmParams, x_t: float, state: LstmState) -> LstmState:
-    """One recurrence step for a single sample; direct gate equations."""
-    h, c = state.h, state.c
-    n = params.hidden_size
+def _sigmoid(a: np.ndarray) -> np.ndarray:
+    """In-place logistic sigmoid, a <- 1 / (1 + exp(-a)).
 
-    def pre(k: int) -> np.ndarray:  # pre-activation of gate k in i/f/o/g order
-        rows = slice(k * n, (k + 1) * n)
-        return params.W[rows] * x_t + params.U[rows] @ h + params.b[rows]
-
-    i = expit(pre(0))
-    f = expit(pre(1))
-    o = expit(pre(2))
-    g = np.tanh(pre(3))
-    c_new = f * c + i * g
-    h_new = o * np.tanh(c_new)
-    if not (np.isfinite(h_new).all() and np.isfinite(c_new).all()):
-        raise NonFiniteStateError("LSTM state overflowed")
-    return LstmState(h=h_new, c=c_new)
+    Below a = -709.78, exp(-a) overflows to inf and the result is 0 (the
+    exact value is under 1e-308); that overflow is expected and never warns.
+    """
+    np.negative(a, out=a)
+    with np.errstate(over="ignore"):
+        np.exp(a, out=a)
+    a += 1.0
+    return np.reciprocal(a, out=a)
 
 
 @dataclass
 class ForwardCache:
-    """Per-timestep activations retained for the backward pass, time-major."""
+    """Per-timestep activations retained for the backward pass, time- and feature-major."""
 
-    x: np.ndarray      # (B, W) inputs
-    gates: np.ndarray  # (W, B, 4H) activated gates, i|f|o|g
-    c: np.ndarray      # (W, B, H) cell state after the step
-    h: np.ndarray      # (W, B, H) hidden state after the step
-    tc: np.ndarray     # (W, B, H) tanh of the cell state
+    x: np.ndarray      # (W, B) inputs
+    gates: np.ndarray  # (W, 4H, B) activated gates, i|f|o|g row blocks
+    c: np.ndarray      # (W, H, B) cell state after the step
+    h: np.ndarray      # (W, H, B) hidden state after the step
+    tc: np.ndarray     # (W, H, B) tanh of the cell state
     pred: np.ndarray   # (B,) readout
 
 
 def _run_batch(params: LstmParams, x: np.ndarray, want_cache: bool):
-    """Shared forward over a (B, W) input batch, state zero-initialized."""
+    """Shared forward over a (B, W) input batch, state zero-initialized.
+
+    Each step writes its gates, c, tanh(c) and h in place: into the step's
+    slice of the cache when ``want_cache``, otherwise into one set of
+    buffers that every step reuses.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("batch input must have shape (B, W)")
     n_batch, n_steps = x.shape
     n = params.hidden_size
-    w, u, b = params.W, params.U, params.b
+    w, u, b = params.W[:, np.newaxis], params.U, params.b[:, np.newaxis]
 
-    h = np.zeros((n_batch, n))
-    c = np.zeros((n_batch, n))
-    cache = None
-    if want_cache:
-        shape = (n_steps, n_batch, n)
-        cache = ForwardCache(
-            x=x,
-            gates=np.empty((n_steps, n_batch, 4 * n)),
-            c=np.empty(shape), h=np.empty(shape), tc=np.empty(shape),
-            pred=np.empty(n_batch),
-        )
+    xt = np.ascontiguousarray(x.T)
+    slots = n_steps if want_cache else 1
+    gates = np.empty((slots, 4 * n, n_batch))
+    c = np.empty((slots, n, n_batch))
+    h = np.empty((slots, n, n_batch))
+    tc = np.empty((slots, n, n_batch))
+    uh = np.empty((4 * n, n_batch))
+    h_prev = c_prev = np.zeros((n, n_batch))
 
     for t in range(n_steps):
-        a = x[:, t, np.newaxis] * w + h @ u.T + b
-        expit(a[:, : 3 * n], out=a[:, : 3 * n])
-        np.tanh(a[:, 3 * n :], out=a[:, 3 * n :])
-        i, f, o, g = a[:, :n], a[:, n : 2 * n], a[:, 2 * n : 3 * n], a[:, 3 * n :]
-        c = f * c + i * g
-        tc = np.tanh(c)
-        h = o * tc
-        if want_cache:
-            cache.gates[t] = a
-            cache.c[t] = c
-            cache.h[t] = h
-            cache.tc[t] = tc
+        k = t if want_cache else 0
+        a = gates[k]
+        np.multiply(w, xt[t], out=a)
+        a += np.matmul(u, h_prev, out=uh)
+        a += b
+        _sigmoid(a[: 3 * n])
+        np.tanh(a[3 * n :], out=a[3 * n :])
+        i, f, o, g = a[:n], a[n : 2 * n], a[2 * n : 3 * n], a[3 * n :]
+        np.multiply(f, c_prev, out=c[k])
+        c[k] += np.multiply(i, g, out=tc[k])  # tc[k] holds i*g until tanh(c) overwrites it
+        np.tanh(c[k], out=tc[k])
+        np.multiply(o, tc[k], out=h[k])
+        h_prev, c_prev = h[k], c[k]
 
-    pred = h @ params.wy + params.by[0]
-    if not (np.isfinite(pred).all() and np.isfinite(h).all() and np.isfinite(c).all()):
+    pred = params.wy @ h_prev + params.by[0]
+    if not (np.isfinite(pred).all() and np.isfinite(h_prev).all() and np.isfinite(c_prev).all()):
         raise NonFiniteStateError("LSTM state overflowed during forward")
-    if want_cache:
-        cache.pred = pred
+    cache = ForwardCache(x=xt, gates=gates, c=c, h=h, tc=tc, pred=pred) if want_cache else None
     return pred, cache
-
-
-def forward(params: LstmParams, window) -> tuple[float, ForwardCache]:
-    """Run one window through the net; state starts at zero every sample."""
-    arr = np.asarray(window, dtype=np.float64)
-    pred, cache = _run_batch(params, arr[np.newaxis, :], want_cache=True)
-    return float(pred[0]), cache
 
 
 def forward_batch(params: LstmParams, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
@@ -289,26 +272,15 @@ def mse(targets, predictions) -> float:
     return float(np.dot(diff, diff) / y.size)
 
 
-def mae(targets, predictions) -> float:
-    """Mean absolute error (1/N) sum |y - yhat|."""
-    y = np.asarray(targets, dtype=np.float64)
-    yhat = np.asarray(predictions, dtype=np.float64)
-    if y.shape != yhat.shape:
-        raise LengthMismatchError(f"{y.shape} vs {yhat.shape}")
-    if y.size == 0:
-        raise EmptyInputError("mae over zero points")
-    return float(np.abs(y - yhat).sum() / y.size)
-
-
 def backward(params: LstmParams, cache: ForwardCache, targets) -> LstmParams:
     """Exact gradients of batch-mean MSE w.r.t. every parameter.
 
     Unrolls the recurrence backwards over all timesteps. Each step writes its
-    gate pre-activation gradients into one (B, 4H) buffer and accumulates
+    gate pre-activation gradients into one (4H, B) buffer and accumulates
     them straight into the W/U/b views of a zero gradient vector.
     """
     y = np.asarray(targets, dtype=np.float64)
-    n_steps, n_batch, n = cache.h.shape
+    n_steps, n, n_batch = cache.h.shape
     if y.shape != (n_batch,):
         raise CacheMismatchError(f"targets {y.shape} vs cached batch of {n_batch}")
 
@@ -318,30 +290,31 @@ def backward(params: LstmParams, cache: ForwardCache, targets) -> LstmParams:
 
     # d(loss)/d(pred) for loss = (1/B) sum (pred - y)^2
     dpred = 2.0 * (cache.pred - y) / n_batch
-    grads.wy[:] = cache.h[-1].T @ dpred
+    grads.wy[:] = cache.h[-1] @ dpred
     grads.by[0] = dpred.sum()
 
-    zeros = np.zeros((n_batch, n))
-    da = np.empty((n_batch, 4 * n))
-    dh = dpred[:, np.newaxis] * params.wy[np.newaxis, :]
-    dc = np.zeros((n_batch, n))
+    zeros = np.zeros((n, n_batch))
+    ones = np.ones(n_batch)  # da @ ones sums da's rows, faster than da.sum(axis=1)
+    da = np.empty((4 * n, n_batch))
+    dh = params.wy[:, np.newaxis] * dpred[np.newaxis, :]
+    dc = np.zeros((n, n_batch))
     for t in range(n_steps - 1, -1, -1):
         gates = cache.gates[t]
-        i, f, o, g = gates[:, :n], gates[:, n : 2 * n], gates[:, 2 * n : 3 * n], gates[:, 3 * n :]
+        i, f, o, g = gates[:n], gates[n : 2 * n], gates[2 * n : 3 * n], gates[3 * n :]
         tc = cache.tc[t]
         h_prev = cache.h[t - 1] if t > 0 else zeros
         c_prev = cache.c[t - 1] if t > 0 else zeros
 
         dc = dc + dh * o * (1.0 - tc * tc)
-        da[:, :n] = dc * g * i * (1.0 - i)
-        da[:, n : 2 * n] = dc * c_prev * f * (1.0 - f)
-        da[:, 2 * n : 3 * n] = dh * tc * o * (1.0 - o)
-        da[:, 3 * n :] = dc * i * (1.0 - g * g)
-        dw += da.T @ cache.x[:, t]
-        du += da.T @ h_prev
-        db += da.sum(axis=0)
+        da[:n] = dc * g * i * (1.0 - i)
+        da[n : 2 * n] = dc * c_prev * f * (1.0 - f)
+        da[2 * n : 3 * n] = dh * tc * o * (1.0 - o)
+        da[3 * n :] = dc * i * (1.0 - g * g)
+        dw += da @ cache.x[t]
+        du += da @ h_prev.T
+        db += da @ ones
 
-        dh = da @ u
+        dh = u.T @ da
         dc = dc * f
 
     return grads

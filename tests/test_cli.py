@@ -402,6 +402,14 @@ def test_console_script_version():
     assert "ddoscast" in proc.stdout
 
 
+def test_numpy_is_the_only_numeric_dependency_imported():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, ddoscast, ddoscast.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=cli_env(),
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+
 # --- records.npz beside ingest's NDJSON ---------------------------------------
 
 SIDECAR_COMMANDS = (
@@ -714,6 +722,17 @@ def test_signal_stops_grid_and_its_workers(tmp_path, records_file, signum, code,
             proc.send_signal(signum)
         _out, err = proc.communicate(timeout=60)
         assert (proc.returncode, err) == (code, message)
+        assert not [pid for pid in workers if is_running(pid)]
+
+
+def test_sigkilled_grid_takes_its_workers_with_it(tmp_path, records_file):
+    with running_grid(tmp_path, records_file) as proc:
+        workers = wait_for_workers(proc)
+        proc.kill()
+        proc.wait(timeout=60)
+        deadline = time.monotonic() + 5
+        while any(is_running(pid) for pid in workers) and time.monotonic() < deadline:
+            time.sleep(0.05)
         assert not [pid for pid in workers if is_running(pid)]
 
 

@@ -6,6 +6,7 @@ import io
 import multiprocessing
 import os
 import signal
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -246,13 +247,26 @@ class TestPool:
 
     def test_workers_run_one_blas_thread_and_the_parent_keeps_its_own(self):
         if not grid._openblas_thread_setters():
-            pytest.skip("no OpenBLAS thread setter in this numpy/scipy build")
+            pytest.skip("no OpenBLAS thread setter in this numpy build")
         before = _openblas_thread_counts()
         context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(1, mp_context=context, initializer=grid._init_worker) as pool:
+        with ProcessPoolExecutor(
+            1, mp_context=context, initializer=grid._init_worker, initargs=(os.getpid(),)
+        ) as pool:
             in_worker = pool.submit(_openblas_thread_counts).result(timeout=60)
         assert in_worker == [1] * len(before)
         assert _openblas_thread_counts() == before
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="prctl is Linux only")
+    def test_worker_forked_after_its_owner_died_kills_itself(self):
+        # The owner pid a worker is handed is not its parent's: as if the
+        # owner had died between the fork and the worker's prctl call.
+        worker = multiprocessing.get_context("fork").Process(
+            target=grid._init_worker, args=(-1,)
+        )
+        worker.start()
+        worker.join(timeout=60)
+        assert worker.exitcode == -signal.SIGKILL
 
 
 def planted_result():

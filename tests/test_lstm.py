@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,17 +20,13 @@ from ddoscast.errors import (
 )
 from ddoscast.lstm import (
     LstmParams,
-    LstmState,
     RmsPropState,
     TrainConfig,
     backward,
     clip_gradients,
-    forward,
     forward_batch,
     init_model,
     load_checkpoint,
-    lstm_step,
-    mae,
     mse,
     predict_batch,
     predict_series,
@@ -45,6 +42,7 @@ from ddoscast.windowing import (
     build_windowed,
     make_windows,
 )
+from lstm_oracle import LstmState, forward, lstm_step, mae
 
 
 def zero_params(h: int) -> LstmParams:
@@ -175,8 +173,8 @@ class TestStep:
 
 class TestForward:
     def test_zero_params_predict_zero(self):
-        pred, _ = forward(zero_params(5), np.array([1.0, -2.0, 3.0]))
-        assert pred == 0.0
+        pred, _ = forward_batch(zero_params(5), np.array([[1.0, -2.0, 3.0]]))
+        assert pred[0] == 0.0
 
     def test_matches_chained_steps_plus_dot(self):
         params = init_model(1, seed=21)
@@ -185,13 +183,13 @@ class TestForward:
         for x_t in window:
             state = lstm_step(params, float(x_t), state)
         expected = float(params.wy @ state.h + params.by[0])
-        pred, _ = forward(params, window)
-        assert pred == pytest.approx(expected, rel=1e-14)
+        pred, _ = forward_batch(params, window[np.newaxis, :])
+        assert pred[0] == pytest.approx(expected, rel=1e-14)
 
     def test_state_resets_between_samples(self):
         params = init_model(6, seed=2)
         window = np.linspace(-1, 1, 10)
-        lone, _ = forward(params, window)
+        lone = forward(params, window)
         batch = np.vstack([np.full(10, 99.0), window])
         preds, _ = forward_batch(params, batch)
         # BLAS kernels differ across batch shapes; equality is up to rounding
@@ -203,8 +201,49 @@ class TestForward:
         windows = rng.normal(0, 1, size=(5, 12))
         preds, _ = forward_batch(params, windows)
         for i in range(5):
-            single, _ = forward(params, windows[i])
+            single = forward(params, windows[i])
             assert single == pytest.approx(preds[i], rel=1e-14)
+
+
+class TestBatchLoop:
+    @pytest.mark.parametrize("hidden", [1, 3, 64])
+    @pytest.mark.parametrize("batch", [1, 7, 32, 1361])
+    def test_predict_equals_cached_forward_bit_for_bit(self, batch, hidden):
+        params = init_model(hidden, seed=hidden)
+        x = np.random.default_rng(batch).normal(0, 2, size=(batch, 8))
+        preds, cache = forward_batch(params, x)
+        assert np.array_equal(predict_batch(params, x), preds)
+        assert cache.gates.shape == (8, 4 * hidden, batch)
+        assert cache.h.shape == cache.c.shape == cache.tc.shape == (8, hidden, batch)
+
+    @staticmethod
+    def saturating_params() -> LstmParams:
+        # |W| = 1 everywhere, so inputs of 800 push half of the gate
+        # pre-activations below -709, where exp(-a) overflows
+        params = init_model(3, seed=0)
+        params.W[:] = np.resize([1.0, -1.0], params.W.size)
+        return params
+
+    @pytest.mark.parametrize("value", [800.0, -800.0, np.inf, -np.inf])
+    def test_saturating_inputs_give_finite_predictions_without_warnings(self, value):
+        params = self.saturating_params()
+        x = np.full((4, 5), value)
+        x[1, 2] = 0.5
+        ds = manual_dataset(x, np.zeros(4), window=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            preds = predict_batch(params, x)
+            _, series_preds = predict_series(params, ds, "train", denormalized=True)
+        assert np.isfinite(preds).all()
+        assert np.array_equal(series_preds, preds)
+
+    def test_nan_input_is_a_non_finite_state(self):
+        x = np.zeros((3, 5))
+        x[1, 3] = np.nan
+        with pytest.raises(NonFiniteStateError):
+            predict_batch(init_model(3, seed=0), x)
+        with pytest.raises(NonFiniteStateError):
+            forward_batch(init_model(3, seed=0), x)
 
 
 class TestMetrics:
@@ -282,7 +321,7 @@ class TestBackward:
         pred, cache = forward_batch(params, window[np.newaxis, :])
         grads = backward(params, cache, target)
         residual = 2.0 * (pred[0] - target[0])
-        assert grads.wy == pytest.approx(residual * cache.h[-1, 0, :], rel=1e-12)
+        assert grads.wy == pytest.approx(residual * cache.h[-1, :, 0], rel=1e-12)
         assert grads.by[0] == pytest.approx(residual, rel=1e-12)
 
     def test_finite_differences_random_instance(self):
@@ -427,7 +466,7 @@ class TestPredictSeries:
         params = init_model(4, seed=12)
         targets, preds = predict_series(params, ds, "validation")
         for i in range(len(ds.validation)):
-            single, _ = forward(params, ds.validation.x[i])
+            single = forward(params, ds.validation.x[i])
             assert preds[i] == pytest.approx(single, rel=1e-14)
 
     def test_denormalized_scales_both(self):
@@ -470,10 +509,10 @@ class TestCheckpoint:
     def test_behavioral_round_trip(self):
         params, state, config, meta = self.trained_bits()
         window = np.linspace(-1, 2, 9)
-        before, _ = forward(params, window)
+        before = predict_batch(params, window[np.newaxis, :])
         p2, _, _, _ = load_checkpoint(save_checkpoint(params, state, config, meta))
-        after, _ = forward(p2, window)
-        assert after == before
+        after = predict_batch(p2, window[np.newaxis, :])
+        assert np.array_equal(after, before)
 
     def test_truncated_bytes_corrupt(self):
         params, state, config, meta = self.trained_bits()
