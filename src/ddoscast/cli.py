@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import datetime as dt
+import enum
 import hashlib
 import json
 import sys
@@ -65,6 +66,7 @@ from .ingest import (
     RecordColumns,
     Subclass,
     SyntheticSpec,
+    columns_in_bounds,
     generate_synthetic,
     parse_records,
     records_to_ndjson,
@@ -195,8 +197,7 @@ def _load_sidecar(path: Path, digest: str) -> RecordTable | None:
            for c, dtype in zip(columns, _SIDECAR_COLUMNS.values())):
         return None
     codes, start, stop, max_bps = columns
-    if not (np.all(codes < len(SUBCLASSES)) and np.all(start >= 0) and np.all(start <= stop)
-            and np.all(stop <= MAX_UNIX_SECONDS) and np.all(max_bps >= 0)):
+    if not (np.all(codes < len(SUBCLASSES)) and columns_in_bounds(start, stop, max_bps)):
         return None
     return RecordTable(codes, start, stop, max_bps)
 
@@ -221,7 +222,7 @@ def _subclass_of(name: str) -> Subclass:
     try:
         return Subclass(name.replace(" ", ""))
     except ValueError:
-        raise DdoscastError(
+        raise InvalidConfigError(
             f"unknown subclass {name!r}; choose from "
             f"{', '.join(s.value for s in Subclass)}"
         ) from None
@@ -229,9 +230,10 @@ def _subclass_of(name: str) -> Subclass:
 
 def _load_series(records_path: str, subclass: str, metric: str):
     """The daily series of a records file and the file's manifest entry."""
+    subclass = _subclass_of(subclass)  # a typo fails before the records are read
     enriched, entry = _read_records(records_path)
     table = aggregate(enriched, Granularity.DAILY)
-    return series_for(table, _subclass_of(subclass), Metric(metric)), entry
+    return series_for(table, subclass, Metric(metric)), entry
 
 
 # --- commands ---------------------------------------------------------------
@@ -264,10 +266,7 @@ def _synthetic_records(params: dict) -> RecordColumns:
         records = RecordColumns.of(generate_synthetic(spec))
     except OverflowError:
         records = None
-    if records is None or not (
-        np.all(records.start >= 0) and np.all(records.start <= records.stop)
-        and np.all(records.stop <= MAX_UNIX_SECONDS) and np.all(records.max_bps >= 0)
-    ):
+    if records is None or not columns_in_bounds(records.start, records.stop, records.max_bps):
         raise InvalidConfigError(
             "a synthetic record falls outside the bounds parsing enforces "
             f"(0 <= start <= stop <= {MAX_UNIX_SECONDS}, 0 <= max_bps < 2**63)"
@@ -276,6 +275,8 @@ def _synthetic_records(params: dict) -> RecordColumns:
 
 
 def _cmd_ingest(params: dict) -> int:
+    if not params["synthetic"] and params["input"] is None:
+        raise InvalidConfigError("ingest needs an input file or --synthetic")
     started = _now()
     out = _out_dir(params, "ingest")
     if params["synthetic"]:
@@ -500,25 +501,26 @@ def _replay(doc: dict, params: dict) -> int:
 
 
 # --- argument handling ------------------------------------------------------
+#
+# Each setting is declared once, as (name, type, default, help). These lists
+# build the parser, cast config-file values and resolve the parameters: a
+# flag wins over a config value, which wins over the default. The type is
+#   - a callable: argparse's type= and the cast of a config value;
+#   - bool: a flag that takes no value, and a boolean word in a config file;
+#   - an Enum class: its member values are the choices, and params hold the
+#     chosen value as a plain string.
+# The names in _POSITIONAL_NARGS are positional arguments.
 
-
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
-    values = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise DdoscastError(f"config line {lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
-    return values
+_POSITIONAL_NARGS = {"input": "?", "checkpoint": None, "records": None}
+_TRUE_WORDS = ("1", "true", "yes", "on")
+_FALSE_WORDS = ("0", "false", "no", "off")
 
 
 def _as_bool(text: str) -> bool:
-    return text.lower() in ("1", "true", "yes", "on")
+    word = text.lower()
+    if word not in _TRUE_WORDS + _FALSE_WORDS:
+        raise ValueError(f"not a boolean: {text!r}")
+    return word in _TRUE_WORDS
 
 
 def _int_list(text: str) -> list[int]:
@@ -528,10 +530,77 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
+_RECORDS = ("records", str, None, "records file from ingest")
+_COMMON = [
+    ("out", str, "out", "output root directory"),
+    ("seed", int, 0, "master seed"),
+]
+_SERIES = [
+    _RECORDS,
+    ("subclass", str, Subclass.TOTAL_TRAFFIC.value, "attack subclass"),
+    ("metric", Metric, Metric.COUNT.value, "series metric"),
+]
+_FITTING = [
+    ("learning_rate", float, TrainConfig.learning_rate, "RMSprop learning rate"),
+    ("epochs", int, TrainConfig.epochs, "training epochs"),
+    ("batch_size", int, TrainConfig.batch_size, "mini-batch size"),
+    ("norm_source", NormSource, NormSource.FULL_SERIES.value, "span that sigma is computed over"),
+]
+_COMMANDS = {
+    "ingest": ("parse or synthesize a record file", [
+        ("input", str, None, "attack-record JSON/NDJSON export"),
+        ("strict", bool, False, "abort on the first malformed record"),
+        ("synthetic", bool, False, "generate records instead of reading a file"),
+        ("count", int, 1000, "synthetic record count"),
+        ("start_date", str, "2019-01-01", "synthetic range start"),
+        ("end_date", str, "2020-12-31", "synthetic range end"),
+    ]),
+    "analyze": ("write stats/histogram/growth/ranking CSVs", [
+        _RECORDS,
+        ("year_a", int, None, "growth baseline year"),
+        ("year_b", int, None, "growth comparison year"),
+    ]),
+    "train": ("train the forecaster on one series", [
+        *_SERIES,
+        ("window", int, 24, "window size W"),
+        ("hidden", int, 64, "hidden size H"),
+        *_FITTING,
+    ]),
+    "grid": ("sweep window and hidden sizes", [
+        *_SERIES,
+        ("windows", _int_list, list(DEFAULT_WINDOW_SIZES), "comma list of window sizes"),
+        ("hiddens", _int_list, list(DEFAULT_HIDDEN_SIZES), "comma list of hidden sizes"),
+        *_FITTING,
+    ]),
+    "forecast": ("predicted-vs-actual CSV and SVG chart", [
+        ("checkpoint", str, None, "checkpoint from train"),
+        _RECORDS,
+        ("subclass", str, None, "override the checkpoint's series subclass"),
+        ("metric", Metric, None, "override the checkpoint's series metric"),
+    ]),
+}
+
+
+def _add_option(parser: argparse.ArgumentParser, name: str, kind, default, text: str) -> None:
+    if default is not None:
+        shown = ",".join(map(str, default)) if isinstance(default, list) else default
+        text = f"{text} (default: {shown})"
+    if name in _POSITIONAL_NARGS:
+        parser.add_argument(name, nargs=_POSITIONAL_NARGS[name], help=text)
+        return
+    if kind is bool:
+        how = {"action": "store_const", "const": True}
+    elif isinstance(kind, enum.EnumMeta):
+        how = {"choices": [member.value for member in kind]}
+    else:
+        how = {"type": kind}
+    parser.add_argument("--" + name.replace("_", "-"), dest=name, help=text, **how)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", help="output root directory (default: out)")
-    common.add_argument("--seed", type=int, help="master seed (default: 0)")
+    for option in _COMMON:
+        _add_option(common, *option)
     common.add_argument("--config", help="key=value file mirroring flags; flags win")
 
     parser = argparse.ArgumentParser(
@@ -540,118 +609,56 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"ddoscast {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ingest", parents=[common], help="parse or synthesize a record file")
-    p.add_argument("input", nargs="?", help="attack-record JSON/NDJSON export")
-    p.add_argument("--strict", action="store_const", const=True, default=None,
-                   help="abort on the first malformed record")
-    p.add_argument("--synthetic", action="store_const", const=True, default=None,
-                   help="generate records instead of reading a file")
-    p.add_argument("--count", type=int, help="synthetic record count (default: 1000)")
-    p.add_argument("--start-date", dest="start_date", help="synthetic range start (default: 2019-01-01)")
-    p.add_argument("--end-date", dest="end_date", help="synthetic range end (default: 2020-12-31)")
-
-    p = sub.add_parser("analyze", parents=[common], help="write stats/histogram/growth/ranking CSVs")
-    p.add_argument("records", help="records file from ingest")
-    p.add_argument("--year-a", dest="year_a", type=int, help="growth baseline year")
-    p.add_argument("--year-b", dest="year_b", type=int, help="growth comparison year")
-
-    p = sub.add_parser("train", parents=[common], help="train the forecaster on one series")
-    p.add_argument("records", help="records file from ingest")
-    p.add_argument("--subclass", help="attack subclass (default: TotalTraffic)")
-    p.add_argument("--metric", choices=[m.value for m in Metric], help="series metric (default: count)")
-    p.add_argument("--window", type=int, help="window size W (default: 24)")
-    p.add_argument("--hidden", type=int, help="hidden size H (default: 64)")
-    p.add_argument("--learning-rate", dest="learning_rate", type=float, help="default: 0.0002")
-    p.add_argument("--epochs", type=int, help="default: 100")
-    p.add_argument("--batch-size", dest="batch_size", type=int, help="default: 32")
-    p.add_argument("--norm-source", dest="norm_source",
-                   choices=[s.value for s in NormSource], help="default: full_series")
-
-    p = sub.add_parser("grid", parents=[common], help="sweep window and hidden sizes")
-    p.add_argument("records", help="records file from ingest")
-    p.add_argument("--subclass", help="attack subclass (default: TotalTraffic)")
-    p.add_argument("--metric", choices=[m.value for m in Metric], help="series metric (default: count)")
-    p.add_argument("--windows", type=_int_list, help="comma list (default: 8,16,24,32)")
-    p.add_argument("--hiddens", type=_int_list, help="comma list (default: 32,64,128)")
-    p.add_argument("--learning-rate", dest="learning_rate", type=float, help="default: 0.0002")
-    p.add_argument("--epochs", type=int, help="default: 100")
-    p.add_argument("--batch-size", dest="batch_size", type=int, help="default: 32")
-    p.add_argument("--norm-source", dest="norm_source",
-                   choices=[s.value for s in NormSource], help="default: full_series")
-
-    p = sub.add_parser("forecast", parents=[common], help="predicted-vs-actual CSV and SVG chart")
-    p.add_argument("checkpoint", help="checkpoint from train")
-    p.add_argument("records", help="records file from ingest")
-    p.add_argument("--subclass", help="override the checkpoint's series subclass")
-    p.add_argument("--metric", choices=[m.value for m in Metric],
-                   help="override the checkpoint's series metric")
-
+    for command, (summary, options) in _COMMANDS.items():
+        p = sub.add_parser(command, parents=[common], help=summary)
+        for option in options:
+            _add_option(p, *option)
     return parser
 
 
-_COMMON_DEFAULTS = {"out": ("out", str), "seed": (0, int)}
+def _cast(kind, text: str):
+    """A config-file value read as an option of type ``kind``."""
+    if kind is bool:
+        return _as_bool(text)
+    if isinstance(kind, enum.EnumMeta):
+        return kind(text).value
+    return kind(text)
 
-_COMMAND_DEFAULTS: dict[str, dict] = {
-    "ingest": {
-        "input": (None, str),
-        "strict": (False, _as_bool),
-        "synthetic": (False, _as_bool),
-        "count": (1000, int),
-        "start_date": ("2019-01-01", str),
-        "end_date": ("2020-12-31", str),
-    },
-    "analyze": {"records": (None, str), "year_a": (None, int), "year_b": (None, int)},
-    "train": {
-        "records": (None, str),
-        "subclass": (Subclass.TOTAL_TRAFFIC.value, str),
-        "metric": (Metric.COUNT.value, str),
-        "window": (24, int),
-        "hidden": (64, int),
-        "learning_rate": (0.0002, float),
-        "epochs": (100, int),
-        "batch_size": (32, int),
-        "norm_source": (NormSource.FULL_SERIES.value, str),
-    },
-    "grid": {
-        "records": (None, str),
-        "subclass": (Subclass.TOTAL_TRAFFIC.value, str),
-        "metric": (Metric.COUNT.value, str),
-        "windows": (list(DEFAULT_WINDOW_SIZES), _int_list),
-        "hiddens": (list(DEFAULT_HIDDEN_SIZES), _int_list),
-        "learning_rate": (0.0002, float),
-        "epochs": (100, int),
-        "batch_size": (32, int),
-        "norm_source": (NormSource.FULL_SERIES.value, str),
-    },
-    "forecast": {
-        "checkpoint": (None, str),
-        "records": (None, str),
-        "subclass": (None, str),
-        "metric": (None, str),
-    },
-}
+
+def _load_config_file(path: str | None) -> dict:
+    """The values of a key=value file, each cast to its option's type.
+
+    Every key must be one that some command declares; a key that belongs to
+    another command is checked but not used, so one file can serve several.
+    """
+    if path is None:
+        return {}
+    kinds = {name: kind for _summary, options in _COMMANDS.values()
+             for name, kind, _default, _help in _COMMON + options}
+    values = {}
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, equals, text = (part.strip() for part in line.partition("="))
+        if not equals:
+            raise InvalidConfigError(f"config line {lineno}: expected key=value, got {line!r}")
+        if key not in kinds:
+            raise InvalidConfigError(f"config line {lineno}: unknown key {key!r}")
+        try:
+            values[key] = _cast(kinds[key], text)
+        except ValueError:
+            raise InvalidConfigError(f"config key {key!r}: cannot use value {text!r}") from None
+    return values
 
 
 def _resolve_params(args: argparse.Namespace) -> dict:
     """Flag > config-file value > built-in default."""
     config = _load_config_file(args.config)
-    spec = dict(_COMMON_DEFAULTS)
-    spec.update(_COMMAND_DEFAULTS[args.command])
     params = {}
-    for name, (default, cast) in spec.items():
-        flag_value = getattr(args, name, None)
-        if flag_value is not None:
-            params[name] = flag_value
-        elif name in config:
-            try:
-                params[name] = cast(config[name])
-            except ValueError:
-                raise InvalidConfigError(
-                    f"config key {name!r}: cannot use value {config[name]!r}"
-                ) from None
-        else:
-            params[name] = default
+    for name, _kind, default, _help in _COMMON + _COMMANDS[args.command][1]:
+        flag_value = getattr(args, name)
+        params[name] = flag_value if flag_value is not None else config.get(name, default)
     return params
 
 
@@ -671,11 +678,7 @@ def _run(command, *args) -> int:
 
 
 def _run_args(args: argparse.Namespace) -> int:
-    params = _resolve_params(args)
-    if args.command == "ingest" and not params["synthetic"] and params["input"] is None:
-        print("error: ingest needs an input file or --synthetic", file=sys.stderr)
-        return 2
-    return _DISPATCH[args.command](params)
+    return _DISPATCH[args.command](_resolve_params(args))
 
 
 def main(argv=None) -> int:

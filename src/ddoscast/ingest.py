@@ -80,6 +80,16 @@ MAX_UNIX_SECONDS = 253402300799
 MAX_BPS_EXCLUSIVE = 2**63
 
 
+def columns_in_bounds(start: np.ndarray, stop: np.ndarray, max_bps: np.ndarray) -> bool:
+    """Whether every record obeys 0 <= start <= stop <= MAX_UNIX_SECONDS and max_bps >= 0.
+
+    These are the bounds parsing enforces; int64 columns already hold
+    max_bps below MAX_BPS_EXCLUSIVE.
+    """
+    return bool(np.all(start >= 0) and np.all(start <= stop) and np.all(stop <= MAX_UNIX_SECONDS)
+                and np.all(max_bps >= 0))
+
+
 @dataclass(frozen=True)
 class AttackRecord:
     """One raw attack event as found in the export."""

@@ -84,6 +84,8 @@ class TestIngest:
 
     def test_missing_input_flag_usage_error(self, tmp_path, capsys):
         assert run(["ingest", "--out", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err == "error: ingest needs an input file or --synthetic\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("strict", [False, True])
     def test_oversized_integer_exit_two(self, tmp_path, capsys, strict):
@@ -755,3 +757,190 @@ def test_diverging_grid_exits_five_with_one_stderr_line(tmp_path, records_file):
     )
     assert proc.returncode == 5
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+# --- resolved parameters: flag > config file > built-in default -------------------
+
+COMMON = {"out": "out", "seed": 0}
+SERIES = {"records": "r.ndjson", "subclass": "TotalTraffic", "metric": "count"}
+FITTING = {"learning_rate": 0.0002, "epochs": 100, "batch_size": 32, "norm_source": "full_series"}
+INGEST = {"input": None, "strict": False, "synthetic": False, "count": 1000,
+          "start_date": "2019-01-01", "end_date": "2020-12-31"}
+TRAIN = {**SERIES, "window": 24, "hidden": 64, **FITTING}
+GRID = {**SERIES, "windows": [8, 16, 24, 32], "hiddens": [32, 64, 128], **FITTING}
+ANALYZE = {"records": "r.ndjson", "year_a": None, "year_b": None}
+FORECAST = {"checkpoint": "c.json", "records": "r.ndjson", "subclass": None, "metric": None}
+
+TRAIN_FLAGS = ["--subclass", "ICMP", "--metric", "max_gbps", "--learning-rate", "0.01",
+               "--epochs", "7", "--batch-size", "8", "--norm-source", "train_only"]
+TRAIN_SET = {"subclass": "ICMP", "metric": "max_gbps", "learning_rate": 0.01, "epochs": 7,
+             "batch_size": 8, "norm_source": "train_only"}
+FITTING_CONFIG = ("subclass = UDP Misuse\nmetric=duration_min\nlearning_rate=1e-3\nepochs=3\n"
+                  "batch_size=16\nnorm_source=train_only\nrecords=ignored.ndjson\n")
+FITTING_FROM_CONFIG = {"subclass": "UDP Misuse", "metric": "duration_min", "learning_rate": 1e-3,
+                       "epochs": 3, "batch_size": 16, "norm_source": "train_only"}
+
+PARAMS_TABLE = [
+    # (argv, config text or None, resolved params)
+    (["ingest"], None, {**COMMON, **INGEST}),
+    (["ingest", "in.json", "--strict", "--synthetic", "--count", "5", "--start-date", "2020-01-01",
+      "--end-date", "2020-02-01", "--out", "o", "--seed", "3"], None,
+     {"out": "o", "seed": 3, "input": "in.json", "strict": True, "synthetic": True, "count": 5,
+      "start_date": "2020-01-01", "end_date": "2020-02-01"}),
+    (["ingest"], "# every key\ninput = in.json\nstrict=YES\nsynthetic=on\ncount=7\n\n"
+     "start_date=2021-01-01\nend_date=2021-03-01\nout=cfg\nseed=4\n",
+     {"out": "cfg", "seed": 4, "input": "in.json", "strict": True, "synthetic": True, "count": 7,
+      "start_date": "2021-01-01", "end_date": "2021-03-01"}),
+    (["ingest"], "strict=0\nsynthetic=False\n", {**COMMON, **INGEST}),
+    (["ingest", "flag.json", "--strict", "--count", "9", "--seed", "1"],
+     "input=cfg.json\nstrict=off\ncount=7\nseed=4\nout=cfg\n",
+     {**INGEST, "out": "cfg", "seed": 1, "input": "flag.json", "strict": True, "count": 9}),
+    (["ingest"], "epochs=5\nwindows=4,8\nmetric=max_gbps\nyear_a=2019\ncheckpoint=c.json\n",
+     {**COMMON, **INGEST}),
+    (["analyze", "r.ndjson"], None, {**COMMON, **ANALYZE}),
+    (["analyze", "r.ndjson", "--year-a", "2019", "--year-b", "2020", "--out", "o", "--seed", "2"],
+     None, {"out": "o", "seed": 2, "records": "r.ndjson", "year_a": 2019, "year_b": 2020}),
+    (["analyze", "r.ndjson"], "records=other.ndjson\nyear_a=2018\nyear_b=2020\nseed=5\n",
+     {**COMMON, **ANALYZE, "seed": 5, "year_a": 2018, "year_b": 2020}),
+    (["analyze", "r.ndjson", "--year-b", "2021"], "year_a=2018\nyear_b=2020\ncount=3\n",
+     {**COMMON, **ANALYZE, "year_a": 2018, "year_b": 2021}),
+    (["train", "r.ndjson"], None, {**COMMON, **TRAIN}),
+    (["train", "r.ndjson", "--window", "6", "--hidden", "3", *TRAIN_FLAGS, "--out", "o",
+      "--seed", "9"], None,
+     {**TRAIN, **TRAIN_SET, "out": "o", "seed": 9, "window": 6, "hidden": 3}),
+    (["train", "r.ndjson"], FITTING_CONFIG + "window=12\nhidden=5\nseed=8\nout=cfg\n",
+     {**TRAIN, **FITTING_FROM_CONFIG, "out": "cfg", "seed": 8, "window": 12, "hidden": 5}),
+    (["train", "r.ndjson", "--window", "6", "--metric", "count", "--seed", "1"],
+     FITTING_CONFIG + "window=12\nseed=8\n",
+     {**TRAIN, **FITTING_FROM_CONFIG, "out": "out", "seed": 1, "window": 6, "metric": "count"}),
+    (["train", "r.ndjson"], "count=40\nwindows=4,8\nstrict=true\nyear_b=2020\n",
+     {**COMMON, **TRAIN}),
+    (["grid", "r.ndjson"], None, {**COMMON, **GRID}),
+    (["grid", "r.ndjson", "--windows", "3,4", "--hiddens", "2", *TRAIN_FLAGS, "--seed", "2"],
+     None, {**GRID, **TRAIN_SET, "out": "out", "seed": 2, "windows": [3, 4], "hiddens": [2]}),
+    (["grid", "r.ndjson"], FITTING_CONFIG + "windows = 5, 6,\nhiddens=7\n",
+     {**COMMON, **GRID, **FITTING_FROM_CONFIG, "windows": [5, 6], "hiddens": [7]}),
+    (["grid", "r.ndjson", "--hiddens", "2,3", "--epochs", "1"], FITTING_CONFIG + "hiddens=7\n",
+     {**COMMON, **GRID, **FITTING_FROM_CONFIG, "hiddens": [2, 3], "epochs": 1}),
+    (["grid", "r.ndjson"], "window=6\nhidden=3\ninput=x.json\n", {**COMMON, **GRID}),
+    (["forecast", "c.json", "r.ndjson"], None, {**COMMON, **FORECAST}),
+    (["forecast", "c.json", "r.ndjson", "--subclass", "ICMP", "--metric", "max_gbps",
+      "--out", "o", "--seed", "4"], None,
+     {**FORECAST, "out": "o", "seed": 4, "subclass": "ICMP", "metric": "max_gbps"}),
+    (["forecast", "c.json", "r.ndjson"], "subclass=Bandwidth\nmetric=duration_min\n"
+     "checkpoint=other.json\n",
+     {**COMMON, **FORECAST, "subclass": "Bandwidth", "metric": "duration_min"}),
+    (["forecast", "c.json", "r.ndjson", "--metric", "count"], "subclass=ICMP\nmetric=max_gbps\n",
+     {**COMMON, **FORECAST, "subclass": "ICMP", "metric": "count"}),
+    (["forecast", "c.json", "r.ndjson"], "window=6\nepochs=2\nnorm_source=train_only\n",
+     {**COMMON, **FORECAST}),
+]
+
+
+@pytest.mark.parametrize("argv, config, expected", PARAMS_TABLE)
+def test_resolved_params(tmp_path, argv, config, expected):
+    if config is not None:
+        path = tmp_path / "run.cfg"
+        path.write_text(config)
+        argv = [*argv, "--config", str(path)]
+    params = _resolve_params(_build_parser().parse_args(argv))
+    assert params == expected
+    assert {k: type(v) for k, v in params.items()} == {k: type(v) for k, v in expected.items()}
+
+
+POSITIONALS = {"ingest": [], "analyze": ["r.ndjson"], "train": ["r.ndjson"],
+               "grid": ["r.ndjson"], "forecast": ["c.json", "r.ndjson"]}
+
+
+@pytest.mark.parametrize("command", sorted(POSITIONALS))
+def test_help_shows_the_resolved_defaults(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    shown = {}
+    for chunk in re.split(r"\n  (?=-)", capsys.readouterr().out)[1:]:  # one per option
+        match = re.search(r"\(default: ([^)]*)\)", " ".join(chunk.split()))
+        shown[chunk.split()[0].rstrip(",")] = match and match.group(1)
+    params = _resolve_params(_build_parser().parse_args([command, *POSITIONALS[command]]))
+    expected = {"-h": None, "--config": None}
+    for name, value in params.items():
+        if name not in ("input", "checkpoint", "records"):
+            text = ",".join(map(str, value)) if isinstance(value, list) else value
+            expected["--" + name.replace("_", "-")] = None if value is None else str(text)
+    assert shown == expected
+
+
+def args_of(command: str, tmp_path, records) -> list:
+    checkpoint = [tmp_path / "missing-checkpoint.json"] if command == "forecast" else []
+    return [command, *checkpoint, records, "--out", tmp_path / "o"]
+
+
+@pytest.mark.parametrize(
+    "command, key, given_as",
+    [(command, key, given_as) for command, key in [("train", "metric"), ("train", "norm_source"),
+                                                    ("grid", "metric"), ("grid", "norm_source"),
+                                                    ("forecast", "metric")]
+     for given_as in ("flag", "config")]
+    + [("forecast", "norm_source", "config")],  # a key of train and grid, checked all the same
+)
+def test_bad_enum_value_exit_two(tmp_path, records_file, capsys, command, key, given_as):
+    args = args_of(command, tmp_path, records_file)
+    if given_as == "flag":
+        with pytest.raises(SystemExit) as exit_info:  # argparse rejects the choice
+            run(args + ["--" + key.replace("_", "-"), "foo"])
+        code, named = exit_info.value.code, "--" + key.replace("_", "-")
+    else:
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{key} = foo\n")
+        code, named = run(args + ["--config", config]), repr(key)
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and named in errors[0] and "foo" in errors[0]
+    if given_as == "config":
+        assert err == errors[0] + "\n" and err.startswith("error: ")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["ingest", "train"])
+@pytest.mark.parametrize(
+    "line, message",
+    [("epochs 5", "config line 2: expected key=value, got 'epochs 5'"),
+     ("strict = maybe", "config key 'strict': cannot use value 'maybe'"),
+     ("epoch=5", "config line 2: unknown key 'epoch'"),
+     ("config=other.cfg", "config line 2: unknown key 'config'")],
+)
+def test_config_typo_exit_two(tmp_path, records_file, capsys, command, line, message):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"# a comment\n{line}\nseed=3\n")
+    assert run(args_of(command, tmp_path, records_file) + ["--config", config]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("given_as", ["flag", "config", "forecast override"])
+def test_unknown_subclass_exit_two_before_records_are_read(tmp_path, capsys, given_as):
+    missing = tmp_path / "missing.ndjson"  # reading it would exit 1
+    if given_as == "forecast override":
+        checkpoint = tmp_path / "c.json"
+        model = init_model(2, seed=0)
+        checkpoint.write_bytes(save_checkpoint(
+            model, RmsPropState.zeros_like(model), TrainConfig(window_size=3, hidden_size=2),
+            {"subclass": "TotalTraffic", "metric": "count"}))
+        args = ["forecast", checkpoint, missing, "--subclass", "Foo"]
+    elif given_as == "flag":
+        args = ["train", missing, "--subclass", "Foo"]
+    else:
+        config = tmp_path / "run.cfg"
+        config.write_text("subclass=Foo\n")
+        args = ["grid", missing, "--config", config]
+    assert run(args + ["--out", tmp_path / "o"]) == 2
+    names = ", ".join(s.value for s in Subclass)
+    assert capsys.readouterr().err == f"error: unknown subclass 'Foo'; choose from {names}\n"
+
+
+def test_spaced_subclass_spelling_names_the_same_series(records_file):
+    spaced, _entry = cli._load_series(str(records_file), "Total Traffic", "count")
+    plain, _entry = cli._load_series(str(records_file), "TotalTraffic", "count")
+    assert spaced.subclass is plain.subclass is Subclass.TOTAL_TRAFFIC
+    assert np.array_equal(spaced.values, plain.values)
