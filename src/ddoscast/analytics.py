@@ -42,7 +42,6 @@ class GlobalStats:
 @dataclass
 class Histogram:
     metric: str
-    unit: str
     bins: tuple[tuple[float, float], ...]
     counts: list[int]
     by_year: dict[int, list[int]] | None = None
@@ -99,9 +98,7 @@ def _counts_by_year(years: np.ndarray, index: np.ndarray, size: int) -> dict[int
     return dict(zip(present.tolist(), counts.reshape(present.size, size).tolist()))
 
 
-def _histogram(
-    records: RecordTable, values, bins, metric: str, unit: str, per_year: bool
-) -> Histogram:
+def _histogram(records: RecordTable, values, bins, metric: str, per_year: bool) -> Histogram:
     if not records:
         raise EmptyDatasetError(f"{metric} histogram needs at least one record")
     lows = np.array([lo for lo, _ in bins])
@@ -109,7 +106,6 @@ def _histogram(
     index = np.searchsorted(lows, values, side="right") - 1
     return Histogram(
         metric=metric,
-        unit=unit,
         bins=bins,
         counts=np.bincount(index, minlength=len(bins)).tolist(),
         by_year=_counts_by_year(records.start_years(), index, len(bins)) if per_year else None,
@@ -117,15 +113,11 @@ def _histogram(
 
 
 def histogram_duration(records: RecordTable, per_year: bool = False) -> Histogram:
-    return _histogram(
-        records, records.duration_min, DURATION_BINS_MIN, "duration_min", "minutes", per_year
-    )
+    return _histogram(records, records.duration_min, DURATION_BINS_MIN, "duration_min", per_year)
 
 
 def histogram_throughput(records: RecordTable, per_year: bool = False) -> Histogram:
-    return _histogram(
-        records, records.max_gbps, THROUGHPUT_BINS_GBPS, "max_gbps", "gbps", per_year
-    )
+    return _histogram(records, records.max_gbps, THROUGHPUT_BINS_GBPS, "max_gbps", per_year)
 
 
 def growth_pct(value_a: float, value_b: float) -> float | None:

@@ -35,21 +35,7 @@ from .analytics import (
     yoy_growth,
 )
 from .chart import render_line_chart
-from .errors import (
-    CorruptCheckpointError,
-    DdoscastError,
-    DivergedNonFiniteError,
-    EmptyDatasetError,
-    EmptySplitError,
-    InputChangedError,
-    InvalidConfigError,
-    NotJsonError,
-    SchemaViolationError,
-    SeriesTooShortError,
-    SeriesTooShortForWindowError,
-    VersionMismatchError,
-    WorkerLostError,
-)
+from .errors import DdoscastError, EmptyDatasetError, InputChangedError, InvalidConfigError
 from .grid import (
     DEFAULT_HIDDEN_SIZES,
     DEFAULT_WINDOW_SIZES,
@@ -82,24 +68,6 @@ from .lstm import (
 )
 from .preprocess import Granularity, Metric, RecordTable, aggregate, enrich_all, series_for
 from .windowing import NormSource, build_windowed, check_window_fits
-
-
-def _exit_code_for(exc: DdoscastError) -> int:
-    if isinstance(exc, (NotJsonError, SchemaViolationError, InvalidConfigError)):
-        return 2
-    if isinstance(exc, (EmptyDatasetError, EmptySplitError)):
-        return 3
-    if isinstance(exc, (SeriesTooShortForWindowError, SeriesTooShortError)):
-        return 4
-    if isinstance(exc, DivergedNonFiniteError):
-        return 5
-    if isinstance(exc, (VersionMismatchError, CorruptCheckpointError)):
-        return 6
-    if isinstance(exc, InputChangedError):
-        return 7
-    if isinstance(exc, WorkerLostError):
-        return 8
-    return 1
 
 
 @dataclass
@@ -635,8 +603,12 @@ def _load_config_file(path: str | None) -> dict:
         return {}
     kinds = {name: kind for _summary, options in _COMMANDS.values()
              for name, kind, _default, _help in _COMMON + options}
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise InvalidConfigError(f"config file {path} is not UTF-8 text") from None
     values = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -663,13 +635,17 @@ def _resolve_params(args: argparse.Namespace) -> dict:
 
 
 def _run(command, *args) -> int:
-    """Exit code of ``command(*args)``; a domain error becomes one stderr line."""
+    """Exit code of ``command(*args)``; a failure becomes one stderr line.
+
+    A domain error exits with its class's code, a file that cannot be read
+    with 1.
+    """
     try:
         return command(*args)
     except DdoscastError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _exit_code_for(exc)
-    except FileNotFoundError as exc:
+        return exc.exit_code
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:

@@ -1,4 +1,8 @@
-"""Exception taxonomy shared by every ddoscast module."""
+"""Exception taxonomy shared by every ddoscast module.
+
+Each class declares the exit code the command line gives it, and
+subclasses inherit it; an error with no code of its own exits 1.
+"""
 
 import copyreg
 
@@ -10,6 +14,8 @@ class DdoscastError(Exception):
     raised in a grid worker process reaches the parent intact.
     """
 
+    exit_code = 1
+
     def __reduce__(self):
         # Exception.__reduce__ rebuilds by calling cls(*args), and args holds
         # only the message, which breaks subclasses whose __init__ takes
@@ -20,9 +26,13 @@ class DdoscastError(Exception):
 class InvalidConfigError(DdoscastError, ValueError):
     """A hyperparameter or grid setting is out of range (also a ValueError)."""
 
+    exit_code = 2
+
 
 class InputChangedError(DdoscastError):
     """A replayed run's input no longer has the SHA-256 its manifest recorded."""
+
+    exit_code = 7
 
 
 # --- ingest ---------------------------------------------------------------
@@ -31,9 +41,13 @@ class InputChangedError(DdoscastError):
 class NotJsonError(DdoscastError):
     """Input is neither a JSON array of objects nor NDJSON."""
 
+    exit_code = 2
+
 
 class SchemaViolationError(DdoscastError):
     """Strict-mode parse abort: first malformed entry, with its location."""
+
+    exit_code = 2
 
     def __init__(self, location, reason: str):
         self.location = location
@@ -48,9 +62,13 @@ class UnknownSubclassError(SchemaViolationError):
 class EmptyDateRangeError(DdoscastError):
     """Synthetic spec date range is empty (end before start)."""
 
+    exit_code = 2
+
 
 class AllZeroWeightsError(DdoscastError):
     """Synthetic spec subclass weights are all zero (or negative weights given)."""
+
+    exit_code = 2
 
 
 # --- preprocess / analytics ----------------------------------------------
@@ -62,6 +80,8 @@ class SubclassAbsentError(DdoscastError):
 
 class EmptyDatasetError(DdoscastError):
     """Operation requires at least one record."""
+
+    exit_code = 3
 
 
 class YearAbsentError(DdoscastError):
@@ -81,6 +101,8 @@ class DegenerateSigmaError(DdoscastError):
 
 class SeriesTooShortError(DdoscastError):
     """Series shorter than 10 values cannot be split 50/20/30 with all parts non-empty."""
+
+    exit_code = 4
 
 
 # --- neural ---------------------------------------------------------------
@@ -109,6 +131,8 @@ class TrainSetEmptyError(DdoscastError):
 class DivergedNonFiniteError(DdoscastError):
     """Training loss became non-finite; aborted with partial history."""
 
+    exit_code = 5
+
     def __init__(self, message: str, history=None):
         self.history = history
         super().__init__(message)
@@ -117,13 +141,19 @@ class DivergedNonFiniteError(DdoscastError):
 class EmptySplitError(DdoscastError):
     """Prediction requested over a split with no samples."""
 
+    exit_code = 3
+
 
 class VersionMismatchError(DdoscastError):
     """Checkpoint was written by an incompatible format version."""
 
+    exit_code = 6
+
 
 class CorruptCheckpointError(DdoscastError):
     """Checkpoint bytes are truncated or structurally invalid."""
+
+    exit_code = 6
 
 
 # --- evalgrid -------------------------------------------------------------
@@ -131,6 +161,8 @@ class CorruptCheckpointError(DdoscastError):
 
 class SeriesTooShortForWindowError(DdoscastError):
     """A grid window size does not fit in every split of the series."""
+
+    exit_code = 4
 
     def __init__(self, window: int, message: str):
         self.window = window
@@ -143,6 +175,8 @@ class EmptyGridError(DdoscastError):
 
 class WorkerLostError(DdoscastError):
     """A grid worker process ended without returning its cell (e.g. killed by a signal)."""
+
+    exit_code = 8
 
 
 # --- chart ----------------------------------------------------------------

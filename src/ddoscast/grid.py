@@ -62,8 +62,6 @@ class GridCell:
 class GridResult:
     cells: list[GridCell]
     master_seed: int
-    subclass: str | None = None
-    metric: str | None = None
 
 
 def cell_seed(master_seed: int, window: int, hidden: int) -> int:
@@ -82,23 +80,13 @@ def run_grid(series, spec: GridSpec) -> GridResult:
     inner). The first cell that raises stops the others and its error is
     raised here; a worker that dies raises WorkerLostError.
     """
-    if isinstance(series, TimeSeries):
-        values = series.values
-        identity = (series.subclass.value, series.metric.value)
-    else:
-        values = np.asarray(series, dtype=np.float64)
-        identity = (None, None)
+    values = series.values if isinstance(series, TimeSeries) else np.asarray(series, np.float64)
 
     for window in spec.window_sizes:
         check_window_fits(values.size, window)
 
     keys = [(window, hidden) for window in spec.window_sizes for hidden in spec.hidden_sizes]
-    return GridResult(
-        cells=_run_pool(values, spec, keys),
-        master_seed=spec.master_seed,
-        subclass=identity[0],
-        metric=identity[1],
-    )
+    return GridResult(cells=_run_pool(values, spec, keys), master_seed=spec.master_seed)
 
 
 def _train_cell(values: np.ndarray, spec: GridSpec, window: int, hidden: int) -> GridCell:

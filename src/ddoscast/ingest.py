@@ -185,29 +185,18 @@ class ParseReport:
     rejected: int = 0
     rejection_reasons: list[tuple[int, str]] = field(default_factory=list)
 
-    @property
-    def total(self) -> int:
-        return self.accepted + self.rejected
-
 
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Parameters for a deterministic synthetic record set.
 
-    ``start_date``/``end_date`` are inclusive UTC dates. Throughput and
-    duration are log-normal; the defaults give mostly-minutes attacks in the
-    single-digit-Gbps range with a heavy upper tail, which is the texture of
-    the real export.
+    ``start_date``/``end_date`` are inclusive UTC dates.
     """
 
     record_count: int
     start_date: dt.date = dt.date(2019, 1, 1)
     end_date: dt.date = dt.date(2020, 12, 31)
     subclass_weights: dict[Subclass, float] | None = None
-    bps_log_mean: float = 22.0
-    bps_log_sigma: float = 2.0
-    duration_log_mean: float = 7.0
-    duration_log_sigma: float = 1.5
     seed: int = 0
 
 
@@ -467,6 +456,11 @@ def records_to_ndjson(records) -> str:
 _COUNTRIES = ("US", "CN", "DE", "FR", "GB", "RU", "BR", "IN", "KR", "NL")
 _UNIX_EPOCH = dt.date(1970, 1, 1)
 _SECONDS_PER_DAY = 86400
+# Duration (s) and throughput (bps) are log-normal with these parameters:
+# mostly-minutes attacks in the single-digit-Gbps range with a heavy upper
+# tail, which is the texture of the real export.
+_DURATION_LOG_MEAN, _DURATION_LOG_SIGMA = 7.0, 1.5
+_BPS_LOG_MEAN, _BPS_LOG_SIGMA = 22.0, 2.0
 
 
 def generate_synthetic(spec: SyntheticSpec) -> list[AttackRecord]:
@@ -505,9 +499,9 @@ def generate_synthetic(spec: SyntheticSpec) -> list[AttackRecord]:
     for _ in range(spec.record_count):
         subclass = rng.choices(population, weights=pop_weights)[0]
         start = rng.randrange(epoch_lo, epoch_hi)
-        duration = int(rng.lognormvariate(spec.duration_log_mean, spec.duration_log_sigma))
+        duration = int(rng.lognormvariate(_DURATION_LOG_MEAN, _DURATION_LOG_SIGMA))
         stop = min(start + duration, epoch_hi - 1)
-        max_bps = int(rng.lognormvariate(spec.bps_log_mean, spec.bps_log_sigma))
+        max_bps = int(rng.lognormvariate(_BPS_LOG_MEAN, _BPS_LOG_SIGMA))
         attack_class = AttackClass.MISUSE if rng.random() < 0.8 else AttackClass.DETECTOR
         dst_cc = (rng.choice(_COUNTRIES),) if rng.random() < 0.5 else None
         src_cc = tuple(rng.sample(_COUNTRIES, k=rng.randint(1, 3))) if rng.random() < 0.5 else None

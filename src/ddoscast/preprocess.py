@@ -9,10 +9,8 @@ records of a cell, never over finer-grained means.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import enum
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -222,19 +220,12 @@ class TimeSeries:
     values: np.ndarray
 
 
-def series_for(
-    table: AggregateTable,
-    subclass: Subclass,
-    metric: Metric,
-    fill_gaps: bool = True,
-) -> TimeSeries:
+def series_for(table: AggregateTable, subclass: Subclass, metric: Metric) -> TimeSeries:
     """Extract one subclass/metric series from the table.
 
     The series spans the table's full period range (all subclasses), so
     series extracted for different subclasses align. Periods in which the
-    subclass saw no attacks get 0.0 for every metric. ``fill_gaps=False``
-    keeps only occupied periods (a deliberately non-contiguous series for
-    comparison runs).
+    subclass saw no attacks get 0.0 for every metric.
     """
     occupied = table.periods()
     if not occupied:
@@ -243,10 +234,7 @@ def series_for(
     if not mine:
         raise SubclassAbsentError(f"subclass {subclass.value} never occurs in table")
 
-    if fill_gaps:
-        keys = period_range(occupied[0], occupied[-1], table.granularity)
-    else:
-        keys = sorted(mine)
+    keys = period_range(occupied[0], occupied[-1], table.granularity)
 
     values = np.zeros(len(keys), dtype=np.float64)
     for idx, key in enumerate(keys):
@@ -266,26 +254,3 @@ def series_for(
         periods=tuple(keys),
         values=values,
     )
-
-
-def table_to_csv(table: AggregateTable) -> str:
-    """CSV export: granularity, period, subclass, count_sum, duration_mean_min, gbps_mean."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["granularity", "period", "subclass", "count_sum", "duration_mean_min", "gbps_mean"]
-    )
-    for (key, sub), stats in sorted(
-        table.rows.items(), key=lambda item: (item[0][0], item[0][1].value)
-    ):
-        writer.writerow(
-            [
-                table.granularity.value,
-                key,
-                sub.value,
-                repr(stats.count_sum),
-                repr(stats.duration_mean),
-                repr(stats.gbps_mean),
-            ]
-        )
-    return buf.getvalue()

@@ -8,9 +8,7 @@ independently so no sample straddles a split boundary.
 
 from __future__ import annotations
 
-import csv
 import enum
-import io
 import math
 from dataclasses import dataclass
 
@@ -162,18 +160,3 @@ def build_windowed(
         validation=make_windows(parts.validation, window_size),
         test=make_windows(parts.test, window_size),
     )
-
-
-def windows_to_csv(dataset: WindowedDataset) -> str:
-    """Inspection dump: split, sample_index, x_0..x_{W-1}, y."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    w = dataset.window_size
-    writer.writerow(["split", "sample_index"] + [f"x_{j}" for j in range(w)] + ["y"])
-    for name in ("train", "validation", "test"):
-        ws = dataset.split(name)
-        for i in range(len(ws)):
-            writer.writerow(
-                [name, i] + [repr(v) for v in ws.x[i].tolist()] + [repr(float(ws.y[i]))]
-            )
-    return buf.getvalue()

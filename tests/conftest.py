@@ -1,5 +1,7 @@
 import json
 import os
+import re
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +34,13 @@ HUGE_INT = "9" * 5000
 def huge_int_line(field="max_bps") -> str:
     """One record object as JSON text whose ``field`` is HUGE_INT."""
     return json.dumps(record_obj(**{field: "@huge@"})).replace('"@huge@"', HUGE_INT)
+
+
+def readme_exit_codes() -> set[int]:
+    """The codes in the first column of README.md's exit-code table."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Exit codes\n", 1)[1].split("\n#", 1)[0]
+    return {int(code) for code in re.findall(r"^\| (\d+) \|", section, flags=re.M)}
 
 
 def as_array(*objs) -> bytes:

@@ -1,20 +1,31 @@
 import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import re
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import ddoscast
-from conftest import as_ndjson, child_pids, huge_int_line, is_running, record_obj
+from conftest import (
+    as_ndjson,
+    child_pids,
+    huge_int_line,
+    is_running,
+    readme_exit_codes,
+    record_obj,
+)
 from ddoscast import cli
 from ddoscast.analytics import global_stats, rank_subclasses, ranking_to_csv, stats_to_csv
 from ddoscast.cli import _build_parser, _resolve_params, main, replay_manifest
@@ -619,7 +630,7 @@ def test_replay_of_manifest_without_digests(tmp_path, records_file):
 @pytest.mark.parametrize(
     "flag, value",
     [("--start-date", "2020-13-01"), ("--end-date", "31/12/2020"), ("--start-date", "1969-12-31"),
-     ("--count", "0")],
+     ("--count", "0"), ("--end-date", "2018-12-31")],  # the range starts on 2019-01-01
 )
 def test_bad_synthetic_settings_exit_two(tmp_path, capsys, flag, value):
     assert run(["ingest", "--synthetic", flag, value, "--out", tmp_path]) == 2
@@ -944,3 +955,89 @@ def test_spaced_subclass_spelling_names_the_same_series(records_file):
     plain, _entry = cli._load_series(str(records_file), "TotalTraffic", "count")
     assert spaced.subclass is plain.subclass is Subclass.TOTAL_TRAFFIC
     assert np.array_equal(spaced.values, plain.values)
+
+
+# --- every failure is one error line ----------------------------------------------
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["ingest", "--synthetic", "--config"]])
+def test_directory_as_a_file_exits_one(tmp_path, capsys, command):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    assert run([*command, folder, "--out", tmp_path / "o"]) == 1
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{folder}'\n"
+
+
+def test_config_that_is_not_utf8_exits_two(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_bytes(b"\xff\xfeseed=1\ncount=5\n")
+    assert run(["ingest", "--synthetic", "--config", config, "--out", tmp_path / "o"]) == 2
+    assert capsys.readouterr().err == f"error: config file {config} is not UTF-8 text\n"
+    assert not (tmp_path / "o").exists()
+
+
+DAY0 = 1577836800  # 2020-01-01T00:00:00Z
+
+
+@st.composite
+def accepted_record_sets(draw):
+    """NDJSON bytes of 1-120 valid records over at most 61 days, and one subclass in them.
+
+    Half the sets give every subclass the same count each day, so its daily
+    series is constant; short spans leave a series too short for a window.
+    """
+    days = draw(st.integers(1, 61))
+    subclasses = draw(st.lists(st.sampled_from(list(Subclass)), min_size=1, max_size=3,
+                               unique=True))
+    if draw(st.booleans()):
+        days = min(days, 120 // len(subclasses))
+        starts = [DAY0 + day * 86_400 for day in range(days) for _ in subclasses]
+        names = [sub.value for _ in range(days) for sub in subclasses]
+    else:
+        count = draw(st.integers(1, 120))
+        starts = draw(st.lists(st.integers(DAY0, DAY0 + days * 86_400 - 1),
+                               min_size=count, max_size=count))
+        names = draw(st.lists(st.sampled_from([sub.value for sub in subclasses]),
+                              min_size=count, max_size=count))
+    durations = draw(st.lists(st.integers(0, 7200), min_size=len(starts), max_size=len(starts)))
+    records = [record_obj(subclass=name, start=start, stop=start + duration)
+               for name, start, duration in zip(names, starts, durations)]
+    return as_ndjson(*records), subclasses[0].value
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    """A W=2, H=2 checkpoint that every drawn record set is forecast with."""
+    records = tmp_path_factory.mktemp("tiny") / "records.ndjson"
+    records.write_text(records_to_ndjson(generate_synthetic(SyntheticSpec(record_count=300))))
+    out = records.parent / "o"
+    assert run(["train", records, "--window", 2, "--hidden", 2, "--epochs", 1,
+                "--out", out]) == 0
+    return out / "train-0" / "checkpoint.json"
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(drawn=accepted_record_sets())
+def test_every_command_ends_in_a_documented_exit_code(tiny_checkpoint, drawn):
+    ndjson, subclass = drawn
+    documented = readme_exit_codes()
+    with tempfile.TemporaryDirectory() as tmp:
+        source = Path(tmp) / "export.ndjson"
+        source.write_bytes(ndjson)
+        out = Path(tmp) / "o"
+        assert run(["ingest", source, "--out", out]) == 0
+        records = out / "ingest-0" / "records.ndjson"
+        series = ["--subclass", subclass, "--epochs", 1, "--out", out]
+        for args in (["analyze", records, "--out", out],
+                     ["train", records, "--window", 2, "--hidden", 2, *series],
+                     ["grid", records, "--windows", "2,3", "--hiddens", "2,3", *series],
+                     ["forecast", tiny_checkpoint, records, "--subclass", subclass,
+                      "--out", out]):
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+                code = run(args)
+            assert code in documented, (args[0], code)
+            if code != 0:
+                err = stderr.getvalue()
+                assert err.startswith("error: ") and err.count("\n") == 1, (args[0], err)
+                assert "Traceback" not in err

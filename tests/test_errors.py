@@ -1,11 +1,11 @@
-"""Domain errors cross process boundaries (grid workers) by pickle."""
+"""Domain errors: their exit codes, and crossing process boundaries (grid workers) by pickle."""
 
 import pickle
 
 import pytest
 
+from conftest import readme_exit_codes
 from ddoscast import errors
-from ddoscast.cli import _exit_code_for
 from ddoscast.errors import (
     DdoscastError,
     DivergedNonFiniteError,
@@ -49,7 +49,7 @@ def test_round_trip_keeps_type_message_and_attributes(cls):
     assert type(back) is cls
     assert str(back) == str(exc) and back.args == exc.args
     assert vars(back) == vars(exc)
-    assert _exit_code_for(back) == _exit_code_for(exc)
+    assert back.exit_code == exc.exit_code
 
 
 def test_named_attributes_survive():
@@ -59,3 +59,44 @@ def test_named_attributes_survive():
     assert short.window == 32
     diverged = pickle.loads(pickle.dumps(DivergedNonFiniteError("boom", history=None)))
     assert diverged.history is None and str(diverged) == "boom"
+
+
+# The exit code of every domain error, as the README documents it.
+EXIT_CODES = {
+    errors.DdoscastError: 1,
+    errors.InvalidConfigError: 2,
+    errors.InputChangedError: 7,
+    errors.NotJsonError: 2,
+    errors.SchemaViolationError: 2,
+    errors.UnknownSubclassError: 2,
+    errors.EmptyDateRangeError: 2,
+    errors.AllZeroWeightsError: 2,
+    errors.SubclassAbsentError: 1,
+    errors.EmptyDatasetError: 3,
+    errors.YearAbsentError: 1,
+    errors.TooFewValuesError: 1,
+    errors.DegenerateSigmaError: 1,
+    errors.SeriesTooShortError: 4,
+    errors.NonFiniteStateError: 1,
+    errors.LengthMismatchError: 1,
+    errors.EmptyInputError: 1,
+    errors.CacheMismatchError: 1,
+    errors.TrainSetEmptyError: 1,
+    errors.DivergedNonFiniteError: 5,
+    errors.EmptySplitError: 3,
+    errors.VersionMismatchError: 6,
+    errors.CorruptCheckpointError: 6,
+    errors.SeriesTooShortForWindowError: 4,
+    errors.EmptyGridError: 1,
+    errors.WorkerLostError: 8,
+    errors.EmptySeriesError: 1,
+}
+
+
+def test_every_error_class_has_its_exit_code():
+    assert {cls: cls.exit_code for cls in ALL_ERRORS} == EXIT_CODES
+
+
+def test_readme_table_lists_exactly_the_exit_codes():
+    # 0 is success, 130 SIGINT and 143 grid's SIGTERM
+    assert readme_exit_codes() == {cls.exit_code for cls in ALL_ERRORS} | {0, 130, 143}

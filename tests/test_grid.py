@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from ddoscast import grid
-from ddoscast.cli import _exit_code_for
 from ddoscast.errors import (
     EmptyGridError,
     InvalidConfigError,
@@ -210,7 +209,7 @@ class TestPool:
             run_grid(tiny_series(), POOL_SPEC)
         assert time.monotonic() - started < 30  # the sleeping cells were stopped
         assert (err.value.location, err.value.reason) == (7, "planted failure")
-        assert _exit_code_for(err.value) == 2
+        assert err.value.exit_code == 2
 
     def test_killed_worker_raises_worker_lost(self, monkeypatch):
         monkeypatch.setattr(grid, "_train_cell", _killed_cell)
@@ -219,7 +218,7 @@ class TestPool:
         with pytest.raises(WorkerLostError) as err:
             run_grid(tiny_series(), POOL_SPEC)
         assert time.monotonic() - started < 30
-        assert _exit_code_for(err.value) == 8
+        assert err.value.exit_code == 8
 
     def test_sigterm_handler_restored(self):
         spec = GridSpec(window_sizes=(3,), hidden_sizes=(2,), base_config=tiny_config(1))

@@ -17,7 +17,6 @@ from ddoscast.preprocess import (
     period_key,
     period_range,
     series_for,
-    table_to_csv,
 )
 
 UTC = dt.timezone.utc
@@ -263,13 +262,6 @@ class TestSeriesFor:
         assert series.values[1] == 0.0
         assert series.values[0] == 1.0  # 60 s attacks
 
-    def test_skip_gaps_option(self):
-        series = series_for(
-            self.table_with_gap(), Subclass.TOTAL_TRAFFIC, Metric.COUNT, fill_gaps=False
-        )
-        assert series.periods == ("2020-01-01", "2020-01-03")
-        assert series.values.tolist() == [5.0, 7.0]
-
     def test_single_period_table(self):
         records = enrich_all([make_record(epoch(2020, 5, 5), epoch(2020, 5, 5) + 60)])
         table = aggregate(records, Granularity.DAILY)
@@ -288,14 +280,3 @@ class TestSeriesFor:
         series = series_for(table, records[0].subclass, Metric.COUNT)
         assert len(series.periods) == expected_len
         assert np.isfinite(series.values).all()
-
-
-def test_table_csv_export(synthetic_1000):
-    records = enrich_all(synthetic_1000[:50])
-    table = aggregate(records, Granularity.MONTHLY)
-    text = table_to_csv(table)
-    lines = text.strip().split("\n")
-    assert lines[0] == "granularity,period,subclass,count_sum,duration_mean_min,gbps_mean"
-    assert len(lines) == 1 + len(table.rows)
-    first = lines[1].split(",")
-    assert first[0] == "monthly"

@@ -18,7 +18,6 @@ from ddoscast.windowing import (
     normalize,
     split,
     std_dev,
-    windows_to_csv,
 )
 
 
@@ -166,13 +165,6 @@ class TestBuildWindowed:
         ds = build_windowed(values, 8, NormSource.TRAIN_ONLY)
         assert ds.normalization.sigma == pytest.approx(std_dev(values[:100]), rel=1e-12)
         assert ds.normalization.source is NormSource.TRAIN_ONLY
-
-    def test_csv_dump_shape(self):
-        ds = build_windowed(np.arange(40.0), 4)
-        lines = windows_to_csv(ds).strip().split("\n")
-        expected_rows = len(ds.train) + len(ds.validation) + len(ds.test)
-        assert len(lines) == 1 + expected_rows
-        assert lines[0] == "split,sample_index," + ",".join(f"x_{j}" for j in range(4)) + ",y"
 
 
 class TestCheckWindowFits:
