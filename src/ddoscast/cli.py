@@ -1,9 +1,10 @@
 """Batch command-line front end: ingest, analyze, train, grid, forecast.
 
-Every invocation writes its outputs plus a ``manifest.json`` into
-``<out>/<command>-<seed>/``. The manifest records the fully resolved
-parameters, so ``replay_manifest`` reproduces a run (and its output bytes)
-from the manifest alone. All randomness flows from ``--seed``.
+Each command computes its outputs and writes nothing; ``_execute`` then
+writes them plus a ``manifest.json`` into ``<out>/<command>-<seed>/``, so a
+run that fails leaves no directory behind. The manifest records the fully
+resolved parameters, so ``replay_manifest`` reproduces a run (and its
+output bytes) from the manifest alone. All randomness flows from ``--seed``.
 """
 
 from __future__ import annotations
@@ -12,11 +13,11 @@ import argparse
 import datetime as dt
 import enum
 import hashlib
+import io
 import json
 import sys
 import zipfile
 import zlib
-from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,13 @@ from .analytics import (
     yoy_growth,
 )
 from .chart import render_line_chart
-from .errors import DdoscastError, EmptyDatasetError, InputChangedError, InvalidConfigError
+from .errors import (
+    CorruptCheckpointError,
+    DdoscastError,
+    EmptyDatasetError,
+    InputChangedError,
+    InvalidConfigError,
+)
 from .grid import (
     DEFAULT_HIDDEN_SIZES,
     DEFAULT_WINDOW_SIZES,
@@ -70,19 +77,6 @@ from .preprocess import Granularity, Metric, RecordTable, aggregate, enrich_all,
 from .windowing import NormSource, build_windowed, check_window_fits
 
 
-@dataclass
-class RunManifest:
-    tool: str
-    version: str
-    command: str
-    params: dict
-    inputs: list[dict]
-    seed: int
-    out_dir: str
-    started_utc: str
-    finished_utc: str
-
-
 def sha256_hex(raw: bytes) -> str:
     return hashlib.sha256(raw).hexdigest()
 
@@ -93,31 +87,8 @@ def _input(param: str, path: str, raw: bytes) -> dict:
             "bytes": len(raw)}
 
 
-def _write_manifest(out_dir: Path, command: str, params: dict, inputs: list[dict], started: str):
-    manifest = RunManifest(
-        tool="ddoscast",
-        version=__version__,
-        command=command,
-        params=params,
-        inputs=inputs,
-        seed=params["seed"],
-        out_dir=str(out_dir),
-        started_utc=started,
-        finished_utc=dt.datetime.now(dt.timezone.utc).isoformat(),
-    )
-    (out_dir / "manifest.json").write_text(
-        json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n"
-    )
-
-
 def _now() -> str:
     return dt.datetime.now(dt.timezone.utc).isoformat()
-
-
-def _out_dir(params: dict, command: str) -> Path:
-    out = Path(params["out"]) / f"{command}-{params['seed']}"
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 # --- records.npz: the parsed columns of records.ndjson ------------------------
@@ -137,10 +108,12 @@ _UNREADABLE = (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile, zlib
                NotImplementedError, RuntimeError)
 
 
-def _write_sidecar(path: Path, records, digest: str) -> None:
-    columns = {name: getattr(records, name) for name in _SIDECAR_COLUMNS}
-    with open(path, "wb") as fh:
-        np.savez(fh, sha256=np.array(digest), **columns)
+def _sidecar_bytes(records, digest: str) -> bytes:
+    """The records.npz of ``records``, stamped with the NDJSON digest ``digest``."""
+    buffer = io.BytesIO()
+    np.savez(buffer, sha256=np.array(digest),
+             **{name: getattr(records, name) for name in _SIDECAR_COLUMNS})
+    return buffer.getvalue()
 
 
 def _load_sidecar(path: Path, digest: str) -> RecordTable | None:
@@ -204,7 +177,24 @@ def _load_series(records_path: str, subclass: str, metric: str):
     return series_for(table, subclass, Metric(metric)), entry
 
 
+def _load_windowed(records_path: str, subclass: str, metric: str, window_size: int,
+                   norm: NormSource):
+    """The daily series of a records file, its windowed dataset and the file's entry.
+
+    Every split must hold a window and its next value, so a series too short
+    for the window fails the same way whichever command reads it.
+    """
+    series, entry = _load_series(records_path, subclass, metric)
+    check_window_fits(series.values.size, window_size)
+    return series, build_windowed(series.values, window_size, norm), entry
+
+
 # --- commands ---------------------------------------------------------------
+#
+# A command computes and returns everything its run writes: the output files
+# as an ordered {name: bytes | str} mapping, the manifest entries of the
+# files it read, and its stdout summary line. It creates no directory, writes
+# no file and prints nothing; _execute does that once the command returns.
 
 
 def _date(params: dict, name: str) -> dt.date:
@@ -242,39 +232,32 @@ def _synthetic_records(params: dict) -> RecordColumns:
     return records
 
 
-def _cmd_ingest(params: dict) -> int:
+def _cmd_ingest(params: dict):
     if not params["synthetic"] and params["input"] is None:
         raise InvalidConfigError("ingest needs an input file or --synthetic")
-    started = _now()
-    out = _out_dir(params, "ingest")
     if params["synthetic"]:
         records = _synthetic_records(params)
         report = ParseReport(accepted=len(records))
-        ndjson = records_to_ndjson(records)
         inputs = []
     else:
         raw = Path(params["input"]).read_bytes()
         records, report = parse_records(raw, strict=params["strict"])
-        ndjson = records_to_ndjson(records)
         inputs = [_input("input", params["input"], raw)]
 
-    data = ndjson.encode()
-    (out / "records.ndjson").write_bytes(data)
-    _write_sidecar(out / SIDECAR_NAME, records, sha256_hex(data))
-    (out / "parse_report.json").write_text(
-        json.dumps(
+    data = records_to_ndjson(records).encode()
+    files = {
+        "records.ndjson": data,
+        SIDECAR_NAME: _sidecar_bytes(records, sha256_hex(data)),
+        "parse_report.json": json.dumps(
             {
                 "accepted": report.accepted,
                 "rejected": report.rejected,
                 "rejection_reasons": [list(r) for r in report.rejection_reasons],
             },
             indent=2,
-        )
-        + "\n"
-    )
-    _write_manifest(out, "ingest", params, inputs, started)
-    print(f"ingest: {report.accepted} accepted, {report.rejected} rejected -> {out}")
-    return 0
+        ) + "\n",
+    }
+    return files, inputs, f"ingest: {report.accepted} accepted, {report.rejected} rejected"
 
 
 def _growth_years(params: dict, enriched) -> tuple[int, int]:
@@ -286,30 +269,19 @@ def _growth_years(params: dict, enriched) -> tuple[int, int]:
     return year_a, year_b
 
 
-def _cmd_analyze(params: dict) -> int:
-    started = _now()
-    out = _out_dir(params, "analyze")
+def _cmd_analyze(params: dict):
     enriched, records_input = _read_records(params["records"])
-
-    (out / "stats.csv").write_text(stats_to_csv(global_stats(enriched)))
-
     dur = histogram_to_csv(histogram_duration(enriched, per_year=True))
     thr = histogram_to_csv(histogram_throughput(enriched, per_year=True))
-    body = thr.split("\n", 1)[1]  # shared header
-    (out / "histogram.csv").write_text(dur + body)
-
     year_a, year_b = _growth_years(params, enriched)
-    blocks = []
-    for dim in GrowthDimension:
-        csv_text = growth_to_csv(yoy_growth(enriched, year_a, year_b, dim))
-        blocks.append(csv_text if not blocks else csv_text.split("\n", 1)[1])
-    (out / "growth.csv").write_text("".join(blocks))
-
-    (out / "ranking.csv").write_text(ranking_to_csv(rank_subclasses(enriched, Metric.COUNT)))
-
-    _write_manifest(out, "analyze", params, [records_input], started)
-    print(f"analyze: {len(enriched)} records, growth {year_a}->{year_b} -> {out}")
-    return 0
+    growth = [growth_to_csv(yoy_growth(enriched, year_a, year_b, dim)) for dim in GrowthDimension]
+    files = {
+        "stats.csv": stats_to_csv(global_stats(enriched)),
+        "histogram.csv": dur + thr.split("\n", 1)[1],  # shared header
+        "growth.csv": growth[0] + "".join(block.split("\n", 1)[1] for block in growth[1:]),
+        "ranking.csv": ranking_to_csv(rank_subclasses(enriched, Metric.COUNT)),
+    }
+    return files, [records_input], f"analyze: {len(enriched)} records, growth {year_a}->{year_b}"
 
 
 def _history_csv(history) -> str:
@@ -319,8 +291,7 @@ def _history_csv(history) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_train(params: dict) -> int:
-    started = _now()
+def _cmd_train(params: dict):
     config = TrainConfig(
         window_size=params["window"],
         hidden_size=params["hidden"],
@@ -329,12 +300,10 @@ def _cmd_train(params: dict) -> int:
         batch_size=params["batch_size"],
         seed=params["seed"],
     )
-    out = _out_dir(params, "train")
-    series, records_input = _load_series(params["records"], params["subclass"], params["metric"])
-    check_window_fits(series.values.size, config.window_size)
-
     norm = NormSource(params["norm_source"])
-    dataset = build_windowed(series.values, config.window_size, norm)
+    series, dataset, records_input = _load_windowed(
+        params["records"], params["subclass"], params["metric"], config.window_size, norm
+    )
     model = init_model(config.hidden_size, config.seed)
     model, history = train(model, dataset, config)
 
@@ -344,21 +313,17 @@ def _cmd_train(params: dict) -> int:
         "granularity": series.granularity.value,
         "norm_source": norm.value,
     }
-    # training runs to completion per invocation; accumulators restart on resume
-    (out / "checkpoint.json").write_bytes(
-        save_checkpoint(model, RmsPropState.zeros_like(model), config, meta)
-    )
-    (out / "history.csv").write_text(_history_csv(history))
-    _write_manifest(out, "train", params, [records_input], started)
-    print(
-        f"train: {config.epochs} epochs, final train_mse={history.train_mse[-1]:.6f} "
-        f"val_mse={history.val_mse[-1]:.6f} -> {out}"
-    )
-    return 0
+    files = {
+        # training runs to completion per invocation; accumulators restart on resume
+        "checkpoint.json": save_checkpoint(model, RmsPropState.zeros_like(model), config, meta),
+        "history.csv": _history_csv(history),
+    }
+    summary = (f"train: {config.epochs} epochs, final train_mse={history.train_mse[-1]:.6f} "
+               f"val_mse={history.val_mse[-1]:.6f}")
+    return files, [records_input], summary
 
 
-def _cmd_grid(params: dict) -> int:
-    started = _now()
+def _cmd_grid(params: dict):
     base = TrainConfig(
         window_size=params["windows"][0],
         hidden_size=params["hiddens"][0],
@@ -373,33 +338,42 @@ def _cmd_grid(params: dict) -> int:
         master_seed=params["seed"],
         norm_source=NormSource(params["norm_source"]),
     )
-    out = _out_dir(params, "grid")
     series, records_input = _load_series(params["records"], params["subclass"], params["metric"])
     result = run_grid(series, spec)
     window, hidden = best_config(result)
-
-    (out / "grid.csv").write_text(grid_to_csv(result))
-    table = render_grid_table(result)
-    (out / "grid_table.txt").write_text(
-        table + f"\nrecommended: window={window} hidden={hidden}\n"
-    )
-    _write_manifest(out, "grid", params, [records_input], started)
-    print(f"grid: {len(result.cells)} cells, recommended window={window} hidden={hidden} -> {out}")
-    return 0
+    files = {
+        "grid.csv": grid_to_csv(result),
+        "grid_table.txt": render_grid_table(result)
+        + f"\nrecommended: window={window} hidden={hidden}\n",
+    }
+    summary = f"grid: {len(result.cells)} cells, recommended window={window} hidden={hidden}"
+    return files, [records_input], summary
 
 
-def _cmd_forecast(params: dict) -> int:
-    started = _now()
-    out = _out_dir(params, "forecast")
+def _checkpoint_meta(meta: dict, key: str, default: enum.Enum) -> str:
+    """The checkpoint's ``meta[key]``, a value of ``default``'s Enum; absent gives ``default``."""
+    kind = type(default)
+    value = meta.get(key, default.value)
+    try:
+        return kind(value).value
+    except (ValueError, TypeError):
+        raise CorruptCheckpointError(
+            f"checkpoint meta {key} {value!r} is not one of {', '.join(m.value for m in kind)}"
+        ) from None
+
+
+def _cmd_forecast(params: dict):
     raw = Path(params["checkpoint"]).read_bytes()
     model, _opt, config, meta = load_checkpoint(raw)
 
-    subclass = params["subclass"] or meta.get("subclass", Subclass.TOTAL_TRAFFIC.value)
-    metric = params["metric"] or meta.get("metric", Metric.COUNT.value)
-    norm = NormSource(meta.get("norm_source", NormSource.FULL_SERIES.value))
+    # an override is checked as any --subclass/--metric is; a stored value must be valid
+    subclass = params["subclass"] or _checkpoint_meta(meta, "subclass", Subclass.TOTAL_TRAFFIC)
+    metric = params["metric"] or _checkpoint_meta(meta, "metric", Metric.COUNT)
+    norm = NormSource(_checkpoint_meta(meta, "norm_source", NormSource.FULL_SERIES))
 
-    series, records_input = _load_series(params["records"], subclass, metric)
-    dataset = build_windowed(series.values, config.window_size, norm)
+    series, dataset, records_input = _load_windowed(
+        params["records"], subclass, metric, config.window_size, norm
+    )
     targets, preds = predict_series(model, dataset, "test", denormalized=True)
 
     offset = dataset.splits.train.size + dataset.splits.validation.size + config.window_size
@@ -408,19 +382,15 @@ def _cmd_forecast(params: dict) -> int:
     lines = ["period,actual,predicted"]
     for period, actual, predicted in zip(periods, targets, preds):
         lines.append(f"{period},{float(actual)!r},{float(predicted)!r}")
-    (out / "forecast.csv").write_text("\n".join(lines) + "\n")
-
     svg = render_line_chart(
         [targets.tolist(), preds.tolist()],
         ["actual", "predicted"],
         f"{subclass} {metric}: predicted vs actual (test split)",
         x_labels=list(periods),
     )
-    (out / "forecast.svg").write_bytes(svg)
+    files = {"forecast.csv": "\n".join(lines) + "\n", "forecast.svg": svg}
     inputs = [_input("checkpoint", params["checkpoint"], raw), records_input]
-    _write_manifest(out, "forecast", params, inputs, started)
-    print(f"forecast: {targets.size} test points -> {out}")
-    return 0
+    return files, inputs, f"forecast: {targets.size} test points"
 
 
 _DISPATCH = {
@@ -430,6 +400,34 @@ _DISPATCH = {
     "grid": _cmd_grid,
     "forecast": _cmd_forecast,
 }
+
+
+def _execute(command: str, params: dict) -> int:
+    """Run ``command``, then write its outputs and manifest and print its summary.
+
+    The run directory is created only after the command has returned, so a
+    command that fails or is interrupted leaves none behind.
+    """
+    started = _now()
+    files, inputs, summary = _DISPATCH[command](params)
+    out = Path(params["out"]) / f"{command}-{params['seed']}"
+    out.mkdir(parents=True, exist_ok=True)
+    for name, data in files.items():
+        (out / name).write_bytes(data if isinstance(data, bytes) else data.encode())
+    manifest = {
+        "tool": "ddoscast",
+        "version": __version__,
+        "command": command,
+        "params": params,
+        "inputs": inputs,
+        "seed": params["seed"],
+        "out_dir": str(out),
+        "started_utc": started,
+        "finished_utc": _now(),
+    }
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    print(f"{summary} -> {out}")
+    return 0
 
 
 def _check_inputs(doc: dict, params: dict) -> None:
@@ -460,12 +458,12 @@ def replay_manifest(manifest_path: str | Path, out_root: str | None = None) -> i
     params = dict(doc["params"])
     if out_root is not None:
         params["out"] = str(out_root)
-    return _run(_replay, doc, params)
 
+    def replay() -> int:
+        _check_inputs(doc, params)
+        return _execute(doc["command"], params)
 
-def _replay(doc: dict, params: dict) -> int:
-    _check_inputs(doc, params)
-    return _DISPATCH[doc["command"]](params)
+    return _run(replay)
 
 
 # --- argument handling ------------------------------------------------------
@@ -634,14 +632,14 @@ def _resolve_params(args: argparse.Namespace) -> dict:
     return params
 
 
-def _run(command, *args) -> int:
-    """Exit code of ``command(*args)``; a failure becomes one stderr line.
+def _run(call) -> int:
+    """Exit code of ``call()``; a failure becomes one stderr line.
 
     A domain error exits with its class's code, a file that cannot be read
     with 1.
     """
     try:
-        return command(*args)
+        return call()
     except DdoscastError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
@@ -653,12 +651,9 @@ def _run(command, *args) -> int:
         return 130
 
 
-def _run_args(args: argparse.Namespace) -> int:
-    return _DISPATCH[args.command](_resolve_params(args))
-
-
 def main(argv=None) -> int:
-    return _run(_run_args, _build_parser().parse_args(argv))
+    args = _build_parser().parse_args(argv)
+    return _run(lambda: _execute(args.command, _resolve_params(args)))
 
 
 if __name__ == "__main__":

@@ -121,6 +121,10 @@ class TrainConfig:
     clip_norm: float = 5.0
 
     def __post_init__(self):
+        for name in ("window_size", "hidden_size", "epochs", "batch_size", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
         # written as "not ok" so that NaN fails every check
         for ok, name, rule in (
             (self.window_size >= 1, "window_size", ">= 1"),
@@ -533,4 +537,6 @@ def load_checkpoint(raw: bytes):
         meta = payload.get("meta", {})
     except (KeyError, TypeError, ValueError, binascii.Error) as exc:
         raise CorruptCheckpointError(f"malformed checkpoint field: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise CorruptCheckpointError("checkpoint meta is not an object")
     return params, RmsPropState(acc=acc), config, meta

@@ -249,8 +249,8 @@ class TestForecastCmd:
         bad.write_text(json.dumps(doc))
         assert run(["forecast", bad, records_file, "--out", tmp_path / "x"]) == 6
 
-    def test_empty_test_split_exit_three(self, tmp_path, records_file):
-        # checkpoint whose window cannot fit in the test split
+    def test_window_wider_than_a_split_exit_four(self, tmp_path, records_file):
+        # checkpoint whose window cannot fit in the validation or test split
         config = TrainConfig(window_size=250, hidden_size=2)
         blob = save_checkpoint(
             init_model(2, seed=0), RmsPropState.zeros_like(init_model(2, seed=0)),
@@ -259,8 +259,8 @@ class TestForecastCmd:
         ckpt = tmp_path / "wide.json"
         ckpt.write_bytes(blob)
         code = run(["forecast", ckpt, records_file, "--out", tmp_path / "x"])
-        assert code == 3
-        assert not (tmp_path / "x" / "forecast-0" / "forecast.svg").exists()
+        assert code == 4
+        assert not (tmp_path / "x" / "forecast-0").exists()
 
 
 class TestConfigFile:
@@ -666,8 +666,7 @@ def test_synthetic_ingest_writes_what_parsing_its_records_gives(tmp_path, seed):
         '{\n  "accepted": 500,\n  "rejected": 0,\n  "rejection_reasons": []\n}\n'
     )
     parsed, _report = parse_records(ndjson, strict=True)
-    cli._write_sidecar(tmp_path / "parsed.npz", parsed, cli.sha256_hex(ndjson))
-    assert (out / "records.npz").read_bytes() == (tmp_path / "parsed.npz").read_bytes()
+    assert (out / "records.npz").read_bytes() == cli._sidecar_bytes(parsed, cli.sha256_hex(ndjson))
 
 
 @pytest.mark.parametrize(
@@ -976,7 +975,76 @@ def test_config_that_is_not_utf8_exits_two(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+# --- a failing run writes nothing -------------------------------------------------
+
 DAY0 = 1577836800  # 2020-01-01T00:00:00Z
+
+
+def checkpoint_doc() -> dict:
+    """The checkpoint JSON of an untrained W=2, H=2 model, as train would write it."""
+    model = init_model(2, seed=0)
+    meta = {"subclass": "TotalTraffic", "metric": "count", "granularity": "daily",
+            "norm_source": "full_series"}
+    config = TrainConfig(window_size=2, hidden_size=2)
+    return json.loads(save_checkpoint(model, RmsPropState.zeros_like(model), config, meta))
+
+
+def write(path: Path, data) -> Path:
+    path.write_bytes(data if isinstance(data, bytes) else json.dumps(data).encode())
+    return path
+
+
+def one_day_records(tmp_path) -> Path:
+    return write(tmp_path / "one-day.ndjson",
+                 as_ndjson(*(record_obj(start=DAY0 + 600 * i, stop=DAY0 + 600 * i + 60)
+                             for i in range(5))))
+
+
+FAILING_RUNS = {
+    "ingest not JSON": (2, lambda tmp, records: [
+        "ingest", write(tmp / "export.json", b"this is not json")]),
+    "analyze a directory": (1, lambda tmp, records: ["analyze", tmp]),
+    "analyze an absent --year-a": (1, lambda tmp, records: [
+        "analyze", records, "--year-a", 1999]),
+    "train a missing file": (1, lambda tmp, records: ["train", tmp / "missing.ndjson"]),
+    "grid a window too large": (4, lambda tmp, records: [
+        "grid", records, "--windows", 4000, "--hiddens", 2, "--epochs", 1]),
+    "forecast a corrupt checkpoint": (6, lambda tmp, records: [
+        "forecast", write(tmp / "checkpoint.json", b"{truncated"), records]),
+    "forecast a one-day series": (4, lambda tmp, records: [
+        "forecast", write(tmp / "checkpoint.json", checkpoint_doc()), one_day_records(tmp)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILING_RUNS))
+def test_failing_run_leaves_no_run_directory(tmp_path, records_file, capsys, case):
+    code, args_of_case = FAILING_RUNS[case]
+    args = args_of_case(tmp_path, records_file)
+    out = tmp_path / "o"
+    assert run([*args, "--out", out]) == code
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (out / f"{args[0]}-0").exists()
+
+
+MALFORMED_CHECKPOINTS = {
+    "window_size 2.5": lambda doc: doc["config"].update(window_size=2.5),
+    "window_size true": lambda doc: doc["config"].update(window_size=True),
+    "hidden_size 2.0": lambda doc: doc["config"].update(hidden_size=2.0),  # the model's own H
+    "meta a list": lambda doc: doc.update(meta=[]),
+    "norm_source foo": lambda doc: doc["meta"].update(norm_source="foo"),
+    "metric foo": lambda doc: doc["meta"].update(metric="foo"),
+    "subclass 5": lambda doc: doc["meta"].update(subclass=5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
+def test_malformed_checkpoint_exits_six_with_one_line(tmp_path, records_file, capsys, case):
+    doc = checkpoint_doc()
+    MALFORMED_CHECKPOINTS[case](doc)
+    checkpoint = write(tmp_path / "checkpoint.json", doc)
+    assert run(["forecast", checkpoint, records_file, "--out", tmp_path / "o"]) == 6
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 @st.composite
