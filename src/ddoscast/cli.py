@@ -13,11 +13,8 @@ import argparse
 import datetime as dt
 import enum
 import hashlib
-import io
 import json
 import sys
-import zipfile
-import zlib
 from pathlib import Path
 
 import numpy as np
@@ -91,53 +88,53 @@ def _now() -> str:
     return dt.datetime.now(dt.timezone.utc).isoformat()
 
 
-# --- records.npz: the parsed columns of records.ndjson ------------------------
+# --- records.cols: the parsed columns of records.ndjson -----------------------
 #
 # ingest writes the source columns of the records it accepted next to
-# records.ndjson, with the SHA-256 of the NDJSON bytes. Reading a records
-# file uses them only when that digest matches the file's bytes and every
-# column has the expected dtype, shape and range; otherwise it parses the
-# file. The sidecar is a cache: deleting it changes nothing but speed.
+# records.ndjson, in one fixed layout of n records:
+#   bytes 0-31   _SIDECAR_MAGIC, the format and its version
+#   bytes 32-63  the stamp: SHA-256 of the NDJSON's SHA-256 digest, then the body
+#   body         little-endian int64 start, stop and max_bps (8n bytes each),
+#                then the uint8 subclass codes (n bytes)
+# Reading a records file uses them only when the length, magic and stamp fit
+# and every value is in range; otherwise it parses the file. The stamp covers
+# the body, so a changed byte anywhere is a stale sidecar. The sidecar is a
+# cache: deleting it changes nothing but speed.
 
-SIDECAR_NAME = "records.npz"
-_SIDECAR_COLUMNS = {"subclass": np.uint8, "start": np.int64, "stop": np.int64, "max_bps": np.int64}
-# What np.load and reading a member raise on a truncated, corrupt or foreign
-# file; zipfile raises NotImplementedError for an unknown compression method
-# and RuntimeError for an encrypted member.
-_UNREADABLE = (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile, zlib.error,
-               NotImplementedError, RuntimeError)
+SIDECAR_NAME = "records.cols"
+_SIDECAR_MAGIC = b"ddoscast records.cols 1".ljust(31) + b"\n"
+_HEADER_BYTES = 64
+_BYTES_PER_RECORD = 3 * 8 + 1
+
+
+def _stamp(digest: str, body) -> bytes:
+    """The stamp of ``body`` for the records file whose SHA-256 is ``digest``."""
+    stamp = hashlib.sha256(bytes.fromhex(digest))
+    stamp.update(body)
+    return stamp.digest()
 
 
 def _sidecar_bytes(records, digest: str) -> bytes:
-    """The records.npz of ``records``, stamped with the NDJSON digest ``digest``."""
-    buffer = io.BytesIO()
-    np.savez(buffer, sha256=np.array(digest),
-             **{name: getattr(records, name) for name in _SIDECAR_COLUMNS})
-    return buffer.getvalue()
+    """The records.cols of ``records``, stamped for the NDJSON whose SHA-256 is ``digest``."""
+    body = b"".join([np.asarray(records.start, "<i8").tobytes(),
+                     np.asarray(records.stop, "<i8").tobytes(),
+                     np.asarray(records.max_bps, "<i8").tobytes(),
+                     np.asarray(records.subclass, np.uint8).tobytes()])
+    return _SIDECAR_MAGIC + _stamp(digest, body) + body
 
 
 def _load_sidecar(path: Path, digest: str) -> RecordTable | None:
     """The table cached in ``path`` for records whose bytes hash to ``digest``, or None."""
     try:
-        npz = np.load(path, allow_pickle=False)
-    except _UNREADABLE:
+        raw = path.read_bytes()
+    except OSError:
         return None
-    if not isinstance(npz, np.lib.npyio.NpzFile):
+    n, extra = divmod(len(raw) - _HEADER_BYTES, _BYTES_PER_RECORD)
+    if (n < 0 or extra or raw[:32] != _SIDECAR_MAGIC
+            or raw[32:_HEADER_BYTES] != _stamp(digest, memoryview(raw)[_HEADER_BYTES:])):
         return None
-    with npz:
-        try:
-            if sorted(npz.files) != sorted(["sha256", *_SIDECAR_COLUMNS]):
-                return None
-            stamp = npz["sha256"]  # read first: a stale file costs no column load
-            if stamp.shape != () or stamp.dtype.kind != "U" or str(stamp) != digest:
-                return None
-            columns = [npz[name] for name in _SIDECAR_COLUMNS]
-        except _UNREADABLE:
-            return None
-    if any(c.dtype != dtype or c.ndim != 1 or c.size != columns[0].size
-           for c, dtype in zip(columns, _SIDECAR_COLUMNS.values())):
-        return None
-    codes, start, stop, max_bps = columns
+    start, stop, max_bps = np.frombuffer(raw, "<i8", 3 * n, _HEADER_BYTES).reshape(3, n)
+    codes = np.frombuffer(raw, np.uint8, n, _HEADER_BYTES + 24 * n)
     if not (np.all(codes < len(SUBCLASSES)) and columns_in_bounds(start, stop, max_bps)):
         return None
     return RecordTable(codes, start, stop, max_bps)
@@ -233,6 +230,8 @@ def _synthetic_records(params: dict) -> RecordColumns:
 
 
 def _cmd_ingest(params: dict):
+    if params["synthetic"] and params["input"] is not None:
+        raise InvalidConfigError("ingest takes an input file or --synthetic, not both")
     if not params["synthetic"] and params["input"] is None:
         raise InvalidConfigError("ingest needs an input file or --synthetic")
     if params["synthetic"]:
@@ -433,12 +432,14 @@ def _execute(command: str, params: dict) -> int:
 def _check_inputs(doc: dict, params: dict) -> None:
     """Raise InputChangedError unless each recorded input still has its SHA-256.
 
-    Manifests written before inputs carried digests list bare paths; those
-    entries have nothing to check.
+    An entry without a digest (a bare path, as manifests listed inputs before
+    they carried digests) cannot be checked, so it refuses the replay too.
     """
     for entry in doc["inputs"]:
-        if not isinstance(entry, dict):
-            continue
+        if not (isinstance(entry, dict) and "param" in entry and "sha256" in entry):
+            raise InputChangedError(
+                f"replay refused: manifest input {entry!r} has no SHA-256 to check"
+            )
         path = params[entry["param"]]
         digest = sha256_hex(Path(path).read_bytes())
         if digest != entry["sha256"]:

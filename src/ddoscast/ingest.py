@@ -307,8 +307,10 @@ def _detect_entries(text: str):
     """Return (entries, locations). Raises NotJsonError if no format fits.
 
     Locations are array indices (0-based) for array input and line numbers
-    (1-based) for NDJSON. NDJSON lines that fail to parse come back as
-    (None, location, message) placeholders handled by the caller.
+    (1-based) for NDJSON. A lone top-level object that is not a single-key
+    array wrapper is one NDJSON line, located at the line where it starts.
+    NDJSON lines that fail to parse come back as (None, location, message)
+    placeholders handled by the caller.
     """
     stripped = text.strip()
     if not stripped:
@@ -322,21 +324,17 @@ def _detect_entries(text: str):
         return [(entry, i, None) for i, entry in enumerate(doc)]
 
     if stripped[0] == "{":
-        # Could be a single object, a wrapper around the array, or NDJSON.
+        # A wrapper around the array, one object (perhaps spread over
+        # several lines), or NDJSON.
         try:
             doc = json.loads(stripped)
         except _DECODE_ERRORS:
             doc = None
         if isinstance(doc, dict):
-            if all(name in doc for name in _REQUIRED_FIELDS):
-                return [(doc, 0, None)]
             values = list(doc.values())
             if len(doc) == 1 and isinstance(values[0], list):
                 return [(entry, i, None) for i, entry in enumerate(values[0])]
-            raise NotJsonError(
-                "top-level object is neither a record nor a single-key array "
-                f"wrapper (keys: {sorted(doc)})"
-            )
+            return [(doc, 1 + text.count("\n", 0, text.index("{")), None)]
 
     # NDJSON: one object per non-blank line. Lines end at "\n" only: JSON
     # strings may hold U+2028 and other characters str.splitlines() breaks

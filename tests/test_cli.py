@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import signal
 import subprocess
@@ -11,6 +12,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,6 +33,8 @@ from ddoscast.analytics import global_stats, rank_subclasses, ranking_to_csv, st
 from ddoscast.cli import _build_parser, _resolve_params, main, replay_manifest
 from ddoscast.ingest import (
     MAX_UNIX_SECONDS,
+    SUBCLASSES,
+    RecordColumns,
     Subclass,
     SyntheticSpec,
     generate_synthetic,
@@ -96,6 +100,20 @@ class TestIngest:
     def test_missing_input_flag_usage_error(self, tmp_path, capsys):
         assert run(["ingest", "--out", tmp_path / "o"]) == 2
         assert capsys.readouterr().err == "error: ingest needs an input file or --synthetic\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("config", [None, "input = {}\n", "synthetic = yes\n"])
+    def test_input_file_and_synthetic_exit_two(self, tmp_path, records_file, capsys, config):
+        args = ["ingest", records_file, "--synthetic"]
+        if config is not None:  # one of the two comes from a config file
+            path = tmp_path / "run.cfg"
+            path.write_text(config.format(records_file))
+            args = ["ingest", "--config", path,
+                    *(["--synthetic"] if "input" in config else [records_file])]
+        assert run([*args, "--out", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err == (
+            "error: ingest takes an input file or --synthetic, not both\n"
+        )
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("strict", [False, True])
@@ -423,13 +441,19 @@ def test_numpy_is_the_only_numeric_dependency_imported():
     assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
-# --- records.npz beside ingest's NDJSON ---------------------------------------
+# --- records.cols beside ingest's NDJSON --------------------------------------
 
 SIDECAR_COMMANDS = (
     ("analyze", [], ("stats.csv", "histogram.csv", "growth.csv", "ranking.csv")),
     ("train", ["--window", 5, "--hidden", 2, "--epochs", 2], ("history.csv", "checkpoint.json")),
     ("grid", ["--windows", "3,4", "--hiddens", "2", "--epochs", 1], ("grid_table.txt",)),
     ("forecast", [], ("forecast.csv", "forecast.svg")),
+)
+SOURCE_COLUMNS = ("subclass", "start", "stop", "max_bps")
+# Turns a file left open, and an exception raised where nothing can catch it,
+# into test failures.
+NO_LEAKS = pytest.mark.filterwarnings(
+    "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning"
 )
 
 
@@ -460,18 +484,29 @@ class Tripwire:
         return (Path.touch, (Path(self.path),))
 
 
-def _rewrite_sidecar(path: Path, **changes):
-    with np.load(path) as npz:
-        arrays = {name: npz[name] for name in npz.files}
-    arrays.update(changes)
-    for name in [name for name, value in arrays.items() if value is None]:
-        del arrays[name]
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+def _parsed_columns(ndjson: Path) -> dict:
+    records, _report = parse_records(ndjson.read_bytes())
+    return {name: getattr(records, name).copy() for name in SOURCE_COLUMNS}
+
+
+def _write_stamped(sidecar: Path, ndjson: Path, **changes) -> None:
+    """Write the columns of ``ndjson``, with ``changes``, stamped for its bytes."""
+    columns = {**_parsed_columns(ndjson), **changes}
+    digest = cli.sha256_hex(ndjson.read_bytes())
+    sidecar.write_bytes(cli._sidecar_bytes(SimpleNamespace(**columns), digest))
+
+
+def _old_npz(ndjson: Path, **changes) -> bytes:
+    """A records.npz as ingest wrote it before records.cols, with ``changes``."""
+    arrays = {"sha256": np.array(cli.sha256_hex(ndjson.read_bytes())),
+              **_parsed_columns(ndjson), **changes}
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    return buffer.getvalue()
 
 
 def _sidecar_state(state: str, ndjson: Path, sidecar: Path, tmp_path: Path) -> None:
-    columns = dict(np.load(sidecar))
+    columns = _parsed_columns(ndjson)
     if state == "deleted":
         sidecar.unlink()
     elif state == "stale-whitespace":  # same records, other bytes
@@ -483,34 +518,39 @@ def _sidecar_state(state: str, ndjson: Path, sidecar: Path, tmp_path: Path) -> N
         ndjson.write_bytes(bytes(raw))
     elif state == "truncated":
         sidecar.write_bytes(sidecar.read_bytes()[: sidecar.stat().st_size // 2])
-    elif state == "not-a-zip":
-        sidecar.write_bytes(b"not a zip file\n")
-    elif state == "wrong-dtype":
-        _rewrite_sidecar(sidecar, start=columns["start"].astype(np.int32))
-    elif state == "wrong-length":
-        _rewrite_sidecar(sidecar, stop=columns["stop"][:-1])
-    elif state == "missing-array":
-        _rewrite_sidecar(sidecar, max_bps=None)
-    elif state == "bad-code":
-        _rewrite_sidecar(sidecar, subclass=np.full_like(columns["subclass"], 200))
-    elif state == "object-array":
+    elif state == "flipped-byte":  # the second start moves by one second, still in range
+        raw = bytearray(sidecar.read_bytes())
+        raw[64 + 8] ^= 1
+        sidecar.write_bytes(bytes(raw))
+    elif state == "wrong-length":  # one trailing byte: not 64 + 25 bytes per record
+        sidecar.write_bytes(sidecar.read_bytes() + b"\0")
+    elif state == "foreign-npz":  # an older ingest's sidecar, copied into place
+        sidecar.write_bytes(_old_npz(ndjson))
+    elif state == "object-array":  # an npz whose loading would unpickle
         tripwire = np.empty(len(columns["subclass"]), dtype=object)
         tripwire[:] = Tripwire(tmp_path / "unpickled")
-        _rewrite_sidecar(sidecar, subclass=tripwire)
+        sidecar.write_bytes(_old_npz(ndjson, subclass=tripwire))
+    elif state == "bad-code":  # the first code past the last subclass, validly stamped
+        columns["subclass"][-1] = len(SUBCLASSES)
+        _write_stamped(sidecar, ndjson, subclass=columns["subclass"])
+    elif state == "negative-start":  # validly stamped
+        columns["start"][0] = -1
+        _write_stamped(sidecar, ndjson, start=columns["start"])
     else:
         assert state == "present"
 
 
 SIDECAR_STATES = ["present", "deleted", "stale-whitespace", "stale-record", "truncated",
-                  "not-a-zip", "wrong-dtype", "wrong-length", "missing-array", "bad-code",
-                  "object-array"]
+                  "flipped-byte", "wrong-length", "foreign-npz", "object-array", "bad-code",
+                  "negative-start"]
 
 
+@NO_LEAKS
 @pytest.mark.parametrize("state", SIDECAR_STATES)
 def test_sidecar_state_never_changes_outputs(tmp_path, records_file, capsys, state):
     assert run(["ingest", records_file, "--out", tmp_path / "i", "--seed", 1]) == 0
     ndjson = tmp_path / "i" / "ingest-1" / "records.ndjson"
-    sidecar = ndjson.with_name("records.npz")
+    sidecar = ndjson.with_name("records.cols")
     assert sidecar.is_file()
     _sidecar_state(state, ndjson, sidecar, tmp_path)
 
@@ -527,18 +567,45 @@ def test_sidecar_state_never_changes_outputs(tmp_path, records_file, capsys, sta
     record_count = 599 if state == "stale-record" else 600
     assert got["analyze/stats.csv"].split(b"\n")[1].startswith(b"%d," % record_count)
     assert plain_sources == {"parse"}
-    assert sources == {"records.npz" if state == "present" else "parse"}
+    assert sources == {"records.cols" if state == "present" else "parse"}
     assert not (tmp_path / "unpickled").exists()
+
+
+@NO_LEAKS
+def test_mutated_sidecar_loads_its_columns_or_none(tmp_path):
+    records = RecordColumns.of(generate_synthetic(SyntheticSpec(record_count=40, seed=3)))
+    digest = cli.sha256_hex(records_to_ndjson(records).encode())
+    original = cli._sidecar_bytes(records, digest)
+    path = tmp_path / "records.cols"
+    path.write_bytes(original)
+    assert cli._load_sidecar(path, digest) is not None
+
+    rng = random.Random(0)
+    for _ in range(3000):
+        data = bytearray(original)
+        kind = rng.choice(["flip", "truncate", "insert"])
+        at = rng.randrange(len(data))
+        if kind == "flip":
+            data[at] ^= rng.randrange(1, 256)
+        elif kind == "truncate":  # anywhere, or by whole records so the length still fits
+            del data[at if rng.random() < 0.5 else len(data) - 25 * rng.randint(1, 40):]
+        else:
+            size = rng.choice([1, 25, 50, rng.randint(1, 60)])
+            data[at:at] = rng.randbytes(size)
+        path.write_bytes(bytes(data))
+        table = cli._load_sidecar(path, digest)
+        if table is not None:
+            for name in SOURCE_COLUMNS:
+                assert np.array_equal(getattr(table, name), getattr(records, name))
 
 
 def test_sidecar_table_equals_parsed_table(tmp_path, records_file):
     from ddoscast.cli import _load_sidecar, sha256_hex
-    from ddoscast.ingest import parse_records
 
     assert run(["ingest", records_file, "--out", tmp_path, "--seed", 1]) == 0
     ndjson = tmp_path / "ingest-1" / "records.ndjson"
     raw = ndjson.read_bytes()
-    cached = _load_sidecar(ndjson.with_name("records.npz"), sha256_hex(raw))
+    cached = _load_sidecar(ndjson.with_name("records.cols"), sha256_hex(raw))
     parsed = enrich_all(parse_records(raw)[0])
     assert cached is not None and len(cached) == len(parsed) == 600
     for name in ("subclass", "start", "stop", "max_bps", "duration_min", "max_gbps"):
@@ -546,14 +613,31 @@ def test_sidecar_table_equals_parsed_table(tmp_path, records_file):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
         assert not got.flags.writeable
-    assert _load_sidecar(ndjson.with_name("records.npz"), sha256_hex(raw + b"\n")) is None
+    assert _load_sidecar(ndjson.with_name("records.cols"), sha256_hex(raw + b"\n")) is None
 
 
 def test_synthetic_ingest_writes_sidecar(tmp_path):
     assert run(["ingest", "--synthetic", "--count", 50, "--out", tmp_path, "--seed", 2]) == 0
-    with np.load(tmp_path / "ingest-2" / "records.npz") as npz:
-        assert sorted(npz.files) == ["max_bps", "sha256", "start", "stop", "subclass"]
-        assert len(npz["start"]) == 50
+    ndjson = (tmp_path / "ingest-2" / "records.ndjson").read_bytes()
+    sidecar = (tmp_path / "ingest-2" / "records.cols").read_bytes()
+    records, _report = parse_records(ndjson)
+    body = b"".join([*(getattr(records, name).astype("<i8").tobytes()
+                       for name in ("start", "stop", "max_bps")),
+                     records.subclass.astype(np.uint8).tobytes()])
+    assert len(sidecar) == 64 + 25 * 50
+    assert sidecar[:32].startswith(b"ddoscast records.cols") and sidecar[31:32] == b"\n"
+    assert sidecar[32:64] == hashlib.sha256(hashlib.sha256(ndjson).digest() + body).digest()
+    assert sidecar[64:] == body
+
+
+def test_older_npz_sidecar_is_ignored(tmp_path, records_file, capsys):
+    assert run(["ingest", records_file, "--out", tmp_path / "i", "--seed", 1]) == 0
+    ndjson = tmp_path / "i" / "ingest-1" / "records.ndjson"
+    ndjson.with_name("records.cols").unlink()
+    ndjson.with_name("records.npz").write_bytes(_old_npz(ndjson))
+    assert run(["analyze", ndjson, "--out", tmp_path / "o", "--seed", 1]) == 0
+    doc = json.loads((tmp_path / "o" / "analyze-1" / "manifest.json").read_text())
+    assert doc["inputs"][0]["read_from"] == "parse"
 
 
 @pytest.mark.parametrize("rejected_only", [False, True])
@@ -562,7 +646,8 @@ def test_empty_ingest_output_keeps_exit_three(tmp_path, capsys, rejected_only):
     source.write_bytes(as_ndjson(record_obj(subclass="??")) if rejected_only else b"[]")
     assert run(["ingest", source, "--out", tmp_path / "i"]) == 0
     ndjson = tmp_path / "i" / "ingest-0" / "records.ndjson"
-    assert ndjson.read_bytes() == b"" and ndjson.with_name("records.npz").exists()
+    sidecar = ndjson.with_name("records.cols")
+    assert ndjson.read_bytes() == b"" and len(sidecar.read_bytes()) == 64
     capsys.readouterr()
     assert run(["analyze", ndjson, "--out", tmp_path / "o"]) == 3
     assert capsys.readouterr().err == f"error: records file {ndjson} is empty\n"
@@ -610,18 +695,32 @@ def test_replay_refuses_changed_input(tmp_path, records_file, capsys, command):
     assert not (tmp_path / "second").exists()
 
 
-def test_replay_of_manifest_without_digests(tmp_path, records_file):
+def _replay_with_inputs(tmp_path, records_file, capsys, inputs):
+    """Exit code and stderr of replaying an analyze run whose manifest lists ``inputs``."""
     out = tmp_path / "first"
     assert run(["analyze", records_file, "--out", out, "--seed", 6]) == 0
     manifest = out / "analyze-6" / "manifest.json"
     doc = json.loads(manifest.read_text())
-    doc["inputs"] = [str(records_file.resolve())]  # as written before inputs had digests
+    doc["inputs"] = inputs
     manifest.write_text(json.dumps(doc))
-    assert replay_manifest(manifest, str(tmp_path / "second")) == 0
-    for name in ("stats.csv", "histogram.csv", "growth.csv", "ranking.csv"):
-        assert (tmp_path / "second" / "analyze-6" / name).read_bytes() == (
-            out / "analyze-6" / name
-        ).read_bytes()
+    capsys.readouterr()
+    return replay_manifest(manifest, str(tmp_path / "second")), capsys.readouterr().err
+
+
+def test_replay_of_manifest_without_digests(tmp_path, records_file, capsys):
+    # a bare path, as manifests listed inputs before they carried digests
+    code, err = _replay_with_inputs(tmp_path, records_file, capsys, [str(records_file.resolve())])
+    assert code == 7
+    assert err.startswith("error: replay refused: ") and err.count("\n") == 1
+    assert not (tmp_path / "second").exists()
+
+
+@pytest.mark.parametrize("entry", [{"param": "records"}, {"sha256": "0" * 64}, None, 3])
+def test_replay_refuses_input_entry_without_param_and_digest(tmp_path, records_file, capsys,
+                                                             entry):
+    code, err = _replay_with_inputs(tmp_path, records_file, capsys, [entry])
+    assert (code, err.count("\n")) == (7, 1)
+    assert not (tmp_path / "second").exists()
 
 
 # --- synthetic ingest -----------------------------------------------------------
@@ -666,7 +765,7 @@ def test_synthetic_ingest_writes_what_parsing_its_records_gives(tmp_path, seed):
         '{\n  "accepted": 500,\n  "rejected": 0,\n  "rejection_reasons": []\n}\n'
     )
     parsed, _report = parse_records(ndjson, strict=True)
-    assert (out / "records.npz").read_bytes() == cli._sidecar_bytes(parsed, cli.sha256_hex(ndjson))
+    assert (out / "records.cols").read_bytes() == cli._sidecar_bytes(parsed, cli.sha256_hex(ndjson))
 
 
 @pytest.mark.parametrize(

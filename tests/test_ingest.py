@@ -181,10 +181,43 @@ def test_object_wrapper_unwraps_single_key_array():
     assert len(records) == 2 and report.rejected == 0
 
 
-def test_object_wrapper_other_shapes_are_not_json():
-    with pytest.raises(NotJsonError) as err:
-        parse_records(json.dumps({"a": 1, "b": 2}).encode())
-    assert "a" in str(err.value) and "b" in str(err.value)
+def test_object_wrapper_other_shapes_are_one_ndjson_line():
+    text = json.dumps({"a": 1, "b": 2}).encode()
+    records, report = parse_records(text)
+    assert len(records) == 0
+    assert report.rejection_reasons == [(1, "missing field 'attack_class'")]
+    with pytest.raises(SchemaViolationError) as err:
+        parse_records(text, strict=True)
+    assert err.value.location == 1
+
+
+LONE_OBJECTS = [
+    record_obj(),
+    {k: v for k, v in record_obj().items() if k != "stop"},
+    record_obj(subclass="??"),
+    record_obj(start=9, stop=1),
+    {"a": 1, "b": 2},
+    {"attacks": 5},
+    {},
+]
+
+
+@pytest.mark.parametrize("obj", LONE_OBJECTS)
+def test_lone_object_reads_as_its_ndjson_line(obj):
+    one_line, one_report = parse_records(as_ndjson(obj))
+    two_lines, two_report = parse_records(as_ndjson(obj, obj))
+    reasons = [reason for _, reason in one_report.rejection_reasons]
+    assert one_report.rejection_reasons == [(1, reason) for reason in reasons]
+    assert two_report.rejection_reasons == [(line, r) for line in (1, 2) for r in reasons]
+    assert list(two_lines) == list(one_line) * 2
+
+
+def test_lone_object_is_located_at_the_line_it_starts_on():
+    bad = {k: v for k, v in record_obj().items() if k != "stop"}
+    for text, line in ((as_ndjson(bad), 1), (b"\n\n" + as_ndjson(bad), 3),
+                       (b"\n" + json.dumps(bad, indent=2).encode(), 2)):
+        _records, report = parse_records(text)
+        assert report.rejection_reasons == [(line, "missing field 'stop'")]
 
 
 def test_single_record_object_parses():
