@@ -9,7 +9,7 @@ writes it out, reads it back, and pokes at the lenient parser.
 
 import datetime as dt
 
-from ddoscast import (
+from ddoscast.ingest import (
     Subclass,
     SyntheticSpec,
     generate_synthetic,

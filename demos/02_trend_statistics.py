@@ -6,18 +6,16 @@ year-on-year growth, all computed from one columnar table of enriched
 records (duration in minutes, peak Gbps).
 """
 
-from ddoscast import (
+from ddoscast.analytics import (
     GrowthDimension,
-    Metric,
-    SyntheticSpec,
-    enrich_all,
-    generate_synthetic,
     global_stats,
     histogram_duration,
     histogram_throughput,
     rank_subclasses,
     yoy_growth,
 )
+from ddoscast.ingest import SyntheticSpec, generate_synthetic
+from ddoscast.preprocess import Metric, enrich_all
 
 records = enrich_all(generate_synthetic(SyntheticSpec(record_count=4000, seed=3)))
 

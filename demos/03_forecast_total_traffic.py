@@ -11,23 +11,11 @@ epochs.
 
 from pathlib import Path
 
-from ddoscast import (
-    Granularity,
-    Metric,
-    Subclass,
-    SyntheticSpec,
-    TrainConfig,
-    aggregate,
-    build_windowed,
-    enrich_all,
-    generate_synthetic,
-    init_model,
-    mse,
-    predict_series,
-    render_line_chart,
-    series_for,
-    train,
-)
+from ddoscast.chart import render_line_chart
+from ddoscast.ingest import Subclass, SyntheticSpec, generate_synthetic
+from ddoscast.lstm import TrainConfig, init_model, mse, predict_series, train
+from ddoscast.preprocess import Granularity, Metric, aggregate, enrich_all, series_for
+from ddoscast.windowing import build_windowed
 
 # 1. Records to a dense daily series (attack-free days become 0.0).
 records = enrich_all(generate_synthetic(SyntheticSpec(record_count=6000, seed=5)))

@@ -7,21 +7,10 @@ grid. The demo uses a reduced grid and few epochs; the full sweep is
 windows {8,16,24,32} x hidden {32,64,128} at 100 epochs.
 """
 
-from ddoscast import (
-    Granularity,
-    GridSpec,
-    Metric,
-    Subclass,
-    SyntheticSpec,
-    TrainConfig,
-    aggregate,
-    best_config,
-    enrich_all,
-    generate_synthetic,
-    render_grid_table,
-    run_grid,
-    series_for,
-)
+from ddoscast.grid import GridSpec, best_config, render_grid_table, run_grid
+from ddoscast.ingest import Subclass, SyntheticSpec, generate_synthetic
+from ddoscast.lstm import TrainConfig
+from ddoscast.preprocess import Granularity, Metric, aggregate, enrich_all, series_for
 
 records = enrich_all(generate_synthetic(SyntheticSpec(record_count=6000, seed=5)))
 series = series_for(

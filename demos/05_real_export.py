@@ -13,14 +13,9 @@ Without the file this demo prints the instructions above and exits.
 import os
 import sys
 
-from ddoscast import (
-    Metric,
-    enrich_all,
-    global_stats,
-    histogram_throughput,
-    parse_records,
-    rank_subclasses,
-)
+from ddoscast.analytics import global_stats, histogram_throughput, rank_subclasses
+from ddoscast.ingest import parse_records
+from ddoscast.preprocess import Metric, enrich_all
 
 path = os.environ.get("DDOSCAST_REAL_DATA", "")
 if not path or not os.path.exists(path):

@@ -9,12 +9,26 @@ output bytes) from the manifest alone. All randomness flows from ``--seed``.
 
 from __future__ import annotations
 
+import os
+import signal
+import sys
+
+if __name__ == "__main__":
+    # A Ctrl-C while the imports below load would end in a traceback: no
+    # handler can cover them yet. Nothing has been written and no grid worker
+    # exists, so exit at once; os._exit, because the code interrupted could
+    # swallow a SystemExit. The block at the end hands SIGINT back to _run.
+    def _interrupted_at_startup(_signum, _frame):
+        os.write(2, b"error: interrupted\n")
+        os._exit(130)
+
+    signal.signal(signal.SIGINT, _interrupted_at_startup)
+
 import argparse
 import datetime as dt
 import enum
 import hashlib
 import json
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +53,7 @@ from .errors import (
     EmptyDatasetError,
     InputChangedError,
     InvalidConfigError,
+    ReplayRefusedError,
 )
 from .grid import (
     DEFAULT_HIDDEN_SIZES,
@@ -429,18 +444,52 @@ def _execute(command: str, params: dict) -> int:
     return 0
 
 
-def _check_inputs(doc: dict, params: dict) -> None:
+def _read_manifest(path):
+    """The command, params and inputs of the manifest at ``path``.
+
+    The replay is refused unless the params hold exactly the command's
+    settings, each a value of the option's type or None where the option
+    may be left unset.
+    """
+    try:
+        doc = json.loads(Path(path).read_bytes())
+    except (ValueError, RecursionError):  # not JSON, or not UTF-8 text
+        doc = None
+    if not isinstance(doc, dict):
+        raise ReplayRefusedError(f"replay refused: {path} is not a JSON object")
+    command, params, inputs = doc.get("command"), doc.get("params"), doc.get("inputs")
+    if not (isinstance(command, str) and command in _COMMANDS):
+        raise ReplayRefusedError(f"replay refused: unknown command {command!r}")
+    options = _COMMON + _COMMANDS[command][1]
+    names = [name for name, _kind, _default, _help in options]
+    if isinstance(params, dict) and command != "ingest" and type(params.get("strict")) is bool:
+        del params["strict"]  # written when every command took --strict
+    if not (isinstance(params, dict) and set(params) == set(names)):
+        raise ReplayRefusedError(f"replay refused: {command} params must be {', '.join(names)}")
+    for name, kind, default, _help in options:
+        # a required positional argument is never unset
+        unset_ok = default is None and _POSITIONAL_NARGS.get(name, "?") is not None
+        if not (params[name] is None and unset_ok or _holds(kind, params[name])):
+            raise ReplayRefusedError(f"replay refused: param {name} cannot be {params[name]!r}")
+    if not isinstance(inputs, list):
+        raise ReplayRefusedError(f"replay refused: inputs {inputs!r} is not a list")
+    return command, params, inputs
+
+
+def _check_inputs(inputs: list, params: dict) -> None:
     """Raise InputChangedError unless each recorded input still has its SHA-256.
 
     An entry without a digest (a bare path, as manifests listed inputs before
     they carried digests) cannot be checked, so it refuses the replay too.
     """
-    for entry in doc["inputs"]:
+    for entry in inputs:
         if not (isinstance(entry, dict) and "param" in entry and "sha256" in entry):
             raise InputChangedError(
                 f"replay refused: manifest input {entry!r} has no SHA-256 to check"
             )
-        path = params[entry["param"]]
+        path = params.get(entry["param"]) if isinstance(entry["param"], str) else None
+        if not isinstance(path, str):
+            raise ReplayRefusedError(f"replay refused: manifest input {entry!r} names no file")
         digest = sha256_hex(Path(path).read_bytes())
         if digest != entry["sha256"]:
             raise InputChangedError(
@@ -452,17 +501,17 @@ def _check_inputs(doc: dict, params: dict) -> None:
 def replay_manifest(manifest_path: str | Path, out_root: str | None = None) -> int:
     """Re-run a recorded invocation; outputs are byte-identical per seed.
 
-    Returns the exit code ``main`` would; an input whose bytes changed since
-    the recorded run refuses the replay with exit code 7.
+    Returns the exit code ``main`` would; a malformed manifest, or an input
+    whose bytes changed since the recorded run, refuses the replay with exit
+    code 7.
     """
-    doc = json.loads(Path(manifest_path).read_text())
-    params = dict(doc["params"])
-    if out_root is not None:
-        params["out"] = str(out_root)
 
     def replay() -> int:
-        _check_inputs(doc, params)
-        return _execute(doc["command"], params)
+        command, params, inputs = _read_manifest(manifest_path)
+        _check_inputs(inputs, params)
+        if out_root is not None:
+            params["out"] = str(out_root)
+        return _execute(command, params)
 
     return _run(replay)
 
@@ -583,6 +632,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _holds(kind, value) -> bool:
+    """Whether ``value`` is what an option of type ``kind`` resolves to."""
+    if isinstance(kind, enum.EnumMeta):
+        return value in [member.value for member in kind]
+    if kind is _int_list:
+        return isinstance(value, list) and bool(value) and all(type(v) is int for v in value)
+    return type(value) is kind
+
+
 def _cast(kind, text: str):
     """A config-file value read as an option of type ``kind``."""
     if kind is bool:
@@ -653,9 +711,13 @@ def _run(call) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    return _run(lambda: _execute(args.command, _resolve_params(args)))
+    def run() -> int:
+        args = _build_parser().parse_args(argv)
+        return _execute(args.command, _resolve_params(args))
+
+    return _run(run)
 
 
 if __name__ == "__main__":
+    signal.signal(signal.SIGINT, signal.default_int_handler)
     sys.exit(main())

@@ -29,10 +29,14 @@ class InvalidConfigError(DdoscastError, ValueError):
     exit_code = 2
 
 
-class InputChangedError(DdoscastError):
-    """A replayed run's input no longer has the SHA-256 its manifest recorded."""
+class ReplayRefusedError(DdoscastError):
+    """A manifest does not describe a run that can be replayed as it was recorded."""
 
     exit_code = 7
+
+
+class InputChangedError(ReplayRefusedError):
+    """A replayed run's input no longer has the SHA-256 its manifest recorded."""
 
 
 # --- ingest ---------------------------------------------------------------

@@ -441,6 +441,65 @@ def test_numpy_is_the_only_numeric_dependency_imported():
     assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
+def test_package_root_loads_no_other_module():
+    # a re-export in ddoscast/__init__.py would run before cli.py's first line
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, ddoscast; print(sorted(name for name in sys.modules "
+         "if name.split('.')[0] in ('numpy', 'ddoscast')))"],
+        capture_output=True, text=True, env=cli_env(),
+    )
+    assert (proc.returncode, proc.stdout) == (0, "['ddoscast']\n")
+
+
+def test_importing_cli_leaves_sigint_alone():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import signal, ddoscast.cli; print(signal.getsignal(signal.SIGINT).__name__)"],
+        capture_output=True, text=True, env=cli_env(),
+    )
+    assert (proc.returncode, proc.stdout) == (0, "default_int_handler\n")
+
+
+# Runs ``python -m ddoscast.cli`` and sends itself SIGINT when cli.py,
+# past its first lines, asks for numpy.
+INTERRUPTED_START = """
+import os, runpy, signal, sys
+
+class InterruptAtNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            sys.meta_path.remove(self)
+            os.kill(os.getpid(), signal.SIGINT)
+        return None
+
+sys.meta_path.insert(0, InterruptAtNumpy())
+runpy.run_module("ddoscast.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_interrupt_during_startup_exits_130(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", INTERRUPTED_START, "ingest", "--synthetic", "--count", "10",
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=cli_env(), cwd=tmp_path, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (130, "error: interrupted\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_interrupt_while_parsing_arguments_exits_130(monkeypatch, capsys):
+    def interrupted():
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_build_parser", interrupted)
+    try:
+        code = main(["ingest", "--synthetic"])
+    except KeyboardInterrupt:  # escaped main: a failure, not the end of the test session
+        code = None
+    assert code == 130
+    assert capsys.readouterr().err == "error: interrupted\n"
+
+
 # --- records.cols beside ingest's NDJSON --------------------------------------
 
 SIDECAR_COMMANDS = (
@@ -695,21 +754,30 @@ def test_replay_refuses_changed_input(tmp_path, records_file, capsys, command):
     assert not (tmp_path / "second").exists()
 
 
-def _replay_with_inputs(tmp_path, records_file, capsys, inputs):
-    """Exit code and stderr of replaying an analyze run whose manifest lists ``inputs``."""
+def _replay_edited(tmp_path, records_file, capsys, edit) -> int:
+    """Exit code of replaying an analyze run after ``edit`` rewrote its manifest.
+
+    ``edit`` is the manifest's new bytes, None to delete it, or a function
+    from the recorded document to the one to write.
+    """
     out = tmp_path / "first"
     assert run(["analyze", records_file, "--out", out, "--seed", 6]) == 0
     manifest = out / "analyze-6" / "manifest.json"
-    doc = json.loads(manifest.read_text())
-    doc["inputs"] = inputs
-    manifest.write_text(json.dumps(doc))
+    if edit is None:
+        manifest.unlink()
+    elif isinstance(edit, bytes):
+        manifest.write_bytes(edit)
+    else:
+        manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
     capsys.readouterr()
-    return replay_manifest(manifest, str(tmp_path / "second")), capsys.readouterr().err
+    return replay_manifest(manifest, str(tmp_path / "second"))
 
 
 def test_replay_of_manifest_without_digests(tmp_path, records_file, capsys):
     # a bare path, as manifests listed inputs before they carried digests
-    code, err = _replay_with_inputs(tmp_path, records_file, capsys, [str(records_file.resolve())])
+    bare = [str(records_file.resolve())]
+    code = _replay_edited(tmp_path, records_file, capsys, lambda doc: {**doc, "inputs": bare})
+    err = capsys.readouterr().err
     assert code == 7
     assert err.startswith("error: replay refused: ") and err.count("\n") == 1
     assert not (tmp_path / "second").exists()
@@ -718,8 +786,43 @@ def test_replay_of_manifest_without_digests(tmp_path, records_file, capsys):
 @pytest.mark.parametrize("entry", [{"param": "records"}, {"sha256": "0" * 64}, None, 3])
 def test_replay_refuses_input_entry_without_param_and_digest(tmp_path, records_file, capsys,
                                                              entry):
-    code, err = _replay_with_inputs(tmp_path, records_file, capsys, [entry])
+    code = _replay_edited(tmp_path, records_file, capsys, lambda doc: {**doc, "inputs": [entry]})
+    err = capsys.readouterr().err
     assert (code, err.count("\n")) == (7, 1)
+    assert not (tmp_path / "second").exists()
+
+
+def _without(mapping: dict, key: str) -> dict:
+    return {k: v for k, v in mapping.items() if k != key}
+
+
+# Each case: its exit code, and the manifest's new bytes, None to delete
+# it, or a function from the recorded document to the one to write.
+MALFORMED_MANIFESTS = {
+    "missing file": (1, None),
+    "not JSON": (7, b"{params: 1}"),
+    "not UTF-8": (7, b'{"command": "\xff"}'),
+    "nested too deep": (7, b"[" * 100_000),
+    "JSON list": (7, lambda doc: [doc]),
+    "no params": (7, lambda doc: _without(doc, "params")),
+    "unknown command": (7, lambda doc: {**doc, "command": "plot"}),
+    "input param absent": (7, lambda doc: {**doc, "inputs": [
+        {**doc["inputs"][0], "param": "checkpoint"}]}),  # analyze has no such parameter
+    "no year_a": (7, lambda doc: {**doc, "params": _without(doc["params"], "year_a")}),
+    "inputs not a list": (7, lambda doc: {**doc, "inputs": 5}),
+    "records not a path": (7, lambda doc: {**doc, "params": {**doc["params"], "records": 5}}),
+    "seed not an integer": (7, lambda doc: {**doc, "params": {**doc["params"], "seed": "x"}}),
+    "unknown param": (7, lambda doc: {**doc, "params": {**doc["params"], "colour": "red"}}),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_MANIFESTS)
+def test_malformed_manifest_refuses_replay_with_one_line(tmp_path, records_file, capsys, case):
+    code, edit = MALFORMED_MANIFESTS[case]
+    assert _replay_edited(tmp_path, records_file, capsys, edit) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: replay refused: " if code == 7 else "error: ")
+    assert err.count("\n") == 1
     assert not (tmp_path / "second").exists()
 
 

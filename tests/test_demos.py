@@ -23,8 +23,10 @@ def test_demo_exits_zero(tmp_path, demo):
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     env.pop("DDOSCAST_REAL_DATA", None)  # 05 then prints its instructions and exits 0
+    # the warnings pytest turns into errors in this process fail a demo too
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True,
+        [sys.executable, "-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning",
+         str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True,
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr

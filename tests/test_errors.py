@@ -65,6 +65,7 @@ def test_named_attributes_survive():
 EXIT_CODES = {
     errors.DdoscastError: 1,
     errors.InvalidConfigError: 2,
+    errors.ReplayRefusedError: 7,
     errors.InputChangedError: 7,
     errors.NotJsonError: 2,
     errors.SchemaViolationError: 2,
