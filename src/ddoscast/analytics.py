@@ -13,7 +13,7 @@ import datetime as dt
 import enum
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -177,66 +177,54 @@ def rank_subclasses(records: RecordTable, metric: Metric) -> list[tuple[Subclass
 # --- CSV exports ----------------------------------------------------------
 
 
+def csv_text(header, rows) -> str:
+    """CSV text of ``header`` and then ``rows``, the one writer of every CSV file.
+
+    Fields are separated by ``,`` and quoted only where they must be, and
+    each line ends in ``\n``. A float is written as ``str``, Python's
+    shortest round-trip repr.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def stats_to_csv(stats: GlobalStats) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        [
-            "record_count",
-            "total_duration_s",
-            "total_duration_years",
-            "max_throughput_gbps",
-            "longest_attack_s",
-            "date_min",
-            "date_max",
-        ]
+    """One row holding the fields of GlobalStats; dates as YYYY-MM-DD."""
+    return csv_text([f.name for f in fields(GlobalStats)], [astuple(stats)])
+
+
+def histogram_to_csv(*hists: Histogram) -> str:
+    """Rows: metric, bin_lo, bin_hi, year ('all' for the overall counts), count.
+
+    Each histogram is one block of rows under the one header.
+    """
+    rows = (
+        [hist.metric, f"{lo:g}", f"{hi:g}", year, count]
+        for hist in hists
+        for year, counts in [("all", hist.counts), *(hist.by_year or {}).items()]
+        for (lo, hi), count in zip(hist.bins, counts)
     )
-    writer.writerow(
-        [
-            stats.record_count,
-            stats.total_duration_s,
-            repr(stats.total_duration_years),
-            repr(stats.max_throughput_gbps),
-            stats.longest_attack_s,
-            stats.date_min.isoformat(),
-            stats.date_max.isoformat(),
-        ]
+    return csv_text(["metric", "bin_lo", "bin_hi", "year", "count"], rows)
+
+
+def growth_to_csv(*reports: GrowthReport) -> str:
+    """Each report is one block of rows under the one header."""
+    rows = (
+        [report.dimension, cell.label, cell.value_a, cell.value_b,
+         "n/a" if cell.growth_pct is None else cell.growth_pct]
+        for report in reports
+        for cell in report.cells
     )
-    return buf.getvalue()
-
-
-def histogram_to_csv(hist: Histogram) -> str:
-    """Rows: metric, bin_lo, bin_hi, year ('all' for the overall counts), count."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["metric", "bin_lo", "bin_hi", "year", "count"])
-
-    def write_rows(year_label, counts):
-        for (lo, hi), count in zip(hist.bins, counts):
-            writer.writerow([hist.metric, f"{lo:g}", f"{hi:g}", year_label, count])
-
-    write_rows("all", hist.counts)
-    if hist.by_year:
-        for year, counts in hist.by_year.items():
-            write_rows(year, counts)
-    return buf.getvalue()
-
-
-def growth_to_csv(report: GrowthReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["dimension", "cell", "value_a", "value_b", "growth_pct"])
-    for cell in report.cells:
-        pct = "n/a" if cell.growth_pct is None else repr(cell.growth_pct)
-        writer.writerow([report.dimension, cell.label, cell.value_a, cell.value_b, pct])
-    return buf.getvalue()
+    return csv_text(["dimension", "cell", "value_a", "value_b", "growth_pct"], rows)
 
 
 def ranking_to_csv(ranking: list[tuple[Subclass, float]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["rank", "subclass", "value"])
-    for pos, (sub, value) in enumerate(ranking, start=1):
-        text = str(int(value)) if float(value).is_integer() else repr(value)
-        writer.writerow([pos, sub.value, text])
-    return buf.getvalue()
+    """Values that are whole numbers are written as integers."""
+    rows = (
+        [pos, sub.value, int(value) if float(value).is_integer() else value]
+        for pos, (sub, value) in enumerate(ranking, start=1)
+    )
+    return csv_text(["rank", "subclass", "value"], rows)

@@ -25,6 +25,7 @@ if __name__ == "__main__":
     signal.signal(signal.SIGINT, _interrupted_at_startup)
 
 import argparse
+import dataclasses
 import datetime as dt
 import enum
 import hashlib
@@ -36,6 +37,7 @@ import numpy as np
 from . import __version__
 from .analytics import (
     GrowthDimension,
+    csv_text,
     global_stats,
     growth_to_csv,
     histogram_duration,
@@ -262,14 +264,7 @@ def _cmd_ingest(params: dict):
     files = {
         "records.ndjson": data,
         SIDECAR_NAME: _sidecar_bytes(records, sha256_hex(data)),
-        "parse_report.json": json.dumps(
-            {
-                "accepted": report.accepted,
-                "rejected": report.rejected,
-                "rejection_reasons": [list(r) for r in report.rejection_reasons],
-            },
-            indent=2,
-        ) + "\n",
+        "parse_report.json": json.dumps(dataclasses.asdict(report), indent=2) + "\n",
     }
     return files, inputs, f"ingest: {report.accepted} accepted, {report.rejected} rejected"
 
@@ -285,24 +280,16 @@ def _growth_years(params: dict, enriched) -> tuple[int, int]:
 
 def _cmd_analyze(params: dict):
     enriched, records_input = _read_records(params["records"])
-    dur = histogram_to_csv(histogram_duration(enriched, per_year=True))
-    thr = histogram_to_csv(histogram_throughput(enriched, per_year=True))
     year_a, year_b = _growth_years(params, enriched)
-    growth = [growth_to_csv(yoy_growth(enriched, year_a, year_b, dim)) for dim in GrowthDimension]
     files = {
         "stats.csv": stats_to_csv(global_stats(enriched)),
-        "histogram.csv": dur + thr.split("\n", 1)[1],  # shared header
-        "growth.csv": growth[0] + "".join(block.split("\n", 1)[1] for block in growth[1:]),
+        "histogram.csv": histogram_to_csv(histogram_duration(enriched, per_year=True),
+                                          histogram_throughput(enriched, per_year=True)),
+        "growth.csv": growth_to_csv(*(yoy_growth(enriched, year_a, year_b, dim)
+                                      for dim in GrowthDimension)),
         "ranking.csv": ranking_to_csv(rank_subclasses(enriched, Metric.COUNT)),
     }
     return files, [records_input], f"analyze: {len(enriched)} records, growth {year_a}->{year_b}"
-
-
-def _history_csv(history) -> str:
-    lines = ["epoch,train_mse,val_mse"]
-    for epoch, (tr, va) in enumerate(zip(history.train_mse, history.val_mse), start=1):
-        lines.append(f"{epoch},{tr!r},{va!r}")
-    return "\n".join(lines) + "\n"
 
 
 def _cmd_train(params: dict):
@@ -330,7 +317,9 @@ def _cmd_train(params: dict):
     files = {
         # training runs to completion per invocation; accumulators restart on resume
         "checkpoint.json": save_checkpoint(model, RmsPropState.zeros_like(model), config, meta),
-        "history.csv": _history_csv(history),
+        "history.csv": csv_text(["epoch", "train_mse", "val_mse"],
+                                zip(range(1, config.epochs + 1), history.train_mse,
+                                    history.val_mse)),
     }
     summary = (f"train: {config.epochs} epochs, final train_mse={history.train_mse[-1]:.6f} "
                f"val_mse={history.val_mse[-1]:.6f}")
@@ -393,16 +382,18 @@ def _cmd_forecast(params: dict):
     offset = dataset.splits.train.size + dataset.splits.validation.size + config.window_size
     periods = series.periods[offset : offset + targets.size]
 
-    lines = ["period,actual,predicted"]
-    for period, actual, predicted in zip(periods, targets, preds):
-        lines.append(f"{period},{float(actual)!r},{float(predicted)!r}")
+    actual, predicted = targets.tolist(), preds.tolist()
     svg = render_line_chart(
-        [targets.tolist(), preds.tolist()],
+        [actual, predicted],
         ["actual", "predicted"],
         f"{subclass} {metric}: predicted vs actual (test split)",
         x_labels=list(periods),
     )
-    files = {"forecast.csv": "\n".join(lines) + "\n", "forecast.svg": svg}
+    files = {
+        "forecast.csv": csv_text(["period", "actual", "predicted"],
+                                 zip(periods, actual, predicted)),
+        "forecast.svg": svg,
+    }
     inputs = [_input("checkpoint", params["checkpoint"], raw), records_input]
     return files, inputs, f"forecast: {targets.size} test points"
 
@@ -422,6 +413,8 @@ def _execute(command: str, params: dict) -> int:
     The run directory is created only after the command has returned, so a
     command that fails or is interrupted leaves none behind.
     """
+    if params["seed"] < 0:  # flags, config files and replayed manifests all come here
+        raise InvalidConfigError(f"seed must be >= 0, got {params['seed']}")
     started = _now()
     files, inputs, summary = _DISPATCH[command](params)
     out = Path(params["out"]) / f"{command}-{params['seed']}"

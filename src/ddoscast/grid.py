@@ -8,10 +8,8 @@ another cell's result.
 from __future__ import annotations
 
 import contextlib
-import csv
 import ctypes
 import hashlib
-import io
 import multiprocessing
 import os
 import signal
@@ -20,10 +18,11 @@ import threading
 import time
 from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
+from .analytics import csv_text
 from .errors import EmptyGridError, InvalidConfigError, WorkerLostError
 from .lstm import TrainConfig, init_model, mse, predict_series, train
 from .preprocess import TimeSeries
@@ -272,23 +271,11 @@ def best_config(result: GridResult) -> tuple[int, int]:
 
 
 def grid_to_csv(result: GridResult) -> str:
+    """One row per cell holding the fields of GridCell, in (window, hidden) order."""
     if not result.cells:
         raise EmptyGridError("grid has no cells")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["window", "hidden", "train_mse", "test_mse", "wall_ms", "seed"])
-    for cell in sorted(result.cells, key=lambda c: (c.window, c.hidden)):
-        writer.writerow(
-            [
-                cell.window,
-                cell.hidden,
-                repr(cell.train_mse),
-                repr(cell.test_mse),
-                repr(cell.wall_ms),
-                cell.seed,
-            ]
-        )
-    return buf.getvalue()
+    cells = sorted(result.cells, key=lambda c: (c.window, c.hidden))
+    return csv_text([f.name for f in fields(GridCell)], map(astuple, cells))
 
 
 def render_grid_table(result: GridResult) -> str:

@@ -470,10 +470,12 @@ def _encode_array(arr: np.ndarray) -> dict:
     }
 
 
-def _decode_array(obj: dict) -> np.ndarray:
-    raw = base64.b64decode(obj["data"].encode("ascii"), validate=True)
-    arr = np.frombuffer(raw, dtype="<f8").copy()
-    return arr.reshape([int(s) for s in obj["shape"]])
+def _decode_array(obj: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """Block ``name``, which must have been stored with ``shape``."""
+    if obj["shape"] != list(shape):
+        raise CorruptCheckpointError(f"block {name} has shape {obj['shape']!r}, expected {shape}")
+    raw = base64.b64decode(obj["data"], validate=True)  # TypeError unless str or bytes
+    return np.frombuffer(raw, dtype="<f8").copy().reshape(shape)
 
 
 def _encode_params(params: LstmParams) -> dict:
@@ -482,12 +484,8 @@ def _encode_params(params: LstmParams) -> dict:
 
 def _decode_params(encoded: dict, hidden_size: int) -> LstmParams:
     """Join the 14 v1 blocks into one vector; each must have its H-derived shape."""
-    parts = []
-    for name, _offset, shape in _v1_layout(hidden_size):
-        arr = _decode_array(encoded[name])
-        if arr.shape != shape:
-            raise CorruptCheckpointError(f"block {name} has shape {arr.shape}, expected {shape}")
-        parts.append(arr.ravel())
+    parts = [_decode_array(encoded[name], name, shape).ravel()
+             for name, _offset, shape in _v1_layout(hidden_size)]
     return LstmParams(np.concatenate(parts), hidden_size)
 
 

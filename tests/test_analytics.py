@@ -7,6 +7,7 @@ from ddoscast.analytics import (
     DURATION_BINS_MIN,
     THROUGHPUT_BINS_GBPS,
     GrowthDimension,
+    csv_text,
     global_stats,
     growth_pct,
     growth_to_csv,
@@ -231,3 +232,19 @@ class TestCsvExports:
         records = enriched(make_record(0, 60))
         text = ranking_to_csv(rank_subclasses(records, Metric.COUNT))
         assert text.strip().split("\n")[1] == "1,TotalTraffic,1"
+
+    def test_csv_text_quotes_only_where_needed(self):
+        text = csv_text(["a", "b"], [["[0,15)", 0.1], ['say "hi"', 1e-300]])
+        assert text == 'a,b\n"[0,15)",0.1\n"say ""hi""",1e-300\n'
+
+    def test_several_blocks_share_one_header(self, synthetic_1000):
+        records = enrich_all(synthetic_1000[:100])
+        dur, thr = histogram_duration(records), histogram_throughput(records)
+        assert histogram_to_csv(dur, thr) == (
+            histogram_to_csv(dur) + histogram_to_csv(thr).split("\n", 1)[1])
+        years = sorted(set(records.start_years().tolist()))
+        reports = [yoy_growth(records, years[0], years[-1], dim) for dim in GrowthDimension]
+        lines = growth_to_csv(*reports).split("\n")
+        assert lines[0] == "dimension,cell,value_a,value_b,growth_pct"
+        assert lines.count(lines[0]) == 1
+        assert len(lines) == 1 + sum(len(r.cells) for r in reports) + 1  # the final newline

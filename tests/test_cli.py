@@ -1215,6 +1215,11 @@ FAILING_RUNS = {
         "forecast", write(tmp / "checkpoint.json", b"{truncated"), records]),
     "forecast a one-day series": (4, lambda tmp, records: [
         "forecast", write(tmp / "checkpoint.json", checkpoint_doc()), one_day_records(tmp)]),
+    "ingest a negative seed": (2, lambda tmp, records: ["ingest", "--synthetic", "--seed", -1]),
+    "train a negative seed": (2, lambda tmp, records: [
+        "train", records, "--seed", -1, "--window", 2, "--hidden", 2, "--epochs", 1]),
+    "grid a negative seed": (2, lambda tmp, records: [
+        "grid", records, "--seed", -1, "--windows", 2, "--hiddens", 2, "--epochs", 1]),
 }
 
 
@@ -1224,8 +1229,24 @@ def test_failing_run_leaves_no_run_directory(tmp_path, records_file, capsys, cas
     args = args_of_case(tmp_path, records_file)
     out = tmp_path / "o"
     assert run([*args, "--out", out]) == code
-    assert capsys.readouterr().err.startswith("error: ")
-    assert not (out / f"{args[0]}-0").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("given_as", ["config", "manifest"])
+def test_negative_seed_from_config_or_manifest_exits_two(tmp_path, capsys, given_as):
+    if given_as == "config":
+        config = write(tmp_path / "run.cfg", b"seed=-3\n")
+        code = run(["ingest", "--synthetic", "--config", config, "--out", tmp_path / "o"])
+    else:
+        assert run(["ingest", "--synthetic", "--count", 5, "--out", tmp_path / "a"]) == 0
+        manifest = json.loads((tmp_path / "a" / "ingest-0" / "manifest.json").read_text())
+        manifest["params"]["seed"] = -3
+        code = replay_manifest(write(tmp_path / "manifest.json", manifest), tmp_path / "o")
+    assert code == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -3\n"
+    assert not (tmp_path / "o").exists()
 
 
 MALFORMED_CHECKPOINTS = {
@@ -1236,6 +1257,10 @@ MALFORMED_CHECKPOINTS = {
     "norm_source foo": lambda doc: doc["meta"].update(norm_source="foo"),
     "metric foo": lambda doc: doc["meta"].update(metric="foo"),
     "subclass 5": lambda doc: doc["meta"].update(subclass=5),
+    "block data 5": lambda doc: doc["params"]["wi"].update(data=5),
+    "block data null": lambda doc: doc["opt_acc"]["by"].update(data=None),
+    # json writes 1e999 as Infinity, which reads back as the same float
+    "shape entry 1e999": lambda doc: doc["params"]["ui"].update(shape=[1e999, 2]),
 }
 
 
@@ -1311,3 +1336,55 @@ def test_every_command_ends_in_a_documented_exit_code(tiny_checkpoint, drawn):
                 err = stderr.getvalue()
                 assert err.startswith("error: ") and err.count("\n") == 1, (args[0], err)
                 assert "Traceback" not in err
+
+
+# --- output bytes are pinned --------------------------------------------------
+
+# SHA-256 of the files that ingest and analyze write for golden_export(),
+# recorded before the CSV writers were merged into one. None of these files
+# goes through BLAS, so their bytes do not depend on the machine.
+GOLDEN_DIGESTS = {
+    "ingest-0/records.ndjson":
+        "1197be521808d11a3e50ecbf8860c4095b66ba085971924857c8b3fa9bb2d396",
+    "ingest-0/parse_report.json":
+        "8fda577276922227b3a586aebabffd65b0c4e5126127fd60e0e34d44275a8ab8",
+    "analyze-0/stats.csv":
+        "246915548dbeac89c589107d3aa53b2fe1718480da8da674ffc9ba8067759303",
+    "analyze-0/histogram.csv":
+        "d0619b838404da95688fc30ef7ef2da721e7e77a462db42aa8a9084d41d94ffc",
+    "analyze-0/growth.csv":
+        "3ce8e694923c8c95571264ae692db3d8643a7c8f2954fe2a2d285b66e0bc6d78",
+    "analyze-0/ranking.csv":
+        "f276c68ba6e3a99df53d4b5d70b6b31d95763657f23b078f87abbab6e5cb48fb",
+}
+
+
+def golden_export() -> bytes:
+    """3,000 seeded synthetic records over 2019-2020, three in 2018, and four malformed lines.
+
+    One malformed line names a subclass that holds a comma, and one is not
+    an object. Analyzed with growth from 2018, most growth cells have a zero
+    baseline.
+    """
+    lines = records_to_ndjson(
+        generate_synthetic(SyntheticSpec(record_count=3000, seed=12))).splitlines()
+    lines[10:10] = [
+        "not json",
+        "[1, 2]",
+        json.dumps(record_obj(subclass="Total,Traffic")),
+        json.dumps({"subclass": "ICMP"}),
+        *(json.dumps(record_obj(subclass="ICMP", start=1514764800 + 3600 * i,
+                                stop=1514764800 + 3600 * i + 600)) for i in range(3)),
+    ]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_ingest_and_analyze_outputs_match_golden_digests(tmp_path):
+    export = write(tmp_path / "export.ndjson", golden_export())
+    out = tmp_path / "o"
+    assert run(["ingest", export, "--out", out]) == 0
+    assert run(["analyze", out / "ingest-0" / "records.ndjson", "--year-a", 2018,
+                "--out", out]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in GOLDEN_DIGESTS}
+    assert digests == GOLDEN_DIGESTS

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import warnings
@@ -5,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddoscast.errors import (
     CacheMismatchError,
@@ -544,6 +547,48 @@ class TestCheckpoint:
         doc["params"]["wy"] = doc["params"]["by"]
         with pytest.raises(CorruptCheckpointError):
             load_checkpoint(json.dumps(doc).encode())
+
+
+def _small_checkpoint() -> dict:
+    model = init_model(2, seed=0)
+    config = TrainConfig(window_size=3, hidden_size=2)
+    meta = {"subclass": "TotalTraffic", "metric": "count", "norm_source": "full_series"}
+    return json.loads(save_checkpoint(model, RmsPropState.zeros_like(model), config, meta))
+
+
+SMALL_CHECKPOINT = _small_checkpoint()
+
+# Every field one edit may change: a top-level key, a config or meta key, and
+# a block's shape, one of its shape entries, or its data.
+CHECKPOINT_FIELDS = (
+    [(key,) for key in SMALL_CHECKPOINT]
+    + [(part, key) for part in ("config", "meta") for key in SMALL_CHECKPOINT[part]]
+    + [(group, name, key) for group in ("params", "opt_acc")
+       for name in SMALL_CHECKPOINT[group] for key in ("shape", "data")]
+    + [(group, name, "shape", i) for group in ("params", "opt_acc")
+       for name, block in SMALL_CHECKPOINT[group].items() for i in range(len(block["shape"]))]
+)
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(path=st.sampled_from(CHECKPOINT_FIELDS), value=JSON_VALUES)
+def test_one_edited_checkpoint_field_loads_or_is_refused(path, value):
+    doc = copy.deepcopy(SMALL_CHECKPOINT)
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    try:
+        load_checkpoint(json.dumps(doc).encode())
+    except (CorruptCheckpointError, VersionMismatchError):
+        pass
 
 
 # Written by ddoscast at commit c0cc8aa, when LstmParams held 14 separate

@@ -1,0 +1,54 @@
+"""Count the code lines of each module in src/ddoscast, and their total.
+
+A code line holds at least one token that is not a comment, a line break
+or indentation. Lines that are only part of a module, class or function
+docstring are not counted. Run from the repository root:
+
+    python tools/code_lines.py [package directory]
+"""
+
+from __future__ import annotations
+
+import ast
+import io
+import sys
+import tokenize
+from pathlib import Path
+
+_SKIPPED = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+            tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def _docstring_lines(tree: ast.Module) -> set[int]:
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                lines.update(range(first.lineno, first.end_lineno + 1))
+    return lines
+
+
+def code_lines(source: str) -> int:
+    """The number of code lines in the Python ``source``."""
+    lines = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type not in _SKIPPED:
+            lines.update(range(token.start[0], token.end[0] + 1))
+    return len(lines - _docstring_lines(ast.parse(source)))
+
+
+def main(argv: list[str]) -> int:
+    package = Path(argv[1] if len(argv) > 1 else "src/ddoscast")
+    total = 0
+    for path in sorted(package.glob("*.py")):
+        count = code_lines(path.read_text(encoding="utf-8"))
+        total += count
+        print(f"{count:6d}  {path.name}")
+    print(f"{total:6d}  total")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
