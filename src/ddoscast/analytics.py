@@ -18,8 +18,8 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from .errors import EmptyDatasetError, YearAbsentError
-from .ingest import Subclass
-from .preprocess import SUBCLASSES, Metric, RecordTable, utc
+from .ingest import SUBCLASSES, Subclass
+from .preprocess import Metric, RecordTable, utc
 
 SECONDS_PER_YEAR = 31_536_000  # 365-day year
 

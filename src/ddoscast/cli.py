@@ -88,7 +88,7 @@ from .lstm import (
     train,
 )
 from .preprocess import Granularity, Metric, RecordTable, aggregate, enrich_all, series_for
-from .windowing import NormSource, build_windowed, check_window_fits
+from .windowing import NormSource, build_windowed
 
 
 def sha256_hex(raw: bytes) -> str:
@@ -191,18 +191,6 @@ def _load_series(records_path: str, subclass: str, metric: str):
     return series_for(table, subclass, Metric(metric)), entry
 
 
-def _load_windowed(records_path: str, subclass: str, metric: str, window_size: int,
-                   norm: NormSource):
-    """The daily series of a records file, its windowed dataset and the file's entry.
-
-    Every split must hold a window and its next value, so a series too short
-    for the window fails the same way whichever command reads it.
-    """
-    series, entry = _load_series(records_path, subclass, metric)
-    check_window_fits(series.values.size, window_size)
-    return series, build_windowed(series.values, window_size, norm), entry
-
-
 # --- commands ---------------------------------------------------------------
 #
 # A command computes and returns everything its run writes: the output files
@@ -226,8 +214,6 @@ def _synthetic_records(params: dict) -> RecordColumns:
     They are valid by construction, so they are not serialized and parsed
     again; a draw outside the bounds (or beyond int64) is a config error.
     """
-    if params["count"] < 1:
-        raise InvalidConfigError(f"count must be >= 1, got {params['count']}")
     spec = SyntheticSpec(
         record_count=params["count"],
         start_date=_date(params, "start_date"),
@@ -302,9 +288,8 @@ def _cmd_train(params: dict):
         seed=params["seed"],
     )
     norm = NormSource(params["norm_source"])
-    series, dataset, records_input = _load_windowed(
-        params["records"], params["subclass"], params["metric"], config.window_size, norm
-    )
+    series, records_input = _load_series(params["records"], params["subclass"], params["metric"])
+    dataset = build_windowed(series.values, config.window_size, norm)
     model = init_model(config.hidden_size, config.seed)
     model, history = train(model, dataset, config)
 
@@ -374,9 +359,8 @@ def _cmd_forecast(params: dict):
     metric = params["metric"] or _checkpoint_meta(meta, "metric", Metric.COUNT)
     norm = NormSource(_checkpoint_meta(meta, "norm_source", NormSource.FULL_SERIES))
 
-    series, dataset, records_input = _load_windowed(
-        params["records"], subclass, metric, config.window_size, norm
-    )
+    series, records_input = _load_series(params["records"], subclass, metric)
+    dataset = build_windowed(series.values, config.window_size, norm)
     targets, preds = predict_series(model, dataset, "test", denormalized=True)
 
     offset = dataset.splits.train.size + dataset.splits.validation.size + config.window_size
@@ -561,8 +545,8 @@ _COMMANDS = {
         ("strict", bool, False, "abort on the first malformed record"),
         ("synthetic", bool, False, "generate records instead of reading a file"),
         ("count", int, 1000, "synthetic record count"),
-        ("start_date", str, "2019-01-01", "synthetic range start"),
-        ("end_date", str, "2020-12-31", "synthetic range end"),
+        ("start_date", str, SyntheticSpec.start_date.isoformat(), "synthetic range start"),
+        ("end_date", str, SyntheticSpec.end_date.isoformat(), "synthetic range end"),
     ]),
     "analyze": ("write stats/histogram/growth/ranking CSVs", [
         _RECORDS,

@@ -128,10 +128,6 @@ class CacheMismatchError(DdoscastError):
     """Backward called with a cache that does not match the targets batch."""
 
 
-class TrainSetEmptyError(DdoscastError):
-    """Training split produced no windows."""
-
-
 class DivergedNonFiniteError(DdoscastError):
     """Training loss became non-finite; aborted with partial history."""
 
@@ -140,12 +136,6 @@ class DivergedNonFiniteError(DdoscastError):
     def __init__(self, message: str, history=None):
         self.history = history
         super().__init__(message)
-
-
-class EmptySplitError(DdoscastError):
-    """Prediction requested over a split with no samples."""
-
-    exit_code = 3
 
 
 class VersionMismatchError(DdoscastError):
@@ -164,7 +154,7 @@ class CorruptCheckpointError(DdoscastError):
 
 
 class SeriesTooShortForWindowError(DdoscastError):
-    """A grid window size does not fit in every split of the series."""
+    """A window size does not fit in every split of the series (each needs W+1 values)."""
 
     exit_code = 4
 

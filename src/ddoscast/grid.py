@@ -59,8 +59,14 @@ class GridCell:
 
 @dataclass
 class GridResult:
+    """The cells of a grid run; there is always at least one."""
+
     cells: list[GridCell]
     master_seed: int
+
+    def __post_init__(self):
+        if not self.cells:
+            raise EmptyGridError("grid has no cells")
 
 
 def cell_seed(master_seed: int, window: int, hidden: int) -> int:
@@ -81,6 +87,9 @@ def run_grid(series, spec: GridSpec) -> GridResult:
     """
     values = series.values if isinstance(series, TimeSeries) else np.asarray(series, np.float64)
 
+    # Every cell would refuse a window that does not fit, but checking here
+    # fails before any worker forks, and names the first such window in spec
+    # order rather than whichever worker raises first.
     for window in spec.window_sizes:
         check_window_fits(values.size, window)
 
@@ -264,24 +273,18 @@ def _run_pool(values: np.ndarray, spec: GridSpec, keys: list) -> list[GridCell]:
 
 def best_config(result: GridResult) -> tuple[int, int]:
     """Lowest test MSE wins; ties prefer the smaller hidden size, then window."""
-    if not result.cells:
-        raise EmptyGridError("grid has no cells")
     chosen = min(result.cells, key=lambda c: (c.test_mse, c.hidden, c.window))
     return chosen.window, chosen.hidden
 
 
 def grid_to_csv(result: GridResult) -> str:
     """One row per cell holding the fields of GridCell, in (window, hidden) order."""
-    if not result.cells:
-        raise EmptyGridError("grid has no cells")
     cells = sorted(result.cells, key=lambda c: (c.window, c.hidden))
     return csv_text([f.name for f in fields(GridCell)], map(astuple, cells))
 
 
 def render_grid_table(result: GridResult) -> str:
     """Fixed-width text table: rows are window sizes, column pairs per hidden size."""
-    if not result.cells:
-        raise EmptyGridError("grid has no cells")
     windows = sorted({c.window for c in result.cells})
     hiddens = sorted({c.hidden for c in result.cells})
     by_key = {(c.window, c.hidden): c for c in result.cells}

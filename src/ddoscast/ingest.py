@@ -190,7 +190,9 @@ class ParseReport:
 class SyntheticSpec:
     """Parameters for a deterministic synthetic record set.
 
-    ``start_date``/``end_date`` are inclusive UTC dates.
+    ``start_date``/``end_date`` are inclusive UTC dates; the range must not
+    be empty or start before 1970-01-01. Weights, when given, must be
+    non-negative and not all zero.
     """
 
     record_count: int
@@ -198,6 +200,24 @@ class SyntheticSpec:
     end_date: dt.date = dt.date(2020, 12, 31)
     subclass_weights: dict[Subclass, float] | None = None
     seed: int = 0
+
+    def __post_init__(self):
+        if self.record_count < 1:
+            raise InvalidConfigError(f"record_count must be >= 1, got {self.record_count}")
+        if self.end_date < self.start_date:
+            raise EmptyDateRangeError(
+                f"end_date {self.end_date} before start_date {self.start_date}"
+            )
+        weights = self.subclass_weights
+        if weights is not None and any(w < 0 for w in weights.values()):
+            raise AllZeroWeightsError("negative subclass weight")
+        if weights is not None and not any(weights.get(sub, 0.0) > 0 for sub in Subclass):
+            raise AllZeroWeightsError("all subclass weights are zero")
+        if self.start_date < _UNIX_EPOCH:
+            raise InvalidConfigError(
+                f"start_date {self.start_date} is before 1970-01-01, the first second a record "
+                "can hold"
+            )
 
 
 def _as_int(value):
@@ -465,28 +485,11 @@ def generate_synthetic(spec: SyntheticSpec) -> list[AttackRecord]:
     """Deterministic synthetic record set for a SyntheticSpec.
 
     Output is bit-identical for a fixed seed across runs and platforms
-    (random.Random only). All timestamps fall inside the spec's date range,
-    which must start no earlier than 1970-01-01 (InvalidConfigError).
+    (random.Random only). All timestamps fall inside the spec's date range.
     """
-    if spec.end_date < spec.start_date:
-        raise EmptyDateRangeError(
-            f"end_date {spec.end_date} before start_date {spec.start_date}"
-        )
-    weights = spec.subclass_weights
-    if weights is None:
-        weights = {sub: 1.0 for sub in Subclass}
-    if any(w < 0 for w in weights.values()):
-        raise AllZeroWeightsError("negative subclass weight")
+    weights = spec.subclass_weights or {sub: 1.0 for sub in Subclass}  # the spec refuses {}
     population = [sub for sub in Subclass if weights.get(sub, 0.0) > 0]
-    if not population:
-        raise AllZeroWeightsError("all subclass weights are zero")
     pop_weights = [weights[sub] for sub in population]
-
-    if spec.start_date < _UNIX_EPOCH:
-        raise InvalidConfigError(
-            f"start_date {spec.start_date} is before 1970-01-01, the first second a record "
-            "can hold"
-        )
     # Day arithmetic, not datetimes: end_date + 1 day overflows datetime at
     # 9999-12-31, whose last second is MAX_UNIX_SECONDS.
     epoch_lo = (spec.start_date - _UNIX_EPOCH).days * _SECONDS_PER_DAY

@@ -45,11 +45,9 @@ from .errors import (
     CorruptCheckpointError,
     DivergedNonFiniteError,
     EmptyInputError,
-    EmptySplitError,
     InvalidConfigError,
     LengthMismatchError,
     NonFiniteStateError,
-    TrainSetEmptyError,
     VersionMismatchError,
 )
 from .windowing import WindowedDataset
@@ -134,6 +132,7 @@ class TrainConfig:
             (self.batch_size >= 1, "batch_size", ">= 1"),
             (0.0 <= self.rho < 1.0, "rho", "in [0, 1)"),
             (self.clip_norm > 0, "clip_norm", "positive"),
+            (self.seed >= 0, "seed", ">= 0"),
         ):
             if not ok:
                 raise InvalidConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")
@@ -374,13 +373,9 @@ def train(
     Each epoch shuffles the train samples with the config seed's generator,
     steps RMSprop once per batch (gradients clipped to the global-norm cap),
     then records post-epoch train and validation MSE. Fully deterministic
-    for a fixed (seed, dataset, config). Validation MSE is NaN when the
-    validation split is too short to hold a single window.
+    for a fixed (seed, dataset, config).
     """
     train_ws = dataset.train
-    if len(train_ws) == 0:
-        raise TrainSetEmptyError("train split has no samples")
-
     rng = np.random.default_rng(config.seed)
     opt_state = RmsPropState.zeros_like(params)
     history = TrainHistory(train_mse=[], val_mse=[])
@@ -404,12 +399,7 @@ def train(
 
         try:
             epoch_train = mse(train_ws.y, predict_batch(params, train_ws.x))
-            if len(dataset.validation) > 0:
-                epoch_val = mse(
-                    dataset.validation.y, predict_batch(params, dataset.validation.x)
-                )
-            else:
-                epoch_val = math.nan
+            epoch_val = mse(dataset.validation.y, predict_batch(params, dataset.validation.x))
         except NonFiniteStateError as exc:
             raise DivergedNonFiniteError(str(exc), history=history) from exc
         if not math.isfinite(epoch_train):
@@ -432,8 +422,6 @@ def predict_series(
     by sigma when denormalized=True.
     """
     ws = dataset.split(split_name)
-    if len(ws) == 0:
-        raise EmptySplitError(f"split {split_name!r} has no samples")
     preds = predict_batch(params, ws.x)
     targets = ws.y.copy()
     if denormalized:

@@ -55,12 +55,19 @@ class WindowSet:
 
 @dataclass(frozen=True)
 class WindowedDataset:
+    """A normalized series windowed per split; every split holds at least one sample."""
+
     window_size: int
     normalization: NormalizationStats
     splits: SplitSeries  # normalized value slices
     train: WindowSet
     validation: WindowSet
     test: WindowSet
+
+    def __post_init__(self):
+        for name in ("train", "validation", "test"):
+            if len(self.split(name)) == 0:
+                raise SeriesTooShortForWindowError(self.window_size, f"{name} split has no samples")
 
     def split(self, name: str) -> WindowSet:
         return {"train": self.train, "validation": self.validation, "test": self.test}[name]
@@ -148,7 +155,13 @@ def make_windows(values, window_size: int) -> WindowSet:
 def build_windowed(
     values, window_size: int, source: NormSource = NormSource.FULL_SERIES
 ) -> WindowedDataset:
-    """Full pipeline: normalize, split, window each split independently."""
+    """Full pipeline: normalize, split, window each split independently.
+
+    A series whose shortest split cannot hold one window of ``window_size``
+    and its next value raises SeriesTooShortForWindowError before sigma is
+    computed, so a short constant series fails for its length.
+    """
+    check_window_fits(np.asarray(values).size, window_size)
     stats = normalization_stats(values, source)
     normed = normalize(values, stats)
     parts = split(normed)

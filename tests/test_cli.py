@@ -1253,6 +1253,7 @@ MALFORMED_CHECKPOINTS = {
     "window_size 2.5": lambda doc: doc["config"].update(window_size=2.5),
     "window_size true": lambda doc: doc["config"].update(window_size=True),
     "hidden_size 2.0": lambda doc: doc["config"].update(hidden_size=2.0),  # the model's own H
+    "seed -1": lambda doc: doc["config"].update(seed=-1),
     "meta a list": lambda doc: doc.update(meta=[]),
     "norm_source foo": lambda doc: doc["meta"].update(norm_source="foo"),
     "metric foo": lambda doc: doc["meta"].update(metric="foo"),

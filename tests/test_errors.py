@@ -82,9 +82,7 @@ EXIT_CODES = {
     errors.LengthMismatchError: 1,
     errors.EmptyInputError: 1,
     errors.CacheMismatchError: 1,
-    errors.TrainSetEmptyError: 1,
     errors.DivergedNonFiniteError: 5,
-    errors.EmptySplitError: 3,
     errors.VersionMismatchError: 6,
     errors.CorruptCheckpointError: 6,
     errors.SeriesTooShortForWindowError: 4,

@@ -307,8 +307,9 @@ class TestBestConfig:
         assert best_config(result) == best_config(reversed_result)
 
     def test_empty_grid(self):
+        # a GridResult always has a cell, so best_config and both renderings have one
         with pytest.raises(EmptyGridError):
-            best_config(GridResult(cells=[], master_seed=0))
+            GridResult(cells=[], master_seed=0)
 
 
 class TestRendering:
@@ -349,6 +350,7 @@ class TestRendering:
             assert (train, test, seed) == (cell.train_mse, cell.test_mse, cell.seed)
 
     def test_empty_errors(self):
+        # the empty grid is refused when the GridResult is built, before either rendering
         with pytest.raises(EmptyGridError):
             render_grid_table(GridResult(cells=[], master_seed=0))
         with pytest.raises(EmptyGridError):

@@ -13,6 +13,7 @@ from ddoscast.errors import (
     AllZeroWeightsError,
     DdoscastError,
     EmptyDateRangeError,
+    InvalidConfigError,
     NotJsonError,
     SchemaViolationError,
     UnknownSubclassError,
@@ -238,7 +239,8 @@ def test_optional_fields_validate():
 
 
 def test_generate_zero_records():
-    assert generate_synthetic(SyntheticSpec(record_count=0)) == []
+    with pytest.raises(InvalidConfigError, match="record_count"):
+        SyntheticSpec(record_count=0)
 
 
 def test_generate_deterministic(synthetic_1000):

@@ -14,11 +14,10 @@ from ddoscast.errors import (
     CorruptCheckpointError,
     DivergedNonFiniteError,
     EmptyInputError,
-    EmptySplitError,
     InvalidConfigError,
     LengthMismatchError,
     NonFiniteStateError,
-    TrainSetEmptyError,
+    SeriesTooShortForWindowError,
     VersionMismatchError,
 )
 from ddoscast.lstm import (
@@ -42,8 +41,8 @@ from ddoscast.windowing import (
     NormSource,
     SplitSeries,
     WindowedDataset,
+    WindowSet,
     build_windowed,
-    make_windows,
 )
 from lstm_oracle import LstmState, forward, lstm_step, mae
 
@@ -57,20 +56,18 @@ def params_equal(a: LstmParams, b: LstmParams) -> bool:
 
 
 def manual_dataset(x: np.ndarray, y: np.ndarray, window: int, sigma=1.0) -> WindowedDataset:
-    """Dataset with hand-made train windows and empty val/test."""
-    empty = make_windows(np.empty(0), window)
+    """Dataset whose train, validation and test splits all hold the hand-made windows."""
     stats = NormalizationStats(sigma=sigma, mu=0.0, source=NormSource.FULL_SERIES)
-    from ddoscast.windowing import WindowSet
-
+    windows = WindowSet(x=x, y=y)
     return WindowedDataset(
         window_size=window,
         normalization=stats,
         splits=SplitSeries(
             train=np.empty(0), validation=np.empty(0), test=np.empty(0)
         ),
-        train=WindowSet(x=x, y=y),
-        validation=empty,
-        test=empty,
+        train=windows,
+        validation=windows,
+        test=windows,
     )
 
 
@@ -424,10 +421,10 @@ class TestTrain:
         assert history.train_mse[-1] < 1e-3
 
     def test_train_set_empty(self):
-        ds = build_windowed(np.arange(12.0), window_size=6)  # train split too short
-        assert len(ds.train) == 0
-        with pytest.raises(TrainSetEmptyError):
-            train(init_model(2, seed=0), ds, TrainConfig(window_size=6, hidden_size=2))
+        # 12 values split 6/2/4, too short for W=6 (train needs W+1 = 7), so
+        # no dataset without training samples reaches train
+        with pytest.raises(SeriesTooShortForWindowError):
+            build_windowed(np.arange(12.0), window_size=6)
 
     def test_diverged_non_finite_aborts_with_partial_history(self):
         ds = self.sine_dataset()
@@ -447,14 +444,6 @@ class TestTrain:
         config = TrainConfig(window_size=8, hidden_size=8, epochs=30, seed=4)
         _, history = train(init_model(8, seed=4), ds, config)
         assert np.mean(history.train_mse[-10:]) < np.mean(history.train_mse[:10])
-
-    def test_validation_nan_when_split_unwindowable(self):
-        x = np.tile(np.linspace(0, 1, 6), (20, 1))
-        y = np.zeros(20)
-        ds = manual_dataset(x, y, window=6)
-        config = TrainConfig(window_size=6, hidden_size=2, epochs=2, seed=0)
-        _, history = train(init_model(2, seed=0), ds, config)
-        assert all(math.isnan(v) for v in history.val_mse)
 
 
 class TestPredictSeries:
@@ -480,12 +469,6 @@ class TestPredictSeries:
         sigma = ds.normalization.sigma
         assert np.allclose(t_raw, t_norm * sigma, rtol=1e-15)
         assert np.allclose(p_raw, p_norm * sigma, rtol=1e-15)
-
-    def test_empty_split(self):
-        x = np.zeros((3, 4))
-        ds = manual_dataset(x, np.zeros(3), window=4)
-        with pytest.raises(EmptySplitError):
-            predict_series(init_model(2, seed=0), ds, "test")
 
 
 class TestCheckpoint:
@@ -627,6 +610,7 @@ class TestTrainConfig:
             ("rho", 1.0),
             ("clip_norm", 0.0),
             ("clip_norm", math.nan),
+            ("seed", -1),
         ],
     )
     def test_out_of_range_rejected(self, field, value):

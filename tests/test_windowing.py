@@ -10,7 +10,10 @@ from ddoscast.errors import (
     TooFewValuesError,
 )
 from ddoscast.windowing import (
+    NormalizationStats,
     NormSource,
+    SplitSeries,
+    WindowedDataset,
     build_windowed,
     check_window_fits,
     make_windows,
@@ -165,6 +168,24 @@ class TestBuildWindowed:
         ds = build_windowed(values, 8, NormSource.TRAIN_ONLY)
         assert ds.normalization.sigma == pytest.approx(std_dev(values[:100]), rel=1e-12)
         assert ds.normalization.source is NormSource.TRAIN_ONLY
+
+    @pytest.mark.parametrize("values", [[7.0], [3.0] * 5], ids=["one-value", "constant"])
+    def test_too_short_fails_for_its_length_before_sigma(self, values):
+        # sigma of these is undefined or zero, but the length check comes first
+        with pytest.raises(SeriesTooShortForWindowError) as err:
+            build_windowed(values, 3)
+        assert err.value.window == 3
+
+    @pytest.mark.parametrize("empty", ["train", "validation", "test"])
+    def test_empty_split(self, empty):
+        windows = make_windows(np.arange(5.0), 4)
+        parts = {name: make_windows(np.empty(0), 4) if name == empty else windows
+                 for name in ("train", "validation", "test")}
+        stats = NormalizationStats(sigma=1.0, mu=0.0, source=NormSource.FULL_SERIES)
+        no_values = SplitSeries(train=np.empty(0), validation=np.empty(0), test=np.empty(0))
+        with pytest.raises(SeriesTooShortForWindowError, match=empty) as err:
+            WindowedDataset(window_size=4, normalization=stats, splits=no_values, **parts)
+        assert err.value.window == 4
 
 
 class TestCheckWindowFits:
