@@ -23,6 +23,7 @@ from dataclasses import astuple, dataclass, fields, replace
 import numpy as np
 
 from .analytics import csv_text
+from .blas import openblas_threads
 from .errors import EmptyGridError, InvalidConfigError, WorkerLostError
 from .lstm import TrainConfig, init_model, mse, predict_series, train
 from .preprocess import TimeSeries
@@ -128,35 +129,9 @@ def _train_cell(values: np.ndarray, spec: GridSpec, window: int, hidden: int) ->
 # and OpenBLAS stops its thread pool before a fork and restarts it on use.
 
 
-def _openblas_thread_setters() -> list:
-    """``openblas_set_num_threads`` of every OpenBLAS library loaded in this process.
-
-    numpy's bundled build exports it as ``scipy_openblas_set_num_threads64_``
-    (the ``scipy_`` prefix names the scipy-openblas wheel numpy ships, not
-    scipy), a system build as plain ``openblas_set_num_threads``. Empty when
-    no library is found or one of them has no setter.
-    """
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = {line.split()[-1] for line in fh if "openblas" in line.lower() and "/" in line}
-    except OSError:
-        return []
-    setters = []
-    for path in sorted(paths):
-        lib = ctypes.CDLL(path)
-        names = [f"{prefix}openblas_set_num_threads{suffix}"
-                 for prefix in ("scipy_", "") for suffix in ("64_", "")]
-        found = [getattr(lib, name) for name in names if hasattr(lib, name)]
-        if not found:
-            return []
-        found[0].argtypes, found[0].restype = [ctypes.c_int], None
-        setters.append(found[0])
-    return setters
-
-
 def _worker_count(cells: int) -> int:
     """One worker per usable CPU, but only if every worker can pin BLAS to one thread."""
-    if not _openblas_thread_setters():
+    if not openblas_threads():
         return 1
     return min(cells, len(os.sched_getaffinity(0)))
 
@@ -208,7 +183,7 @@ def _init_worker(owner_pid: int) -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.pthread_sigmask(signal.SIG_UNBLOCK, _STOP_SIGNALS)
-    for set_threads in _openblas_thread_setters():
+    for _get_threads, set_threads in openblas_threads():
         set_threads(1)
 
 

@@ -33,13 +33,18 @@ from __future__ import annotations
 
 import base64
 import binascii
+import contextlib
 import itertools
 import json
 import math
+import multiprocessing
+import os
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .blas import one_blas_thread, openblas_threads
 from .errors import (
     CacheMismatchError,
     CorruptCheckpointError,
@@ -362,18 +367,22 @@ def rmsprop_update(
     return LstmParams(theta, h), RmsPropState(acc=LstmParams(acc, h))
 
 
-# Divergence is detected below and raised as DivergedNonFiniteError; numpy's
-# overflow warnings on the way there would only repeat it on stderr.
-@np.errstate(over="ignore", invalid="ignore")
 def train(
     params: LstmParams, dataset: WindowedDataset, config: TrainConfig
 ) -> tuple[LstmParams, TrainHistory]:
     """Seeded mini-batch training loop.
 
-    Each epoch shuffles the train samples with the config seed's generator,
-    steps RMSprop once per batch (gradients clipped to the global-norm cap),
-    then records post-epoch train and validation MSE. Fully deterministic
-    for a fixed (seed, dataset, config).
+    Each epoch shuffles the train samples with the config seed's generator
+    and steps RMSprop once per batch (gradients clipped to the global-norm
+    cap). The post-epoch train and validation MSE of epoch e are computed
+    on a second thread while epoch e+1 trains, with every loaded OpenBLAS
+    library pinned to one thread for the duration of the call and restored
+    to the caller's count on the way out, also when this raises. Where the
+    second thread cannot pay (one usable CPU, no OpenBLAS thread setter, or
+    inside a worker process such as a grid cell's) the same loop evaluates
+    inline. Either way the history and the error raised are those of a loop
+    that evaluates each epoch before the next starts, and the result is
+    fully deterministic for a fixed (seed, dataset, config).
     """
     train_ws = dataset.train
     rng = np.random.default_rng(config.seed)
@@ -381,33 +390,96 @@ def train(
     history = TrainHistory(train_mse=[], val_mse=[])
 
     n = len(train_ws)
-    for _epoch in range(config.epochs):
-        perm = rng.permutation(n)
-        for lo in range(0, n, config.batch_size):
-            idx = perm[lo : lo + config.batch_size]
+    with _epoch_evaluator() as submit:
+        pending = None
+        for _epoch in range(config.epochs):
+            perm = rng.permutation(n)
             try:
-                preds, cache = forward_batch(params, train_ws.x[idx])
+                params, opt_state = _train_epoch(params, opt_state, train_ws, perm, config)
             except NonFiniteStateError as exc:
+                # The previous epoch's evaluation comes first: had it failed,
+                # this epoch would never have started.
+                _record(pending, history)
                 raise DivergedNonFiniteError(str(exc), history=history) from exc
-            grads = backward(params, cache, train_ws.y[idx])
-            if not np.isfinite(grads.flat).all():
-                raise DivergedNonFiniteError("non-finite gradients", history=history)
-            grads = clip_gradients(grads, config.clip_norm)
-            params, opt_state = rmsprop_update(
-                params, grads, opt_state, config.learning_rate, config.rho, config.epsilon
-            )
-
-        try:
-            epoch_train = mse(train_ws.y, predict_batch(params, train_ws.x))
-            epoch_val = mse(dataset.validation.y, predict_batch(params, dataset.validation.x))
-        except NonFiniteStateError as exc:
-            raise DivergedNonFiniteError(str(exc), history=history) from exc
-        if not math.isfinite(epoch_train):
-            raise DivergedNonFiniteError("training loss became non-finite", history=history)
-        history.train_mse.append(epoch_train)
-        history.val_mse.append(epoch_val)
+            _record(pending, history)
+            # The evaluation reads ``params`` while the next epoch trains;
+            # that is safe because training never writes into a parameter
+            # vector, it only makes new ones.
+            pending = submit(_evaluate, params, dataset)
+        _record(pending, history)
 
     return params, history
+
+
+# Divergence is detected below and raised as DivergedNonFiniteError; numpy's
+# overflow warnings on the way there would only repeat it on stderr.
+@np.errstate(over="ignore", invalid="ignore")
+def _train_epoch(params, opt_state, train_ws, perm, config):
+    """One pass over the batches of ``perm``; NonFiniteStateError if it diverges."""
+    for lo in range(0, len(perm), config.batch_size):
+        idx = perm[lo : lo + config.batch_size]
+        preds, cache = forward_batch(params, train_ws.x[idx])
+        grads = backward(params, cache, train_ws.y[idx])
+        if not np.isfinite(grads.flat).all():
+            raise NonFiniteStateError("non-finite gradients")
+        grads = clip_gradients(grads, config.clip_norm)
+        params, opt_state = rmsprop_update(
+            params, grads, opt_state, config.learning_rate, config.rho, config.epsilon
+        )
+    return params, opt_state
+
+
+# errstate is per thread, so the evaluation thread needs its own.
+@np.errstate(over="ignore", invalid="ignore")
+def _evaluate(params: LstmParams, dataset: WindowedDataset) -> tuple[float, float]:
+    """Post-epoch (train MSE, validation MSE)."""
+    epoch_train = mse(dataset.train.y, predict_batch(params, dataset.train.x))
+    epoch_val = mse(dataset.validation.y, predict_batch(params, dataset.validation.x))
+    return epoch_train, epoch_val
+
+
+def _record(pending: Future | None, history: TrainHistory) -> None:
+    """Append an epoch's evaluation to ``history``, or raise its divergence."""
+    if pending is None:
+        return
+    try:
+        epoch_train, epoch_val = pending.result()
+    except NonFiniteStateError as exc:
+        raise DivergedNonFiniteError(str(exc), history=history) from exc
+    if not math.isfinite(epoch_train):
+        raise DivergedNonFiniteError("training loss became non-finite", history=history)
+    history.train_mse.append(epoch_train)
+    history.val_mse.append(epoch_val)
+
+
+def _evaluate_inline(fn, *args) -> Future:
+    """``fn(*args)`` run now, its result or error held like a submitted task's."""
+    future = Future()
+    try:
+        future.set_result(fn(*args))
+    except Exception as exc:
+        future.set_exception(exc)
+    return future
+
+
+@contextlib.contextmanager
+def _epoch_evaluator():
+    """Yield the ``submit(fn, *args) -> Future`` that ``train`` evaluates epochs with.
+
+    A one-thread pool, with OpenBLAS on one thread so that the two threads
+    do not fight over the CPUs, when that can pay; otherwise inline. It
+    cannot pay with one usable CPU; without an OpenBLAS thread setter, the
+    rule ``grid._worker_count`` follows too; or in a worker process, where
+    every CPU already has a process of its own (a grid's worker would also
+    grow its memory by the thread's). The pool's thread has ended, and
+    OpenBLAS has its caller's thread count back, when this exits.
+    """
+    if (len(os.sched_getaffinity(0)) < 2 or not openblas_threads()
+            or multiprocessing.parent_process() is not None):
+        yield _evaluate_inline
+        return
+    with one_blas_thread(), ThreadPoolExecutor(1) as pool:
+        yield pool.submit
 
 
 def predict_series(

@@ -1,3 +1,4 @@
+import ctypes
 import json
 import os
 import re
@@ -54,6 +55,23 @@ def as_ndjson(*objs) -> bytes:
 @pytest.fixture(scope="session")
 def synthetic_1000():
     return generate_synthetic(SyntheticSpec(record_count=1000, seed=7))
+
+
+def openblas_thread_counts() -> list[int]:
+    """Thread count of every OpenBLAS library loaded in this process, read from /proc/self/maps."""
+    with open("/proc/self/maps") as fh:
+        paths = {line.split()[-1] for line in fh if "openblas" in line.lower() and "/" in line}
+    counts = []
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            if hasattr(lib, name):
+                getter = getattr(lib, name)
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                counts.append(getter())
+                break
+    return counts
 
 
 def child_pids(pid: int) -> list[int]:

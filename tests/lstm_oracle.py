@@ -1,18 +1,28 @@
-"""Per-sample, per-gate reference LSTM for the batched forward pass.
+"""Reference implementations that ``ddoscast.lstm`` is tested against.
 
 ``lstm_step`` is the direct gate equations for one sample and one
 timestep, each gate its own slice of W, U and b. ``forward`` chains it over
 a window from a zero state and reads out the last hidden state, so tests
 can compare ``ddoscast.lstm``'s feature-major batched loop with it up to
 rounding. ``mae`` is the reference metric the tests compare ``mse`` with.
+``train_sequential`` is the training loop that evaluates each epoch before
+the next one starts, on the caller's thread; ``lstm.train`` must give the
+same history, parameters and errors bit for bit.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ddoscast.errors import EmptyInputError, LengthMismatchError, NonFiniteStateError
-from ddoscast.lstm import LstmParams
+from ddoscast import lstm
+from ddoscast.errors import (
+    DivergedNonFiniteError,
+    EmptyInputError,
+    LengthMismatchError,
+    NonFiniteStateError,
+)
+from ddoscast.lstm import LstmParams, RmsPropState, TrainHistory
 
 
 @dataclass(frozen=True)
@@ -63,3 +73,44 @@ def mae(targets, predictions) -> float:
     if y.size == 0:
         raise EmptyInputError("mae over zero points")
     return float(np.abs(y - yhat).sum() / y.size)
+
+
+# The steps are looked up on the module at each call, so a test that
+# monkeypatches one of them changes this loop and lstm.train alike.
+@np.errstate(over="ignore", invalid="ignore")
+def train_sequential(params: LstmParams, dataset, config):
+    train_ws = dataset.train
+    rng = np.random.default_rng(config.seed)
+    opt_state = RmsPropState.zeros_like(params)
+    history = TrainHistory(train_mse=[], val_mse=[])
+
+    n = len(train_ws)
+    for _epoch in range(config.epochs):
+        perm = rng.permutation(n)
+        for lo in range(0, n, config.batch_size):
+            idx = perm[lo : lo + config.batch_size]
+            try:
+                preds, cache = lstm.forward_batch(params, train_ws.x[idx])
+            except NonFiniteStateError as exc:
+                raise DivergedNonFiniteError(str(exc), history=history) from exc
+            grads = lstm.backward(params, cache, train_ws.y[idx])
+            if not np.isfinite(grads.flat).all():
+                raise DivergedNonFiniteError("non-finite gradients", history=history)
+            grads = lstm.clip_gradients(grads, config.clip_norm)
+            params, opt_state = lstm.rmsprop_update(
+                params, grads, opt_state, config.learning_rate, config.rho, config.epsilon
+            )
+
+        try:
+            epoch_train = lstm.mse(train_ws.y, lstm.predict_batch(params, train_ws.x))
+            epoch_val = lstm.mse(
+                dataset.validation.y, lstm.predict_batch(params, dataset.validation.x)
+            )
+        except NonFiniteStateError as exc:
+            raise DivergedNonFiniteError(str(exc), history=history) from exc
+        if not math.isfinite(epoch_train):
+            raise DivergedNonFiniteError("training loss became non-finite", history=history)
+        history.train_mse.append(epoch_train)
+        history.val_mse.append(epoch_val)
+
+    return params, history

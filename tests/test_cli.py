@@ -500,6 +500,39 @@ def test_interrupt_while_parsing_arguments_exits_130(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: interrupted\n"
 
 
+def cpu_seconds(pid: int) -> float:
+    """User plus system CPU time of process ``pid`` so far (read from /proc)."""
+    with open(f"/proc/{pid}/stat") as fh:
+        fields = fh.read().rsplit(")", 1)[1].split()
+    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
+
+
+def test_interrupt_during_training_exits_130(tmp_path, records_file):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ddoscast.cli", "train", str(records_file), "--window", "8",
+         "--hidden", "16", "--epochs", "100000", "--out", str(tmp_path / "o")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=cli_env(),
+        start_new_session=True,
+    )
+    try:
+        # start-up takes well under 2 s of CPU, so past that it is training
+        deadline = time.monotonic() + 60
+        while cpu_seconds(proc.pid) < 2.0:
+            assert proc.poll() is None, proc.communicate()
+            assert time.monotonic() < deadline, "train never got going"
+            time.sleep(0.05)
+        os.killpg(proc.pid, signal.SIGINT)  # as a terminal's Ctrl-C does
+        interrupted = time.monotonic()
+        _out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (130, "error: interrupted\n")
+        assert time.monotonic() - interrupted < 5
+        assert not (tmp_path / "o").exists()
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+
+
 # --- records.cols beside ingest's NDJSON --------------------------------------
 
 SIDECAR_COMMANDS = (

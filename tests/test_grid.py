@@ -1,5 +1,4 @@
 import csv
-import ctypes
 import faulthandler
 import functools
 import io
@@ -33,6 +32,8 @@ from ddoscast.grid import (
     run_grid,
 )
 from ddoscast.lstm import TrainConfig
+
+from conftest import openblas_thread_counts
 
 
 def tiny_config(epochs=2):
@@ -128,23 +129,6 @@ def _killed_cell(values, spec, window, hidden):
     time.sleep(60)
 
 
-def _openblas_thread_counts() -> list[int]:
-    """Thread count of every OpenBLAS library loaded in this process."""
-    with open("/proc/self/maps") as fh:
-        paths = {line.split()[-1] for line in fh if "openblas" in line.lower() and "/" in line}
-    counts = []
-    for path in sorted(paths):
-        lib = ctypes.CDLL(path)
-        for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
-                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
-            if hasattr(lib, name):
-                getter = getattr(lib, name)
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                counts.append(getter())
-                break
-    return counts
-
-
 POOL_SPEC = GridSpec(
     window_sizes=(3, 5), hidden_sizes=(2, 4), base_config=tiny_config(), master_seed=3
 )
@@ -238,23 +222,23 @@ class TestPool:
 
     def test_worker_count_is_one_per_cpu_up_to_the_cell_count(self, monkeypatch):
         cpus = len(os.sched_getaffinity(0))
-        monkeypatch.setattr(grid, "_openblas_thread_setters", lambda: ["a setter"])
+        monkeypatch.setattr(grid, "openblas_threads", lambda: (("a getter", "a setter"),))
         assert grid._worker_count(1) == 1
         assert grid._worker_count(1000) == cpus
-        monkeypatch.setattr(grid, "_openblas_thread_setters", lambda: [])
+        monkeypatch.setattr(grid, "openblas_threads", lambda: ())
         assert grid._worker_count(1000) == 1
 
     def test_workers_run_one_blas_thread_and_the_parent_keeps_its_own(self):
-        if not grid._openblas_thread_setters():
+        if not grid.openblas_threads():
             pytest.skip("no OpenBLAS thread setter in this numpy build")
-        before = _openblas_thread_counts()
+        before = openblas_thread_counts()
         context = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(
             1, mp_context=context, initializer=grid._init_worker, initargs=(os.getpid(),)
         ) as pool:
-            in_worker = pool.submit(_openblas_thread_counts).result(timeout=60)
+            in_worker = pool.submit(openblas_thread_counts).result(timeout=60)
         assert in_worker == [1] * len(before)
-        assert _openblas_thread_counts() == before
+        assert openblas_thread_counts() == before
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="prctl is Linux only")
     def test_worker_forked_after_its_owner_died_kills_itself(self):

@@ -1,6 +1,11 @@
 import copy
+import itertools
 import json
 import math
+import multiprocessing
+import os
+import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -9,6 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ddoscast import lstm
+from ddoscast.blas import openblas_threads
 from ddoscast.errors import (
     CacheMismatchError,
     CorruptCheckpointError,
@@ -44,7 +51,8 @@ from ddoscast.windowing import (
     WindowSet,
     build_windowed,
 )
-from lstm_oracle import LstmState, forward, lstm_step, mae
+from conftest import openblas_thread_counts
+from lstm_oracle import LstmState, forward, lstm_step, mae, train_sequential
 
 
 def zero_params(h: int) -> LstmParams:
@@ -386,22 +394,23 @@ class TestClip:
         assert gradient_norm(clipped) == pytest.approx(5.0, rel=1e-12)
 
 
-class TestTrain:
-    def sine_dataset(self, n=260, window=8):
-        rng = np.random.default_rng(3)
-        t = np.arange(n)
-        series = 10 + 4 * np.sin(2 * np.pi * t / 25) + rng.normal(0, 0.3, n)
-        return build_windowed(series, window)
+def sine_dataset(n=260, window=8):
+    rng = np.random.default_rng(3)
+    t = np.arange(n)
+    series = 10 + 4 * np.sin(2 * np.pi * t / 25) + rng.normal(0, 0.3, n)
+    return build_windowed(series, window)
 
+
+class TestTrain:
     def test_history_length_equals_epochs(self):
-        ds = self.sine_dataset()
+        ds = sine_dataset()
         config = TrainConfig(window_size=8, hidden_size=4, epochs=5, seed=1)
         _, history = train(init_model(4, seed=1), ds, config)
         assert len(history) == 5
         assert all(v >= 0 for v in history.train_mse)
 
     def test_deterministic_per_seed(self):
-        ds = self.sine_dataset()
+        ds = sine_dataset()
         config = TrainConfig(window_size=8, hidden_size=4, epochs=3, seed=9)
         p1, h1 = train(init_model(4, seed=9), ds, config)
         p2, h2 = train(init_model(4, seed=9), ds, config)
@@ -427,7 +436,7 @@ class TestTrain:
             build_windowed(np.arange(12.0), window_size=6)
 
     def test_diverged_non_finite_aborts_with_partial_history(self):
-        ds = self.sine_dataset()
+        ds = sine_dataset()
         params = init_model(4, seed=1)
         params.by[0] = np.inf  # gates saturate inf away; the head cannot
         with pytest.raises(DivergedNonFiniteError) as err:
@@ -444,6 +453,182 @@ class TestTrain:
         config = TrainConfig(window_size=8, hidden_size=8, epochs=30, seed=4)
         _, history = train(init_model(8, seed=4), ds, config)
         assert np.mean(history.train_mse[-10:]) < np.mean(history.train_mse[:10])
+
+
+SINE_CONFIG = TrainConfig(window_size=8, hidden_size=8, epochs=4, batch_size=32, seed=5)
+
+
+def batches_per_epoch(dataset, config=SINE_CONFIG) -> int:
+    return -(-len(dataset.train) // config.batch_size)
+
+
+def overlap_possible() -> bool:
+    return len(os.sched_getaffinity(0)) >= 2 and bool(openblas_threads())
+
+
+@pytest.fixture(params=["overlapped", "inline"])
+def evaluation_path(request, monkeypatch):
+    """Run the test with the epoch evaluation on a second thread, then inline."""
+    if request.param == "inline":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    elif not overlap_possible():
+        pytest.skip("the overlap needs 2 usable CPUs and an OpenBLAS thread setter")
+    return request.param
+
+
+def patch_call(monkeypatch, name, call, replacement):
+    """Make the ``call``-th call (1-based) of ``lstm.<name>`` return ``replacement(real, *args)``.
+
+    ``train_sequential`` looks the steps up on the module too, so each run
+    of either loop needs a patch of its own.
+    """
+    real = getattr(lstm, name)
+    calls = itertools.count(1)
+
+    def patched(*args):
+        if next(calls) == call:
+            return replacement(real, *args)
+        return real(*args)
+
+    monkeypatch.setattr(lstm, name, patched)
+
+
+def slow_evaluation(monkeypatch):
+    """Every predict_batch sleeps first, so an epoch's evaluation is still pending
+    when the next epoch's first batch runs."""
+    real = lstm.predict_batch
+
+    def slow(*args):
+        time.sleep(0.05)
+        return real(*args)
+
+    monkeypatch.setattr(lstm, "predict_batch", slow)
+
+
+def overflowed_forward(real, *args):
+    raise NonFiniteStateError("LSTM state overflowed during forward")
+
+
+def nan_gradients(real, *args):
+    grads = real(*args)
+    return LstmParams(np.full_like(grads.flat, np.nan), grads.hidden_size)
+
+
+def huge_predictions(real, params, x):
+    return np.full(len(x), 1e200)  # finite, but its squared error overflows
+
+
+class TestTrainMatchesSequentialLoop:
+    def test_same_history_and_params(self, evaluation_path):
+        ds = sine_dataset()
+        params, history = train(init_model(8, seed=5), ds, SINE_CONFIG)
+        ref_params, ref_history = train_sequential(init_model(8, seed=5), ds, SINE_CONFIG)
+        assert history.train_mse == ref_history.train_mse
+        assert history.val_mse == ref_history.val_mse
+        assert np.array_equal(params.flat, ref_params.flat)
+
+    # Epoch 1 (0-based) fails. A training failure lands on its first batch,
+    # while epoch 0's evaluation is still pending; an evaluation failure
+    # hits epoch 1's train split (predict_batch call 3) or its validation
+    # split (call 4).
+    @pytest.mark.parametrize(
+        "name, call, replacement",
+        [
+            ("forward_batch", "first batch of epoch 1", overflowed_forward),
+            ("backward", "first batch of epoch 1", nan_gradients),
+            ("predict_batch", 3, huge_predictions),
+            ("predict_batch", 3, overflowed_forward),
+            ("predict_batch", 4, overflowed_forward),
+        ],
+        ids=["forward", "gradients", "train-mse", "train-predict", "val-predict"],
+    )
+    def test_divergence_carries_the_sequential_history(
+        self, monkeypatch, evaluation_path, name, call, replacement
+    ):
+        ds = sine_dataset()
+        if call == "first batch of epoch 1":
+            call = batches_per_epoch(ds) + 1
+            slow_evaluation(monkeypatch)
+        outcomes = []
+        for loop in (train, train_sequential):
+            with monkeypatch.context() as patch:
+                patch_call(patch, name, call, replacement)
+                with pytest.raises(DivergedNonFiniteError) as err:
+                    loop(init_model(8, seed=5), ds, SINE_CONFIG)
+            assert type(err.value) is DivergedNonFiniteError
+            outcomes.append((str(err.value), err.value.history))
+        (message, history), (ref_message, ref_history) = outcomes
+        assert message == ref_message
+        assert len(history) == len(ref_history) == 1
+        assert history.train_mse == ref_history.train_mse
+        assert history.val_mse == ref_history.val_mse
+
+
+@pytest.fixture
+def blas_at_two_threads():
+    """The caller's OpenBLAS runs 2 threads for the test, and its own count after."""
+    pairs = openblas_threads()
+    if not pairs:
+        pytest.skip("no OpenBLAS thread setter in this numpy build")
+    before = [get() for get, _set in pairs]
+    for _get, set_threads in pairs:
+        set_threads(2)
+    yield [2] * len(pairs)
+    for (_get, set_threads), count in zip(pairs, before):
+        set_threads(count)
+
+
+def interrupt(real, *args):
+    raise KeyboardInterrupt
+
+
+class TestTrainLeavesNothingBehind:
+    @pytest.mark.parametrize("outcome", ["returns", "diverges", "interrupted"])
+    def test_threads_and_blas_threads_restored(
+        self, monkeypatch, evaluation_path, blas_at_two_threads, outcome
+    ):
+        ds = sine_dataset()
+        first_of_epoch_1 = batches_per_epoch(ds) + 1
+        threads = threading.active_count()
+        if outcome == "returns":
+            train(init_model(8, seed=5), ds, SINE_CONFIG)
+        elif outcome == "diverges":
+            patch_call(monkeypatch, "backward", first_of_epoch_1, nan_gradients)
+            with pytest.raises(DivergedNonFiniteError):
+                train(init_model(8, seed=5), ds, SINE_CONFIG)
+        else:
+            patch_call(monkeypatch, "backward", first_of_epoch_1, interrupt)
+            with pytest.raises(KeyboardInterrupt):
+                train(init_model(8, seed=5), ds, SINE_CONFIG)
+        assert threading.active_count() == threads
+        assert openblas_thread_counts() == blas_at_two_threads
+
+    @pytest.mark.parametrize("case", ["overlap", "one CPU", "no BLAS setter", "worker process"])
+    def test_second_thread_only_where_it_can_pay(self, monkeypatch, blas_at_two_threads, case):
+        if case == "overlap" and not overlap_possible():
+            pytest.skip("the overlap needs 2 usable CPUs and an OpenBLAS thread setter")
+        if case == "one CPU":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        elif case == "no BLAS setter":
+            monkeypatch.setattr(lstm, "openblas_threads", lambda: ())
+        elif case == "worker process":
+            monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
+        seen = set()
+        real = lstm.backward
+
+        def watched(*args):
+            seen.add((threading.active_count(), tuple(openblas_thread_counts())))
+            return real(*args)
+
+        monkeypatch.setattr(lstm, "backward", watched)
+        threads = threading.active_count()
+        train(init_model(8, seed=5), sine_dataset(), SINE_CONFIG)
+        if case == "overlap":
+            # the pool's thread starts with the first evaluation, after epoch 0
+            assert seen == {(threads, (1,) * len(blas_at_two_threads)),
+                            (threads + 1, (1,) * len(blas_at_two_threads))}
+        else:
+            assert seen == {(threads, tuple(blas_at_two_threads))}
 
 
 class TestPredictSeries:
