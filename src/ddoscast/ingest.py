@@ -409,64 +409,85 @@ def parse_records(raw: bytes | str, strict: bool = False):
     else:
         text = raw
 
-    columns = [[] for _ in _FIELDS]
+    rows = []
     report = ParseReport()
     with _cycle_collector_paused():
-        for entry, location, reason in _detect_entries(text):
+        # Popped in input order, so each decoded entry is freed once checked:
+        # the rows never sit beside the whole decoded document.
+        entries = _detect_entries(text)
+        entries.reverse()
+        while entries:
+            entry, location, reason = entries.pop()
             if reason is None:
                 row, reason = _check_entry(entry)
                 if row is not None:
-                    for column, value in zip(columns, row):
-                        column.append(value)
+                    rows.append(row)
                     continue
             if strict:
                 if reason.startswith("unknown subclass"):
                     raise UnknownSubclassError(location, reason)
                 raise SchemaViolationError(location, reason)
             report.rejection_reasons.append((location, reason))
-        records = RecordColumns.from_lists(columns)
+        records = RecordColumns.from_lists(list(zip(*rows)) or [()] * len(_FIELDS))
     report.accepted = len(records)
     report.rejected = len(report.rejection_reasons)
     return records, report
 
 
-# One encoder for every record: json.dumps(..., sort_keys=True) would build a
-# new JSONEncoder per call. The output is the same bytes.
-_ENCODER = json.JSONEncoder(sort_keys=True)
+# Encodes the optional lists with json.dumps's defaults: ", " between items
+# and ensure_ascii escaping.
+_ENCODER = json.JSONEncoder()
+# The fixed first and last members of each record's object, by code.
+_CLASS_HEADS = [f'{{"attack_class": {_ENCODER.encode(c.value)}' for c in ATTACK_CLASSES]
+_SUBCLASS_TAILS = [f', "subclass": {_ENCODER.encode(WIRE_NAMES[s])}}}' for s in SUBCLASSES]
 
 
-def _wire_objects(records):
-    """The export-format object of each record, in order."""
+def _member_texts(name, values, memoize):
+    """Each record's ', "name": [...]' member text, or "" where it has none.
+
+    Memoizing on the value suits only strings: equal port tuples such as
+    (1,), (True,) and (1.0,) hash alike but encode differently.
+    """
+    prefix = f', "{name}": '
+    if not memoize:
+        return ["" if v is None else prefix + _ENCODER.encode(v) for v in values]
+    memo = {None: ""}  # one per field, so a text never carries another field's key
+    return [memo[v] if v in memo else memo.setdefault(v, prefix + _ENCODER.encode(v))
+            for v in values]
+
+
+def _record_lines(records):
+    """Each record's export-format object as JSON text, keys sorted.
+
+    Every line equals ``json.dumps(wire_object, sort_keys=True)``: sorted,
+    the optional members fall between the fixed ones.
+    """
     cols = RecordColumns.of(records)
-    class_names = [c.value for c in ATTACK_CLASSES]
-    wire_names = [WIRE_NAMES[s] for s in SUBCLASSES]
-    optional = [name for name, _ in _OPTIONAL_FIELDS]
-    for class_code, code, max_bps, start, stop, *lists in zip(
-        cols.attack_class.tolist(), cols.subclass.tolist(), cols.max_bps.tolist(),
-        cols.start.tolist(), cols.stop.tolist(),
-        cols.dst_cc, cols.src_cc, cols.dst_ports, cols.src_ports,
-    ):
-        obj = {
-            "attack_class": class_names[class_code],
-            "max_bps": max_bps,
-            "start": start,
-            "stop": stop,
-            "subclass": wire_names[code],
-        }
-        for name, value in zip(optional, lists):
-            if value is not None:
-                obj[name] = value
-        yield obj
+    return [
+        f'{head}{dst_cc}{dst_ports}, "max_bps": {max_bps}{src_cc}{src_ports}, '
+        f'"start": {start}, "stop": {stop}{tail}'
+        for head, dst_cc, dst_ports, max_bps, src_cc, src_ports, start, stop, tail in zip(
+            [_CLASS_HEADS[c] for c in cols.attack_class.tolist()],
+            _member_texts("dst_cc", cols.dst_cc, memoize=True),
+            _member_texts("dst_ports", cols.dst_ports, memoize=False),
+            cols.max_bps.tolist(),
+            _member_texts("src_cc", cols.src_cc, memoize=True),
+            _member_texts("src_ports", cols.src_ports, memoize=False),
+            cols.start.tolist(),
+            cols.stop.tolist(),
+            [_SUBCLASS_TAILS[c] for c in cols.subclass.tolist()],
+        )
+    ]
 
 
 def records_to_json(records) -> str:
     """Serialize records to a JSON array in the export's own format."""
-    return _ENCODER.encode(list(_wire_objects(records)))
+    return "[" + ", ".join(_record_lines(records)) + "]"
 
 
 def records_to_ndjson(records) -> str:
     """Serialize records one-per-line; parse_records round-trips the result."""
-    lines = [_ENCODER.encode(obj) for obj in _wire_objects(records)]
+    lines = _record_lines(records)
     lines.append("")  # the final newline, without copying the joined text again
     return "\n".join(lines)
 
