@@ -1,9 +1,10 @@
 """The OpenBLAS libraries loaded in this process, and their thread counts.
 
 numpy's matrix products run on OpenBLAS, whose thread count is one setting
-for the whole process. ``grid`` pins it to one thread in each worker, and
+for the whole process. ``grid`` pins it to one thread in each worker,
 ``lstm.train`` pins it for the duration of a call that evaluates on a
-second thread; both find the libraries through ``openblas_threads``.
+second thread, and ``lstm.predict_series`` for its prediction; all find
+the libraries through ``openblas_threads``.
 """
 
 from __future__ import annotations

@@ -50,6 +50,7 @@ from .analytics import (
 )
 from .chart import render_line_chart
 from .errors import (
+    OUT_OF_MEMORY_EXIT_CODE,
     CorruptCheckpointError,
     DdoscastError,
     EmptyDatasetError,
@@ -672,7 +673,8 @@ def _run(call) -> int:
     """Exit code of ``call()``; a failure becomes one stderr line.
 
     A domain error exits with its class's code, a file that cannot be read
-    with 1.
+    with 1, and a failed allocation (a MemoryError, also one raised in a
+    grid worker) with OUT_OF_MEMORY_EXIT_CODE.
     """
     try:
         return call()
@@ -682,6 +684,9 @@ def _run(call) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        return OUT_OF_MEMORY_EXIT_CODE
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)
         return 130

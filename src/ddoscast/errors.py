@@ -1,10 +1,14 @@
 """Exception taxonomy shared by every ddoscast module.
 
 Each class declares the exit code the command line gives it, and
-subclasses inherit it; an error with no code of its own exits 1.
+subclasses inherit it; an error with no code of its own exits 1. A
+MemoryError, which is Python's rather than a domain error, exits
+OUT_OF_MEMORY_EXIT_CODE.
 """
 
 import copyreg
+
+OUT_OF_MEMORY_EXIT_CODE = 9
 
 
 class DdoscastError(Exception):

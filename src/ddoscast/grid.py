@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import hashlib
+import math
 import multiprocessing
 import os
 import signal
@@ -24,8 +25,14 @@ import numpy as np
 
 from .analytics import csv_text
 from .blas import openblas_threads
-from .errors import EmptyGridError, InvalidConfigError, WorkerLostError
-from .lstm import TrainConfig, init_model, mse, predict_series, train
+from .errors import (
+    DivergedNonFiniteError,
+    EmptyGridError,
+    InvalidConfigError,
+    NonFiniteStateError,
+    WorkerLostError,
+)
+from .lstm import TrainConfig, init_model, split_mse, train_epochs
 from .preprocess import TimeSeries
 from .windowing import NormSource, build_windowed, check_window_fits
 
@@ -50,6 +57,14 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class GridCell:
+    """One trained cell of the grid.
+
+    ``train_mse`` and ``test_mse`` are the MSEs, in normalized units, of the
+    cell's final params over its train and test splits; no earlier epoch is
+    scored. ``wall_ms`` is the cell's time in its worker, ``seed`` its
+    ``cell_seed``.
+    """
+
     window: int
     hidden: int
     train_mse: float
@@ -77,8 +92,10 @@ def cell_seed(master_seed: int, window: int, hidden: int) -> int:
 
 
 def run_grid(series, spec: GridSpec) -> GridResult:
-    """Train one model per grid cell and collect train/test MSE.
+    """Train one model per grid cell and collect the train and test MSE of its final params.
 
+    A cell trains all its epochs without evaluating them, then predicts its
+    train and test splits once each (see ``_train_cell``).
     ``series`` is a TimeSeries or a plain value array. Every window size
     must fit in every split with at least one sample (split length >= W+1).
     Cells train in a pool of forked worker processes, each running OpenBLAS
@@ -99,19 +116,35 @@ def run_grid(series, spec: GridSpec) -> GridResult:
 
 
 def _train_cell(values: np.ndarray, spec: GridSpec, window: int, hidden: int) -> GridCell:
-    """One grid cell, start to finish; ``wall_ms`` is its time in the worker."""
+    """One grid cell, start to finish; ``wall_ms`` is its time in the worker.
+
+    The cell trains its epochs without evaluating any of them, then scores
+    the final params once, with one prediction over the train split and one
+    over the test split; the validation split is never predicted. Each is a
+    call of its own because a product's columns are not bit-stable across
+    batch sizes, so ``train_mse`` is bit for bit ``train``'s last
+    ``history.train_mse`` and ``test_mse`` is the test MSE of
+    ``predict_series``. A forward that overflows, in training or in scoring,
+    and a non-finite train MSE raise DivergedNonFiniteError.
+    """
     started = time.perf_counter()
     dataset = build_windowed(values, window, spec.norm_source)
     seed = cell_seed(spec.master_seed, window, hidden)
     config = replace(spec.base_config, window_size=window, hidden_size=hidden, seed=seed)
-    params = init_model(hidden, seed)
-    params, history = train(params, dataset, config)
-    targets, preds = predict_series(params, dataset, "test")
+    try:
+        for params in train_epochs(init_model(hidden, seed), dataset, config):
+            pass  # only the last epoch's params are scored
+        train_mse = split_mse(params, dataset, "train")
+        test_mse = split_mse(params, dataset, "test")
+    except NonFiniteStateError as exc:
+        raise DivergedNonFiniteError(str(exc)) from exc
+    if not math.isfinite(train_mse):
+        raise DivergedNonFiniteError("training loss became non-finite")
     return GridCell(
         window=window,
         hidden=hidden,
-        train_mse=history.train_mse[-1],
-        test_mse=mse(targets, preds),
+        train_mse=train_mse,
+        test_mse=test_mse,
         wall_ms=(time.perf_counter() - started) * 1000.0,
         seed=seed,
     )

@@ -367,45 +367,53 @@ def rmsprop_update(
     return LstmParams(theta, h), RmsPropState(acc=LstmParams(acc, h))
 
 
-def train(
-    params: LstmParams, dataset: WindowedDataset, config: TrainConfig
-) -> tuple[LstmParams, TrainHistory]:
-    """Seeded mini-batch training loop.
+def train_epochs(params: LstmParams, dataset: WindowedDataset, config: TrainConfig):
+    """Yield the params after each of ``config.epochs`` epochs of seeded mini-batch training.
 
     Each epoch shuffles the train samples with the config seed's generator
-    and steps RMSprop once per batch (gradients clipped to the global-norm
-    cap). The post-epoch train and validation MSE of epoch e are computed
-    on a second thread while epoch e+1 trains, with every loaded OpenBLAS
-    library pinned to one thread for the duration of the call and restored
-    to the caller's count on the way out, also when this raises. Where the
-    second thread cannot pay (one usable CPU, no OpenBLAS thread setter, or
-    inside a worker process such as a grid cell's) the same loop evaluates
-    inline. Either way the history and the error raised are those of a loop
-    that evaluates each epoch before the next starts, and the result is
-    fully deterministic for a fixed (seed, dataset, config).
+    and steps RMSprop once per batch, gradients clipped to the global-norm
+    cap. Nothing is evaluated. An epoch that diverges raises
+    NonFiniteStateError from the ``next`` call that runs it. The params a
+    step replaces are never written to, so a yielded vector stays valid
+    while later epochs train.
     """
     train_ws = dataset.train
     rng = np.random.default_rng(config.seed)
     opt_state = RmsPropState.zeros_like(params)
-    history = TrainHistory(train_mse=[], val_mse=[])
+    for _epoch in range(config.epochs):
+        perm = rng.permutation(len(train_ws))
+        params, opt_state = _train_epoch(params, opt_state, train_ws, perm, config)
+        yield params
 
-    n = len(train_ws)
+
+def train(
+    params: LstmParams, dataset: WindowedDataset, config: TrainConfig
+) -> tuple[LstmParams, TrainHistory]:
+    """``train_epochs`` with the train and validation MSE of every epoch.
+
+    The post-epoch MSEs of epoch e are computed on a second thread while
+    epoch e+1 trains, with every loaded OpenBLAS library pinned to one
+    thread for the duration of the call and restored to the caller's count
+    on the way out, also when this raises. Where the second thread cannot
+    pay (one usable CPU, no OpenBLAS thread setter, or inside a worker
+    process) the same loop evaluates inline. Either way the history and
+    the error raised are those of a loop that evaluates each epoch before
+    the next starts, and the result is fully deterministic for a fixed
+    (seed, dataset, config).
+    """
+    history = TrainHistory(train_mse=[], val_mse=[])
     with _epoch_evaluator() as submit:
         pending = None
-        for _epoch in range(config.epochs):
-            perm = rng.permutation(n)
-            try:
-                params, opt_state = _train_epoch(params, opt_state, train_ws, perm, config)
-            except NonFiniteStateError as exc:
-                # The previous epoch's evaluation comes first: had it failed,
-                # this epoch would never have started.
+        try:
+            for params in train_epochs(params, dataset, config):
                 _record(pending, history)
-                raise DivergedNonFiniteError(str(exc), history=history) from exc
+                # The evaluation reads ``params`` while the next epoch trains.
+                pending = submit(_evaluate, params, dataset)
+        except NonFiniteStateError as exc:
+            # The previous epoch's evaluation comes first: had it failed,
+            # the diverging epoch would never have started.
             _record(pending, history)
-            # The evaluation reads ``params`` while the next epoch trains;
-            # that is safe because training never writes into a parameter
-            # vector, it only makes new ones.
-            pending = submit(_evaluate, params, dataset)
+            raise DivergedNonFiniteError(str(exc), history=history) from exc
         _record(pending, history)
 
     return params, history
@@ -431,11 +439,19 @@ def _train_epoch(params, opt_state, train_ws, perm, config):
 
 # errstate is per thread, so the evaluation thread needs its own.
 @np.errstate(over="ignore", invalid="ignore")
+def split_mse(params: LstmParams, dataset: WindowedDataset, split_name: str) -> float:
+    """MSE of one ``predict_batch`` over a whole split, in normalized units.
+
+    Raises NonFiniteStateError if the forward overflows; an MSE whose squares
+    overflow comes back as inf, without a warning.
+    """
+    ws = dataset.split(split_name)
+    return mse(ws.y, predict_batch(params, ws.x))
+
+
 def _evaluate(params: LstmParams, dataset: WindowedDataset) -> tuple[float, float]:
     """Post-epoch (train MSE, validation MSE)."""
-    epoch_train = mse(dataset.train.y, predict_batch(params, dataset.train.x))
-    epoch_val = mse(dataset.validation.y, predict_batch(params, dataset.validation.x))
-    return epoch_train, epoch_val
+    return split_mse(params, dataset, "train"), split_mse(params, dataset, "validation")
 
 
 def _record(pending: Future | None, history: TrainHistory) -> None:
@@ -470,7 +486,7 @@ def _epoch_evaluator():
     do not fight over the CPUs, when that can pay; otherwise inline. It
     cannot pay with one usable CPU; without an OpenBLAS thread setter, the
     rule ``grid._worker_count`` follows too; or in a worker process, where
-    every CPU already has a process of its own (a grid's worker would also
+    every CPU may already have a process of its own (the worker would also
     grow its memory by the thread's). The pool's thread has ended, and
     OpenBLAS has its caller's thread count back, when this exits.
     """
@@ -491,10 +507,14 @@ def predict_series(
     """One-step-ahead predictions over a whole split, chronological order.
 
     Returns (targets, predictions) in normalized units, or multiplied back
-    by sigma when denormalized=True.
+    by sigma when denormalized=True. The prediction runs every loaded
+    OpenBLAS library on one thread, and gives each its caller's count back
+    on the way out, also when this raises: a daily series' splits make
+    products too small for a second thread to pay.
     """
     ws = dataset.split(split_name)
-    preds = predict_batch(params, ws.x)
+    with one_blas_thread():
+        preds = predict_batch(params, ws.x)
     targets = ws.y.copy()
     if denormalized:
         sigma = dataset.normalization.sigma

@@ -41,7 +41,14 @@ from ddoscast.ingest import (
     parse_records,
     records_to_ndjson,
 )
-from ddoscast.lstm import TrainConfig, load_checkpoint, save_checkpoint, RmsPropState, init_model
+from ddoscast.lstm import (
+    LstmParams,
+    RmsPropState,
+    TrainConfig,
+    init_model,
+    load_checkpoint,
+    save_checkpoint,
+)
 from ddoscast.preprocess import Metric, enrich_all
 
 
@@ -991,6 +998,26 @@ def test_killed_worker_fails_grid_with_exit_eight(tmp_path, records_file):
         assert proc.returncode == 8
         assert err.startswith("error: a grid worker process ended") and err.count("\n") == 1
         assert not [pid for pid in workers if is_running(pid)]
+
+
+ALLOCATION_FAILED = "Unable to allocate 298. GiB for an array with shape (40000900001,)"
+
+
+def unable_to_allocate(hidden_size):
+    raise MemoryError(ALLOCATION_FAILED)
+
+
+@pytest.mark.parametrize("command", ["train", "grid"])
+def test_memory_error_exits_nine_with_one_stderr_line(
+    monkeypatch, capsys, tmp_path, records_file, command
+):
+    # grid's workers are forked, so they inherit the patch and raise in the worker
+    monkeypatch.setattr(LstmParams, "zeros", staticmethod(unable_to_allocate))
+    sizes = ["--hidden", 4] if command == "train" else ["--hiddens", "4,5"]
+    code = run([command, records_file, *sizes, "--epochs", 1, "--out", tmp_path / "o"])
+    assert code == 9
+    assert capsys.readouterr().err == f"error: out of memory: {ALLOCATION_FAILED}\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_diverging_grid_exits_five_with_one_stderr_line(tmp_path, records_file):

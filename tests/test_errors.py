@@ -61,7 +61,7 @@ def test_named_attributes_survive():
     assert diverged.history is None and str(diverged) == "boom"
 
 
-# The exit code of every domain error, as the README documents it.
+# The exit code of every domain error, and of MemoryError, as the README documents it.
 EXIT_CODES = {
     errors.DdoscastError: 1,
     errors.InvalidConfigError: 2,
@@ -89,13 +89,15 @@ EXIT_CODES = {
     errors.EmptyGridError: 1,
     errors.WorkerLostError: 8,
     errors.EmptySeriesError: 1,
+    MemoryError: 9,
 }
 
 
 def test_every_error_class_has_its_exit_code():
-    assert {cls: cls.exit_code for cls in ALL_ERRORS} == EXIT_CODES
+    codes = {cls: cls.exit_code for cls in ALL_ERRORS}
+    assert codes | {MemoryError: errors.OUT_OF_MEMORY_EXIT_CODE} == EXIT_CODES
 
 
 def test_readme_table_lists_exactly_the_exit_codes():
     # 0 is success, 130 SIGINT and 143 grid's SIGTERM
-    assert readme_exit_codes() == {cls.exit_code for cls in ALL_ERRORS} | {0, 130, 143}
+    assert readme_exit_codes() == set(EXIT_CODES.values()) | {0, 130, 143}

@@ -13,10 +13,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ddoscast import grid
+from ddoscast import grid, lstm
+from ddoscast.blas import one_blas_thread
 from ddoscast.errors import (
+    DivergedNonFiniteError,
     EmptyGridError,
     InvalidConfigError,
+    NonFiniteStateError,
     SchemaViolationError,
     SeriesTooShortForWindowError,
     WorkerLostError,
@@ -31,7 +34,8 @@ from ddoscast.grid import (
     render_grid_table,
     run_grid,
 )
-from ddoscast.lstm import TrainConfig
+from ddoscast.lstm import TrainConfig, init_model, mse, predict_batch, predict_series, train
+from ddoscast.windowing import build_windowed
 
 from conftest import openblas_thread_counts
 
@@ -102,6 +106,76 @@ class TestRunGrid:
         assert cell_seed(0, 24, 64) == cell_seed(0, 24, 64)
         assert cell_seed(0, 24, 64) != cell_seed(1, 24, 64)
         assert cell_seed(0, 24, 64) != cell_seed(0, 32, 64)
+
+
+class TestCellScoring:
+    SPEC = GridSpec(
+        window_sizes=(3, 6), hidden_sizes=(2, 5), base_config=tiny_config(epochs=3), master_seed=4
+    )
+
+    def test_cells_match_train_and_predict_series_bit_for_bit(self):
+        series = tiny_series(200)
+        for cell in run_grid(series, self.SPEC).cells:
+            dataset = build_windowed(series, cell.window, self.SPEC.norm_source)
+            config = replace(
+                self.SPEC.base_config,
+                window_size=cell.window, hidden_size=cell.hidden, seed=cell.seed,
+            )
+            # a cell's worker runs one BLAS thread
+            with one_blas_thread():
+                params, history = train(init_model(cell.hidden, cell.seed), dataset, config)
+            assert cell.seed == cell_seed(4, cell.window, cell.hidden)
+            assert cell.train_mse == history.train_mse[-1]
+            assert cell.test_mse == mse(*predict_series(params, dataset, "test"))
+
+    def test_one_prediction_of_the_train_split_and_one_of_the_test_split(self, monkeypatch):
+        series = tiny_series(200)
+        dataset = build_windowed(series, 3, self.SPEC.norm_source)
+        predicted = []
+
+        def counted(params, x):
+            predicted.append(x)
+            return predict_batch(params, x)
+
+        monkeypatch.setattr(lstm, "predict_batch", counted)
+        grid._train_cell(series, self.SPEC, 3, 2)
+        assert len(predicted) == 2
+        assert np.array_equal(predicted[0], dataset.train.x)
+        assert np.array_equal(predicted[1], dataset.test.x)
+
+    @pytest.mark.parametrize("split, outcome", [
+        ("train", "overflow"), ("train", "inf mse"), ("test", "overflow"),
+    ])
+    def test_non_finite_scoring_is_divergence(self, monkeypatch, split, outcome):
+        series = tiny_series()
+        spec = GridSpec(window_sizes=(3,), hidden_sizes=(2,), base_config=tiny_config())
+        n_windows = len(build_windowed(series, 3, spec.norm_source).split(split))
+
+        def planted(params, x):
+            if len(x) != n_windows:
+                return predict_batch(params, x)
+            if outcome == "overflow":
+                raise NonFiniteStateError("LSTM state overflowed during forward")
+            return np.full(len(x), 1e200)  # finite, but its squared error overflows
+
+        # forked workers inherit the patch
+        monkeypatch.setattr(lstm, "predict_batch", planted)
+        with pytest.raises(DivergedNonFiniteError) as err:
+            run_grid(series, spec)
+        assert err.value.exit_code == 5
+
+    def test_validation_split_is_never_predicted(self, monkeypatch):
+        series = tiny_series()
+        spec = GridSpec(window_sizes=(3,), hidden_sizes=(2,), base_config=tiny_config())
+        n_windows = len(build_windowed(series, 3, spec.norm_source).validation)
+
+        def planted(params, x):
+            if len(x) == n_windows:
+                raise NonFiniteStateError("LSTM state overflowed during forward")
+            return predict_batch(params, x)
+
+        monkeypatch.setattr(lstm, "predict_batch", planted)
+        assert len(run_grid(series, spec).cells) == 1
 
 
 # --- the worker pool ----------------------------------------------------------

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 import json
 import math
@@ -654,6 +655,51 @@ class TestPredictSeries:
         sigma = ds.normalization.sigma
         assert np.allclose(t_raw, t_norm * sigma, rtol=1e-15)
         assert np.allclose(p_raw, p_norm * sigma, rtol=1e-15)
+
+    @pytest.mark.parametrize("outcome", ["returns", "raises"])
+    def test_one_blas_thread_and_the_callers_count_restored(
+        self, monkeypatch, blas_at_two_threads, outcome
+    ):
+        seen = []
+
+        def watched(params, x):
+            seen.append(openblas_thread_counts())
+            if outcome == "raises":
+                raise NonFiniteStateError("LSTM state overflowed during forward")
+            return predict_batch(params, x)
+
+        monkeypatch.setattr(lstm, "predict_batch", watched)
+        if outcome == "returns":
+            predict_series(init_model(8, seed=5), sine_dataset(), "test")
+        else:
+            with pytest.raises(NonFiniteStateError):
+                predict_series(init_model(8, seed=5), sine_dataset(), "test")
+        assert seen == [[1] * len(blas_at_two_threads)]
+        assert openblas_thread_counts() == blas_at_two_threads
+
+
+class TestTrainEpochs:
+    def test_yields_trains_params_after_every_epoch(self):
+        ds = sine_dataset()
+        yielded = list(lstm.train_epochs(init_model(8, seed=5), ds, SINE_CONFIG))
+        assert len(yielded) == SINE_CONFIG.epochs
+        for epochs in range(1, SINE_CONFIG.epochs + 1):
+            config = dataclasses.replace(SINE_CONFIG, epochs=epochs)
+            params, _history = train(init_model(8, seed=5), ds, config)
+            assert np.array_equal(yielded[epochs - 1].flat, params.flat)
+
+    def test_evaluates_nothing(self, monkeypatch):
+        monkeypatch.setattr(lstm, "predict_batch", lambda *args: pytest.fail("predicted a split"))
+        for _params in lstm.train_epochs(init_model(8, seed=5), sine_dataset(), SINE_CONFIG):
+            pass
+
+    def test_divergence_raises_from_the_epoch_that_diverges(self, monkeypatch):
+        ds = sine_dataset()
+        patch_call(monkeypatch, "backward", batches_per_epoch(ds) + 1, nan_gradients)
+        epochs = lstm.train_epochs(init_model(8, seed=5), ds, SINE_CONFIG)
+        next(epochs)
+        with pytest.raises(NonFiniteStateError, match="non-finite gradients"):
+            next(epochs)
 
 
 class TestCheckpoint:
