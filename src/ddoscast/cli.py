@@ -9,20 +9,15 @@ output bytes) from the manifest alone. All randomness flows from ``--seed``.
 
 from __future__ import annotations
 
-import os
 import signal
 import sys
 
 if __name__ == "__main__":
-    # A Ctrl-C while the imports below load would end in a traceback: no
-    # handler can cover them yet. Nothing has been written and no grid worker
-    # exists, so exit at once; os._exit, because the code interrupted could
-    # swallow a SystemExit. The block at the end hands SIGINT back to _run.
-    def _interrupted_at_startup(_signum, _frame):
-        os.write(2, b"error: interrupted\n")
-        os._exit(130)
+    # python -m ddoscast.cli: the start-up prologue runs before the imports
+    # below; the block at the end hands SIGINT back to _run.
+    from .__main__ import prologue
 
-    signal.signal(signal.SIGINT, _interrupted_at_startup)
+    prologue()
 
 import argparse
 import dataclasses
@@ -79,6 +74,7 @@ from .ingest import (
     parse_records,
     records_to_ndjson,
 )
+from .ingest_parts import ingest_export
 from .lstm import (
     RmsPropState,
     TrainConfig,
@@ -195,9 +191,10 @@ def _load_series(records_path: str, subclass: str, metric: str):
 # --- commands ---------------------------------------------------------------
 #
 # A command computes and returns everything its run writes: the output files
-# as an ordered {name: bytes | str} mapping, the manifest entries of the
-# files it read, and its stdout summary line. It creates no directory, writes
-# no file and prints nothing; _execute does that once the command returns.
+# as an ordered {name: bytes | str | list of byte chunks} mapping, the
+# manifest entries of the files it read, and its stdout summary line. It
+# creates no directory, writes no file and prints nothing; _execute does that
+# once the command returns.
 
 
 def _date(params: dict, name: str) -> dt.date:
@@ -240,17 +237,20 @@ def _cmd_ingest(params: dict):
         raise InvalidConfigError("ingest needs an input file or --synthetic")
     if params["synthetic"]:
         records = _synthetic_records(params)
+        chunks = [records_to_ndjson(records).encode()]
         report = ParseReport(accepted=len(records))
         inputs = []
     else:
         raw = Path(params["input"]).read_bytes()
-        records, report = parse_records(raw, strict=params["strict"])
         inputs = [_input("input", params["input"], raw)]
+        chunks, records, report = ingest_export(raw, strict=params["strict"])
 
-    data = records_to_ndjson(records).encode()
+    digest = hashlib.sha256()
+    for chunk in chunks:
+        digest.update(chunk)
     files = {
-        "records.ndjson": data,
-        SIDECAR_NAME: _sidecar_bytes(records, sha256_hex(data)),
+        "records.ndjson": chunks,
+        SIDECAR_NAME: _sidecar_bytes(records, digest.hexdigest()),
         "parse_report.json": json.dumps(dataclasses.asdict(report), indent=2) + "\n",
     }
     return files, inputs, f"ingest: {report.accepted} accepted, {report.rejected} rejected"
@@ -405,7 +405,10 @@ def _execute(command: str, params: dict) -> int:
     out = Path(params["out"]) / f"{command}-{params['seed']}"
     out.mkdir(parents=True, exist_ok=True)
     for name, data in files.items():
-        (out / name).write_bytes(data if isinstance(data, bytes) else data.encode())
+        if not isinstance(data, list):
+            data = [data if isinstance(data, bytes) else data.encode()]
+        with open(out / name, "wb") as fh:
+            fh.writelines(data)
     manifest = {
         "tool": "ddoscast",
         "version": __version__,
@@ -674,7 +677,7 @@ def _run(call) -> int:
 
     A domain error exits with its class's code, a file that cannot be read
     with 1, and a failed allocation (a MemoryError, also one raised in a
-    grid worker) with OUT_OF_MEMORY_EXIT_CODE.
+    grid or ingest worker) with OUT_OF_MEMORY_EXIT_CODE.
     """
     try:
         return call()

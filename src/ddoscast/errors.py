@@ -15,7 +15,7 @@ class DdoscastError(Exception):
     """Base class for all domain errors raised by this package.
 
     Errors pickle with their type, message and attributes, so an error
-    raised in a grid worker process reaches the parent intact.
+    raised in a worker process reaches the parent intact.
     """
 
     exit_code = 1
@@ -172,7 +172,11 @@ class EmptyGridError(DdoscastError):
 
 
 class WorkerLostError(DdoscastError):
-    """A grid worker process ended without returning its cell (e.g. killed by a signal)."""
+    """A ``pool`` worker process ended without returning its result (e.g. killed by a signal).
+
+    Raised by the command whose worker it was, ``grid`` or ``ingest``; the
+    message names that command ("a grid worker process ended abruptly ...").
+    """
 
     exit_code = 8
 

@@ -7,31 +7,16 @@ another cell's result.
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
 import hashlib
 import math
-import multiprocessing
-import os
-import signal
-import sys
-import threading
 import time
-from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
+from . import pool
 from .analytics import csv_text
-from .blas import openblas_threads
-from .errors import (
-    DivergedNonFiniteError,
-    EmptyGridError,
-    InvalidConfigError,
-    NonFiniteStateError,
-    WorkerLostError,
-)
+from .errors import DivergedNonFiniteError, EmptyGridError, InvalidConfigError, NonFiniteStateError
 from .lstm import TrainConfig, init_model, split_mse, train_epochs
 from .preprocess import TimeSeries
 from .windowing import NormSource, build_windowed, check_window_fits
@@ -98,10 +83,12 @@ def run_grid(series, spec: GridSpec) -> GridResult:
     train and test splits once each (see ``_train_cell``).
     ``series`` is a TimeSeries or a plain value array. Every window size
     must fit in every split with at least one sample (split length >= W+1).
-    Cells train in a pool of forked worker processes, each running OpenBLAS
-    on one thread, and come back in spec order (windows outer, hiddens
-    inner). The first cell that raises stops the others and its error is
-    raised here; a worker that dies raises WorkerLostError.
+    Every cell, even of a 1-cell grid, trains in a ``pool`` worker process
+    whose OpenBLAS runs one thread, so a cell's bits never depend on the
+    core count, the worker count or the grid's shape. Cells come back in
+    spec order (windows outer, hiddens inner). The first cell that raises
+    stops the others and its error is raised here; a worker that dies
+    raises WorkerLostError.
     """
     values = series.values if isinstance(series, TimeSeries) else np.asarray(series, np.float64)
 
@@ -112,7 +99,10 @@ def run_grid(series, spec: GridSpec) -> GridResult:
         check_window_fits(values.size, window)
 
     keys = [(window, hidden) for window in spec.window_sizes for hidden in spec.hidden_sizes]
-    return GridResult(cells=_run_pool(values, spec, keys), master_seed=spec.master_seed)
+    # Longest cells first, so the last cell to start is a short one.
+    order = sorted(range(len(keys)), key=lambda i: keys[i][0] * keys[i][1], reverse=True)
+    cells = pool.run_pool(_train_cell, keys, (values, spec), "a grid worker", order)
+    return GridResult(cells=cells, master_seed=spec.master_seed)
 
 
 def _train_cell(values: np.ndarray, spec: GridSpec, window: int, hidden: int) -> GridCell:
@@ -148,135 +138,6 @@ def _train_cell(values: np.ndarray, spec: GridSpec, window: int, hidden: int) ->
         wall_ms=(time.perf_counter() - started) * 1000.0,
         seed=seed,
     )
-
-
-# --- the worker pool ----------------------------------------------------------
-#
-# Every cell, even of a 1-cell grid, trains in a worker whose OpenBLAS runs
-# one thread, so a cell's bits never depend on the core count, the worker
-# count or the grid's shape, and two workers' BLAS threads never fight over
-# the same CPUs. Workers are forked rather than spawned: they start with
-# numpy and ddoscast imported and the series in memory, and a script
-# without a __main__ guard is not run again. The fork is safe here because
-# ProcessPoolExecutor forks every worker before it starts its own threads,
-# and OpenBLAS stops its thread pool before a fork and restarts it on use.
-
-
-def _worker_count(cells: int) -> int:
-    """One worker per usable CPU, but only if every worker can pin BLAS to one thread."""
-    if not openblas_threads():
-        return 1
-    return min(cells, len(os.sched_getaffinity(0)))
-
-
-_STOP_SIGNALS = {signal.SIGINT, signal.SIGTERM}
-
-
-@contextlib.contextmanager
-def _stop_signals(how: int):
-    """Block (SIG_BLOCK) or let in (SIG_UNBLOCK) SIGINT and SIGTERM in this thread."""
-    previous = signal.pthread_sigmask(how, _STOP_SIGNALS)
-    try:
-        yield
-    finally:
-        signal.pthread_sigmask(signal.SIG_SETMASK, previous)
-
-
-_PR_SET_PDEATHSIG = 1
-
-
-def _die_with_parent(owner_pid: int) -> None:
-    """Have the kernel SIGKILL this process when ``owner_pid``, its parent, dies.
-
-    Linux only; elsewhere a no-op. A parent killed outright (SIGKILL, the
-    OOM killer) cannot stop its workers, and they would otherwise train on
-    under PID 1. The signal follows the thread that forked the worker, not
-    the process; every worker is forked by the thread that calls run_grid,
-    which outlives the pool.
-    """
-    if not sys.platform.startswith("linux"):
-        return
-    try:
-        prctl = ctypes.CDLL(None).prctl
-    except (OSError, AttributeError):
-        return
-    prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
-    prctl.restype = ctypes.c_int
-    if prctl(_PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0) != 0:
-        return
-    # The owner may have died between the fork and the prctl call above.
-    if os.getppid() != owner_pid:
-        os.kill(os.getpid(), signal.SIGKILL)
-
-
-def _init_worker(owner_pid: int) -> None:
-    _die_with_parent(owner_pid)
-    # Forked with SIGINT and SIGTERM blocked. A worker leaves SIGINT to the
-    # parent, which stops it, and dies at once on SIGTERM.
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    signal.pthread_sigmask(signal.SIG_UNBLOCK, _STOP_SIGNALS)
-    for _get_threads, set_threads in openblas_threads():
-        set_threads(1)
-
-
-def _exit_on_sigterm(signum, _frame):
-    raise SystemExit(128 + signum)
-
-
-@contextlib.contextmanager
-def _sigterm_unwinds():
-    """Make SIGTERM raise SystemExit, so the pool's workers are stopped on the way out.
-
-    Only where SIGTERM would otherwise kill the process outright: a handler
-    the caller installed, or an ignored signal, is left as it is.
-    """
-    if (threading.current_thread() is not threading.main_thread()
-            or signal.getsignal(signal.SIGTERM) is not signal.SIG_DFL):
-        yield
-        return
-    signal.signal(signal.SIGTERM, _exit_on_sigterm)
-    try:
-        yield
-    finally:
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
-
-
-def _run_pool(values: np.ndarray, spec: GridSpec, keys: list) -> list[GridCell]:
-    """Train the cells ``keys`` in worker processes; cells in the order of ``keys``."""
-    # Longest cells first, so the last cell to start is a short one.
-    order = sorted(range(len(keys)), key=lambda i: keys[i][0] * keys[i][1], reverse=True)
-    # SIGINT and SIGTERM wait while workers are forked and tracked, and again
-    # while they are stopped, so an interrupt never strands a worker.
-    with _sigterm_unwinds(), _stop_signals(signal.SIG_BLOCK):
-        pool = ProcessPoolExecutor(
-            _worker_count(len(keys)),
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_init_worker,
-            initargs=(os.getpid(),),
-        )
-        try:
-            futures = [None] * len(keys)
-            for i in order:
-                futures[i] = pool.submit(_train_cell, values, spec, *keys[i])
-            with _stop_signals(signal.SIG_UNBLOCK):
-                wait(futures, return_when=FIRST_EXCEPTION)
-            for future in futures:
-                if future.done() and future.exception() is not None:
-                    raise future.exception()
-            return [future.result() for future in futures]
-        except BrokenProcessPool:
-            raise WorkerLostError(
-                "a grid worker process ended abruptly (killed by a signal or out of memory)"
-            ) from None
-        except BaseException:
-            # ProcessPoolExecutor has no public way to stop a busy worker
-            # before Python 3.14, so kill each one directly.
-            for process in list(pool._processes.values()):
-                process.kill()
-            raise
-        finally:
-            pool.shutdown(wait=True, cancel_futures=True)
 
 
 def best_config(result: GridResult) -> tuple[int, int]:

@@ -393,6 +393,48 @@ def _cycle_collector_paused():
             gc.enable()
 
 
+def _text_of(raw: bytes | str) -> str:
+    if isinstance(raw, str):
+        return raw
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise NotJsonError(f"input is not UTF-8: {exc}") from exc
+
+
+def _check_entries(entries: list, strict: bool):
+    """Check ``_detect_entries``'s (entry, location, reason) triples, in input order.
+
+    Returns (records, rejections, violation): the accepted records as
+    ``RecordColumns`` and the (location, reason) of each rejected entry. In
+    strict mode checking stops at the first bad entry, and violation is its
+    (location, reason), with records and rejections None. ``entries`` is
+    emptied on the way.
+    """
+    rows, rejections = [], []
+    # Popped in input order, so each decoded entry is freed once checked:
+    # the rows never sit beside the whole decoded document.
+    entries.reverse()
+    while entries:
+        entry, location, reason = entries.pop()
+        if reason is None:
+            row, reason = _check_entry(entry)
+            if row is not None:
+                rows.append(row)
+                continue
+        if strict:
+            return None, None, (location, reason)
+        rejections.append((location, reason))
+    return RecordColumns.from_lists(list(zip(*rows)) or [()] * len(_FIELDS)), rejections, None
+
+
+def _violation(location, reason: str) -> SchemaViolationError:
+    """The strict-mode error of the bad entry at ``location``."""
+    if reason.startswith("unknown subclass"):
+        return UnknownSubclassError(location, reason)
+    return SchemaViolationError(location, reason)
+
+
 def parse_records(raw: bytes | str, strict: bool = False):
     """Parse an export file into a ``RecordColumns`` of records plus a report.
 
@@ -401,37 +443,12 @@ def parse_records(raw: bytes | str, strict: bool = False):
     UnknownSubclassError subtype) at the first bad entry. Input order is
     preserved for accepted records.
     """
-    if isinstance(raw, bytes):
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise NotJsonError(f"input is not UTF-8: {exc}") from exc
-    else:
-        text = raw
-
-    rows = []
-    report = ParseReport()
+    text = _text_of(raw)
     with _cycle_collector_paused():
-        # Popped in input order, so each decoded entry is freed once checked:
-        # the rows never sit beside the whole decoded document.
-        entries = _detect_entries(text)
-        entries.reverse()
-        while entries:
-            entry, location, reason = entries.pop()
-            if reason is None:
-                row, reason = _check_entry(entry)
-                if row is not None:
-                    rows.append(row)
-                    continue
-            if strict:
-                if reason.startswith("unknown subclass"):
-                    raise UnknownSubclassError(location, reason)
-                raise SchemaViolationError(location, reason)
-            report.rejection_reasons.append((location, reason))
-        records = RecordColumns.from_lists(list(zip(*rows)) or [()] * len(_FIELDS))
-    report.accepted = len(records)
-    report.rejected = len(report.rejection_reasons)
-    return records, report
+        records, rejections, violation = _check_entries(_detect_entries(text), strict)
+    if violation is not None:
+        raise _violation(*violation)
+    return records, ParseReport(len(records), len(rejections), rejections)
 
 
 # Encodes the optional lists with json.dumps's defaults: ", " between items
@@ -446,11 +463,16 @@ def _member_texts(name, values, memoize):
     """Each record's ', "name": [...]' member text, or "" where it has none.
 
     Memoizing on the value suits only strings: equal port tuples such as
-    (1,), (True,) and (1.0,) hash alike but encode differently.
+    (1,), (True,) and (1.0,) hash alike but encode differently. A tuple of
+    plain ints is written without the encoder, as ``str`` writes an int as
+    JSON does; any other tuple (a bool, a float, an int subclass) is encoded.
     """
     prefix = f', "{name}": '
     if not memoize:
-        return ["" if v is None else prefix + _ENCODER.encode(v) for v in values]
+        return ["" if v is None
+                else f"{prefix}[{', '.join(map(str, v))}]" if all(type(p) is int for p in v)
+                else prefix + _ENCODER.encode(v)
+                for v in values]
     memo = {None: ""}  # one per field, so a text never carries another field's key
     return [memo[v] if v in memo else memo.setdefault(v, prefix + _ENCODER.encode(v))
             for v in values]

@@ -485,7 +485,7 @@ def _epoch_evaluator():
     A one-thread pool, with OpenBLAS on one thread so that the two threads
     do not fight over the CPUs, when that can pay; otherwise inline. It
     cannot pay with one usable CPU; without an OpenBLAS thread setter, the
-    rule ``grid._worker_count`` follows too; or in a worker process, where
+    rule ``pool.worker_count`` follows too; or in a worker process, where
     every CPU may already have a process of its own (the worker would also
     grow its memory by the thread's). The pool's thread has ended, and
     OpenBLAS has its caller's thread count back, when this exits.

@@ -1,0 +1,173 @@
+"""The forked worker pool that ``grid`` and ``ingest`` run their work in.
+
+``run_pool`` calls one function once per argument tuple, each call in a
+worker process, and returns the results in call order. The pool keeps
+three guarantees for the command that uses it:
+
+- Ctrl-C stops every worker and raises KeyboardInterrupt in the caller;
+  SIGTERM stops them and exits 143 (see ``_sigterm_unwinds``).
+- A worker that dies (killed by a signal, or by the kernel when memory runs
+  out) raises WorkerLostError, naming whose worker it was.
+- A worker never outlives the process that started it (``_die_with_parent``).
+
+Every worker runs OpenBLAS on one thread, so a computation's bits never
+depend on the core count or the worker count, and two workers' BLAS threads
+never fight over the same CPUs. Workers are forked rather than spawned:
+they start with numpy and ddoscast imported, a script without a __main__
+guard is not run again, and ``shared`` reaches them through the fork
+instead of being pickled once per call. The fork is safe here because
+ProcessPoolExecutor forks every worker before it starts its own threads,
+and OpenBLAS stops its thread pool before a fork and restarts it on use.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import ctypes
+import multiprocessing
+import os
+import signal
+import sys
+import threading
+from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
+
+from .blas import openblas_threads
+from .errors import WorkerLostError
+
+
+def worker_count(tasks: int | None = None) -> int:
+    """One worker per usable CPU, at most ``tasks``, and only if every worker can pin BLAS."""
+    if not openblas_threads():
+        return 1
+    cpus = len(os.sched_getaffinity(0))
+    return cpus if tasks is None else min(tasks, cpus)
+
+
+_STOP_SIGNALS = {signal.SIGINT, signal.SIGTERM}
+
+
+@contextlib.contextmanager
+def _stop_signals(how: int):
+    """Block (SIG_BLOCK) or let in (SIG_UNBLOCK) SIGINT and SIGTERM in this thread."""
+    previous = signal.pthread_sigmask(how, _STOP_SIGNALS)
+    try:
+        yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, previous)
+
+
+_PR_SET_PDEATHSIG = 1
+
+
+def _die_with_parent(owner_pid: int) -> None:
+    """Have the kernel SIGKILL this process when ``owner_pid``, its parent, dies.
+
+    Linux only; elsewhere a no-op. A parent killed outright (SIGKILL, the
+    OOM killer) cannot stop its workers, and they would otherwise run on
+    under PID 1. The signal follows the thread that forked the worker, not
+    the process; every worker is forked by the thread that calls run_pool,
+    which outlives the pool.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        prctl = ctypes.CDLL(None).prctl
+    except (OSError, AttributeError):
+        return
+    prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
+    prctl.restype = ctypes.c_int
+    if prctl(_PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0) != 0:
+        return
+    # The owner may have died between the fork and the prctl call above.
+    if os.getppid() != owner_pid:
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+# In a worker, the ``shared`` arguments of the run_pool call that forked it.
+# Set once per worker process by _init_worker; the parent never sets it.
+_shared: tuple = ()
+
+
+def _init_worker(owner_pid: int, shared: tuple = ()) -> None:
+    global _shared
+    _die_with_parent(owner_pid)
+    # Forked with SIGINT and SIGTERM blocked. A worker leaves SIGINT to the
+    # parent, which stops it, and dies at once on SIGTERM.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, _STOP_SIGNALS)
+    for _get_threads, set_threads in openblas_threads():
+        set_threads(1)
+    _shared = shared
+
+
+def _call(function, args: tuple):
+    return function(*_shared, *args)
+
+
+def _exit_on_sigterm(signum, _frame):
+    raise SystemExit(128 + signum)
+
+
+@contextlib.contextmanager
+def _sigterm_unwinds():
+    """Make SIGTERM raise SystemExit, so the pool's workers are stopped on the way out.
+
+    Only where SIGTERM would otherwise kill the process outright: a handler
+    the caller installed, or an ignored signal, is left as it is.
+    """
+    if (threading.current_thread() is not threading.main_thread()
+            or signal.getsignal(signal.SIGTERM) is not signal.SIG_DFL):
+        yield
+        return
+    signal.signal(signal.SIGTERM, _exit_on_sigterm)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
+def run_pool(function, calls: list[tuple], shared: tuple, whose: str,
+             order: list[int] | None = None) -> list:
+    """``function(*shared, *args)`` for every ``args`` in ``calls``, each in a worker process.
+
+    Results come back in the order of ``calls``; ``order`` is the order the
+    calls are handed out in (by default, as given). ``shared`` is forked
+    into the ``worker_count(len(calls))`` workers, not pickled. The first
+    call that raises stops the others and its error is raised here; a
+    worker that dies raises WorkerLostError, whose message names ``whose``
+    worker it was ("a grid worker").
+    """
+    order = range(len(calls)) if order is None else order
+    # SIGINT and SIGTERM wait while workers are forked and tracked, and again
+    # while they are stopped, so an interrupt never strands a worker.
+    with _sigterm_unwinds(), _stop_signals(signal.SIG_BLOCK):
+        pool = ProcessPoolExecutor(
+            worker_count(len(calls)),
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_init_worker,
+            initargs=(os.getpid(), shared),
+        )
+        try:
+            futures = [None] * len(calls)
+            for i in order:
+                futures[i] = pool.submit(_call, function, calls[i])
+            with _stop_signals(signal.SIG_UNBLOCK):
+                wait(futures, return_when=FIRST_EXCEPTION)
+            for future in futures:
+                if future.done() and future.exception() is not None:
+                    raise future.exception()
+            return [future.result() for future in futures]
+        except BrokenProcessPool:
+            raise WorkerLostError(
+                f"{whose} process ended abruptly (killed by a signal or out of memory)"
+            ) from None
+        except BaseException:
+            # ProcessPoolExecutor has no public way to stop a busy worker
+            # before Python 3.14, so kill each one directly.
+            for process in list(pool._processes.values()):
+                process.kill()
+            raise
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)

@@ -179,6 +179,9 @@ class AggregateTable:
         return sorted({key for key, _ in self.rows})
 
 
+_ROW_CHUNK = 2048
+
+
 def aggregate(records: RecordTable, granularity: Granularity) -> AggregateTable:
     """Group enriched records into (period, subclass) cells.
 
@@ -192,22 +195,33 @@ def aggregate(records: RecordTable, granularity: Granularity) -> AggregateTable:
         [key_ids.setdefault(_day_key(day, granularity), len(key_ids)) for day in days.tolist()],
         dtype=np.int64,
     )
-    keys = list(key_ids)
+    keys = np.array(list(key_ids), dtype=object)  # indexing gives back the str objects
     width = len(SUBCLASSES)
     cells = key_of_day[day_index] * width + records.subclass
-    size = len(keys) * width
+    size = keys.size * width
     n = np.bincount(cells, minlength=size)
     duration = np.bincount(cells, weights=records.duration_min, minlength=size)
     gbps = np.bincount(cells, weights=records.max_gbps, minlength=size)
-    rows = {
-        (keys[cell // width], SUBCLASSES[cell % width]): CellStats(
-            count_sum=float(n[cell]),
-            duration_mean=float(duration[cell] / n[cell]),
-            gbps_mean=float(gbps[cell] / n[cell]),
-            n=int(n[cell]),
+    # The rows are built from whole columns, one .tolist() each, but over
+    # 2,048 occupied cells at a time: lists over all of them are large
+    # allocations whose memory the process keeps, and with them `train`'s
+    # peak RSS on the benchmark's 20,000-record export rose by 0.8 MB.
+    occupied = np.flatnonzero(n)
+    rows = {}
+    for first in range(0, occupied.size, _ROW_CHUNK):
+        chunk = occupied[first:first + _ROW_CHUNK]
+        counts = n[chunk]
+        rows.update(
+            ((key, SUBCLASSES[code]), CellStats(count_sum, duration_mean, gbps_mean, count))
+            for key, code, count_sum, duration_mean, gbps_mean, count in zip(
+                keys[chunk // width].tolist(),
+                (chunk % width).tolist(),
+                counts.astype(np.float64).tolist(),
+                (duration[chunk] / counts).tolist(),
+                (gbps[chunk] / counts).tolist(),
+                counts.tolist(),
+            )
         )
-        for cell in np.flatnonzero(n).tolist()
-    }
     return AggregateTable(granularity=granularity, rows=rows)
 
 

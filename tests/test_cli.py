@@ -494,6 +494,65 @@ def test_interrupt_during_startup_exits_130(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+# The same interrupt, in the console script's entry point.
+INTERRUPTED_SCRIPT_START = INTERRUPTED_START.replace(
+    'runpy.run_module("ddoscast.cli", run_name="__main__", alter_sys=True)',
+    "from ddoscast.__main__ import main\nsys.exit(main())",
+)
+
+
+def test_interrupt_during_console_script_startup_exits_130(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", INTERRUPTED_SCRIPT_START, "ingest", "--synthetic", "--count", "10",
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=cli_env(), cwd=tmp_path, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (130, "error: interrupted\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_console_script_runs_the_entry_module():
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert 'ddoscast = "ddoscast.__main__:main"' in pyproject
+    proc = subprocess.run(
+        [sys.executable, "-m", "ddoscast", "--version"], capture_output=True, text=True,
+        env=cli_env(),
+    )
+    assert (proc.returncode, proc.stdout) == (0, f"ddoscast {ddoscast.__version__}\n")
+
+
+# Runs a module as ``__main__`` with --version, then prints the thread
+# counts of the OpenBLAS libraries loaded. Nothing imports numpy before the
+# module runs.
+THREADS_AT_EXIT = """
+import atexit, runpy, sys
+
+def report():
+    from ddoscast.blas import openblas_threads
+    print(sorted({get() for get, _set in openblas_threads()}))
+
+atexit.register(report)
+runpy.run_module(sys.argv.pop(1), run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("module", ["ddoscast.cli", "ddoscast"])
+@pytest.mark.parametrize("setting, threads", [(None, 1), ("2", 2)])
+def test_cli_process_starts_openblas_on_one_thread_unless_told(module, setting, threads):
+    if threads > len(os.sched_getaffinity(0)):
+        pytest.skip("OpenBLAS caps its thread count at the CPU count")
+    env = cli_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if setting is not None:
+        env["OPENBLAS_NUM_THREADS"] = setting
+    proc = subprocess.run(
+        [sys.executable, "-c", THREADS_AT_EXIT, module, "--version"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"[{threads}]"
+
+
 def test_interrupt_while_parsing_arguments_exits_130(monkeypatch, capsys):
     def interrupted():
         raise KeyboardInterrupt
@@ -997,6 +1056,71 @@ def test_killed_worker_fails_grid_with_exit_eight(tmp_path, records_file):
         _out, err = proc.communicate(timeout=60)
         assert proc.returncode == 8
         assert err.startswith("error: a grid worker process ended") and err.count("\n") == 1
+        assert not [pid for pid in workers if is_running(pid)]
+
+
+# --- ingest worker processes ------------------------------------------------------
+
+# Runs ``python -m ddoscast.cli`` with two ingest workers whose entry checks
+# never return, so the test can signal the command while its workers run.
+STALLED_INGEST = """
+import runpy, time
+from ddoscast import ingest, pool
+
+pool.worker_count = lambda tasks=None: 2
+ingest._check_entry = lambda entry: time.sleep(3600)
+runpy.run_module("ddoscast.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@contextlib.contextmanager
+def running_ingest(tmp_path):
+    """An ingest of a JSON array caught while its two workers check entries."""
+    export = tmp_path / "export.json"
+    export.write_text(json.dumps([record_obj()] * 4))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", STALLED_INGEST, "ingest", str(export), "--out", str(tmp_path / "o")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=cli_env(),
+        start_new_session=True,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while len(child_pids(proc.pid)) < 2:
+            assert proc.poll() is None, proc.communicate()
+            assert time.monotonic() < deadline, "ingest started no workers"
+            time.sleep(0.05)
+        yield proc, child_pids(proc.pid)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
+
+
+@pytest.mark.parametrize(
+    "signum, code, message",
+    [(signal.SIGTERM, 143, ""), (signal.SIGINT, 130, "error: interrupted\n")],
+)
+def test_signal_stops_ingest_and_its_workers(tmp_path, signum, code, message):
+    with running_ingest(tmp_path) as (proc, workers):
+        if signum == signal.SIGINT:
+            os.killpg(proc.pid, signum)
+        else:
+            proc.send_signal(signum)
+        _out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (code, message)
+        assert not [pid for pid in workers if is_running(pid)]
+        assert not (tmp_path / "o").exists()
+
+
+def test_killed_worker_fails_ingest_with_exit_eight(tmp_path):
+    with running_ingest(tmp_path) as (proc, workers):
+        os.kill(workers[0], signal.SIGKILL)
+        _out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 8
+        assert err == ("error: an ingest worker process ended abruptly "
+                       "(killed by a signal or out of memory)\n")
         assert not [pid for pid in workers if is_running(pid)]
 
 

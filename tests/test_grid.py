@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ddoscast import grid, lstm
+from ddoscast import grid, lstm, pool
 from ddoscast.blas import one_blas_thread
 from ddoscast.errors import (
     DivergedNonFiniteError,
@@ -229,7 +229,7 @@ class TestPool:
     def test_same_cells_as_each_cell_alone_for_any_worker_count(self, monkeypatch, workers):
         series = tiny_series()
         alone = strip_wall(GridResult(each_cell_alone(series, POOL_SPEC), master_seed=3))
-        monkeypatch.setattr(grid, "_worker_count", lambda cells: workers)
+        monkeypatch.setattr(pool, "worker_count", lambda tasks: workers)
         assert strip_wall(run_grid(series, POOL_SPEC)) == alone
 
     @pytest.mark.parametrize("slow", ["first", "last"])
@@ -241,11 +241,11 @@ class TestPool:
             keys.reverse()
         delays = {key: 0.15 * (len(keys) - rank) for rank, key in enumerate(keys)}
         monkeypatch.setattr(grid, "_train_cell", functools.partial(_delayed_cell, delays))
-        monkeypatch.setattr(grid, "_worker_count", lambda cells: 2)
+        monkeypatch.setattr(pool, "worker_count", lambda tasks: 2)
         assert strip_wall(run_grid(series, POOL_SPEC)) == alone
 
     def test_cells_come_back_in_spec_order(self, monkeypatch):
-        monkeypatch.setattr(grid, "_worker_count", lambda cells: 2)
+        monkeypatch.setattr(pool, "worker_count", lambda tasks: 2)
         spec = GridSpec(window_sizes=(5, 3, 4), hidden_sizes=(3, 2), base_config=tiny_config(1))
         cells = run_grid(tiny_series(), spec).cells
         assert [(c.window, c.hidden) for c in cells] == [
@@ -261,7 +261,7 @@ class TestPool:
 
     def test_failing_cell_stops_the_grid_with_its_error(self, monkeypatch):
         monkeypatch.setattr(grid, "_train_cell", _failing_cell)
-        monkeypatch.setattr(grid, "_worker_count", lambda cells: 2)
+        monkeypatch.setattr(pool, "worker_count", lambda tasks: 2)
         started = time.monotonic()
         with pytest.raises(SchemaViolationError) as err:
             run_grid(tiny_series(), POOL_SPEC)
@@ -271,7 +271,7 @@ class TestPool:
 
     def test_killed_worker_raises_worker_lost(self, monkeypatch):
         monkeypatch.setattr(grid, "_train_cell", _killed_cell)
-        monkeypatch.setattr(grid, "_worker_count", lambda cells: 2)
+        monkeypatch.setattr(pool, "worker_count", lambda tasks: 2)
         started = time.monotonic()
         with pytest.raises(WorkerLostError) as err:
             run_grid(tiny_series(), POOL_SPEC)
@@ -296,21 +296,21 @@ class TestPool:
 
     def test_worker_count_is_one_per_cpu_up_to_the_cell_count(self, monkeypatch):
         cpus = len(os.sched_getaffinity(0))
-        monkeypatch.setattr(grid, "openblas_threads", lambda: (("a getter", "a setter"),))
-        assert grid._worker_count(1) == 1
-        assert grid._worker_count(1000) == cpus
-        monkeypatch.setattr(grid, "openblas_threads", lambda: ())
-        assert grid._worker_count(1000) == 1
+        monkeypatch.setattr(pool, "openblas_threads", lambda: (("a getter", "a setter"),))
+        assert pool.worker_count(1) == 1
+        assert pool.worker_count(1000) == cpus
+        monkeypatch.setattr(pool, "openblas_threads", lambda: ())
+        assert pool.worker_count(1000) == 1
 
     def test_workers_run_one_blas_thread_and_the_parent_keeps_its_own(self):
-        if not grid.openblas_threads():
+        if not pool.openblas_threads():
             pytest.skip("no OpenBLAS thread setter in this numpy build")
         before = openblas_thread_counts()
         context = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(
-            1, mp_context=context, initializer=grid._init_worker, initargs=(os.getpid(),)
-        ) as pool:
-            in_worker = pool.submit(openblas_thread_counts).result(timeout=60)
+            1, mp_context=context, initializer=pool._init_worker, initargs=(os.getpid(),)
+        ) as executor:
+            in_worker = executor.submit(openblas_thread_counts).result(timeout=60)
         assert in_worker == [1] * len(before)
         assert openblas_thread_counts() == before
 
@@ -319,7 +319,7 @@ class TestPool:
         # The owner pid a worker is handed is not its parent's: as if the
         # owner had died between the fork and the worker's prctl call.
         worker = multiprocessing.get_context("fork").Process(
-            target=grid._init_worker, args=(-1,)
+            target=pool._init_worker, args=(-1,)
         )
         worker.start()
         worker.join(timeout=60)
