@@ -27,8 +27,6 @@ import hashlib
 import json
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .analytics import (
     GrowthDimension,
@@ -48,7 +46,6 @@ from .errors import (
     OUT_OF_MEMORY_EXIT_CODE,
     CorruptCheckpointError,
     DdoscastError,
-    EmptyDatasetError,
     InputChangedError,
     InvalidConfigError,
     ReplayRefusedError,
@@ -64,17 +61,14 @@ from .grid import (
 )
 from .ingest import (
     MAX_UNIX_SECONDS,
-    SUBCLASSES,
     ParseReport,
     RecordColumns,
     Subclass,
     SyntheticSpec,
     columns_in_bounds,
     generate_synthetic,
-    parse_records,
     records_to_ndjson,
 )
-from .ingest_parts import ingest_export
 from .lstm import (
     RmsPropState,
     TrainConfig,
@@ -84,7 +78,8 @@ from .lstm import (
     save_checkpoint,
     train,
 )
-from .preprocess import Granularity, Metric, RecordTable, aggregate, enrich_all, series_for
+from .preprocess import Granularity, Metric, aggregate, enrich_all, series_for
+from .records import ingest_export, read_records, records_files
 from .windowing import NormSource, build_windowed
 
 
@@ -102,72 +97,12 @@ def _now() -> str:
     return dt.datetime.now(dt.timezone.utc).isoformat()
 
 
-# --- records.cols: the parsed columns of records.ndjson -----------------------
-#
-# ingest writes the source columns of the records it accepted next to
-# records.ndjson, in one fixed layout of n records:
-#   bytes 0-31   _SIDECAR_MAGIC, the format and its version
-#   bytes 32-63  the stamp: SHA-256 of the NDJSON's SHA-256 digest, then the body
-#   body         little-endian int64 start, stop and max_bps (8n bytes each),
-#                then the uint8 subclass codes (n bytes)
-# Reading a records file uses them only when the length, magic and stamp fit
-# and every value is in range; otherwise it parses the file. The stamp covers
-# the body, so a changed byte anywhere is a stale sidecar. The sidecar is a
-# cache: deleting it changes nothing but speed.
-
-SIDECAR_NAME = "records.cols"
-_SIDECAR_MAGIC = b"ddoscast records.cols 1".ljust(31) + b"\n"
-_HEADER_BYTES = 64
-_BYTES_PER_RECORD = 3 * 8 + 1
-
-
-def _stamp(digest: str, body) -> bytes:
-    """The stamp of ``body`` for the records file whose SHA-256 is ``digest``."""
-    stamp = hashlib.sha256(bytes.fromhex(digest))
-    stamp.update(body)
-    return stamp.digest()
-
-
-def _sidecar_bytes(records, digest: str) -> bytes:
-    """The records.cols of ``records``, stamped for the NDJSON whose SHA-256 is ``digest``."""
-    body = b"".join([np.asarray(records.start, "<i8").tobytes(),
-                     np.asarray(records.stop, "<i8").tobytes(),
-                     np.asarray(records.max_bps, "<i8").tobytes(),
-                     np.asarray(records.subclass, np.uint8).tobytes()])
-    return _SIDECAR_MAGIC + _stamp(digest, body) + body
-
-
-def _load_sidecar(path: Path, digest: str) -> RecordTable | None:
-    """The table cached in ``path`` for records whose bytes hash to ``digest``, or None."""
-    try:
-        raw = path.read_bytes()
-    except OSError:
-        return None
-    n, extra = divmod(len(raw) - _HEADER_BYTES, _BYTES_PER_RECORD)
-    if (n < 0 or extra or raw[:32] != _SIDECAR_MAGIC
-            or raw[32:_HEADER_BYTES] != _stamp(digest, memoryview(raw)[_HEADER_BYTES:])):
-        return None
-    start, stop, max_bps = np.frombuffer(raw, "<i8", 3 * n, _HEADER_BYTES).reshape(3, n)
-    codes = np.frombuffer(raw, np.uint8, n, _HEADER_BYTES + 24 * n)
-    if not (np.all(codes < len(SUBCLASSES)) and columns_in_bounds(start, stop, max_bps)):
-        return None
-    return RecordTable(codes, start, stop, max_bps)
-
-
 def _read_records(path: str):
     """The RecordTable of a records file and its manifest entry."""
     raw = Path(path).read_bytes()
-    if not raw or raw.isspace():
-        raise EmptyDatasetError(f"records file {path} is empty")
     entry = _input("records", path, raw)
-    enriched = _load_sidecar(Path(path).with_name(SIDECAR_NAME), entry["sha256"])
-    entry["read_from"] = "parse" if enriched is None else SIDECAR_NAME
-    if enriched is None:
-        records, _report = parse_records(raw)
-        enriched = enrich_all(records)
-    if not enriched:
-        raise EmptyDatasetError(f"no valid records in {path}")
-    return enriched, entry
+    table, entry["read_from"] = read_records(path, raw, entry["sha256"])
+    return table, entry
 
 
 def _subclass_of(name: str) -> Subclass:
@@ -237,22 +172,14 @@ def _cmd_ingest(params: dict):
         raise InvalidConfigError("ingest needs an input file or --synthetic")
     if params["synthetic"]:
         records = _synthetic_records(params)
-        chunks = [records_to_ndjson(records).encode()]
+        files = records_files([records_to_ndjson(records).encode()], enrich_all(records))
         report = ParseReport(accepted=len(records))
         inputs = []
     else:
         raw = Path(params["input"]).read_bytes()
         inputs = [_input("input", params["input"], raw)]
-        chunks, records, report = ingest_export(raw, strict=params["strict"])
-
-    digest = hashlib.sha256()
-    for chunk in chunks:
-        digest.update(chunk)
-    files = {
-        "records.ndjson": chunks,
-        SIDECAR_NAME: _sidecar_bytes(records, digest.hexdigest()),
-        "parse_report.json": json.dumps(dataclasses.asdict(report), indent=2) + "\n",
-    }
+        files, report = ingest_export(raw, strict=params["strict"])
+    files["parse_report.json"] = json.dumps(dataclasses.asdict(report), indent=2) + "\n"
     return files, inputs, f"ingest: {report.accepted} accepted, {report.rejected} rejected"
 
 

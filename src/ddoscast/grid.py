@@ -38,6 +38,9 @@ class GridSpec:
             raise InvalidConfigError("window_sizes and hidden_sizes must be non-empty")
         if min(self.window_sizes) < 1 or min(self.hidden_sizes) < 1:
             raise InvalidConfigError("window and hidden sizes must be >= 1")
+        for name, sizes in (("window", self.window_sizes), ("hidden", self.hidden_sizes)):
+            if len(set(sizes)) < len(sizes):
+                raise InvalidConfigError(f"{name} sizes must not repeat, got {list(sizes)}")
 
 
 @dataclass(frozen=True)

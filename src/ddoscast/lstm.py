@@ -37,7 +37,6 @@ import contextlib
 import itertools
 import json
 import math
-import multiprocessing
 import os
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, fields
@@ -395,11 +394,10 @@ def train(
     epoch e+1 trains, with every loaded OpenBLAS library pinned to one
     thread for the duration of the call and restored to the caller's count
     on the way out, also when this raises. Where the second thread cannot
-    pay (one usable CPU, no OpenBLAS thread setter, or inside a worker
-    process) the same loop evaluates inline. Either way the history and
-    the error raised are those of a loop that evaluates each epoch before
-    the next starts, and the result is fully deterministic for a fixed
-    (seed, dataset, config).
+    pay (one usable CPU, or no OpenBLAS thread setter) the same loop
+    evaluates inline. Either way the history and the error raised are
+    those of a loop that evaluates each epoch before the next starts, and
+    the result is fully deterministic for a fixed (seed, dataset, config).
     """
     history = TrainHistory(train_mse=[], val_mse=[])
     with _epoch_evaluator() as submit:
@@ -484,14 +482,11 @@ def _epoch_evaluator():
 
     A one-thread pool, with OpenBLAS on one thread so that the two threads
     do not fight over the CPUs, when that can pay; otherwise inline. It
-    cannot pay with one usable CPU; without an OpenBLAS thread setter, the
-    rule ``pool.worker_count`` follows too; or in a worker process, where
-    every CPU may already have a process of its own (the worker would also
-    grow its memory by the thread's). The pool's thread has ended, and
-    OpenBLAS has its caller's thread count back, when this exits.
+    cannot pay with one usable CPU, or without an OpenBLAS thread setter,
+    the rule ``pool.worker_count`` follows too. The pool's thread has ended,
+    and OpenBLAS has its caller's thread count back, when this exits.
     """
-    if (len(os.sched_getaffinity(0)) < 2 or not openblas_threads()
-            or multiprocessing.parent_process() is not None):
+    if len(os.sched_getaffinity(0)) < 2 or not openblas_threads():
         yield _evaluate_inline
         return
     with one_blas_thread(), ThreadPoolExecutor(1) as pool:

@@ -50,6 +50,7 @@ from ddoscast.lstm import (
     save_checkpoint,
 )
 from ddoscast.preprocess import Metric, enrich_all
+from ddoscast.records import _load_sidecar, _sidecar_bytes
 
 
 @pytest.fixture()
@@ -404,6 +405,7 @@ class TestManifestReplay:
         ("train", "--batch-size", 0),
         ("train", "--learning-rate", -1),
         ("grid", "--hiddens", 0),
+        ("grid", "--windows", "8,8"),
     ],
 )
 def test_bad_hyperparameter_exit_two(tmp_path, records_file, capsys, command, flag, value):
@@ -456,6 +458,25 @@ def test_package_root_loads_no_other_module():
         capture_output=True, text=True, env=cli_env(),
     )
     assert (proc.returncode, proc.stdout) == (0, "['ddoscast']\n")
+
+
+def test_ingest_loads_no_pool():
+    # the bench harness imports ingest; records and pool would grow its memory
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, ddoscast.ingest; print(sorted(name for name in "
+         "sys.modules if name.split('.')[0] == 'ddoscast'))"],
+        capture_output=True, text=True, env=cli_env(),
+    )
+    loaded = "['ddoscast', 'ddoscast.errors', 'ddoscast.ingest']\n"
+    assert (proc.returncode, proc.stdout) == (0, loaded)
+
+
+def test_readme_layout_lists_exactly_the_modules():
+    root = Path(__file__).resolve().parents[1]
+    section = (root / "README.md").read_text().split("## Layout\n", 1)[1].split("\n#", 1)[0]
+    listed = set(re.findall(r"^\| `(ddoscast\.\w+)`", section, flags=re.M))
+    modules = {f"ddoscast.{path.stem}" for path in (root / "src" / "ddoscast").glob("*.py")}
+    assert listed == modules - {"ddoscast.__init__"}
 
 
 def test_importing_cli_leaves_sigint_alone():
@@ -651,7 +672,7 @@ def _write_stamped(sidecar: Path, ndjson: Path, **changes) -> None:
     """Write the columns of ``ndjson``, with ``changes``, stamped for its bytes."""
     columns = {**_parsed_columns(ndjson), **changes}
     digest = cli.sha256_hex(ndjson.read_bytes())
-    sidecar.write_bytes(cli._sidecar_bytes(SimpleNamespace(**columns), digest))
+    sidecar.write_bytes(_sidecar_bytes(SimpleNamespace(**columns), digest))
 
 
 def _old_npz(ndjson: Path, **changes) -> bytes:
@@ -733,10 +754,10 @@ def test_sidecar_state_never_changes_outputs(tmp_path, records_file, capsys, sta
 def test_mutated_sidecar_loads_its_columns_or_none(tmp_path):
     records = RecordColumns.of(generate_synthetic(SyntheticSpec(record_count=40, seed=3)))
     digest = cli.sha256_hex(records_to_ndjson(records).encode())
-    original = cli._sidecar_bytes(records, digest)
+    original = _sidecar_bytes(records, digest)
     path = tmp_path / "records.cols"
     path.write_bytes(original)
-    assert cli._load_sidecar(path, digest) is not None
+    assert _load_sidecar(path, digest) is not None
 
     rng = random.Random(0)
     for _ in range(3000):
@@ -751,14 +772,14 @@ def test_mutated_sidecar_loads_its_columns_or_none(tmp_path):
             size = rng.choice([1, 25, 50, rng.randint(1, 60)])
             data[at:at] = rng.randbytes(size)
         path.write_bytes(bytes(data))
-        table = cli._load_sidecar(path, digest)
+        table = _load_sidecar(path, digest)
         if table is not None:
             for name in SOURCE_COLUMNS:
                 assert np.array_equal(getattr(table, name), getattr(records, name))
 
 
 def test_sidecar_table_equals_parsed_table(tmp_path, records_file):
-    from ddoscast.cli import _load_sidecar, sha256_hex
+    from ddoscast.cli import sha256_hex
 
     assert run(["ingest", records_file, "--out", tmp_path, "--seed", 1]) == 0
     ndjson = tmp_path / "ingest-1" / "records.ndjson"
@@ -967,7 +988,7 @@ def test_synthetic_ingest_writes_what_parsing_its_records_gives(tmp_path, seed):
         '{\n  "accepted": 500,\n  "rejected": 0,\n  "rejection_reasons": []\n}\n'
     )
     parsed, _report = parse_records(ndjson, strict=True)
-    assert (out / "records.cols").read_bytes() == cli._sidecar_bytes(parsed, cli.sha256_hex(ndjson))
+    assert (out / "records.cols").read_bytes() == _sidecar_bytes(parsed, cli.sha256_hex(ndjson))
 
 
 @pytest.mark.parametrize(

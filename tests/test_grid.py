@@ -96,7 +96,8 @@ class TestRunGrid:
         assert err.value.window == 50
 
     @pytest.mark.parametrize(
-        "windows, hiddens", [((), (2,)), ((3,), ()), ((3, 0), (2,)), ((3,), (2, -1))]
+        "windows, hiddens",
+        [((), (2,)), ((3,), ()), ((3, 0), (2,)), ((3,), (2, -1)), ((8, 8), (4,)), ((3,), (2, 5, 2))],
     )
     def test_spec_rejects_empty_or_non_positive_sizes(self, windows, hiddens):
         with pytest.raises(InvalidConfigError):
@@ -251,13 +252,6 @@ class TestPool:
         assert [(c.window, c.hidden) for c in cells] == [
             (5, 3), (5, 2), (3, 3), (3, 2), (4, 3), (4, 2)
         ]
-
-    def test_duplicate_sizes_keep_every_cell(self):
-        spec = GridSpec(window_sizes=(3, 3), hidden_sizes=(2,), base_config=tiny_config(1))
-        cells = run_grid(tiny_series(), spec).cells
-        assert len(cells) == 2 and strip_wall(GridResult(cells[:1], 0)) == strip_wall(
-            GridResult(cells[1:], 0)
-        )
 
     def test_failing_cell_stops_the_grid_with_its_error(self, monkeypatch):
         monkeypatch.setattr(grid, "_train_cell", _failing_cell)

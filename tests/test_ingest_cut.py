@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import HUGE_INT, record_obj
-from ddoscast import ingest_parts, pool
+from ddoscast import pool, records
 from ddoscast.cli import main
 
 OUTPUTS = ("records.ndjson", "records.cols", "parse_report.json")
@@ -29,7 +29,7 @@ def ingest_outcome(export: bytes, strict: bool, workers: int):
         tmp = Path(stack.enter_context(tempfile.TemporaryDirectory()))
         stack.enter_context(mock.patch.object(pool, "worker_count", lambda tasks=None: workers))
         one_part = stack.enter_context(
-            mock.patch.object(ingest_parts, "parse_records", wraps=ingest_parts.parse_records)
+            mock.patch.object(records, "_ingest_part", wraps=records._ingest_part)
         )
         err = io.StringIO()
         stack.enter_context(contextlib.redirect_stderr(err))
@@ -120,7 +120,7 @@ def cut_inside(value_text: str, cut: int, parts: int) -> bytes:
     for before in range(COUNT):
         text = export_of([VALID] * before + [special] + [VALID] * (COUNT - before)).decode()
         lo = text.index(value_text)
-        stop = ingest_parts._part_bounds(text, parts)[cut - 1][1]
+        stop = records._part_bounds(text, parts)[cut - 1][1]
         if lo < stop < lo + len(value_text):
             return text.encode()
     raise AssertionError("no layout puts the cut inside the value")
@@ -221,7 +221,7 @@ def test_a_strict_violation_waits_for_every_part_to_decode():
 
 def test_a_single_element_array_is_one_part():
     export = export_of([VALID])
-    assert ingest_parts._part_bounds(export.decode(), 2) == [(0, len(export))]
+    assert records._part_bounds(export.decode(), 2) == [(0, len(export))]
     assert ingest_outcome(export, False, 2)[3]
 
 
@@ -229,7 +229,7 @@ def test_only_json_whitespace_separates_the_elements_at_a_cut():
     # Where the cut would fall, the comma has a vertical tab after it: not JSON
     # whitespace, so that array is broken and must not be cut there.
     text = export_of([VALID] * COUNT).decode()
-    stop = ingest_parts._part_bounds(text, 2)[0][1]
+    stop = records._part_bounds(text, 2)[0][1]
     assert text[stop:stop + 3] == ", {"
     export = (text[:stop] + ",\x0b" + text[stop + 2:]).encode()
     code, err, _files = assert_same_for_any_worker_count(export, False)

@@ -3,7 +3,6 @@ import dataclasses
 import itertools
 import json
 import math
-import multiprocessing
 import os
 import threading
 import time
@@ -604,7 +603,7 @@ class TestTrainLeavesNothingBehind:
         assert threading.active_count() == threads
         assert openblas_thread_counts() == blas_at_two_threads
 
-    @pytest.mark.parametrize("case", ["overlap", "one CPU", "no BLAS setter", "worker process"])
+    @pytest.mark.parametrize("case", ["overlap", "one CPU", "no BLAS setter"])
     def test_second_thread_only_where_it_can_pay(self, monkeypatch, blas_at_two_threads, case):
         if case == "overlap" and not overlap_possible():
             pytest.skip("the overlap needs 2 usable CPUs and an OpenBLAS thread setter")
@@ -612,8 +611,6 @@ class TestTrainLeavesNothingBehind:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         elif case == "no BLAS setter":
             monkeypatch.setattr(lstm, "openblas_threads", lambda: ())
-        elif case == "worker process":
-            monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
         seen = set()
         real = lstm.backward
 
