@@ -37,13 +37,13 @@ import contextlib
 import itertools
 import json
 import math
-import os
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .blas import one_blas_thread, openblas_threads
+from . import pool
+from .blas import one_blas_thread
 from .errors import (
     CacheMismatchError,
     CorruptCheckpointError,
@@ -480,17 +480,18 @@ def _evaluate_inline(fn, *args) -> Future:
 def _epoch_evaluator():
     """Yield the ``submit(fn, *args) -> Future`` that ``train`` evaluates epochs with.
 
-    A one-thread pool, with OpenBLAS on one thread so that the two threads
-    do not fight over the CPUs, when that can pay; otherwise inline. It
-    cannot pay with one usable CPU, or without an OpenBLAS thread setter,
-    the rule ``pool.worker_count`` follows too. The pool's thread has ended,
-    and OpenBLAS has its caller's thread count back, when this exits.
+    A one-thread executor, with OpenBLAS on one thread so that the two
+    threads do not fight over the CPUs, when that can pay; otherwise
+    inline. It pays where ``pool.worker_count`` would start a second
+    worker: with two usable CPUs and an OpenBLAS thread setter. The
+    executor's thread has ended, and OpenBLAS has its caller's thread
+    count back, when this exits.
     """
-    if len(os.sched_getaffinity(0)) < 2 or not openblas_threads():
+    if pool.worker_count(2) < 2:
         yield _evaluate_inline
         return
-    with one_blas_thread(), ThreadPoolExecutor(1) as pool:
-        yield pool.submit
+    with one_blas_thread(), ThreadPoolExecutor(1) as evaluator:
+        yield evaluator.submit
 
 
 def predict_series(

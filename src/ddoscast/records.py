@@ -116,6 +116,9 @@ def read_records(path: str, raw: bytes, digest: str) -> tuple[RecordTable, str]:
     return table, read_from
 
 
+# str.isspace() is true of exactly the characters \s matches in a str
+# pattern, so this matches where text.strip() starts with "[".
+_ARRAY = re.compile(r"\s*\[")
 _CUT = re.compile(r"\}[ \t\n\r]*,[ \t\n\r]*\{")
 
 
@@ -132,17 +135,16 @@ def _part_bounds(text: str, parts: int) -> list[tuple[int, int]]:
     return bounds
 
 
-def _ingest_part(text: str, strict: bool, start: int = 0, stop: int | None = None):
+def _ingest_part(text: str, strict: bool, start: int, stop: int):
     """Decode, check and serialize the part ``text[start:stop]`` of the array ``text``.
 
-    By default the part is all of ``text``, read as ``ingest._detect_entries``
+    A part that is all of ``text`` is read as ``ingest._detect_entries``
     reads any export. Returns (NDJSON bytes, source columns, entry count,
     rejections, violation) as ``_check_entries`` gives them, located within
     the part; the columns are subclass, start, stop and max_bps, and a part
     with a violation has no bytes or columns. Raises NotJsonError when the
     part does not decode.
     """
-    stop = len(text) if stop is None else stop
     part = ("[" if start else "") + text[start:stop] + ("]" if stop < len(text) else "")
     with _cycle_collector_paused():
         entries = _detect_entries(part)
@@ -155,14 +157,6 @@ def _ingest_part(text: str, strict: bool, start: int = 0, stop: int | None = Non
     return records_to_ndjson(records).encode(), columns, count, rejections, None
 
 
-def _part_or_none(text: str, strict: bool, start: int, stop: int):
-    """A worker's ``_ingest_part``: None where the part does not decode."""
-    try:
-        return _ingest_part(text, strict, start, stop)
-    except NotJsonError:
-        return None
-
-
 def ingest_export(raw: bytes | str, strict: bool = False):
     """The records file of an export, and its ParseReport.
 
@@ -172,23 +166,26 @@ def ingest_export(raw: bytes | str, strict: bool = False):
     ``parse_records`` would give them, and raises what it raises.
 
     A JSON array is cut into one part per ``pool`` worker, and each worker
-    decodes, checks and serializes its own part. Rejection locations of a
-    part are shifted by the entries of the parts before it, and in strict
-    mode the first violation in input order is raised once every part has
-    decoded. When any part fails to decode, the whole text is read in one
-    part, so a broken document raises the same NotJsonError as
-    ``parse_records``. Any other input, and any input on one worker, is
-    read in one part.
+    decodes, checks and serializes its own part of the decoded text.
+    Rejection locations of a part are shifted by the entries of the parts
+    before it, and in strict mode the first violation in input order is
+    raised once every part has decoded. A part that fails to decode raises
+    NotJsonError through ``run_pool``, which stops the other workers, and
+    the whole text is then read in one part, so a broken document raises
+    the same NotJsonError as ``parse_records``. Any other input, and any
+    input on one worker, is read in one part.
     """
     text = _text_of(raw)
-    stripped = text.strip()
-    if stripped[:1] == "[":
-        bounds = _part_bounds(stripped, pool.worker_count())
+    if _ARRAY.match(text):
+        bounds = _part_bounds(text, pool.worker_count())
         if len(bounds) > 1:
-            parts = pool.run_pool(_part_or_none, bounds, (stripped, strict), "an ingest worker")
-            if None not in parts:
+            try:
+                parts = pool.run_pool(_ingest_part, bounds, (text, strict), "an ingest worker")
+            except NotJsonError:
+                pass
+            else:
                 return _merge_parts(parts)
-    return _merge_parts([_ingest_part(text, strict)])
+    return _merge_parts([_ingest_part(text, strict, 0, len(text))])
 
 
 def _merge_parts(parts: list):

@@ -1594,3 +1594,25 @@ def test_ingest_and_analyze_outputs_match_golden_digests(tmp_path):
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in GOLDEN_DIGESTS}
     assert digests == GOLDEN_DIGESTS
+
+
+def test_train_reproduces_the_bench_reference(tmp_path, monkeypatch):
+    # The train-ref workload, run in process: a drift at the reference shape
+    # shows here before the benchmark's own check sees it.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+
+    export = tmp_path / "export.json"
+    workloads.write_export(export, workloads.synthetic(0, workloads.SMALL_RECORDS))
+    assert run(["ingest", export, "--out", tmp_path]) == 0
+    assert run(["train", tmp_path / "ingest-0" / "records.ndjson",
+                "--epochs", workloads.TRAIN_EPOCHS, "--window", workloads.REF_WINDOW,
+                "--hidden", workloads.REF_HIDDEN, "--batch-size", workloads.REF_BATCH,
+                "--learning-rate", workloads.REF_LR, "--subclass", "TotalTraffic",
+                "--metric", "count", "--out", tmp_path]) == 0
+    rows = workloads.read_rows(tmp_path / "train-0" / "history.csv")
+    history = [[float(row["train_mse"]), float(row["val_mse"])] for row in rows]
+    reference = workloads.load_reference("train-ref", 0)["history"]
+    assert len(history) == len(reference)
+    for got, want in zip(history, reference):
+        assert all(map(workloads.close, got, want)), (got, want)

@@ -29,7 +29,7 @@ def ingest_outcome(export: bytes, strict: bool, workers: int):
         tmp = Path(stack.enter_context(tempfile.TemporaryDirectory()))
         stack.enter_context(mock.patch.object(pool, "worker_count", lambda tasks=None: workers))
         one_part = stack.enter_context(
-            mock.patch.object(records, "_ingest_part", wraps=records._ingest_part)
+            mock.patch.object(records, "_detect_entries", wraps=records._detect_entries)
         )
         err = io.StringIO()
         stack.enter_context(contextlib.redirect_stderr(err))
@@ -77,6 +77,10 @@ _entry_texts = st.tuples(
     _valid | _invalid, st.sampled_from([(", ", ": "), (",", ":")])
 ).map(lambda pair: json.dumps(pair[0], separators=pair[1]))
 _separators = st.sampled_from([", ", ",", ",\n", "\n,\n  ", " , "])
+# Whitespace around the array: JSON's, and what str.strip() takes but JSON does not.
+_not_json_whitespace = ["\x0c", "\x1c", "\xa0", "\u2028"]
+_heads = st.sampled_from(["", " ", "\n", *_not_json_whitespace])
+_tails = st.sampled_from(["\n", "", *_not_json_whitespace])
 
 
 @st.composite
@@ -84,7 +88,7 @@ def _exports(draw) -> bytes:
     entries = draw(st.lists(_entry_texts, min_size=1, max_size=12))
     seps = draw(st.lists(_separators, min_size=len(entries), max_size=len(entries)))
     body = "".join(sep + entry for sep, entry in zip(["", *seps[1:]], entries))
-    return f"{draw(st.sampled_from(['', ' ', chr(10)]))}[{body}]\n".encode()
+    return f"{draw(_heads)}[{body}]{draw(_tails)}".encode()
 
 
 @given(_exports(), st.booleans())
@@ -223,6 +227,15 @@ def test_a_single_element_array_is_one_part():
     export = export_of([VALID])
     assert records._part_bounds(export.decode(), 2) == [(0, len(export))]
     assert ingest_outcome(export, False, 2)[3]
+
+
+def test_the_workers_share_the_decoded_text():
+    text = export_of([VALID] * COUNT).decode() + "\n"
+    with mock.patch.object(pool, "worker_count", lambda tasks=None: 2), \
+            mock.patch.object(pool, "run_pool", wraps=pool.run_pool) as run_pool:
+        records.ingest_export(text)
+    function, _calls, shared, _whose = run_pool.call_args.args
+    assert function is records._ingest_part and shared[0] is text
 
 
 def test_only_json_whitespace_separates_the_elements_at_a_cut():
