@@ -65,6 +65,7 @@ from .ingest import (
     RecordColumns,
     Subclass,
     SyntheticSpec,
+    _text_of,
     columns_in_bounds,
     generate_synthetic,
     records_to_ndjson,
@@ -154,7 +155,7 @@ def _synthetic_records(params: dict) -> RecordColumns:
         seed=params["seed"],
     )
     try:
-        records = RecordColumns.of(generate_synthetic(spec))
+        records = generate_synthetic(spec)
     except OverflowError:
         records = None
     if records is None or not columns_in_bounds(records.start, records.stop, records.max_bps):
@@ -178,6 +179,7 @@ def _cmd_ingest(params: dict):
     else:
         raw = Path(params["input"]).read_bytes()
         inputs = [_input("input", params["input"], raw)]
+        raw = _text_of(raw)  # frees the bytes: the workers fork with the decoded text only
         files, report = ingest_export(raw, strict=params["strict"])
     files["parse_report.json"] = json.dumps(dataclasses.asdict(report), indent=2) + "\n"
     return files, inputs, f"ingest: {report.accepted} accepted, {report.rejected} rejected"

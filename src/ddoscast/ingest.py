@@ -14,6 +14,7 @@ import contextlib
 import datetime as dt
 import enum
 import gc
+import itertools
 import json
 import random
 from collections.abc import Sequence
@@ -107,7 +108,7 @@ class AttackRecord:
 
 @dataclass(frozen=True, eq=False)
 class RecordColumns(Sequence):
-    """Records as parallel columns, in input order: what parsing returns.
+    """Records as parallel columns: what parsing and ``generate_synthetic`` return.
 
     ``attack_class`` and ``subclass`` hold uint8 codes into
     ``ATTACK_CLASSES`` and ``SUBCLASSES``; ``max_bps``, ``start`` and
@@ -165,6 +166,14 @@ class RecordColumns(Sequence):
             dst_ports=self.dst_ports[index],
             src_ports=self.src_ports[index],
         )
+
+    def __iter__(self):
+        # One pass over whole columns, not nine numpy reads per row.
+        rows = zip(self.attack_class.tolist(), self.subclass.tolist(), self.max_bps.tolist(),
+                   self.start.tolist(), self.stop.tolist(),
+                   self.dst_cc, self.src_cc, self.dst_ports, self.src_ports)
+        return (AttackRecord(ATTACK_CLASSES[attack_class], SUBCLASSES[subclass], *rest)
+                for attack_class, subclass, *rest in rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
@@ -524,45 +533,39 @@ _DURATION_LOG_MEAN, _DURATION_LOG_SIGMA = 7.0, 1.5
 _BPS_LOG_MEAN, _BPS_LOG_SIGMA = 22.0, 2.0
 
 
-def generate_synthetic(spec: SyntheticSpec) -> list[AttackRecord]:
-    """Deterministic synthetic record set for a SyntheticSpec.
+def generate_synthetic(spec: SyntheticSpec) -> RecordColumns:
+    """Deterministic synthetic record set for a SyntheticSpec, as columns.
 
     Output is bit-identical for a fixed seed across runs and platforms
     (random.Random only). All timestamps fall inside the spec's date range.
+    Records are sorted by start, then by subclass name, and a tie keeps
+    draw order.
     """
     weights = spec.subclass_weights or {sub: 1.0 for sub in Subclass}  # the spec refuses {}
-    population = [sub for sub in Subclass if weights.get(sub, 0.0) > 0]
-    pop_weights = [weights[sub] for sub in population]
+    population = [code for code, sub in enumerate(SUBCLASSES) if weights.get(sub, 0.0) > 0]
+    # What random.choices builds from weights= on every call, so the draws are the same.
+    cum_weights = list(itertools.accumulate(weights[SUBCLASSES[code]] for code in population))
+    misuse, detector = map(ATTACK_CLASSES.index, (AttackClass.MISUSE, AttackClass.DETECTOR))
+    names = [sub.value for sub in SUBCLASSES]
     # Day arithmetic, not datetimes: end_date + 1 day overflows datetime at
     # 9999-12-31, whose last second is MAX_UNIX_SECONDS.
     epoch_lo = (spec.start_date - _UNIX_EPOCH).days * _SECONDS_PER_DAY
     epoch_hi = ((spec.end_date - _UNIX_EPOCH).days + 1) * _SECONDS_PER_DAY
 
     rng = random.Random(spec.seed)
-    records = []
+    rows = []
     for _ in range(spec.record_count):
-        subclass = rng.choices(population, weights=pop_weights)[0]
+        subclass = rng.choices(population, cum_weights=cum_weights)[0]
         start = rng.randrange(epoch_lo, epoch_hi)
         duration = int(rng.lognormvariate(_DURATION_LOG_MEAN, _DURATION_LOG_SIGMA))
         stop = min(start + duration, epoch_hi - 1)
         max_bps = int(rng.lognormvariate(_BPS_LOG_MEAN, _BPS_LOG_SIGMA))
-        attack_class = AttackClass.MISUSE if rng.random() < 0.8 else AttackClass.DETECTOR
+        attack_class = misuse if rng.random() < 0.8 else detector
         dst_cc = (rng.choice(_COUNTRIES),) if rng.random() < 0.5 else None
         src_cc = tuple(rng.sample(_COUNTRIES, k=rng.randint(1, 3))) if rng.random() < 0.5 else None
         dst_ports = (rng.randint(0, 65535),) if rng.random() < 0.3 else None
         src_ports = (rng.randint(0, 65535),) if rng.random() < 0.3 else None
-        records.append(
-            AttackRecord(
-                attack_class=attack_class,
-                subclass=subclass,
-                max_bps=max_bps,
-                start=start,
-                stop=stop,
-                dst_cc=dst_cc,
-                src_cc=src_cc,
-                dst_ports=dst_ports,
-                src_ports=src_ports,
-            )
-        )
-    records.sort(key=lambda r: (r.start, r.subclass.value))
-    return records
+        rows.append((attack_class, subclass, max_bps, start, stop,
+                     dst_cc, src_cc, dst_ports, src_ports))
+    rows.sort(key=lambda row: (row[3], names[row[1]]))
+    return RecordColumns.from_lists(list(zip(*rows)))

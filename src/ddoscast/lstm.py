@@ -135,6 +135,7 @@ class TrainConfig:
             (self.epochs >= 1, "epochs", ">= 1"),
             (self.batch_size >= 1, "batch_size", ">= 1"),
             (0.0 <= self.rho < 1.0, "rho", "in [0, 1)"),
+            (self.epsilon > 0, "epsilon", "positive"),
             (self.clip_norm > 0, "clip_norm", "positive"),
             (self.seed >= 0, "seed", ">= 0"),
         ):
@@ -600,7 +601,7 @@ def load_checkpoint(raw: bytes):
     if not isinstance(payload, dict):
         raise CorruptCheckpointError("checkpoint is not an object")
     version = payload.get("format_version")
-    if version != CHECKPOINT_VERSION:
+    if type(version) is not int or version != CHECKPOINT_VERSION:  # not true, not 1.0
         raise VersionMismatchError(
             f"checkpoint format {version!r}, expected {CHECKPOINT_VERSION}"
         )

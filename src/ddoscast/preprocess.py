@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SubclassAbsentError
-from .ingest import SUBCLASSES, AttackRecord, RecordColumns, Subclass
+from .ingest import SUBCLASSES, RecordColumns, Subclass
 
 _UTC = dt.timezone.utc
 _EPOCH = dt.date(1970, 1, 1)
@@ -108,11 +108,6 @@ def enrich_all(records) -> RecordTable:
     """The RecordTable of parsed ``RecordColumns`` or any sequence of raw records."""
     cols = RecordColumns.of(records)
     return RecordTable(cols.subclass, cols.start, cols.stop, cols.max_bps)
-
-
-def enrich(record: AttackRecord) -> EnrichedRecord:
-    """Derive the engineered fields from one raw record."""
-    return enrich_all([record])[0]
 
 
 # --- period keys ----------------------------------------------------------

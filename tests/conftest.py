@@ -54,7 +54,8 @@ def as_ndjson(*objs) -> bytes:
 
 @pytest.fixture(scope="session")
 def synthetic_1000():
-    return generate_synthetic(SyntheticSpec(record_count=1000, seed=7))
+    # a list, as tests slice it
+    return list(generate_synthetic(SyntheticSpec(record_count=1000, seed=7)))
 
 
 def openblas_thread_counts() -> list[int]:

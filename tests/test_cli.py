@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import random
 import re
@@ -752,7 +753,7 @@ def test_sidecar_state_never_changes_outputs(tmp_path, records_file, capsys, sta
 
 @NO_LEAKS
 def test_mutated_sidecar_loads_its_columns_or_none(tmp_path):
-    records = RecordColumns.of(generate_synthetic(SyntheticSpec(record_count=40, seed=3)))
+    records = generate_synthetic(SyntheticSpec(record_count=40, seed=3))
     digest = cli.sha256_hex(records_to_ndjson(records).encode())
     original = _sidecar_bytes(records, digest)
     path = tmp_path / "records.cols"
@@ -997,8 +998,12 @@ def test_synthetic_ingest_writes_what_parsing_its_records_gives(tmp_path, seed):
 )
 def test_out_of_range_synthetic_draw_exits_two(tmp_path, capsys, monkeypatch, field, value):
     drawn = generate_synthetic(SyntheticSpec(record_count=3, seed=1))
-    drawn[1] = dataclasses.replace(drawn[1], **{field: value})
-    monkeypatch.setattr(cli, "generate_synthetic", lambda spec: drawn)
+    column = getattr(drawn, field).tolist()
+    column[1] = value
+    columns = [column if f.name == field else getattr(drawn, f.name)
+               for f in dataclasses.fields(drawn)]
+    # built inside the generator, where an int64 overflow would be raised
+    monkeypatch.setattr(cli, "generate_synthetic", lambda spec: RecordColumns.from_lists(columns))
     assert run(["ingest", "--synthetic", "--out", tmp_path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: a synthetic record") and err.count("\n") == 1
@@ -1410,6 +1415,8 @@ def one_day_records(tmp_path) -> Path:
 FAILING_RUNS = {
     "ingest not JSON": (2, lambda tmp, records: [
         "ingest", write(tmp / "export.json", b"this is not json")]),
+    "ingest not UTF-8": (2, lambda tmp, records: [
+        "ingest", write(tmp / "export.json", as_ndjson(record_obj()) + b"\xff\n")]),
     "analyze a directory": (1, lambda tmp, records: ["analyze", tmp]),
     "analyze an absent --year-a": (1, lambda tmp, records: [
         "analyze", records, "--year-a", 1999]),
@@ -1467,6 +1474,11 @@ MALFORMED_CHECKPOINTS = {
     "block data null": lambda doc: doc["opt_acc"]["by"].update(data=None),
     # json writes 1e999 as Infinity, which reads back as the same float
     "shape entry 1e999": lambda doc: doc["params"]["ui"].update(shape=[1e999, 2]),
+    "format_version true": lambda doc: doc.update(format_version=True),
+    "format_version 1.0": lambda doc: doc.update(format_version=1.0),
+    "epsilon 0": lambda doc: doc["config"].update(epsilon=0.0),
+    "epsilon -1e-07": lambda doc: doc["config"].update(epsilon=-1e-7),
+    "epsilon NaN": lambda doc: doc["config"].update(epsilon=math.nan),
 }
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import HUGE_INT, as_array, as_ndjson, huge_int_line, record_obj
 from parse_oracle import oracle_parse
+from synthetic_oracle import oracle_generate
 from ddoscast.errors import (
     AllZeroWeightsError,
     DdoscastError,
@@ -284,6 +285,36 @@ def test_generate_errors():
         generate_synthetic(
             SyntheticSpec(record_count=1, subclass_weights={Subclass.ICMP: -1.0})
         )
+
+
+ORACLE_SPECS = [
+    *(pytest.param(SyntheticSpec(record_count=count, seed=seed), id=f"seed{seed}-n{count}")
+      for seed in (0, 1, 7) for count in (1, 2, 1000)),
+    pytest.param(SyntheticSpec(record_count=500, seed=2, subclass_weights={
+        Subclass.ICMP: 0.0, Subclass.TCP_SYN: 2.5, Subclass.DNS_MISUSE: 1}), id="a-zero-weight"),
+    pytest.param(SyntheticSpec(record_count=300, seed=3,
+                               subclass_weights={Subclass.TOTAL_TRAFFIC: 1.0}), id="one-subclass"),
+    pytest.param(SyntheticSpec(record_count=400, seed=4, start_date=dt.date(1970, 1, 1),
+                               end_date=dt.date(1970, 1, 1)), id="1970-01-01"),
+    pytest.param(SyntheticSpec(record_count=400, seed=5, start_date=dt.date(9999, 12, 31),
+                               end_date=dt.date(9999, 12, 31)), id="9999-12-31"),
+    pytest.param(SyntheticSpec(record_count=192_525, seed=1), id="real-export-size"),
+]
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_generator_matches_per_record_oracle(spec):
+    got = generate_synthetic(spec)
+    expected = RecordColumns.of(oracle_generate(spec))
+    assert isinstance(got, RecordColumns)
+    for name, column in vars(expected).items():
+        if isinstance(column, np.ndarray):
+            assert getattr(got, name).dtype == column.dtype
+            assert np.array_equal(getattr(got, name), column), name
+            assert not getattr(got, name).flags.writeable
+        else:
+            assert getattr(got, name) == column, name
+    assert records_to_json(got) == records_to_json(expected)
 
 
 def test_round_trip_both_formats(synthetic_1000):

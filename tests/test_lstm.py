@@ -836,6 +836,8 @@ class TestTrainConfig:
             ("batch_size", 0),
             ("rho", -0.1),
             ("rho", 1.0),
+            ("epsilon", 0.0),
+            ("epsilon", math.nan),
             ("clip_norm", 0.0),
             ("clip_norm", math.nan),
             ("seed", -1),

@@ -12,7 +12,6 @@ from ddoscast.preprocess import (
     Granularity,
     Metric,
     aggregate,
-    enrich,
     enrich_all,
     period_key,
     period_range,
@@ -39,21 +38,22 @@ def epoch(*args):
 class TestEnrich:
     def test_week_long_attack_duration(self):
         # 604,944 s is the longest attack in the real export (7 days)
-        rec = enrich(make_record(start=0, stop=604_944))
+        rec = enrich_all([make_record(start=0, stop=604_944)])[0]
         assert rec.duration_min == 10_082.4
         assert rec.duration_s == 604_944
 
     def test_terabit_throughput_converts_decimal(self):
-        rec = enrich(make_record(start=0, stop=60, max_bps=1_460_000_000_000))
+        rec = enrich_all([make_record(start=0, stop=60, max_bps=1_460_000_000_000)])[0]
         assert rec.max_gbps == 1460.0
 
     def test_zero_duration(self):
-        rec = enrich(make_record(start=1000, stop=1000))
+        rec = enrich_all([make_record(start=1000, stop=1000)])[0]
         assert rec.duration_min == 0.0
         assert rec.duration_s == 0
 
     def test_utc_datetimes(self):
-        rec = enrich(make_record(start=epoch(2020, 6, 1, 23, 30), stop=epoch(2020, 6, 2, 0, 30)))
+        rec = enrich_all([make_record(start=epoch(2020, 6, 1, 23, 30),
+                                    stop=epoch(2020, 6, 2, 0, 30))])[0]
         assert rec.start_time == dt.datetime(2020, 6, 1, 23, 30, tzinfo=UTC)
         assert rec.stop_time == dt.datetime(2020, 6, 2, 0, 30, tzinfo=UTC)
 
@@ -76,7 +76,7 @@ class TestRecordTable:
         table = enrich_all(synthetic_1000[:20])
         rows = list(table)
         assert len(rows) == 20
-        assert rows[3] == table[3] == enrich(synthetic_1000[3])
+        assert rows[3] == table[3] == enrich_all([synthetic_1000[3]])[0]
         raw = synthetic_1000[3]
         assert rows[3].start_time == dt.datetime.fromtimestamp(raw.start, tz=UTC)
         assert rows[3].duration_s == raw.stop - raw.start
