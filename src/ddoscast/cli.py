@@ -68,6 +68,7 @@ from .ingest import (
     _text_of,
     columns_in_bounds,
     generate_synthetic,
+    raise_first_rejection,
     records_to_ndjson,
 )
 from .lstm import (
@@ -180,7 +181,9 @@ def _cmd_ingest(params: dict):
         raw = Path(params["input"]).read_bytes()
         inputs = [_input("input", params["input"], raw)]
         raw = _text_of(raw)  # frees the bytes: the workers fork with the decoded text only
-        files, report = ingest_export(raw, strict=params["strict"])
+        files, report = ingest_export(raw)
+        if params["strict"]:
+            raise_first_rejection(report)  # before any file is returned, so none is written
     files["parse_report.json"] = json.dumps(dataclasses.asdict(report), indent=2) + "\n"
     return files, inputs, f"ingest: {report.accepted} accepted, {report.rejected} rejected"
 

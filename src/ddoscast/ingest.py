@@ -180,15 +180,18 @@ class RecordColumns(Sequence):
             return NotImplemented
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
-    __hash__ = None
-
 
 _FIELDS = tuple(f.name for f in fields(RecordColumns))
 
 
 @dataclass
 class ParseReport:
-    """Outcome of a lenient parse: accepted + rejected = raw entries seen."""
+    """Outcome of a lenient parse: accepted + rejected = the entries seen.
+
+    That holds for every report, an unparseable NDJSON line being a rejected
+    entry, and ``records.ingest_export`` shifts each part's rejection
+    locations by it.
+    """
 
     accepted: int = 0
     rejected: int = 0
@@ -235,8 +238,6 @@ def _as_int(value):
         return value
     if isinstance(value, bool):
         return None
-    if isinstance(value, int):
-        return value
     if isinstance(value, float) and value.is_integer():
         return int(value)
     return None
@@ -411,13 +412,11 @@ def _text_of(raw: bytes | str) -> str:
         raise NotJsonError(f"input is not UTF-8: {exc}") from exc
 
 
-def _check_entries(entries: list, strict: bool):
+def _check_entries(entries: list):
     """Check ``_detect_entries``'s (entry, location, reason) triples, in input order.
 
-    Returns (records, rejections, violation): the accepted records as
-    ``RecordColumns`` and the (location, reason) of each rejected entry. In
-    strict mode checking stops at the first bad entry, and violation is its
-    (location, reason), with records and rejections None. ``entries`` is
+    Returns (records, rejections): the accepted records as ``RecordColumns``
+    and the (location, reason) of each rejected entry. ``entries`` is
     emptied on the way.
     """
     rows, rejections = [], []
@@ -431,33 +430,38 @@ def _check_entries(entries: list, strict: bool):
             if row is not None:
                 rows.append(row)
                 continue
-        if strict:
-            return None, None, (location, reason)
         rejections.append((location, reason))
-    return RecordColumns.from_lists(list(zip(*rows)) or [()] * len(_FIELDS)), rejections, None
+    return RecordColumns.from_lists(list(zip(*rows)) or [()] * len(_FIELDS)), rejections
 
 
-def _violation(location, reason: str) -> SchemaViolationError:
-    """The strict-mode error of the bad entry at ``location``."""
-    if reason.startswith("unknown subclass"):
-        return UnknownSubclassError(location, reason)
-    return SchemaViolationError(location, reason)
+def raise_first_rejection(report: ParseReport) -> None:
+    """Strict mode's verdict on a lenient report: raise its first rejection, if any.
+
+    The error is SchemaViolationError, or its UnknownSubclassError subtype
+    for an unknown subclass, at the rejected entry's location.
+    """
+    if report.rejection_reasons:
+        location, reason = report.rejection_reasons[0]
+        if reason.startswith("unknown subclass"):
+            raise UnknownSubclassError(location, reason)
+        raise SchemaViolationError(location, reason)
 
 
 def parse_records(raw: bytes | str, strict: bool = False):
     """Parse an export file into a ``RecordColumns`` of records plus a report.
 
     Lenient mode (default) skips malformed entries and logs (location,
-    reason) pairs; strict mode raises SchemaViolationError (or the
-    UnknownSubclassError subtype) at the first bad entry. Input order is
-    preserved for accepted records.
+    reason) pairs; strict mode then raises ``raise_first_rejection``'s
+    error for the first of them. Input order is preserved for accepted
+    records.
     """
     text = _text_of(raw)
     with _cycle_collector_paused():
-        records, rejections, violation = _check_entries(_detect_entries(text), strict)
-    if violation is not None:
-        raise _violation(*violation)
-    return records, ParseReport(len(records), len(rejections), rejections)
+        records, rejections = _check_entries(_detect_entries(text))
+    report = ParseReport(len(records), len(rejections), rejections)
+    if strict:
+        raise_first_rejection(report)
+    return records, report
 
 
 # Encodes the optional lists with json.dumps's defaults: ", " between items

@@ -20,8 +20,8 @@ the next "[" plus the text from the cut's "{". A cut inside a string leaves
 the part before it with an unterminated string, and a cut inside a nested
 value leaves it with more than one container open, so when every part
 decodes, every cut fell between two top-level elements and the parts'
-elements are exactly the array's. Each ``pool`` worker decodes, checks and
-serializes its own part with ``ingest``'s functions; any other input is read
+elements are exactly the array's. Each ``pool`` worker parses its own part
+leniently with ``parse_records`` and serializes it; any other input is read
 in one part, in this process, by the same function.
 
 This is a module of its own so that importing ``ingest`` to parse or
@@ -41,11 +41,6 @@ from .errors import EmptyDatasetError, NotJsonError
 from .ingest import (
     SUBCLASSES,
     ParseReport,
-    _check_entries,
-    _cycle_collector_paused,
-    _detect_entries,
-    _text_of,
-    _violation,
     columns_in_bounds,
     parse_records,
     records_to_ndjson,
@@ -135,30 +130,22 @@ def _part_bounds(text: str, parts: int) -> list[tuple[int, int]]:
     return bounds
 
 
-def _ingest_part(text: str, strict: bool, start: int, stop: int):
-    """Decode, check and serialize the part ``text[start:stop]`` of the array ``text``.
+def _ingest_part(text: str, start: int, stop: int):
+    """Parse and serialize the part ``text[start:stop]`` of the array ``text``.
 
-    A part that is all of ``text`` is read as ``ingest._detect_entries``
-    reads any export. Returns (NDJSON bytes, source columns, entry count,
-    rejections, violation) as ``_check_entries`` gives them, located within
-    the part; the columns are subclass, start, stop and max_bps, and a part
-    with a violation has no bytes or columns. Raises NotJsonError when the
-    part does not decode.
+    Returns (NDJSON bytes, source columns, rejections): the columns are
+    subclass, start, stop and max_bps, and the rejections are located within
+    the part. Raises NotJsonError when the part does not decode.
     """
-    part = ("[" if start else "") + text[start:stop] + ("]" if stop < len(text) else "")
-    with _cycle_collector_paused():
-        entries = _detect_entries(part)
-        del part
-        count = len(entries)
-        records, rejections, violation = _check_entries(entries, strict)
-    if violation is not None:
-        return None, None, count, None, violation
+    records, report = parse_records(
+        ("[" if start else "") + text[start:stop] + ("]" if stop < len(text) else "")
+    )
     columns = (records.subclass, records.start, records.stop, records.max_bps)
-    return records_to_ndjson(records).encode(), columns, count, rejections, None
+    return records_to_ndjson(records).encode(), columns, report.rejection_reasons
 
 
-def ingest_export(raw: bytes | str, strict: bool = False):
-    """The records file of an export, and its ParseReport.
+def ingest_export(text: str):
+    """The records file of an export's decoded ``text``, and its lenient ParseReport.
 
     Returns ({"records.ndjson": chunks, "records.cols": bytes}, report): the
     NDJSON as a list of byte chunks whose concatenation is
@@ -166,38 +153,33 @@ def ingest_export(raw: bytes | str, strict: bool = False):
     ``parse_records`` would give them, and raises what it raises.
 
     A JSON array is cut into one part per ``pool`` worker, and each worker
-    decodes, checks and serializes its own part of the decoded text.
-    Rejection locations of a part are shifted by the entries of the parts
-    before it, and in strict mode the first violation in input order is
-    raised once every part has decoded. A part that fails to decode raises
-    NotJsonError through ``run_pool``, which stops the other workers, and
-    the whole text is then read in one part, so a broken document raises
-    the same NotJsonError as ``parse_records``. Any other input, and any
-    input on one worker, is read in one part.
+    parses and serializes its own part. Rejection locations of a part are
+    shifted by the entries (accepted + rejected) of the parts before it. A
+    part that fails to decode raises NotJsonError through ``run_pool``,
+    which stops the other workers, and the whole text is then read in one
+    part, so a broken document raises the same NotJsonError as
+    ``parse_records``. Any other input, and any input on one worker, is read
+    in one part.
     """
-    text = _text_of(raw)
     if _ARRAY.match(text):
         bounds = _part_bounds(text, pool.worker_count())
         if len(bounds) > 1:
             try:
-                parts = pool.run_pool(_ingest_part, bounds, (text, strict), "an ingest worker")
+                parts = pool.run_pool(_ingest_part, bounds, (text,), "an ingest worker")
             except NotJsonError:
                 pass
             else:
                 return _merge_parts(parts)
-    return _merge_parts([_ingest_part(text, strict, 0, len(text))])
+    return _merge_parts([_ingest_part(text, 0, len(text))])
 
 
 def _merge_parts(parts: list):
-    """``ingest_export``'s result from its parts' results, or the first violation raised."""
+    """``ingest_export``'s result from its parts' results."""
     chunks, columns, rejections, offset = [], [], [], 0
-    for chunk, part_columns, count, part_rejections, violation in parts:
-        if violation is not None:
-            location, reason = violation
-            raise _violation(offset + location, reason)
+    for chunk, part_columns, part_rejections in parts:
         chunks.append(chunk)
         columns.append(part_columns)
         rejections += [(offset + location, reason) for location, reason in part_rejections]
-        offset += count
+        offset += len(part_columns[0]) + len(part_rejections)  # the part's entries
     table = RecordTable(*map(np.concatenate, zip(*columns)))
     return records_files(chunks, table), ParseReport(len(table), len(rejections), rejections)

@@ -29,7 +29,7 @@ def ingest_outcome(export: bytes, strict: bool, workers: int):
         tmp = Path(stack.enter_context(tempfile.TemporaryDirectory()))
         stack.enter_context(mock.patch.object(pool, "worker_count", lambda tasks=None: workers))
         one_part = stack.enter_context(
-            mock.patch.object(records, "_detect_entries", wraps=records._detect_entries)
+            mock.patch.object(records, "parse_records", wraps=records.parse_records)
         )
         err = io.StringIO()
         stack.enter_context(contextlib.redirect_stderr(err))
