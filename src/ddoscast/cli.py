@@ -103,8 +103,8 @@ def _read_records(path: str):
     """The RecordTable of a records file and its manifest entry."""
     raw = Path(path).read_bytes()
     entry = _input("records", path, raw)
-    table, entry["read_from"] = read_records(path, raw, entry["sha256"])
-    return table, entry
+    table, source = read_records(path, raw, entry["sha256"])
+    return table, entry | source
 
 
 def _subclass_of(name: str) -> Subclass:

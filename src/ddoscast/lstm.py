@@ -131,7 +131,7 @@ class TrainConfig:
         for ok, name, rule in (
             (self.window_size >= 1, "window_size", ">= 1"),
             (self.hidden_size >= 1, "hidden_size", ">= 1"),
-            (self.learning_rate > 0, "learning_rate", "positive"),
+            (0 < self.learning_rate < math.inf, "learning_rate", "positive and finite"),
             (self.epochs >= 1, "epochs", ">= 1"),
             (self.batch_size >= 1, "batch_size", ">= 1"),
             (0.0 <= self.rho < 1.0, "rho", "in [0, 1)"),

@@ -2,9 +2,11 @@
 
 Records are enriched with duration in minutes and peak Gbps into one
 columnar ``RecordTable``, then grouped into (period, subclass) cells at
-daily, weekly (ISO-8601), monthly or yearly granularity. Bucketing uses the
-attack's start time only, in UTC. Means are always taken over the underlying
-records of a cell, never over finer-grained means.
+daily, weekly (ISO-8601), monthly or yearly granularity. The cells are
+arrays of record counts and sums, one row per occupied period and one
+column per subclass; ``series_for`` reads one subclass's column. Bucketing
+uses the attack's start time only, in UTC. Means are always taken over the
+underlying records of a cell, never over finer-grained means.
 """
 
 from __future__ import annotations
@@ -164,25 +166,44 @@ class CellStats:
     n: int
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class AggregateTable:
+    """Per-(period, subclass) sums as arrays.
+
+    ``keys`` are the occupied period keys in chronological order. ``n``,
+    ``duration_sum`` and ``gbps_sum`` have one row per key and one column per
+    subclass code: the cell's record count and the sums of its records'
+    duration_min and max_gbps.
+    """
+
     granularity: Granularity
-    rows: dict[tuple[str, Subclass], CellStats]
+    keys: tuple[str, ...]
+    n: np.ndarray
+    duration_sum: np.ndarray
+    gbps_sum: np.ndarray
+
+    @property
+    def rows(self) -> dict[tuple[str, Subclass], CellStats]:
+        """{(key, subclass): CellStats} of every cell with records, built on each read."""
+        at = np.nonzero(self.n)
+        return {
+            (self.keys[key], SUBCLASSES[code]): CellStats(float(n), duration / n, gbps / n, n)
+            for key, code, n, duration, gbps in zip(
+                *(index.tolist() for index in at),
+                self.n[at].tolist(), self.duration_sum[at].tolist(), self.gbps_sum[at].tolist(),
+            )
+        }
 
     def periods(self) -> list[str]:
         """Occupied period keys in chronological order."""
-        return sorted({key for key, _ in self.rows})
-
-
-_ROW_CHUNK = 2048
+        return list(self.keys)
 
 
 def aggregate(records: RecordTable, granularity: Granularity) -> AggregateTable:
     """Group enriched records into (period, subclass) cells.
 
-    count_sum is the cell's record count as a float; duration and throughput
-    are arithmetic means over the cell's records. ``np.bincount`` adds the
-    weights in input order, so each sum equals the sequential Python sum.
+    ``np.bincount`` adds the weights in input order, so each sum equals the
+    sequential Python sum.
     """
     days, day_index = np.unique(records.start // SECONDS_PER_DAY, return_inverse=True)
     key_ids: dict[str, int] = {}
@@ -190,34 +211,14 @@ def aggregate(records: RecordTable, granularity: Granularity) -> AggregateTable:
         [key_ids.setdefault(_day_key(day, granularity), len(key_ids)) for day in days.tolist()],
         dtype=np.int64,
     )
-    keys = np.array(list(key_ids), dtype=object)  # indexing gives back the str objects
     width = len(SUBCLASSES)
     cells = key_of_day[day_index] * width + records.subclass
-    size = keys.size * width
-    n = np.bincount(cells, minlength=size)
-    duration = np.bincount(cells, weights=records.duration_min, minlength=size)
-    gbps = np.bincount(cells, weights=records.max_gbps, minlength=size)
-    # The rows are built from whole columns, one .tolist() each, but over
-    # 2,048 occupied cells at a time: lists over all of them are large
-    # allocations whose memory the process keeps, and with them `train`'s
-    # peak RSS on the benchmark's 20,000-record export rose by 0.8 MB.
-    occupied = np.flatnonzero(n)
-    rows = {}
-    for first in range(0, occupied.size, _ROW_CHUNK):
-        chunk = occupied[first:first + _ROW_CHUNK]
-        counts = n[chunk]
-        rows.update(
-            ((key, SUBCLASSES[code]), CellStats(count_sum, duration_mean, gbps_mean, count))
-            for key, code, count_sum, duration_mean, gbps_mean, count in zip(
-                keys[chunk // width].tolist(),
-                (chunk % width).tolist(),
-                counts.astype(np.float64).tolist(),
-                (duration[chunk] / counts).tolist(),
-                (gbps[chunk] / counts).tolist(),
-                counts.tolist(),
-            )
-        )
-    return AggregateTable(granularity=granularity, rows=rows)
+    size = len(key_ids) * width
+    n, duration_sum, gbps_sum = (
+        np.bincount(cells, weights, minlength=size).reshape(-1, width)
+        for weights in (None, records.duration_min, records.max_gbps)
+    )
+    return AggregateTable(granularity, tuple(key_ids), n, duration_sum, gbps_sum)
 
 
 @dataclass
@@ -234,28 +235,25 @@ def series_for(table: AggregateTable, subclass: Subclass, metric: Metric) -> Tim
 
     The series spans the table's full period range (all subclasses), so
     series extracted for different subclasses align. Periods in which the
-    subclass saw no attacks get 0.0 for every metric.
+    subclass saw no attacks get 0.0 for every metric. A count is the cell's
+    record count as a float; duration and throughput are arithmetic means
+    over the cell's records.
     """
-    occupied = table.periods()
-    if not occupied:
+    if not table.keys:
         raise SubclassAbsentError(f"empty table has no {subclass.value} series")
-    mine = {key: stats for (key, sub), stats in table.rows.items() if sub is subclass}
-    if not mine:
+    code = SUBCLASSES.index(subclass)
+    n = table.n[:, code]
+    if not n.any():
         raise SubclassAbsentError(f"subclass {subclass.value} never occurs in table")
+    if metric is Metric.COUNT:
+        column = n.astype(np.float64)
+    else:
+        sums = table.duration_sum if metric is Metric.DURATION_MIN else table.gbps_sum
+        column = np.divide(sums[:, code], n, out=np.zeros(n.size), where=n > 0)
 
-    keys = period_range(occupied[0], occupied[-1], table.granularity)
-
+    keys = period_range(table.keys[0], table.keys[-1], table.granularity)
     values = np.zeros(len(keys), dtype=np.float64)
-    for idx, key in enumerate(keys):
-        stats = mine.get(key)
-        if stats is None:
-            continue
-        if metric is Metric.COUNT:
-            values[idx] = stats.count_sum
-        elif metric is Metric.DURATION_MIN:
-            values[idx] = stats.duration_mean
-        else:
-            values[idx] = stats.gbps_mean
+    values[np.searchsorted(keys, table.keys)] = column  # keys sort chronologically
     return TimeSeries(
         subclass=subclass,
         metric=metric,

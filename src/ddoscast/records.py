@@ -94,21 +94,24 @@ def records_files(chunks: list[bytes], table: RecordTable) -> dict:
     return {"records.ndjson": chunks, SIDECAR_NAME: _sidecar_bytes(table, digest.hexdigest())}
 
 
-def read_records(path: str, raw: bytes, digest: str) -> tuple[RecordTable, str]:
+def read_records(path: str, raw: bytes, digest: str) -> tuple[RecordTable, dict]:
     """The table of the records file ``path``, whose bytes ``raw`` hash to ``digest``.
 
-    Returns it with what it was read from: the sidecar beside ``path``
-    when that fits ``raw``, and otherwise "parse".
+    Returns it with what it was read from, as manifest fields: the sidecar
+    beside ``path`` when that fits ``raw``, and otherwise "parse", with the
+    lenient parse's accepted and rejected counts.
     """
     if not raw or raw.isspace():
         raise EmptyDatasetError(f"records file {path} is empty")
     table = _load_sidecar(Path(path).with_name(SIDECAR_NAME), digest)
-    read_from = SIDECAR_NAME
+    source = {"read_from": SIDECAR_NAME}
     if table is None:
-        table, read_from = enrich_all(parse_records(raw)[0]), "parse"
+        records, report = parse_records(raw)
+        table = enrich_all(records)
+        source = {"read_from": "parse", "accepted": report.accepted, "rejected": report.rejected}
     if not table:
         raise EmptyDatasetError(f"no valid records in {path}")
-    return table, read_from
+    return table, source
 
 
 # str.isspace() is true of exactly the characters \s matches in a str

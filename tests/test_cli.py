@@ -820,6 +820,23 @@ def test_older_npz_sidecar_is_ignored(tmp_path, records_file, capsys):
     assert doc["inputs"][0]["read_from"] == "parse"
 
 
+def test_a_parsed_records_read_records_its_counts(tmp_path, records_file, capsys):
+    assert run(["ingest", records_file, "--out", tmp_path / "i"]) == 0
+    ndjson = tmp_path / "i" / "ingest-0" / "records.ndjson"
+    accepted = ndjson.read_bytes().count(b"\n")
+    assert run(["analyze", ndjson, "--out", tmp_path / "a"]) == 0
+    entry = json.loads((tmp_path / "a" / "analyze-0" / "manifest.json").read_text())["inputs"][0]
+    assert entry["read_from"] == "records.cols"
+    assert "accepted" not in entry and "rejected" not in entry
+    ndjson.with_name("records.cols").unlink()
+    with ndjson.open("ab") as fh:
+        fh.write(b'garbage\n{"x":1}\n')
+    assert run(["analyze", ndjson, "--out", tmp_path / "o"]) == 0
+    entry = json.loads((tmp_path / "o" / "analyze-0" / "manifest.json").read_text())["inputs"][0]
+    assert (entry["read_from"], entry["accepted"], entry["rejected"]) == ("parse", accepted, 2)
+    assert accepted == 600
+
+
 @pytest.mark.parametrize("rejected_only", [False, True])
 def test_empty_ingest_output_keeps_exit_three(tmp_path, capsys, rejected_only):
     source = tmp_path / "export.ndjson"
@@ -1428,6 +1445,12 @@ FAILING_RUNS = {
     "forecast a one-day series": (4, lambda tmp, records: [
         "forecast", write(tmp / "checkpoint.json", checkpoint_doc()), one_day_records(tmp)]),
     "ingest a negative seed": (2, lambda tmp, records: ["ingest", "--synthetic", "--seed", -1]),
+    "train an infinite learning rate": (2, lambda tmp, records: [
+        "train", records, "--learning-rate", "inf", "--window", 2, "--hidden", 2, "--epochs", 1]),
+    "train an infinite learning rate from a config": (2, lambda tmp, records: [
+        "train", records, "--config", write(tmp / "run.cfg", b"learning_rate=inf\n")]),
+    "grid an infinite learning rate from a config": (2, lambda tmp, records: [
+        "grid", records, "--config", write(tmp / "run.cfg", b"learning_rate = inf\n")]),
     "train a negative seed": (2, lambda tmp, records: [
         "train", records, "--seed", -1, "--window", 2, "--hidden", 2, "--epochs", 1]),
     "grid a negative seed": (2, lambda tmp, records: [
@@ -1479,6 +1502,7 @@ MALFORMED_CHECKPOINTS = {
     "epsilon 0": lambda doc: doc["config"].update(epsilon=0.0),
     "epsilon -1e-07": lambda doc: doc["config"].update(epsilon=-1e-7),
     "epsilon NaN": lambda doc: doc["config"].update(epsilon=math.nan),
+    "learning_rate inf": lambda doc: doc["config"].update(learning_rate=math.inf),
 }
 
 

@@ -832,6 +832,7 @@ class TestTrainConfig:
             ("learning_rate", 0.0),
             ("learning_rate", -1.0),
             ("learning_rate", math.nan),
+            ("learning_rate", math.inf),
             ("epochs", 0),
             ("batch_size", 0),
             ("rho", -0.1),

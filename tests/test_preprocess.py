@@ -193,6 +193,61 @@ def test_aggregate_equals_sequential_loop_exactly(granularity, synthetic_1000):
     assert aggregate(records, granularity).rows == sequential_cells(records, granularity)
 
 
+def year_end_records():
+    """Hand-made records with empty days, across ISO week 2020-W53 into 2021."""
+    spans = [
+        (epoch(2020, 12, 24, 23, 59), 7, Subclass.TOTAL_TRAFFIC, 3 * 10**9 + 1),
+        (epoch(2020, 12, 28, 1), 3_601, Subclass.TOTAL_TRAFFIC, 10**9),
+        (epoch(2020, 12, 28, 2), 13, Subclass.ICMP, 7_777_777_777),
+        (epoch(2020, 12, 28, 23, 59, 59), 100, Subclass.TOTAL_TRAFFIC, 1),
+        (epoch(2020, 12, 31, 12), 59, Subclass.ICMP, 123_456_789_012),
+        (epoch(2021, 1, 1), 1, Subclass.TOTAL_TRAFFIC, 2 * 10**9),
+        (epoch(2021, 1, 3, 23), 86_400, Subclass.DNS_MISUSE, 999),
+        (epoch(2021, 1, 4), 61, Subclass.TOTAL_TRAFFIC, 10**12),
+        (epoch(2021, 1, 19, 6), 1_000, Subclass.ICMP, 5),
+    ]
+    return [make_record(start, start + length, sub, max_bps)
+            for start, length, sub, max_bps in spans]
+
+
+def sequential_series(records, granularity, subclass, metric):
+    """Loop reference: every period from the first record's day to the last, 0.0 in a gap."""
+    cells = sequential_cells(records, granularity)
+    days = [rec.start_time.date() for rec in records]
+    day, periods = min(days), {}
+    while day <= max(days):
+        periods.setdefault(period_key(dt.datetime(day.year, day.month, day.day), granularity))
+        day += dt.timedelta(days=1)
+    field = {Metric.COUNT: "count_sum", Metric.DURATION_MIN: "duration_mean",
+             Metric.MAX_GBPS: "gbps_mean"}[metric]
+    values = [getattr(cells[key, subclass], field) if (key, subclass) in cells else 0.0
+              for key in periods]
+    return tuple(periods), np.array(values, dtype=np.float64)
+
+
+@pytest.mark.parametrize("granularity", list(Granularity))
+@pytest.mark.parametrize("record_set", ["synthetic_1000", "year_end"])
+def test_series_for_equals_sequential_series_exactly(granularity, record_set, synthetic_1000):
+    records = enrich_all(synthetic_1000 if record_set == "synthetic_1000" else year_end_records())
+    table = aggregate(records, granularity)
+    assert len(table.rows) == len(sequential_cells(records, granularity))
+    present = {rec.subclass for rec in records}
+    assert len(present) >= 3
+    for subclass in present:
+        for metric in Metric:
+            series = series_for(table, subclass, metric)
+            periods, values = sequential_series(records, granularity, subclass, metric)
+            assert series.periods == periods
+            assert series.values.tobytes() == values.tobytes()
+
+
+def test_year_end_records_cross_iso_week_53():
+    records = enrich_all(year_end_records())
+    series = series_for(aggregate(records, Granularity.WEEKLY), Subclass.ICMP, Metric.COUNT)
+    assert series.periods == ("2020-W52", "2020-W53", "2021-W01", "2021-W02", "2021-W03")
+    assert series.values.tolist() == [0.0, 2.0, 0.0, 0.0, 1.0]
+
+
 def brute_force_cells(records, granularity):
     """Independent oracle: collect values per cell, then statistics.mean."""
     groups = {}
