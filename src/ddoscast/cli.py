@@ -25,6 +25,8 @@ import datetime as dt
 import enum
 import hashlib
 import json
+import os
+import shutil
 from pathlib import Path
 
 from . import __version__
@@ -327,34 +329,60 @@ _DISPATCH = {
 def _execute(command: str, params: dict) -> int:
     """Run ``command``, then write its outputs and manifest and print its summary.
 
-    The run directory is created only after the command has returned, so a
-    command that fails or is interrupted leaves none behind.
+    The outputs are computed first, then written into a hidden sibling of
+    the run directory, manifest last, and only then swapped into place. A
+    command that fails or is interrupted leaves no new run directory
+    behind, and an older run with the same name keeps every byte.
     """
     if params["seed"] < 0:  # flags, config files and replayed manifests all come here
         raise InvalidConfigError(f"seed must be >= 0, got {params['seed']}")
     started = _now()
     files, inputs, summary = _DISPATCH[command](params)
     out = Path(params["out"]) / f"{command}-{params['seed']}"
-    out.mkdir(parents=True, exist_ok=True)
-    for name, data in files.items():
-        if not isinstance(data, list):
-            data = [data if isinstance(data, bytes) else data.encode()]
-        with open(out / name, "wb") as fh:
-            fh.writelines(data)
-    manifest = {
-        "tool": "ddoscast",
-        "version": __version__,
-        "command": command,
-        "params": params,
-        "inputs": inputs,
-        "seed": params["seed"],
-        "out_dir": str(out),
-        "started_utc": started,
-        "finished_utc": _now(),
-    }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    out.parent.mkdir(parents=True, exist_ok=True)
+    temp = out.with_name(f".{out.name}.{os.getpid()}")
+    try:
+        temp.mkdir()
+        for name, data in files.items():
+            if not isinstance(data, list):
+                data = [data if isinstance(data, bytes) else data.encode()]
+            with open(temp / name, "wb") as fh:
+                fh.writelines(data)
+        manifest = {
+            "tool": "ddoscast",
+            "version": __version__,
+            "command": command,
+            "params": params,
+            "inputs": inputs,
+            "seed": params["seed"],
+            "out_dir": str(out),
+            "started_utc": started,
+            "finished_utc": _now(),
+        }
+        (temp / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        _swap_into_place(temp, out)
+    finally:
+        shutil.rmtree(temp, ignore_errors=True)  # a no-op once the swap has renamed it
     print(f"{summary} -> {out}")
     return 0
+
+
+def _swap_into_place(new: Path, out: Path) -> None:
+    """Rename the directory ``new`` to ``out``, then remove the run that held that name.
+
+    An older run is renamed aside first, and renamed back if the swap fails.
+    """
+    if not out.is_dir():
+        new.rename(out)
+        return
+    old = new.with_name(new.name + ".old")
+    out.rename(old)
+    try:
+        new.rename(out)
+    except BaseException:
+        old.rename(out)
+        raise
+    shutil.rmtree(old)
 
 
 def _read_manifest(path):
@@ -574,7 +602,7 @@ def _load_config_file(path: str | None) -> dict:
     kinds = {name: kind for _summary, options in _COMMANDS.values()
              for name, kind, _default, _help in _COMMON + options}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError:
         raise InvalidConfigError(f"config file {path} is not UTF-8 text") from None
     values = {}

@@ -404,10 +404,11 @@ def _cycle_collector_paused():
 
 
 def _text_of(raw: bytes | str) -> str:
+    """The text of ``raw``; a UTF-8 byte-order mark before it is dropped."""
     if isinstance(raw, str):
         return raw
     try:
-        return raw.decode("utf-8")
+        return raw.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise NotJsonError(f"input is not UTF-8: {exc}") from exc
 

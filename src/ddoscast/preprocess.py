@@ -2,11 +2,13 @@
 
 Records are enriched with duration in minutes and peak Gbps into one
 columnar ``RecordTable``, then grouped into (period, subclass) cells at
-daily, weekly (ISO-8601), monthly or yearly granularity. The cells are
+daily, weekly (ISO-8601), monthly or yearly granularity. A period is an
+int64, and its key ("2020-W05") is written only on output. The cells are
 arrays of record counts and sums, one row per occupied period and one
-column per subclass; ``series_for`` reads one subclass's column. Bucketing
-uses the attack's start time only, in UTC. Means are always taken over the
-underlying records of a cell, never over finer-grained means.
+column per subclass; ``series_for`` reads one subclass's column and places
+it by period number. Bucketing uses the attack's start time only, in UTC.
+Means are always taken over the underlying records of a cell, never over
+finer-grained means.
 """
 
 from __future__ import annotations
@@ -112,47 +114,37 @@ def enrich_all(records) -> RecordTable:
     return RecordTable(cols.subclass, cols.start, cols.stop, cols.max_bps)
 
 
-# --- period keys ----------------------------------------------------------
+# --- periods --------------------------------------------------------------
 #
-# Canonical key formats: 2020-01-03 / 2020-W05 / 2020-01 / 2020. Keys of one
-# granularity sort chronologically as plain strings (weeks are zero-padded
-# and belong to their ISO year).
+# A period is an int64 counted from the one holding 1970-01-01: a day, an
+# ISO week (Monday to Sunday), a month or a year. Keys are written only on
+# output, in the canonical formats 2020-01-03 / 2020-W05 / 2020-01 / 2020; a
+# week belongs to its ISO year.
+
+
+def _periods(days: np.ndarray, granularity: Granularity) -> np.ndarray:
+    """The period of each UTC day number (days since 1970-01-01)."""
+    if granularity is Granularity.DAILY:
+        return days
+    if granularity is Granularity.WEEKLY:
+        return (days + 3) // 7  # 1970-01-01 was a Thursday, three days after a Monday
+    unit = "M" if granularity is Granularity.MONTHLY else "Y"
+    return days.astype("datetime64[D]").astype(f"datetime64[{unit}]").astype(np.int64)
+
+
+def _keys(periods: np.ndarray, granularity: Granularity) -> list[str]:
+    """The key of each period."""
+    if granularity is Granularity.WEEKLY:
+        mondays = (_EPOCH + dt.timedelta(days=7 * week - 3) for week in periods.tolist())
+        return [f"{year}-W{week:02d}" for year, week, _ in map(dt.date.isocalendar, mondays)]
+    unit = {Granularity.DAILY: "D", Granularity.MONTHLY: "M", Granularity.YEARLY: "Y"}[granularity]
+    return np.datetime_as_string(periods.astype(f"datetime64[{unit}]")).tolist()
 
 
 def period_key(t: dt.datetime, granularity: Granularity) -> str:
-    d = t.date()
-    if granularity is Granularity.DAILY:
-        return d.isoformat()
-    if granularity is Granularity.WEEKLY:
-        iso = d.isocalendar()
-        return f"{iso[0]}-W{iso[1]:02d}"
-    if granularity is Granularity.MONTHLY:
-        return f"{d.year:04d}-{d.month:02d}"
-    return f"{d.year:04d}"
-
-
-def _key_to_anchor(key: str, granularity: Granularity) -> dt.date:
-    """First calendar day of the period named by the key."""
-    if granularity is Granularity.DAILY:
-        return dt.date.fromisoformat(key)
-    if granularity is Granularity.WEEKLY:
-        year, week = key.split("-W")
-        return dt.date.fromisocalendar(int(year), int(week), 1)
-    if granularity is Granularity.MONTHLY:
-        year, month = key.split("-")
-        return dt.date(int(year), int(month), 1)
-    return dt.date(int(key), 1, 1)
-
-
-def _day_key(day: int, granularity: Granularity) -> str:
-    """Period key of the UTC day ``day`` days after 1970-01-01."""
-    return period_key(utc(day * SECONDS_PER_DAY), granularity)
-
-
-def period_range(first: str, last: str, granularity: Granularity) -> list[str]:
-    """All period keys from first to last inclusive, no gaps."""
-    lo, hi = ((_key_to_anchor(key, granularity) - _EPOCH).days for key in (first, last))
-    return list(dict.fromkeys(_day_key(day, granularity) for day in range(lo, hi + 1)))
+    """The key of the period holding the calendar date of ``t``."""
+    day = np.array([(t.date() - _EPOCH).days], dtype=np.int64)
+    return _keys(_periods(day, granularity), granularity)[0]
 
 
 # --- aggregation ----------------------------------------------------------
@@ -170,14 +162,14 @@ class CellStats:
 class AggregateTable:
     """Per-(period, subclass) sums as arrays.
 
-    ``keys`` are the occupied period keys in chronological order. ``n``,
-    ``duration_sum`` and ``gbps_sum`` have one row per key and one column per
-    subclass code: the cell's record count and the sums of its records'
+    ``ids`` are the occupied periods, as ascending int64s. ``n``,
+    ``duration_sum`` and ``gbps_sum`` have one row per period and one column
+    per subclass code: the cell's record count and the sums of its records'
     duration_min and max_gbps.
     """
 
     granularity: Granularity
-    keys: tuple[str, ...]
+    ids: np.ndarray
     n: np.ndarray
     duration_sum: np.ndarray
     gbps_sum: np.ndarray
@@ -185,10 +177,10 @@ class AggregateTable:
     @property
     def rows(self) -> dict[tuple[str, Subclass], CellStats]:
         """{(key, subclass): CellStats} of every cell with records, built on each read."""
-        at = np.nonzero(self.n)
+        at, keys = np.nonzero(self.n), self.periods()
         return {
-            (self.keys[key], SUBCLASSES[code]): CellStats(float(n), duration / n, gbps / n, n)
-            for key, code, n, duration, gbps in zip(
+            (keys[row], SUBCLASSES[code]): CellStats(float(n), duration / n, gbps / n, n)
+            for row, code, n, duration, gbps in zip(
                 *(index.tolist() for index in at),
                 self.n[at].tolist(), self.duration_sum[at].tolist(), self.gbps_sum[at].tolist(),
             )
@@ -196,7 +188,7 @@ class AggregateTable:
 
     def periods(self) -> list[str]:
         """Occupied period keys in chronological order."""
-        return list(self.keys)
+        return _keys(self.ids, self.granularity)
 
 
 def aggregate(records: RecordTable, granularity: Granularity) -> AggregateTable:
@@ -205,20 +197,16 @@ def aggregate(records: RecordTable, granularity: Granularity) -> AggregateTable:
     ``np.bincount`` adds the weights in input order, so each sum equals the
     sequential Python sum.
     """
-    days, day_index = np.unique(records.start // SECONDS_PER_DAY, return_inverse=True)
-    key_ids: dict[str, int] = {}
-    key_of_day = np.array(
-        [key_ids.setdefault(_day_key(day, granularity), len(key_ids)) for day in days.tolist()],
-        dtype=np.int64,
-    )
+    days = records.start // SECONDS_PER_DAY
+    ids, row = np.unique(_periods(days, granularity), return_inverse=True)
     width = len(SUBCLASSES)
-    cells = key_of_day[day_index] * width + records.subclass
-    size = len(key_ids) * width
+    cells = row * width + records.subclass
+    size = ids.size * width
     n, duration_sum, gbps_sum = (
         np.bincount(cells, weights, minlength=size).reshape(-1, width)
         for weights in (None, records.duration_min, records.max_gbps)
     )
-    return AggregateTable(granularity, tuple(key_ids), n, duration_sum, gbps_sum)
+    return AggregateTable(granularity, ids, n, duration_sum, gbps_sum)
 
 
 @dataclass
@@ -239,7 +227,8 @@ def series_for(table: AggregateTable, subclass: Subclass, metric: Metric) -> Tim
     record count as a float; duration and throughput are arithmetic means
     over the cell's records.
     """
-    if not table.keys:
+    ids = table.ids
+    if not ids.size:
         raise SubclassAbsentError(f"empty table has no {subclass.value} series")
     code = SUBCLASSES.index(subclass)
     n = table.n[:, code]
@@ -251,13 +240,12 @@ def series_for(table: AggregateTable, subclass: Subclass, metric: Metric) -> Tim
         sums = table.duration_sum if metric is Metric.DURATION_MIN else table.gbps_sum
         column = np.divide(sums[:, code], n, out=np.zeros(n.size), where=n > 0)
 
-    keys = period_range(table.keys[0], table.keys[-1], table.granularity)
-    values = np.zeros(len(keys), dtype=np.float64)
-    values[np.searchsorted(keys, table.keys)] = column  # keys sort chronologically
+    values = np.zeros(ids[-1] - ids[0] + 1, dtype=np.float64)
+    values[ids - ids[0]] = column
     return TimeSeries(
         subclass=subclass,
         metric=metric,
         granularity=table.granularity,
-        periods=tuple(keys),
+        periods=tuple(_keys(np.arange(ids[0], ids[-1] + 1), table.granularity)),
         values=values,
     )

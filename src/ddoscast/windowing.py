@@ -3,7 +3,8 @@
 A daily series becomes supervised one-step-ahead samples: normalize by the
 sample standard deviation (the mean is computed alongside but deliberately
 not subtracted), split 50/20/30 in time order, then window each split
-independently so no sample straddles a split boundary.
+independently so no sample straddles a split boundary. Windows are
+read-only views of the normalized split, not copies.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DegenerateSigmaError,
@@ -139,17 +141,19 @@ def check_window_fits(n_values: int, window_size: int) -> None:
 
 
 def make_windows(values, window_size: int) -> WindowSet:
-    """All (window, next value) samples of one split; max(0, L - W) of them."""
+    """All (window, next value) samples of one split; max(0, L - W) of them.
+
+    Row i of x is values[i : i + W] and y[i] is values[i + W]. Both are
+    read-only views of the values' float64 array, so no sample is copied.
+    """
     if window_size < 1:
         raise InvalidConfigError("window_size must be >= 1")
     arr = np.asarray(values, dtype=np.float64)
-    n_samples = max(0, arr.size - window_size)
-    x = np.empty((n_samples, window_size), dtype=np.float64)
-    y = np.empty(n_samples, dtype=np.float64)
-    for i in range(n_samples):
-        x[i] = arr[i : i + window_size]
-        y[i] = arr[i + window_size]
-    return WindowSet(x=x, y=y)
+    if arr.size <= window_size:
+        return WindowSet(x=np.empty((0, window_size)), y=np.empty(0))
+    y = arr[window_size:]
+    y.flags.writeable = False
+    return WindowSet(x=sliding_window_view(arr[:-1], window_size), y=y)
 
 
 def build_windowed(

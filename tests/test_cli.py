@@ -1404,6 +1404,13 @@ def test_config_that_is_not_utf8_exits_two(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_config_with_a_byte_order_mark_is_read(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_bytes(b"\xef\xbb\xbfseed=5\ncount=40\n")
+    assert run(["ingest", "--synthetic", "--config", config, "--out", tmp_path / "o"]) == 0
+    assert len((tmp_path / "o" / "ingest-5" / "records.ndjson").read_bytes().splitlines()) == 40
+
+
 # --- a failing run writes nothing -------------------------------------------------
 
 DAY0 = 1577836800  # 2020-01-01T00:00:00Z
@@ -1652,3 +1659,83 @@ def test_train_reproduces_the_bench_reference(tmp_path, monkeypatch):
     assert len(history) == len(reference)
     for got, want in zip(history, reference):
         assert all(map(workloads.close, got, want)), (got, want)
+
+
+# --- a run directory is whole or absent -------------------------------------------
+
+
+def tree_bytes(path: Path) -> dict:
+    return {entry.name: entry.read_bytes() for entry in sorted(path.iterdir())}
+
+
+def hidden_entries(out: Path) -> list:
+    return [entry.name for entry in out.iterdir() if entry.name.startswith(".")]
+
+
+@pytest.fixture()
+def older_ingest(tmp_path, records_file):
+    """The out root of an ingest of ``records_file`` at seed 0, with a stray file in its run."""
+    out = tmp_path / "o"
+    assert run(["ingest", records_file, "--out", out]) == 0
+    (out / "ingest-0" / "stray.txt").write_bytes(b"left by hand\n")
+    return out
+
+
+def other_export(tmp_path) -> Path:
+    path = tmp_path / "other.ndjson"
+    path.write_text(records_to_ndjson(generate_synthetic(SyntheticSpec(record_count=50, seed=2))))
+    return path
+
+
+@pytest.mark.parametrize(
+    "error, code, message",
+    [(OSError(28, "No space left on device"), 1, "error: [Errno 28] No space left on device\n"),
+     (KeyboardInterrupt(), 130, "error: interrupted\n")],
+    ids=["oserror", "interrupt"],
+)
+def test_a_failed_write_leaves_the_older_run_as_it_was(
+    tmp_path, older_ingest, capsys, monkeypatch, error, code, message
+):
+    older = tree_bytes(older_ingest / "ingest-0")
+    opened = []
+
+    def open_failing_second(path, *args, **kwargs):
+        opened.append(Path(path).name)
+        if len(opened) == 2:
+            raise error
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", open_failing_second, raising=False)
+    capsys.readouterr()
+    assert run(["ingest", other_export(tmp_path), "--out", older_ingest]) == code
+    assert capsys.readouterr().err == message
+    assert opened == ["records.ndjson", "records.cols"]
+    assert tree_bytes(older_ingest / "ingest-0") == older
+    assert hidden_entries(older_ingest) == []
+
+
+def test_a_rerun_holds_exactly_the_new_files(tmp_path, older_ingest):
+    export = other_export(tmp_path)
+    assert run(["ingest", export, "--out", tmp_path / "fresh"]) == 0
+    assert run(["ingest", export, "--out", older_ingest]) == 0
+    fresh, rerun = (tree_bytes(out / "ingest-0") for out in (tmp_path / "fresh", older_ingest))
+    data = ("records.ndjson", "records.cols", "parse_report.json")
+    assert set(rerun) == set(fresh) == {*data, "manifest.json"}
+    assert [rerun[name] for name in data] == [fresh[name] for name in data]
+    assert json.loads(rerun["manifest.json"])["out_dir"] == str(older_ingest / "ingest-0")
+    assert hidden_entries(older_ingest) == []
+
+
+def test_an_interrupted_swap_puts_the_older_run_back(tmp_path, older_ingest, monkeypatch, capsys):
+    older = tree_bytes(older_ingest / "ingest-0")
+    rename = Path.rename
+
+    def rename_interrupting_the_new_run(self, target):
+        if Path(target) == older_ingest / "ingest-0" and not self.name.endswith(".old"):
+            raise KeyboardInterrupt
+        return rename(self, target)
+
+    monkeypatch.setattr(Path, "rename", rename_interrupting_the_new_run)
+    assert run(["ingest", other_export(tmp_path), "--out", older_ingest]) == 130
+    assert tree_bytes(older_ingest / "ingest-0") == older
+    assert hidden_entries(older_ingest) == []

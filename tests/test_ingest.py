@@ -35,6 +35,14 @@ from ddoscast.ingest import (
 )
 
 
+def test_a_byte_order_mark_before_ndjson_is_skipped():
+    text = as_ndjson(record_obj(), record_obj(start=9, stop=1), record_obj())
+    records, report = parse_records(b"\xef\xbb\xbf" + text)
+    assert report.accepted == 2 and report.rejection_reasons == [(2, "stop before start")]
+    plain, plain_report = parse_records(text)
+    assert report == plain_report and records.start.tolist() == plain.start.tolist()
+
+
 def test_minimal_valid_object():
     records, report = parse_records(as_array(record_obj(subclass="TCP SYN")))
     assert len(records) == 1

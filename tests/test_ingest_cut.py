@@ -247,3 +247,11 @@ def test_only_json_whitespace_separates_the_elements_at_a_cut():
     export = (text[:stop] + ",\x0b" + text[stop + 2:]).encode()
     code, err, _files = assert_same_for_any_worker_count(export, False)
     assert code == 2 and err.startswith("error: broken JSON array: ")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_byte_order_mark_before_the_array_is_skipped(workers):
+    export = export_of(with_entry(SECOND, STOP_BEFORE_START))
+    expected = ingest_outcome(export, False, workers)
+    assert expected[0] == 0
+    assert ingest_outcome(b"\xef\xbb\xbf" + export, False, workers) == expected

@@ -14,7 +14,6 @@ from ddoscast.preprocess import (
     aggregate,
     enrich_all,
     period_key,
-    period_range,
     series_for,
 )
 
@@ -112,14 +111,43 @@ class TestPeriodKeys:
         t = dt.datetime(2019, 12, 30, tzinfo=UTC)
         assert period_key(t, Granularity.WEEKLY) == "2020-W01"
 
-    def test_period_range_contiguous(self):
-        days = period_range("2020-02-27", "2020-03-02", Granularity.DAILY)
-        assert days == ["2020-02-27", "2020-02-28", "2020-02-29", "2020-03-01", "2020-03-02"]
-        weeks = period_range("2020-W52", "2021-W02", Granularity.WEEKLY)
-        assert weeks == ["2020-W52", "2020-W53", "2021-W01", "2021-W02"]
-        months = period_range("2019-11", "2020-02", Granularity.MONTHLY)
-        assert months == ["2019-11", "2019-12", "2020-01", "2020-02"]
-        assert period_range("2019", "2021", Granularity.YEARLY) == ["2019", "2020", "2021"]
+    @pytest.mark.parametrize(
+        "day, keys",
+        [
+            (dt.date(1970, 1, 1), ("1970-01-01", "1970-W01", "1970-01", "1970")),
+            (dt.date(2020, 12, 31), ("2020-12-31", "2020-W53", "2020-12", "2020")),
+            (dt.date(9999, 12, 31), ("9999-12-31", "9999-W52", "9999-12", "9999")),
+        ],
+    )
+    def test_first_last_and_week_53_days(self, day, keys):
+        t = dt.datetime(day.year, day.month, day.day, 23, 59, 59, tzinfo=UTC)
+        assert tuple(period_key(t, granularity) for granularity in Granularity) == keys
+
+    def test_matches_calendar_formats_every_day(self):
+        day = dt.date(2019, 12, 20)
+        while day <= dt.date(2021, 1, 12):
+            iso = day.isocalendar()
+            expected = (day.isoformat(), f"{iso[0]}-W{iso[1]:02d}",
+                        f"{day.year:04d}-{day.month:02d}", f"{day.year:04d}")
+            t = dt.datetime(day.year, day.month, day.day, tzinfo=UTC)
+            assert tuple(period_key(t, granularity) for granularity in Granularity) == expected
+            day += dt.timedelta(days=1)
+
+    def test_series_periods_are_contiguous(self):
+        cases = [
+            (Granularity.DAILY, (2020, 2, 27), (2020, 3, 2),
+             ("2020-02-27", "2020-02-28", "2020-02-29", "2020-03-01", "2020-03-02")),
+            (Granularity.WEEKLY, (2020, 12, 21), (2021, 1, 17),
+             ("2020-W52", "2020-W53", "2021-W01", "2021-W02")),
+            (Granularity.MONTHLY, (2019, 11, 30), (2020, 2, 1),
+             ("2019-11", "2019-12", "2020-01", "2020-02")),
+            (Granularity.YEARLY, (2019, 12, 31), (2021, 1, 1), ("2019", "2020", "2021")),
+        ]
+        for granularity, first, last, periods in cases:
+            records = enrich_all([make_record(epoch(*day), epoch(*day) + 60) for day in (first, last)])
+            series = series_for(aggregate(records, granularity), Subclass.TOTAL_TRAFFIC, Metric.COUNT)
+            assert series.periods == periods
+            assert series.values.tolist() == [1.0] + [0.0] * (len(periods) - 2) + [1.0]
 
 
 class TestAggregate:
@@ -331,7 +359,8 @@ class TestSeriesFor:
         records = enrich_all(synthetic_1000)
         table = aggregate(records, Granularity.DAILY)
         occupied = table.periods()
-        expected_len = len(period_range(occupied[0], occupied[-1], Granularity.DAILY))
+        first, last = dt.date.fromisoformat(occupied[0]), dt.date.fromisoformat(occupied[-1])
+        expected_len = (last - first).days + 1
         series = series_for(table, records[0].subclass, Metric.COUNT)
         assert len(series.periods) == expected_len
         assert np.isfinite(series.values).all()

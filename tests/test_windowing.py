@@ -123,6 +123,29 @@ class TestMakeWindows:
         assert ws.x[1].tolist() == list(range(1, 9))
         assert ws.y[1] == 9.0
 
+    def test_equals_per_sample_loop_for_every_window(self):
+        values = np.random.default_rng(5).normal(size=12)
+        for window in range(1, values.size + 2):
+            n_samples = max(0, values.size - window)
+            x = np.empty((n_samples, window))
+            y = np.empty(n_samples)
+            for i in range(n_samples):
+                x[i] = values[i : i + window]
+                y[i] = values[i + window]
+            ws = make_windows(values, window)
+            assert ws.x.shape == x.shape and ws.y.shape == y.shape
+            assert ws.x.tobytes() == x.tobytes() and ws.y.tobytes() == y.tobytes()
+
+    def test_windows_are_read_only_views(self):
+        values = np.arange(10.0)
+        ws = make_windows(values, 4)
+        assert np.shares_memory(ws.x, values) and np.shares_memory(ws.y, values)
+        for column in (ws.x, ws.y):
+            with pytest.raises(ValueError):
+                column[0] = -1.0
+        values[9] = 99.0  # the caller's array stays writable
+        assert ws.y[-1] == 99.0
+
     @given(
         st.integers(min_value=1, max_value=40),
         st.integers(min_value=0, max_value=80),

@@ -1,0 +1,123 @@
+"""Check that two source trees give the same CLI outputs on one seeded export.
+
+    python tools/same_outputs.py PARENT_SRC CHANGE_SRC [--records N]
+
+PARENT_SRC and CHANGE_SRC are directories that hold a ``ddoscast``
+package (a checkout's ``src``). PARENT_SRC's ``generate_synthetic`` and
+``records_to_json`` write one JSON-array export of N records (seed 0,
+2013-06-01..2020-12-31), with three malformed entries in front: a
+non-object, a record without ``stop`` and one that stops before it starts.
+Each tree then runs, each command in a fresh ``python -m ddoscast.cli``
+process with that tree first on PYTHONPATH:
+
+    ingest, analyze, train --epochs 3, forecast,
+    grid --epochs 1 --windows 8,24 --hiddens 16,32
+
+Every output file but ``manifest.json`` is compared byte for byte, and
+``grid.csv`` without its ``wall_ms`` column. One verdict is printed per
+file. The exit code is 0 only if every command exited 0 in both trees and
+every file is the same.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import io
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+_EXPORT = """
+import datetime as dt, json, sys
+from ddoscast.ingest import SyntheticSpec, generate_synthetic, records_to_json
+spec = SyntheticSpec(record_count=int(sys.argv[2]), start_date=dt.date(2013, 6, 1),
+                     end_date=dt.date(2020, 12, 31), seed=0)
+malformed = ["not an object",
+             {"attack_class": "Misuse", "subclass": "ICMP", "max_bps": 1, "start": 1},
+             {"attack_class": "Misuse", "subclass": "ICMP", "max_bps": 1, "start": 9, "stop": 2}]
+text = records_to_json(generate_synthetic(spec))
+with open(sys.argv[1], "w") as fh:
+    fh.write("[" + ", ".join(map(json.dumps, malformed)) + ", " + text[1:])
+"""
+
+
+def _commands(export: Path, out: Path) -> list[list[str]]:
+    records = str(out / "ingest-0" / "records.ndjson")
+    common = ["--out", str(out), "--seed", "0"]
+    return [
+        ["ingest", str(export), *common],
+        ["analyze", records, *common],
+        ["train", records, "--epochs", "3", *common],
+        ["forecast", str(out / "train-0" / "checkpoint.json"), records, *common],
+        ["grid", records, "--epochs", "1", "--windows", "8,24", "--hiddens", "16,32", *common],
+    ]
+
+
+def _run(src: Path, args: list[str]) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def _without_wall_ms(data: bytes) -> list[list[str]]:
+    rows = list(csv.reader(io.StringIO(data.decode())))
+    keep = [i for i, name in enumerate(rows[0] if rows else []) if name != "wall_ms"]
+    return [[row[i] for i in keep] for row in rows]
+
+
+def _outputs(root: Path) -> dict[str, Path]:
+    return {str(path.relative_to(root)): path for path in root.rglob("*")
+            if path.is_file() and path.name != "manifest.json"}
+
+
+def compare(parent: Path, change: Path) -> list[tuple[str, str]]:
+    """(relative path, "same", "different" or "only in parent/change") of each output file."""
+    trees = [_outputs(parent), _outputs(change)]
+    verdicts = []
+    for name in sorted(set(trees[0]) | set(trees[1])):
+        if name not in trees[1] or name not in trees[0]:
+            verdicts.append((name, "only in " + ("parent" if name in trees[0] else "change")))
+            continue
+        a, b = (tree[name].read_bytes() for tree in trees)
+        same = _without_wall_ms(a) == _without_wall_ms(b) if name.endswith("grid.csv") else a == b
+        verdicts.append((name, "same" if same else "different"))
+    return verdicts
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("parent_src", type=Path)
+    parser.add_argument("change_src", type=Path)
+    parser.add_argument("--records", type=int, default=192_525, help="records in the export")
+    args = parser.parse_args(argv)
+    if args.records < 1:
+        parser.error("--records must be >= 1")
+    ok = True
+    with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
+        root = Path(tmp)
+        export = root / "export.json"
+        made = _run(args.parent_src.resolve(), ["-c", _EXPORT, str(export), str(args.records)])
+        if made.returncode != 0:
+            print(f"export: exited {made.returncode}\n{made.stderr}", end="")
+            return 1
+        outs = {}
+        for side, src in (("parent", args.parent_src), ("change", args.change_src)):
+            outs[side] = root / side
+            for command in _commands(export, outs[side]):
+                done = _run(src.resolve(), ["-m", "ddoscast.cli", *command])
+                if done.returncode != 0:
+                    print(f"{side} {command[0]}: exited {done.returncode}: {done.stderr.strip()}")
+                    ok = False
+                    break
+        for name, verdict in compare(outs["parent"], outs["change"]):
+            print(f"{verdict:>16}  {name}")
+            ok = ok and verdict == "same"
+    print("all outputs are the same" if ok else "the outputs differ or a command failed")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
