@@ -9,13 +9,12 @@ output bytes) from the manifest alone. All randomness flows from ``--seed``.
 
 from __future__ import annotations
 
-import signal
 import sys
 
 if __name__ == "__main__":
     # python -m ddoscast.cli: the start-up prologue runs before the imports
-    # below; the block at the end hands SIGINT back to _run.
-    from .__main__ import prologue
+    # below; the block at the end makes the stop signals raise.
+    from .__main__ import prologue, unwind_on_stop
 
     prologue()
 
@@ -368,11 +367,14 @@ def _execute(command: str, params: dict) -> int:
 
 
 def _swap_into_place(new: Path, out: Path) -> None:
-    """Rename the directory ``new`` to ``out``, then remove the run that held that name.
+    """Rename the directory ``new`` to ``out``, then remove the older run that held that name.
 
-    An older run is renamed aside first, and renamed back if the swap fails.
+    Whatever is at ``out`` is the older run: a directory, a file or a
+    symlink, which is replaced and never followed. It is renamed aside
+    first, and renamed back if the swap fails. Once ``new`` is in place the
+    run is published, so removing the older run is best-effort.
     """
-    if not out.is_dir():
+    if not os.path.lexists(out):
         new.rename(out)
         return
     old = new.with_name(new.name + ".old")
@@ -382,7 +384,10 @@ def _swap_into_place(new: Path, out: Path) -> None:
     except BaseException:
         old.rename(out)
         raise
-    shutil.rmtree(old)
+    try:
+        old.unlink()  # a file or a symlink, which is never followed
+    except OSError:  # a directory, or an entry that cannot be removed
+        shutil.rmtree(old, ignore_errors=True)
 
 
 def _read_manifest(path):
@@ -594,8 +599,9 @@ def _cast(kind, text: str):
 def _load_config_file(path: str | None) -> dict:
     """The values of a key=value file, each cast to its option's type.
 
-    Every key must be one that some command declares; a key that belongs to
-    another command is checked but not used, so one file can serve several.
+    Every key must be one that some command declares, at most once; a key
+    that belongs to another command is checked but not used, so one file
+    can serve several.
     """
     if path is None:
         return {}
@@ -605,7 +611,7 @@ def _load_config_file(path: str | None) -> dict:
         text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError:
         raise InvalidConfigError(f"config file {path} is not UTF-8 text") from None
-    values = {}
+    values, first_lines = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -615,6 +621,10 @@ def _load_config_file(path: str | None) -> dict:
             raise InvalidConfigError(f"config line {lineno}: expected key=value, got {line!r}")
         if key not in kinds:
             raise InvalidConfigError(f"config line {lineno}: unknown key {key!r}")
+        if key in first_lines:
+            raise InvalidConfigError(
+                f"config line {lineno}: key {key!r} repeats line {first_lines[key]}")
+        first_lines[key] = lineno
         try:
             values[key] = _cast(kinds[key], text)
         except ValueError:
@@ -664,5 +674,5 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    signal.signal(signal.SIGINT, signal.default_int_handler)
+    unwind_on_stop()
     sys.exit(main())

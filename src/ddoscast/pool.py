@@ -4,8 +4,12 @@
 worker process, and returns the results in call order. The pool keeps
 three guarantees for the command that uses it:
 
-- Ctrl-C stops every worker and raises KeyboardInterrupt in the caller;
-  SIGTERM stops them and exits 143 (see ``_sigterm_unwinds``).
+- An exception that stops the caller stops every worker on its way out:
+  Ctrl-C's KeyboardInterrupt, or the SystemExit(143) that the ``ddoscast``
+  command raises on SIGTERM (``ddoscast.__main__``). The pool installs no
+  signal handler in the caller, so a library caller that installs no
+  SIGTERM handler is ended by the signal, and its workers by the kernel
+  (``_die_with_parent``).
 - A worker that dies (killed by a signal, or by the kernel when memory runs
   out) raises WorkerLostError, naming whose worker it was.
 - A worker never outlives the process that started it (``_die_with_parent``).
@@ -28,7 +32,6 @@ import multiprocessing
 import os
 import signal
 import sys
-import threading
 from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 
@@ -106,28 +109,6 @@ def _call(function, args: tuple):
     return function(*_shared, *args)
 
 
-def _exit_on_sigterm(signum, _frame):
-    raise SystemExit(128 + signum)
-
-
-@contextlib.contextmanager
-def _sigterm_unwinds():
-    """Make SIGTERM raise SystemExit, so the pool's workers are stopped on the way out.
-
-    Only where SIGTERM would otherwise kill the process outright: a handler
-    the caller installed, or an ignored signal, is left as it is.
-    """
-    if (threading.current_thread() is not threading.main_thread()
-            or signal.getsignal(signal.SIGTERM) is not signal.SIG_DFL):
-        yield
-        return
-    signal.signal(signal.SIGTERM, _exit_on_sigterm)
-    try:
-        yield
-    finally:
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
-
-
 def run_pool(function, calls: list[tuple], shared: tuple, whose: str,
              order: list[int] | None = None) -> list:
     """``function(*shared, *args)`` for every ``args`` in ``calls``, each in a worker process.
@@ -142,7 +123,7 @@ def run_pool(function, calls: list[tuple], shared: tuple, whose: str,
     order = range(len(calls)) if order is None else order
     # SIGINT and SIGTERM wait while workers are forked and tracked, and again
     # while they are stopped, so an interrupt never strands a worker.
-    with _sigterm_unwinds(), _stop_signals(signal.SIG_BLOCK):
+    with _stop_signals(signal.SIG_BLOCK):
         pool = ProcessPoolExecutor(
             worker_count(len(calls)),
             mp_context=multiprocessing.get_context("fork"),

@@ -480,17 +480,20 @@ def test_readme_layout_lists_exactly_the_modules():
     assert listed == modules - {"ddoscast.__init__"}
 
 
-def test_importing_cli_leaves_sigint_alone():
+@pytest.mark.parametrize(
+    "signame, handler", [("SIGINT", "default_int_handler"), ("SIGTERM", "SIG_DFL")]
+)
+def test_importing_cli_leaves_sigint_alone(signame, handler):
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import signal, ddoscast.cli; print(signal.getsignal(signal.SIGINT).__name__)"],
+        [sys.executable, "-c", "import signal, ddoscast.cli; "
+         f"print(signal.getsignal(signal.{signame}) is signal.{handler})"],
         capture_output=True, text=True, env=cli_env(),
     )
-    assert (proc.returncode, proc.stdout) == (0, "default_int_handler\n")
+    assert (proc.returncode, proc.stdout) == (0, "True\n")
 
 
-# Runs ``python -m ddoscast.cli`` and sends itself SIGINT when cli.py,
-# past its first lines, asks for numpy.
+# Runs ``python -m ddoscast.cli`` and sends itself a stop signal (filled in
+# by ``format``) when cli.py, past its first lines, asks for numpy.
 INTERRUPTED_START = """
 import os, runpy, signal, sys
 
@@ -498,7 +501,7 @@ class InterruptAtNumpy:
     def find_spec(self, name, path=None, target=None):
         if name == "numpy":
             sys.meta_path.remove(self)
-            os.kill(os.getpid(), signal.SIGINT)
+            os.kill(os.getpid(), signal.{signame})
         return None
 
 sys.meta_path.insert(0, InterruptAtNumpy())
@@ -506,13 +509,20 @@ runpy.run_module("ddoscast.cli", run_name="__main__", alter_sys=True)
 """
 
 
-def test_interrupt_during_startup_exits_130(tmp_path):
+STOP_SIGNALS = pytest.mark.parametrize(
+    "signum, code, message",
+    [(signal.SIGINT, 130, "error: interrupted\n"), (signal.SIGTERM, 143, "")],
+)
+
+
+@STOP_SIGNALS
+def test_interrupt_during_startup_exits_130(tmp_path, signum, code, message):
     proc = subprocess.run(
-        [sys.executable, "-c", INTERRUPTED_START, "ingest", "--synthetic", "--count", "10",
-         "--out", str(tmp_path / "o")],
+        [sys.executable, "-c", INTERRUPTED_START.format(signame=signum.name), "ingest",
+         "--synthetic", "--count", "10", "--out", str(tmp_path / "o")],
         capture_output=True, text=True, env=cli_env(), cwd=tmp_path, timeout=60,
     )
-    assert (proc.returncode, proc.stderr) == (130, "error: interrupted\n")
+    assert (proc.returncode, proc.stderr) == (code, message)
     assert not (tmp_path / "o").exists()
 
 
@@ -523,13 +533,14 @@ INTERRUPTED_SCRIPT_START = INTERRUPTED_START.replace(
 )
 
 
-def test_interrupt_during_console_script_startup_exits_130(tmp_path):
+@STOP_SIGNALS
+def test_interrupt_during_console_script_startup_exits_130(tmp_path, signum, code, message):
     proc = subprocess.run(
-        [sys.executable, "-c", INTERRUPTED_SCRIPT_START, "ingest", "--synthetic", "--count", "10",
-         "--out", str(tmp_path / "o")],
+        [sys.executable, "-c", INTERRUPTED_SCRIPT_START.format(signame=signum.name), "ingest",
+         "--synthetic", "--count", "10", "--out", str(tmp_path / "o")],
         capture_output=True, text=True, env=cli_env(), cwd=tmp_path, timeout=60,
     )
-    assert (proc.returncode, proc.stderr) == (130, "error: interrupted\n")
+    assert (proc.returncode, proc.stderr) == (code, message)
     assert not (tmp_path / "o").exists()
 
 
@@ -595,7 +606,9 @@ def cpu_seconds(pid: int) -> float:
     return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
 
 
-def test_interrupt_during_training_exits_130(tmp_path, records_file):
+@contextlib.contextmanager
+def running_train(tmp_path, records_file):
+    """A ``train`` of 100,000 epochs, caught mid-epoch."""
     proc = subprocess.Popen(
         [sys.executable, "-m", "ddoscast.cli", "train", str(records_file), "--window", "8",
          "--hidden", "16", "--epochs", "100000", "--out", str(tmp_path / "o")],
@@ -609,16 +622,31 @@ def test_interrupt_during_training_exits_130(tmp_path, records_file):
             assert proc.poll() is None, proc.communicate()
             assert time.monotonic() < deadline, "train never got going"
             time.sleep(0.05)
+        yield proc
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+
+
+def test_interrupt_during_training_exits_130(tmp_path, records_file):
+    with running_train(tmp_path, records_file) as proc:
         os.killpg(proc.pid, signal.SIGINT)  # as a terminal's Ctrl-C does
         interrupted = time.monotonic()
         _out, err = proc.communicate(timeout=60)
         assert (proc.returncode, err) == (130, "error: interrupted\n")
         assert time.monotonic() - interrupted < 5
         assert not (tmp_path / "o").exists()
-    finally:
-        if proc.poll() is None:
-            os.killpg(proc.pid, signal.SIGKILL)
-            proc.wait()
+
+
+def test_sigterm_during_training_exits_143(tmp_path, records_file):
+    with running_train(tmp_path, records_file) as proc:
+        proc.send_signal(signal.SIGTERM)  # as a scheduler or `kill` does
+        stopped = time.monotonic()
+        _out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (143, "")
+        assert time.monotonic() - stopped < 5
+        assert not (tmp_path / "o").exists()  # neither a run directory nor a hidden one
 
 
 # --- records.cols beside ingest's NDJSON --------------------------------------
@@ -1347,7 +1375,8 @@ def test_bad_enum_value_exit_two(tmp_path, records_file, capsys, command, key, g
     [("epochs 5", "config line 2: expected key=value, got 'epochs 5'"),
      ("strict = maybe", "config key 'strict': cannot use value 'maybe'"),
      ("epoch=5", "config line 2: unknown key 'epoch'"),
-     ("config=other.cfg", "config line 2: unknown key 'config'")],
+     ("config=other.cfg", "config line 2: unknown key 'config'"),
+     ("epochs=1\nepochs=2", "config line 3: key 'epochs' repeats line 2")],
 )
 def test_config_typo_exit_two(tmp_path, records_file, capsys, command, line, message):
     config = tmp_path / "run.cfg"
@@ -1739,3 +1768,79 @@ def test_an_interrupted_swap_puts_the_older_run_back(tmp_path, older_ingest, mon
     assert run(["ingest", other_export(tmp_path), "--out", older_ingest]) == 130
     assert tree_bytes(older_ingest / "ingest-0") == older
     assert hidden_entries(older_ingest) == []
+
+
+@pytest.mark.parametrize("kind", ["symlink", "dangling symlink", "file"])
+def test_whatever_is_at_the_run_path_is_the_older_run(tmp_path, records_file, capsys, kind):
+    out, elsewhere = tmp_path / "o", tmp_path / "elsewhere"
+    out.mkdir()
+    if kind == "file":
+        (out / "analyze-0").write_bytes(b"not a run\n")
+    else:
+        (out / "analyze-0").symlink_to(elsewhere, target_is_directory=True)
+    if kind == "symlink":
+        elsewhere.mkdir()
+        (elsewhere / "kept.txt").write_bytes(b"kept\n")
+    assert run(["analyze", records_file, "--out", out]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out.count("\n"), captured.err) == (1, "")
+    run_dir = out / "analyze-0"
+    assert run_dir.is_dir() and not run_dir.is_symlink()
+    assert (run_dir / "manifest.json").is_file()
+    assert hidden_entries(out) == []
+    if kind == "symlink":  # replaced, never followed
+        assert tree_bytes(elsewhere) == {"kept.txt": b"kept\n"}
+
+
+# Runs ``python -m ddoscast.cli`` with its manifest write stalled, so the test
+# can signal the command while it writes its run.
+STALLED_WRITE = """
+import pathlib, runpy, time
+
+write_text = pathlib.Path.write_text
+
+def stalled_write_text(self, *args, **kwargs):
+    if self.name == "manifest.json":
+        print("writing", flush=True)
+        time.sleep(3600)
+    return write_text(self, *args, **kwargs)
+
+pathlib.Path.write_text = stalled_write_text
+runpy.run_module("ddoscast.cli", run_name="__main__", alter_sys=True)
+"""
+
+WRITE_FLAGS = {
+    "ingest": [],
+    "analyze": [],
+    "train": ["--window", 5, "--hidden", 2, "--epochs", 1],
+    "grid": ["--windows", "3,4", "--hiddens", "2", "--epochs", 1],
+    "forecast": [],
+}
+
+
+@pytest.mark.parametrize("command", WRITE_FLAGS)
+def test_sigterm_while_writing_leaves_the_older_run_as_it_was(tmp_path, records_file, command):
+    out = tmp_path / "o"
+    checkpoint = tmp_path / "trained" / "train-0" / "checkpoint.json"
+    assert run(["train", records_file, *WRITE_FLAGS["train"], "--out", checkpoint.parents[1]]) == 0
+    inputs = [checkpoint] if command == "forecast" else []
+    args = [str(arg) for arg in [command, *inputs, records_file, *WRITE_FLAGS[command],
+                                 "--out", out]]
+    assert run(args) == 0
+    (out / f"{command}-0" / "stray.txt").write_bytes(b"left by hand\n")  # a re-run drops it
+    older = tree_bytes(out / f"{command}-0")
+    proc = subprocess.Popen(
+        [sys.executable, "-c", STALLED_WRITE, *args],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=cli_env(),
+    )
+    try:
+        assert proc.stdout.readline() == "writing\n", proc.communicate()
+        proc.send_signal(signal.SIGTERM)
+        _out, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert (proc.returncode, err) == (143, "")
+    assert tree_bytes(out / f"{command}-0") == older
+    assert hidden_entries(out) == []

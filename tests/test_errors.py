@@ -99,5 +99,5 @@ def test_every_error_class_has_its_exit_code():
 
 
 def test_readme_table_lists_exactly_the_exit_codes():
-    # 0 is success, 130 SIGINT and 143 grid's SIGTERM
+    # 0 is success, 130 SIGINT and 143 SIGTERM
     assert readme_exit_codes() == set(EXIT_CODES.values()) | {0, 130, 143}
