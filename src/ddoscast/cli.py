@@ -26,6 +26,7 @@ import hashlib
 import json
 import os
 import shutil
+import tempfile
 from pathlib import Path
 
 from . import __version__
@@ -328,10 +329,10 @@ _DISPATCH = {
 def _execute(command: str, params: dict) -> int:
     """Run ``command``, then write its outputs and manifest and print its summary.
 
-    The outputs are computed first, then written into a hidden sibling of
-    the run directory, manifest last, and only then swapped into place. A
-    command that fails or is interrupted leaves no new run directory
-    behind, and an older run with the same name keeps every byte.
+    The outputs are computed first, then written into a new directory in a
+    hidden sibling of the run directory, manifest last, and only then swapped
+    into place. A command that fails or is interrupted leaves no new run
+    directory behind, and an older run with the same name keeps every byte.
     """
     if params["seed"] < 0:  # flags, config files and replayed manifests all come here
         raise InvalidConfigError(f"seed must be >= 0, got {params['seed']}")
@@ -339,13 +340,14 @@ def _execute(command: str, params: dict) -> int:
     files, inputs, summary = _DISPATCH[command](params)
     out = Path(params["out"]) / f"{command}-{params['seed']}"
     out.parent.mkdir(parents=True, exist_ok=True)
-    temp = out.with_name(f".{out.name}.{os.getpid()}")
+    hidden = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
     try:
-        temp.mkdir()
+        new = hidden / "run"
+        new.mkdir()
         for name, data in files.items():
             if not isinstance(data, list):
                 data = [data if isinstance(data, bytes) else data.encode()]
-            with open(temp / name, "wb") as fh:
+            with open(new / name, "wb") as fh:
                 fh.writelines(data)
         manifest = {
             "tool": "ddoscast",
@@ -358,36 +360,37 @@ def _execute(command: str, params: dict) -> int:
             "started_utc": started,
             "finished_utc": _now(),
         }
-        (temp / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-        _swap_into_place(temp, out)
+        (new / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        _swap_into_place(new, out)
     finally:
-        shutil.rmtree(temp, ignore_errors=True)  # a no-op once the swap has renamed it
+        # What is left there: the older run once the new one is published, or
+        # the unpublished new one. Removing it is best-effort.
+        shutil.rmtree(hidden, ignore_errors=True)
     print(f"{summary} -> {out}")
     return 0
 
 
 def _swap_into_place(new: Path, out: Path) -> None:
-    """Rename the directory ``new`` to ``out``, then remove the older run that held that name.
+    """Rename the directory ``new`` to ``out``, moving the older run there beside ``new``.
 
     Whatever is at ``out`` is the older run: a directory, a file or a
-    symlink, which is replaced and never followed. It is renamed aside
-    first, and renamed back if the swap fails. Once ``new`` is in place the
-    run is published, so removing the older run is best-effort.
+    symlink, which is moved and never followed. It is renamed aside first,
+    and renamed back if the swap fails. A swap that fails with an OSError is
+    tried once more: another run published at ``out`` between the two
+    renames is then the older run in turn.
     """
-    if not os.path.lexists(out):
-        new.rename(out)
-        return
-    old = new.with_name(new.name + ".old")
-    out.rename(old)
-    try:
-        new.rename(out)
-    except BaseException:
-        old.rename(out)
-        raise
-    try:
-        old.unlink()  # a file or a symlink, which is never followed
-    except OSError:  # a directory, or an entry that cannot be removed
-        shutil.rmtree(old, ignore_errors=True)
+    for tries_left in (1, 0):
+        aside = new.with_name(f"older-{tries_left}.old")
+        try:
+            if os.path.lexists(out):
+                out.rename(aside)
+            new.rename(out)
+            return
+        except BaseException as exc:
+            if os.path.lexists(aside) and not os.path.lexists(out):
+                aside.rename(out)
+            if not (tries_left and isinstance(exc, OSError)):
+                raise
 
 
 def _read_manifest(path):

@@ -6,6 +6,13 @@ NDJSON, one object per line) with fields ``attack_class``, ``dst_cc``,
 and ``subclass``. Timestamps are integer Unix seconds. Subclass strings
 appear both with and without spaces in the wild ("TCP SYN" / "TCPSYN");
 spaces are stripped before enum mapping so both spellings parse.
+
+Every path checks entries with one loop, ``_checked_rows``, which yields a
+row of column values per accepted entry (``_check_entry``), and writes
+records with one row writer, ``_record_lines``. ``parse_records`` gathers
+the rows into ``RecordColumns``; the serializers feed the writer the rows
+of a ``RecordColumns``; an ingest part (``records._ingest_part``) feeds it
+the checked rows themselves.
 """
 
 from __future__ import annotations
@@ -167,13 +174,18 @@ class RecordColumns(Sequence):
             src_ports=self.src_ports[index],
         )
 
-    def __iter__(self):
-        # One pass over whole columns, not nine numpy reads per row.
-        rows = zip(self.attack_class.tolist(), self.subclass.tolist(), self.max_bps.tolist(),
+    def rows(self):
+        """Each record's row of column values, as ``_check_entry`` gives it.
+
+        One pass over whole columns, not nine numpy reads per row.
+        """
+        return zip(self.attack_class.tolist(), self.subclass.tolist(), self.max_bps.tolist(),
                    self.start.tolist(), self.stop.tolist(),
                    self.dst_cc, self.src_cc, self.dst_ports, self.src_ports)
+
+    def __iter__(self):
         return (AttackRecord(ATTACK_CLASSES[attack_class], SUBCLASSES[subclass], *rest)
-                for attack_class, subclass, *rest in rows)
+                for attack_class, subclass, *rest in self.rows())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
@@ -413,26 +425,27 @@ def _text_of(raw: bytes | str) -> str:
         raise NotJsonError(f"input is not UTF-8: {exc}") from exc
 
 
-def _check_entries(entries: list):
-    """Check ``_detect_entries``'s (entry, location, reason) triples, in input order.
+def _checked_rows(text: str, rejections: list):
+    """Decode ``text`` and yield the row of each entry ``_check_entry`` accepts, in input order.
 
-    Returns (records, rejections): the accepted records as ``RecordColumns``
-    and the (location, reason) of each rejected entry. ``entries`` is
-    emptied on the way.
+    The (location, reason) of each rejected entry is appended to
+    ``rejections``. Raises NotJsonError as ``_detect_entries`` does. The
+    cyclic collector stays paused until the last row is taken, so it
+    skips what the caller builds from the rows too.
     """
-    rows, rejections = [], []
-    # Popped in input order, so each decoded entry is freed once checked:
-    # the rows never sit beside the whole decoded document.
-    entries.reverse()
-    while entries:
-        entry, location, reason = entries.pop()
-        if reason is None:
-            row, reason = _check_entry(entry)
-            if row is not None:
-                rows.append(row)
-                continue
-        rejections.append((location, reason))
-    return RecordColumns.from_lists(list(zip(*rows)) or [()] * len(_FIELDS)), rejections
+    with _cycle_collector_paused():
+        entries = _detect_entries(text)
+        # Popped in input order, so each decoded entry is freed once checked:
+        # the rows never sit beside the whole decoded document.
+        entries.reverse()
+        while entries:
+            entry, location, reason = entries.pop()
+            if reason is None:
+                row, reason = _check_entry(entry)
+                if row is not None:
+                    yield row
+                    continue
+            rejections.append((location, reason))
 
 
 def raise_first_rejection(report: ParseReport) -> None:
@@ -456,9 +469,9 @@ def parse_records(raw: bytes | str, strict: bool = False):
     error for the first of them. Input order is preserved for accepted
     records.
     """
-    text = _text_of(raw)
-    with _cycle_collector_paused():
-        records, rejections = _check_entries(_detect_entries(text))
+    rejections = []
+    rows = list(_checked_rows(_text_of(raw), rejections))
+    records = RecordColumns.from_lists(list(zip(*rows)) or [()] * len(_FIELDS))
     report = ParseReport(len(records), len(rejections), rejections)
     if strict:
         raise_first_rejection(report)
@@ -473,59 +486,62 @@ _CLASS_HEADS = [f'{{"attack_class": {_ENCODER.encode(c.value)}' for c in ATTACK_
 _SUBCLASS_TAILS = [f', "subclass": {_ENCODER.encode(WIRE_NAMES[s])}}}' for s in SUBCLASSES]
 
 
-def _member_texts(name, values, memoize):
-    """Each record's ', "name": [...]' member text, or "" where it has none.
+class _CountryMembers(dict):
+    """The ', "name": [...]' member text of each country list of one field, memoized.
 
-    Memoizing on the value suits only strings: equal port tuples such as
-    (1,), (True,) and (1.0,) hash alike but encode differently. A tuple of
-    plain ints is written without the encoder, as ``str`` writes an int as
-    JSON does; any other tuple (a bool, a float, an int subclass) is encoded.
+    None has no member. One memo per field, so a text never carries another
+    field's key. Memoizing on the value suits only strings: equal port
+    tuples such as (1,), (True,) and (1.0,) hash alike but encode differently.
     """
-    prefix = f', "{name}": '
-    if not memoize:
-        return ["" if v is None
-                else f"{prefix}[{', '.join(map(str, v))}]" if all(type(p) is int for p in v)
-                else prefix + _ENCODER.encode(v)
-                for v in values]
-    memo = {None: ""}  # one per field, so a text never carries another field's key
-    return [memo[v] if v in memo else memo.setdefault(v, prefix + _ENCODER.encode(v))
-            for v in values]
+
+    def __init__(self, name: str):
+        self.prefix = f', "{name}": '
+
+    def __missing__(self, countries) -> str:
+        text = "" if countries is None else self.prefix + _ENCODER.encode(countries)
+        self[countries] = text
+        return text
 
 
-def _record_lines(records):
-    """Each record's export-format object as JSON text, keys sorted.
+def _port_member(name: str, ports) -> str:
+    """The ', "name": [...]' member text of a port list, or "" for None.
 
-    Every line equals ``json.dumps(wire_object, sort_keys=True)``: sorted,
-    the optional members fall between the fixed ones.
+    A tuple of plain ints is written without the encoder, as ``str`` writes
+    an int as JSON does; any other tuple (a bool, a float, an int subclass)
+    is encoded.
     """
-    cols = RecordColumns.of(records)
+    if ports is None:
+        return ""
+    if all(type(port) is int for port in ports):
+        return f', "{name}": [{", ".join(map(str, ports))}]'
+    return f', "{name}": {_ENCODER.encode(ports)}'
+
+
+def _record_lines(rows, end: str = "") -> list[str]:
+    """Each row's export-format object as JSON text, keys sorted, followed by ``end``.
+
+    A row is ``_check_entry``'s. Every line equals
+    ``json.dumps(wire_object, sort_keys=True) + end``: sorted, the optional
+    members fall between the fixed ones.
+    """
+    dst, src = _CountryMembers("dst_cc"), _CountryMembers("src_cc")
     return [
-        f'{head}{dst_cc}{dst_ports}, "max_bps": {max_bps}{src_cc}{src_ports}, '
-        f'"start": {start}, "stop": {stop}{tail}'
-        for head, dst_cc, dst_ports, max_bps, src_cc, src_ports, start, stop, tail in zip(
-            [_CLASS_HEADS[c] for c in cols.attack_class.tolist()],
-            _member_texts("dst_cc", cols.dst_cc, memoize=True),
-            _member_texts("dst_ports", cols.dst_ports, memoize=False),
-            cols.max_bps.tolist(),
-            _member_texts("src_cc", cols.src_cc, memoize=True),
-            _member_texts("src_ports", cols.src_ports, memoize=False),
-            cols.start.tolist(),
-            cols.stop.tolist(),
-            [_SUBCLASS_TAILS[c] for c in cols.subclass.tolist()],
-        )
+        f'{_CLASS_HEADS[attack_class]}{dst[dst_cc]}{_port_member("dst_ports", dst_ports)}'
+        f', "max_bps": {max_bps}{src[src_cc]}{_port_member("src_ports", src_ports)}'
+        f', "start": {start}, "stop": {stop}{_SUBCLASS_TAILS[subclass]}{end}'
+        for attack_class, subclass, max_bps, start, stop, dst_cc, src_cc, dst_ports, src_ports
+        in rows
     ]
 
 
 def records_to_json(records) -> str:
     """Serialize records to a JSON array in the export's own format."""
-    return "[" + ", ".join(_record_lines(records)) + "]"
+    return "[" + ", ".join(_record_lines(RecordColumns.of(records).rows())) + "]"
 
 
 def records_to_ndjson(records) -> str:
     """Serialize records one-per-line; parse_records round-trips the result."""
-    lines = _record_lines(records)
-    lines.append("")  # the final newline, without copying the joined text again
-    return "\n".join(lines)
+    return "".join(_record_lines(RecordColumns.of(records).rows(), "\n"))
 
 
 _COUNTRIES = ("US", "CN", "DE", "FR", "GB", "RU", "BR", "IN", "KR", "NL")

@@ -20,9 +20,12 @@ the next "[" plus the text from the cut's "{". A cut inside a string leaves
 the part before it with an unterminated string, and a cut inside a nested
 value leaves it with more than one container open, so when every part
 decodes, every cut fell between two top-level elements and the parts'
-elements are exactly the array's. Each ``pool`` worker parses its own part
-leniently with ``parse_records`` and serializes it; any other input is read
-in one part, in this process, by the same function.
+elements are exactly the array's. Each ``pool`` worker reads its own part
+in one pass: ``ingest._checked_rows`` decodes and checks it leniently, and
+each accepted row goes straight to its NDJSON line (``ingest._record_lines``)
+and to the four ``records.cols`` columns. A part builds no
+``RecordColumns``. Any other input is read in one part, in this process, by
+the same function.
 
 This is a module of its own so that importing ``ingest`` to parse or
 generate records loads no process pool.
@@ -41,9 +44,10 @@ from .errors import EmptyDatasetError, NotJsonError
 from .ingest import (
     SUBCLASSES,
     ParseReport,
+    _checked_rows,
+    _record_lines,
     columns_in_bounds,
     parse_records,
-    records_to_ndjson,
 )
 from .preprocess import RecordTable, enrich_all
 
@@ -134,17 +138,25 @@ def _part_bounds(text: str, parts: int) -> list[tuple[int, int]]:
 
 
 def _ingest_part(text: str, start: int, stop: int):
-    """Parse and serialize the part ``text[start:stop]`` of the array ``text``.
+    """Check and serialize each entry of the part ``text[start:stop]`` of ``text``, in one pass.
 
     Returns (NDJSON bytes, source columns, rejections): the columns are
     subclass, start, stop and max_bps, and the rejections are located within
     the part. Raises NotJsonError when the part does not decode.
     """
-    records, report = parse_records(
-        ("[" if start else "") + text[start:stop] + ("]" if stop < len(text) else "")
-    )
-    columns = (records.subclass, records.start, records.stop, records.max_bps)
-    return records_to_ndjson(records).encode(), columns, report.rejection_reasons
+    kept, rejections = [], []  # kept: each accepted row's subclass, max_bps, start and stop, flat
+
+    def noted(rows):
+        for row in rows:
+            kept.extend(row[1:5])
+            yield row
+
+    # The part's text is not kept in a variable, so it is freed with the decoded entries.
+    head, tail = "[" if start else "", "]" if stop < len(text) else ""
+    rows = _checked_rows(head + text[start:stop] + tail, rejections)
+    ndjson = "".join(_record_lines(noted(rows), "\n")).encode()
+    subclass, max_bps, begin, end = np.array(kept, np.int64).reshape(-1, 4).T
+    return ndjson, (subclass.astype(np.uint8), begin, end, max_bps), rejections
 
 
 def ingest_export(text: str):
@@ -156,7 +168,7 @@ def ingest_export(text: str):
     ``parse_records`` would give them, and raises what it raises.
 
     A JSON array is cut into one part per ``pool`` worker, and each worker
-    parses and serializes its own part. Rejection locations of a part are
+    checks and serializes its own part. Rejection locations of a part are
     shifted by the entries (accepted + rejected) of the parts before it. A
     part that fails to decode raises NotJsonError through ``run_pool``,
     which stops the other workers, and the whole text is then read in one

@@ -1792,6 +1792,41 @@ def test_whatever_is_at_the_run_path_is_the_older_run(tmp_path, records_file, ca
         assert tree_bytes(elsewhere) == {"kept.txt": b"kept\n"}
 
 
+def test_a_run_published_during_the_swap_is_the_older_run(tmp_path, older_ingest, monkeypatch):
+    run_dir, rename = older_ingest / "ingest-0", Path.rename
+    fresh, racer = tmp_path / "fresh", tmp_path / "racer"
+    for out in (fresh, racer):
+        assert run(["ingest", other_export(tmp_path), "--out", out]) == 0
+    (racer / "ingest-0" / "racer.txt").write_bytes(b"the other run\n")
+    published = []
+
+    def rename_after_a_racer_publishes(self, target):
+        # Between this run's two renames, another run publishes its own at the run path.
+        if Path(target) == run_dir and not run_dir.exists() and not published:
+            published.append(rename(racer / "ingest-0", run_dir))
+        return rename(self, target)
+
+    monkeypatch.setattr(Path, "rename", rename_after_a_racer_publishes)
+    assert run(["ingest", other_export(tmp_path), "--out", older_ingest]) == 0
+    assert published
+    rerun, want = tree_bytes(run_dir), tree_bytes(fresh / "ingest-0")
+    assert json.loads(rerun.pop("manifest.json"))["out_dir"] == str(run_dir)
+    assert rerun == {name: data for name, data in want.items() if name != "manifest.json"}
+    assert hidden_entries(older_ingest) == []
+
+
+def test_a_hidden_entry_of_the_run_name_is_left_alone(tmp_path, records_file):
+    out = tmp_path / "o"
+    # What a killed run whose pid is reused, or a run on another host, leaves.
+    stale = out / f".ingest-0.{os.getpid()}"
+    stale.mkdir(parents=True)
+    (stale / "marker").write_bytes(b"not this run's\n")
+    assert run(["ingest", records_file, "--out", out]) == 0
+    assert (out / "ingest-0" / "manifest.json").is_file()
+    assert hidden_entries(out) == [stale.name]
+    assert tree_bytes(stale) == {"marker": b"not this run's\n"}
+
+
 # Runs ``python -m ddoscast.cli`` with its manifest write stalled, so the test
 # can signal the command while it writes its run.
 STALLED_WRITE = """

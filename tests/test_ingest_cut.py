@@ -19,17 +19,20 @@ from hypothesis import strategies as st
 from conftest import HUGE_INT, record_obj
 from ddoscast import pool, records
 from ddoscast.cli import main
+from ddoscast.errors import DdoscastError
+from ddoscast.ingest import parse_records, records_to_ndjson
+from ddoscast.preprocess import enrich_all
 
 OUTPUTS = ("records.ndjson", "records.cols", "parse_report.json")
 
 
 def ingest_outcome(export: bytes, strict: bool, workers: int):
-    """(exit code, stderr, {file: bytes} or None, whether the one-part parse ran)."""
+    """(exit code, stderr, {file: bytes} or None, whether the parts merged were one part)."""
     with contextlib.ExitStack() as stack:
         tmp = Path(stack.enter_context(tempfile.TemporaryDirectory()))
         stack.enter_context(mock.patch.object(pool, "worker_count", lambda tasks=None: workers))
-        one_part = stack.enter_context(
-            mock.patch.object(records, "parse_records", wraps=records.parse_records)
+        merge = stack.enter_context(
+            mock.patch.object(records, "_merge_parts", wraps=records._merge_parts)
         )
         err = io.StringIO()
         stack.enter_context(contextlib.redirect_stderr(err))
@@ -40,7 +43,7 @@ def ingest_outcome(export: bytes, strict: bool, workers: int):
         files = None
         if code == 0:
             files = {name: (tmp / "o" / "ingest-0" / name).read_bytes() for name in OUTPUTS}
-    return code, err.getvalue(), files, one_part.called
+    return code, err.getvalue(), files, merge.called and len(merge.call_args.args[0]) == 1
 
 
 def assert_same_for_any_worker_count(export: bytes, strict: bool, counts=(2, 3)) -> tuple:
@@ -95,6 +98,60 @@ def _exports(draw) -> bytes:
 @settings(max_examples=40, deadline=None)
 def test_drawn_exports_ingest_alike_on_one_two_and_three_workers(export, strict):
     assert_same_for_any_worker_count(export, strict)
+
+
+# Values a part must write as parsing and serializing would: integral floats,
+# empty lists, non-ASCII country codes, and entries it must reject.
+_integral = st.integers(0, 2**40) | st.integers(0, 2**40).map(float)
+_part_valid = st.builds(
+    record_obj,
+    subclass=st.sampled_from(["Total Traffic", "TotalTraffic", "ICMP", "DNS Misuse"]),
+    attack_class=st.sampled_from(["Misuse", "Detector"]),
+    start=st.integers(0, 10**9) | st.integers(0, 10**9).map(float),
+    max_bps=_integral,
+    dst_cc=st.none() | st.lists(st.sampled_from(["US", "ÜS", "日本", "\u2028x"]), max_size=3),
+    src_cc=st.none() | st.lists(st.text(min_size=2, max_size=2), max_size=2),
+    dst_ports=st.none() | st.lists(st.integers(0, 65535) | st.just(443.0), max_size=3),
+    src_ports=st.none() | st.lists(st.integers(0, 65535), max_size=2),
+).map(lambda obj: {**obj, "stop": obj["start"] + 60})
+_part_invalid = st.one_of(
+    st.builds(record_obj, start=st.just(9), stop=st.just(1)),
+    st.builds(record_obj, subclass=st.just("Teardrop")),
+    st.builds(record_obj, src_ports=st.just([True])),
+    st.builds(record_obj, dst_cc=st.just(["USA"])),
+    st.builds(record_obj, max_bps=st.just(1.5)),
+    st.sampled_from([1, None, "x", [], {}]),
+)
+
+
+def _outcome(function, text):
+    try:
+        return function(text)
+    except DdoscastError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@given(st.lists(st.one_of(_part_valid, _part_valid, _part_invalid), min_size=2, max_size=12),
+       st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_the_records_file_is_the_parsed_records_serialized(workers, entries, ndjson):
+    if ndjson:
+        text = "".join(json.dumps(entry) + "\n" for entry in entries)
+    else:
+        text = json.dumps(entries)
+    with mock.patch.object(pool, "worker_count", lambda tasks=None: workers):
+        got = _outcome(records.ingest_export, text)
+    parsed = _outcome(parse_records, text)
+    if isinstance(parsed[0], type):  # the text is not JSON: both raise the same error
+        assert got == parsed
+        return
+    recs, report = parsed
+    want = records.records_files([records_to_ndjson(recs).encode()], enrich_all(recs))
+    files, got_report = got
+    assert b"".join(files["records.ndjson"]) == b"".join(want["records.ndjson"])
+    assert files["records.cols"] == want["records.cols"]
+    assert got_report == report
 
 
 # --- targeted cases ---------------------------------------------------------------

@@ -11,8 +11,10 @@ Each tree then runs, each command in a fresh ``python -m ddoscast.cli``
 process with that tree first on PYTHONPATH:
 
     ingest, analyze, train --epochs 3, forecast,
-    grid --epochs 1 --windows 8,24 --hiddens 16,32
+    grid --epochs 1 --windows 8,24 --hiddens 16,32,
+    ingest of the first ingest's records.ndjson, into ndjson/
 
+The last one reads NDJSON, so it parses in one part, in its own process.
 Every output file but ``manifest.json`` is compared byte for byte, and
 ``grid.csv`` without its ``wall_ms`` column. One verdict is printed per
 file. The exit code is 0 only if every command exited 0 in both trees and
@@ -53,6 +55,7 @@ def _commands(export: Path, out: Path) -> list[list[str]]:
         ["train", records, "--epochs", "3", *common],
         ["forecast", str(out / "train-0" / "checkpoint.json"), records, *common],
         ["grid", records, "--epochs", "1", "--windows", "8,24", "--hiddens", "16,32", *common],
+        ["ingest", records, "--out", str(out / "ndjson"), "--seed", "0"],
     ]
 
 
