@@ -7,12 +7,15 @@ and ``subclass``. Timestamps are integer Unix seconds. Subclass strings
 appear both with and without spaces in the wild ("TCP SYN" / "TCPSYN");
 spaces are stripped before enum mapping so both spellings parse.
 
-Every path checks entries with one loop, ``_checked_rows``, which yields a
-row of column values per accepted entry (``_check_entry``), and writes
-records with one row writer, ``_record_lines``. ``parse_records`` gathers
-the rows into ``RecordColumns``; the serializers feed the writer the rows
-of a ``RecordColumns``; an ingest part (``records._ingest_part``) feeds it
-the checked rows themselves.
+This module alone decides the input format: ``_detect_entries`` yields the
+decoded entries one at a time, and ``records.ingest_export`` asks the same
+``_FIRST`` whether the text is an array to cut. Every path checks entries
+with one loop, ``_checked_rows``, which yields a row of column values per
+accepted entry (``_check_entry``), and writes records with one row writer,
+``_record_lines``. ``parse_records`` gathers the rows into
+``RecordColumns``; the serializers feed the writer the rows of a
+``RecordColumns``; an ingest part (``records._ingest_part``) feeds it the
+checked rows themselves.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import gc
 import itertools
 import json
 import random
+import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 
@@ -345,43 +349,54 @@ def _check_entry(entry):
 _DECODE_ERRORS = (ValueError, RecursionError)
 
 
-def _detect_entries(text: str):
-    """Return (entries, locations). Raises NotJsonError if no format fits.
+# str.isspace() is true of exactly the characters \s matches in a str
+# pattern, so the group holds the first character text.strip() keeps, or "".
+_FIRST = re.compile(r"\s*(\S?)")
 
-    Locations are array indices (0-based) for array input and line numbers
-    (1-based) for NDJSON. A lone top-level object that is not a single-key
-    array wrapper is one NDJSON line, located at the line where it starts.
-    NDJSON lines that fail to parse come back as (None, location, message)
-    placeholders handled by the caller.
+
+def _detect_entries(text: str):
+    """Yield (entry, location, reason) for each entry of ``text``, in input order.
+
+    The input format is decided here; ``records.ingest_export`` only asks
+    ``_FIRST`` whether the text is an array to cut. Locations are array
+    indices (0-based) for array input and line numbers (1-based) for NDJSON.
+    A lone top-level object that is not a single-key array wrapper is one
+    NDJSON line, located at the line where it starts. An NDJSON line that
+    fails to parse comes as (None, location, message), and every other
+    entry with reason None. No entry is kept once yielded: an array is
+    decoded whole and popped, an NDJSON line decoded when the loop reaches
+    it. Raises NotJsonError if no format fits: for an empty input or a
+    broken array before the first entry, for NDJSON without one parseable
+    line after the last.
     """
-    stripped = text.strip()
-    if not stripped:
+    first = _FIRST.match(text)[1]
+    if not first:
         raise NotJsonError("empty input")
 
-    if stripped[0] == "[":
-        try:
-            doc = json.loads(stripped)
-        except _DECODE_ERRORS as exc:
-            raise NotJsonError(f"broken JSON array: {exc}") from exc
-        return [(entry, i, None) for i, entry in enumerate(doc)]
-
-    if stripped[0] == "{":
-        # A wrapper around the array, one object (perhaps spread over
+    if first in "[{":
+        # An array, a wrapper around one, one object (perhaps spread over
         # several lines), or NDJSON.
         try:
-            doc = json.loads(stripped)
-        except _DECODE_ERRORS:
+            doc = json.loads(text.strip())
+        except _DECODE_ERRORS as exc:
+            if first == "[":
+                raise NotJsonError(f"broken JSON array: {exc}") from exc
             doc = None
         if isinstance(doc, dict):
             values = list(doc.values())
-            if len(doc) == 1 and isinstance(values[0], list):
-                return [(entry, i, None) for i, entry in enumerate(values[0])]
-            return [(doc, 1 + text.count("\n", 0, text.index("{")), None)]
+            if not (len(doc) == 1 and isinstance(values[0], list)):
+                yield doc, 1 + text.count("\n", 0, text.index("{")), None
+                return
+            doc = values[0]
+        if doc is not None:
+            doc.reverse()  # popped in input order, so each entry is freed once checked
+            for location in range(len(doc)):
+                yield doc.pop(), location, None
+            return
 
     # NDJSON: one object per non-blank line. Lines end at "\n" only: JSON
     # strings may hold U+2028 and other characters str.splitlines() breaks
     # at, and a trailing "\r" is JSON whitespace.
-    rows = []
     parsed_any = False
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
@@ -389,13 +404,12 @@ def _detect_entries(text: str):
         try:
             obj = json.loads(line)
         except _DECODE_ERRORS as exc:
-            rows.append((None, lineno, f"unparseable line: {getattr(exc, 'msg', exc)}"))
+            yield None, lineno, f"unparseable line: {getattr(exc, 'msg', exc)}"
             continue
         parsed_any = True
-        rows.append((obj, lineno, None))
+        yield obj, lineno, None
     if not parsed_any:
         raise NotJsonError("input is neither a JSON array nor NDJSON")
-    return rows
 
 
 @contextlib.contextmanager
@@ -434,12 +448,7 @@ def _checked_rows(text: str, rejections: list):
     skips what the caller builds from the rows too.
     """
     with _cycle_collector_paused():
-        entries = _detect_entries(text)
-        # Popped in input order, so each decoded entry is freed once checked:
-        # the rows never sit beside the whole decoded document.
-        entries.reverse()
-        while entries:
-            entry, location, reason = entries.pop()
+        for entry, location, reason in _detect_entries(text):
             if reason is None:
                 row, reason = _check_entry(entry)
                 if row is not None:

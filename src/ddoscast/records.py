@@ -25,7 +25,8 @@ in one pass: ``ingest._checked_rows`` decodes and checks it leniently, and
 each accepted row goes straight to its NDJSON line (``ingest._record_lines``)
 and to the four ``records.cols`` columns. A part builds no
 ``RecordColumns``. Any other input is read in one part, in this process, by
-the same function.
+the same function. Whether the text is an array is ``ingest``'s decision,
+read from its ``_FIRST``: the format is decided in that module alone.
 
 This is a module of its own so that importing ``ingest`` to parse or
 generate records loads no process pool.
@@ -42,6 +43,7 @@ import numpy as np
 from . import pool
 from .errors import EmptyDatasetError, NotJsonError
 from .ingest import (
+    _FIRST,
     SUBCLASSES,
     ParseReport,
     _checked_rows,
@@ -118,9 +120,6 @@ def read_records(path: str, raw: bytes, digest: str) -> tuple[RecordTable, dict]
     return table, source
 
 
-# str.isspace() is true of exactly the characters \s matches in a str
-# pattern, so this matches where text.strip() starts with "[".
-_ARRAY = re.compile(r"\s*\[")
 _CUT = re.compile(r"\}[ \t\n\r]*,[ \t\n\r]*\{")
 
 
@@ -176,7 +175,7 @@ def ingest_export(text: str):
     ``parse_records``. Any other input, and any input on one worker, is read
     in one part.
     """
-    if _ARRAY.match(text):
+    if _FIRST.match(text)[1] == "[":
         bounds = _part_bounds(text, pool.worker_count())
         if len(bounds) > 1:
             try:

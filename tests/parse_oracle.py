@@ -126,10 +126,15 @@ def entry_to_record(entry):
 
 
 def oracle_parse(raw: bytes, strict: bool = False):
-    """parse_records with entry_to_record: (list of AttackRecord, ParseReport)."""
+    """parse_records with entry_to_record: (list of AttackRecord, ParseReport).
+
+    Every entry is decoded before the first is checked, so a NotJsonError
+    comes before any strict-mode rejection, as ``parse_records`` gives it.
+    A UTF-8 byte-order mark before the text is dropped, as it is there.
+    """
     records = []
     report = ParseReport()
-    for entry, location, pre_error in _detect_entries(raw.decode("utf-8")):
+    for entry, location, pre_error in list(_detect_entries(raw.decode("utf-8-sig"))):
         reason = pre_error
         record = None
         if reason is None:

@@ -1,3 +1,4 @@
+import contextlib
 import datetime as dt
 import json
 import random
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import HUGE_INT, as_array, as_ndjson, huge_int_line, record_obj
 from parse_oracle import oracle_parse
 from synthetic_oracle import oracle_generate
+from ddoscast import ingest
 from ddoscast.errors import (
     AllZeroWeightsError,
     DdoscastError,
@@ -570,13 +572,22 @@ def _outcome(parse, raw, strict):
     return list(records), report.accepted, report.rejected, report.rejection_reasons
 
 
-@given(_DIFF_ENTRIES, st.booleans(), st.booleans())
+_DIFF_DOCUMENTS = st.builds(
+    lambda entries, ndjson: (
+        "".join(json.dumps(e) + "\n" for e in entries) if ndjson else json.dumps(entries)
+    ).encode(),
+    _DIFF_ENTRIES,
+    st.booleans(),
+)
+
+
+@given(_DIFF_DOCUMENTS, st.booleans())
+# NDJSON without a parseable line: not JSON, in strict mode too, though its
+# first line is a rejection.
+@example(b"garbage\n", False)
+@example(b"garbage\n", True)
 @settings(max_examples=300, deadline=None)
-def test_columnar_validator_matches_per_entry_oracle(entries, ndjson, strict):
-    if ndjson:
-        raw = "".join(json.dumps(e) + "\n" for e in entries).encode()
-    else:
-        raw = json.dumps(entries).encode()
+def test_columnar_validator_matches_per_entry_oracle(raw, strict):
     try:
         expected = _outcome(oracle_parse, raw, strict)
     except NotJsonError:
@@ -592,6 +603,20 @@ def test_columnar_validator_matches_per_entry_oracle(entries, ndjson, strict):
             assert got.dtype == want.dtype and got.tolist() == want.tolist()
         for name in ("dst_cc", "src_cc", "dst_ports", "src_ports"):
             assert getattr(records, name) == getattr(oracle_cols, name)
+
+
+def test_ndjson_lines_are_decoded_one_at_a_time(monkeypatch):
+    lines = [json.dumps(record_obj(start=1577836800 + i)) for i in range(3)]
+    decoded, json_loads = [], ingest.json.loads
+
+    def loads(text, *args, **kwargs):
+        decoded.append(text)
+        return json_loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(ingest.json, "loads", loads)
+    with contextlib.closing(ingest._checked_rows("\n".join(lines) + "\n", [])) as rows:
+        assert next(rows)[3] == 1577836800
+    assert [text for text in decoded if text in lines] == lines[:1]
 
 
 @pytest.mark.parametrize("enabled", [True, False])
