@@ -34,6 +34,19 @@ def _escape(text: str) -> str:
     )
 
 
+def _element(tag: str, body: str | None = None, **attrs) -> str:
+    """One element's markup: ``attrs`` in the order given, ``_`` in a name written ``-``.
+
+    Without a ``body`` the element closes itself.
+    """
+    head = "".join(f' {name.replace("_", "-")}="{value}"' for name, value in attrs.items())
+    return f"<{tag}{head}/>" if body is None else f"<{tag}{head}>{body}</{tag}>"
+
+
+def _text(body: str, size: int, **position) -> str:
+    return _element("text", body, **position, font_family="sans-serif", font_size=size)
+
+
 def render_line_chart(series_list, labels, title: str, x_labels=None) -> bytes:
     """Render aligned series as one SVG line chart.
 
@@ -69,11 +82,8 @@ def render_line_chart(series_list, labels, title: str, x_labels=None) -> bytes:
         return PLOT_Y1 - span_y * (v - vmin) / (vmax - vmin)
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
-        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
-        f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-        f'<text x="{WIDTH / 2:.0f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{_escape(title)}</text>',
+        _element("rect", x=0, y=0, width=WIDTH, height=HEIGHT, fill="white"),
+        _text(_escape(title), 16, x=WIDTH // 2, y=24, text_anchor="middle"),
     ]
 
     # y grid + tick labels
@@ -81,57 +91,33 @@ def render_line_chart(series_list, labels, title: str, x_labels=None) -> bytes:
     for k in range(ticks + 1):
         v = vmin + (vmax - vmin) * k / ticks
         y = y_at(v)
-        parts.append(
-            f'<line x1="{PLOT_X0}" y1="{_fmt(y)}" x2="{PLOT_X1}" y2="{_fmt(y)}" '
-            f'stroke="#dddddd" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{PLOT_X0 - 8}" y="{_fmt(y + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{v:.4g}</text>'
-        )
+        parts.append(_element("line", x1=PLOT_X0, y1=_fmt(y), x2=PLOT_X1, y2=_fmt(y),
+                              stroke="#dddddd", stroke_width=1))
+        parts.append(_text(f"{v:.4g}", 11, x=PLOT_X0 - 8, y=_fmt(y + 4), text_anchor="end"))
 
-    # axes
-    parts.append(
-        f'<line x1="{PLOT_X0}" y1="{PLOT_Y0}" x2="{PLOT_X0}" y2="{PLOT_Y1}" '
-        f'stroke="black" stroke-width="1"/>'
-    )
-    parts.append(
-        f'<line x1="{PLOT_X0}" y1="{PLOT_Y1}" x2="{PLOT_X1}" y2="{PLOT_Y1}" '
-        f'stroke="black" stroke-width="1"/>'
-    )
+    # axes: y, then x
+    for x2, y1 in ((PLOT_X0, PLOT_Y0), (PLOT_X1, PLOT_Y1)):
+        parts.append(_element("line", x1=PLOT_X0, y1=y1, x2=x2, y2=PLOT_Y1,
+                              stroke="black", stroke_width=1))
 
     # x tick labels: first and last point (period keys when provided)
-    first_label = _escape(str(x_labels[0])) if x_labels is not None else "0"
-    last_label = _escape(str(x_labels[-1])) if x_labels is not None else str(n - 1)
-    parts.append(
-        f'<text x="{PLOT_X0}" y="{PLOT_Y1 + 18}" text-anchor="start" '
-        f'font-family="sans-serif" font-size="11">{first_label}</text>'
-    )
-    parts.append(
-        f'<text x="{PLOT_X1}" y="{PLOT_Y1 + 18}" text-anchor="end" '
-        f'font-family="sans-serif" font-size="11">{last_label}</text>'
-    )
+    ends = x_labels if x_labels is not None else (0, n - 1)
+    for x, anchor, label in ((PLOT_X0, "start", ends[0]), (PLOT_X1, "end", ends[-1])):
+        parts.append(_text(_escape(str(label)), 11, x=x, y=PLOT_Y1 + 18, text_anchor=anchor))
 
     # data
     for idx, values in enumerate(series):
-        color = PALETTE[idx % len(PALETTE)]
         points = " ".join(f"{_fmt(x_at(i))},{_fmt(y_at(v))}" for i, v in enumerate(values))
-        parts.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>'
-        )
+        parts.append(_element("polyline", fill="none", stroke=PALETTE[idx % len(PALETTE)],
+                              stroke_width=1.5, points=points))
 
     # legend, top-right inside the plot
     for idx, label in enumerate(labels):
-        color = PALETTE[idx % len(PALETTE)]
         ly = PLOT_Y0 + 14 + 16 * idx
-        parts.append(
-            f'<line x1="{PLOT_X1 - 150}" y1="{ly}" x2="{PLOT_X1 - 126}" y2="{ly}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<text x="{PLOT_X1 - 120}" y="{ly + 4}" font-family="sans-serif" '
-            f'font-size="12">{_escape(str(label))}</text>'
-        )
+        parts.append(_element("line", x1=PLOT_X1 - 150, y1=ly, x2=PLOT_X1 - 126, y2=ly,
+                              stroke=PALETTE[idx % len(PALETTE)], stroke_width=2))
+        parts.append(_text(_escape(str(label)), 12, x=PLOT_X1 - 120, y=ly + 4))
 
-    parts.append("</svg>")
-    return "\n".join(parts).encode("utf-8")
+    svg = _element("svg", "\n" + "\n".join(parts) + "\n", xmlns="http://www.w3.org/2000/svg",
+                   width=WIDTH, height=HEIGHT, viewBox=f"0 0 {WIDTH} {HEIGHT}")
+    return svg.encode("utf-8")

@@ -68,7 +68,6 @@ from .ingest import (
     Subclass,
     SyntheticSpec,
     _text_of,
-    columns_in_bounds,
     generate_synthetic,
     raise_first_rejection,
     records_to_ndjson,
@@ -146,10 +145,11 @@ def _date(params: dict, name: str) -> dt.date:
 
 
 def _synthetic_records(params: dict) -> RecordColumns:
-    """Generated records as columns, held to the bounds parsing enforces.
+    """Generated records as columns.
 
-    They are valid by construction, so they are not serialized and parsed
-    again; a draw outside the bounds (or beyond int64) is a config error.
+    They are valid by construction (``SyntheticSpec`` keeps every start and
+    stop inside its dates, and a draw is never negative), so they are not
+    serialized and parsed again; a draw beyond int64 is a config error.
     """
     spec = SyntheticSpec(
         record_count=params["count"],
@@ -158,15 +158,12 @@ def _synthetic_records(params: dict) -> RecordColumns:
         seed=params["seed"],
     )
     try:
-        records = generate_synthetic(spec)
+        return generate_synthetic(spec)
     except OverflowError:
-        records = None
-    if records is None or not columns_in_bounds(records.start, records.stop, records.max_bps):
         raise InvalidConfigError(
             "a synthetic record falls outside the bounds parsing enforces "
             f"(0 <= start <= stop <= {MAX_UNIX_SECONDS}, 0 <= max_bps < 2**63)"
-        )
-    return records
+        ) from None
 
 
 def _cmd_ingest(params: dict):

@@ -504,7 +504,8 @@ def predict_series(
     """One-step-ahead predictions over a whole split, chronological order.
 
     Returns (targets, predictions) in normalized units, or multiplied back
-    by sigma when denormalized=True. The prediction runs every loaded
+    by sigma when denormalized=True (NonFiniteStateError if a prediction
+    then overflows). The prediction runs every loaded
     OpenBLAS library on one thread, and gives each its caller's count back
     on the way out, also when this raises: a daily series' splits make
     products too small for a second thread to pay.
@@ -515,7 +516,11 @@ def predict_series(
     targets = ws.y.copy()
     if denormalized:
         sigma = dataset.normalization.sigma
-        return targets * sigma, preds * sigma
+        with np.errstate(over="ignore"):
+            preds = preds * sigma
+        if not np.isfinite(preds).all():  # sigma > 1 can take a finite prediction past float64
+            raise NonFiniteStateError("a prediction overflowed when multiplied back by sigma")
+        return targets * sigma, preds
     return targets, preds
 
 
@@ -548,11 +553,14 @@ def _encode_array(arr: np.ndarray) -> dict:
 
 
 def _decode_array(obj: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
-    """Block ``name``, which must have been stored with ``shape``."""
+    """Block ``name``, which must have been stored with ``shape`` and finite values."""
     if obj["shape"] != list(shape):
         raise CorruptCheckpointError(f"block {name} has shape {obj['shape']!r}, expected {shape}")
     raw = base64.b64decode(obj["data"], validate=True)  # TypeError unless str or bytes
-    return np.frombuffer(raw, dtype="<f8").copy().reshape(shape)
+    values = np.frombuffer(raw, dtype="<f8")
+    if not np.isfinite(values).all():  # train raises on divergence before it saves
+        raise CorruptCheckpointError(f"block {name} holds a value that is not finite")
+    return values.copy().reshape(shape)
 
 
 def _encode_params(params: LstmParams) -> dict:
@@ -591,8 +599,8 @@ def load_checkpoint(raw: bytes):
     """Inverse of save_checkpoint: (params, opt_state, config, meta).
 
     Unknown format versions raise VersionMismatchError; anything
-    structurally wrong (truncation, bad base64, shape drift) raises
-    CorruptCheckpointError.
+    structurally wrong (truncation, bad base64, shape drift, a NaN or
+    infinite value) raises CorruptCheckpointError.
     """
     try:
         payload = json.loads(raw.decode("utf-8"))

@@ -5,6 +5,7 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from ddoscast.ingest import SyntheticSpec, generate_synthetic
 
@@ -42,6 +43,24 @@ def readme_exit_codes() -> set[int]:
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("### Exit codes\n", 1)[1].split("\n#", 1)[0]
     return {int(code) for code in re.findall(r"^\| (\d+) \|", section, flags=re.M)}
+
+
+def mutate_bytes(draw, data: bytes, tokens: list[bytes]) -> bytes:
+    """``data`` after 1-3 drawn edits: a byte flipped, up to 24 bytes cut, or
+    one of ``tokens`` or 1-8 arbitrary bytes inserted. ``draw`` is the
+    Hypothesis draw function of the caller's composite strategy or ``st.data()``.
+    """
+    data = bytearray(data)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["flip", "cut", "insert"]))
+        at = draw(st.integers(0, len(data)))
+        if kind == "flip" and at < len(data):
+            data[at] ^= draw(st.integers(1, 255))
+        elif kind == "cut":
+            del data[at:at + draw(st.integers(1, 24))]
+        elif kind == "insert":
+            data[at:at] = draw(st.sampled_from(tokens) | st.binary(min_size=1, max_size=8))
+    return bytes(data)
 
 
 def as_array(*objs) -> bytes:

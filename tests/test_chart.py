@@ -1,5 +1,6 @@
 import re
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -92,3 +93,22 @@ class TestErrors:
     def test_x_label_count_mismatch(self):
         with pytest.raises(LengthMismatchError):
             render_line_chart([[1.0, 2.0]], ["a"], "bad", x_labels=["only-one"])
+
+
+DATA = Path(__file__).parent / "data"
+GOLDEN_CHARTS = {
+    # 7 series wrap the 6-colour palette; period keys label the x axis
+    "chart_seven_periods.svg": (
+        [[(i + 1) * ((j * 7 + i) % 11) - 3.5 * i for j in range(12)] for i in range(7)],
+        ["actual", "predicted", "a & b", "<c>", "e", "f", "g"],
+        "daily & weekly <bps>",
+        [f"2020-W{j + 1:02d}" for j in range(12)],
+    ),
+    # equal constant series: the value range is widened by 1 each way
+    "chart_constant.svg": ([[2.5] * 6, [2.5] * 6], ["actual", "predicted"], "flat", None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CHARTS))
+def test_bytes_match_the_golden_chart(name):
+    assert render_line_chart(*GOLDEN_CHARTS[name]) == (DATA / name).read_bytes()

@@ -1,5 +1,5 @@
+import base64
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -35,7 +35,6 @@ from ddoscast.cli import _build_parser, _resolve_params, main, replay_manifest
 from ddoscast.ingest import (
     MAX_UNIX_SECONDS,
     SUBCLASSES,
-    RecordColumns,
     Subclass,
     SyntheticSpec,
     generate_synthetic,
@@ -1037,21 +1036,14 @@ def test_synthetic_ingest_writes_what_parsing_its_records_gives(tmp_path, seed):
     assert (out / "records.cols").read_bytes() == _sidecar_bytes(parsed, cli.sha256_hex(ndjson))
 
 
-@pytest.mark.parametrize(
-    "field, value",
-    [("max_bps", -1), ("max_bps", 2**63), ("start", -5), ("stop", MAX_UNIX_SECONDS + 1)],
-)
-def test_out_of_range_synthetic_draw_exits_two(tmp_path, capsys, monkeypatch, field, value):
-    drawn = generate_synthetic(SyntheticSpec(record_count=3, seed=1))
-    column = getattr(drawn, field).tolist()
-    column[1] = value
-    columns = [column if f.name == field else getattr(drawn, f.name)
-               for f in dataclasses.fields(drawn)]
-    # built inside the generator, where an int64 overflow would be raised
-    monkeypatch.setattr(cli, "generate_synthetic", lambda spec: RecordColumns.from_lists(columns))
-    assert run(["ingest", "--synthetic", "--out", tmp_path]) == 2
+@pytest.mark.parametrize("draw", [1e19, math.inf])  # int() of inf raises OverflowError too
+def test_out_of_range_synthetic_draw_exits_two(tmp_path, capsys, monkeypatch, draw):
+    # every duration and max_bps draw; a max_bps of 1e19 does not fit int64
+    monkeypatch.setattr(random.Random, "lognormvariate", lambda self, mu, sigma: draw)
+    assert run(["ingest", "--synthetic", "--count", 3, "--out", tmp_path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: a synthetic record") and err.count("\n") == 1
+    assert not (tmp_path / "ingest-0").exists()
 
 
 # --- grid worker processes --------------------------------------------------------
@@ -1454,6 +1446,15 @@ def checkpoint_doc() -> dict:
     return json.loads(save_checkpoint(model, RmsPropState.zeros_like(model), config, meta))
 
 
+def first_value_set(doc: dict, group: str, block: str, value: float) -> dict:
+    """``doc`` with the first float64 of its ``group`` ``block`` (base64 ``data``) set to ``value``."""
+    data = doc[group][block]
+    values = np.frombuffer(base64.b64decode(data["data"]), dtype="<f8").copy()
+    values[0] = value
+    data["data"] = base64.b64encode(values.tobytes()).decode("ascii")
+    return doc
+
+
 def write(path: Path, data) -> Path:
     path.write_bytes(data if isinstance(data, bytes) else json.dumps(data).encode())
     return path
@@ -1463,6 +1464,13 @@ def one_day_records(tmp_path) -> Path:
     return write(tmp_path / "one-day.ndjson",
                  as_ndjson(*(record_obj(start=DAY0 + 600 * i, stop=DAY0 + 600 * i + 60)
                              for i in range(5))))
+
+
+def uneven_days_records(tmp_path) -> Path:
+    """40 days of 0-8 records each: a daily count series whose sigma is above 1."""
+    return write(tmp_path / "uneven.ndjson",
+                 as_ndjson(*(record_obj(start=DAY0 + 86_400 * day + i, stop=DAY0 + 86_400 * day + 60)
+                             for day in range(40) for i in range(day * 7 % 9))))
 
 
 FAILING_RUNS = {
@@ -1480,6 +1488,10 @@ FAILING_RUNS = {
         "forecast", write(tmp / "checkpoint.json", b"{truncated"), records]),
     "forecast a one-day series": (4, lambda tmp, records: [
         "forecast", write(tmp / "checkpoint.json", checkpoint_doc()), one_day_records(tmp)]),
+    "forecast a prediction past float64 once multiplied by sigma": (1, lambda tmp, records: [
+        "forecast", write(tmp / "checkpoint.json",
+                          first_value_set(checkpoint_doc(), "params", "by", 1.7e308)),
+        uneven_days_records(tmp)]),
     "ingest a negative seed": (2, lambda tmp, records: ["ingest", "--synthetic", "--seed", -1]),
     "train an infinite learning rate": (2, lambda tmp, records: [
         "train", records, "--learning-rate", "inf", "--window", 2, "--hidden", 2, "--epochs", 1]),
@@ -1539,6 +1551,8 @@ MALFORMED_CHECKPOINTS = {
     "epsilon -1e-07": lambda doc: doc["config"].update(epsilon=-1e-7),
     "epsilon NaN": lambda doc: doc["config"].update(epsilon=math.nan),
     "learning_rate inf": lambda doc: doc["config"].update(learning_rate=math.inf),
+    "wy NaN": lambda doc: first_value_set(doc, "params", "wy", math.nan),
+    "opt_acc by inf": lambda doc: first_value_set(doc, "opt_acc", "by", math.inf),
 }
 
 

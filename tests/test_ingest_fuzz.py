@@ -20,7 +20,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import readme_exit_codes, record_obj
+from conftest import mutate_bytes, readme_exit_codes, record_obj
 from parse_oracle import oracle_parse
 from ddoscast.cli import main
 from ddoscast.errors import DdoscastError
@@ -46,17 +46,7 @@ _TOKENS = [b"\n", b"\r\n", b",", b", ", b"{", b"}", b"[", b"]", b'"', b":", b"\\
 
 @st.composite
 def mutated_exports(draw) -> bytes:
-    data = bytearray(draw(st.sampled_from(SEEDS)))
-    for _ in range(draw(st.integers(1, 3))):
-        kind = draw(st.sampled_from(["flip", "cut", "insert"]))
-        at = draw(st.integers(0, len(data)))
-        if kind == "flip" and at < len(data):
-            data[at] ^= draw(st.integers(1, 255))
-        elif kind == "cut":
-            del data[at:at + draw(st.integers(1, 24))]
-        elif kind == "insert":
-            data[at:at] = draw(st.sampled_from(_TOKENS) | st.binary(min_size=1, max_size=8))
-    return bytes(data)
+    return mutate_bytes(draw, draw(st.sampled_from(SEEDS)), _TOKENS)
 
 
 def oracle_report(export: bytes, strict: bool):
