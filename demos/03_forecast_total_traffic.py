@@ -47,8 +47,7 @@ print(f"test MSE: model = {mse(targets, predictions):.4f}, "
 
 # 5. Chart the denormalized comparison.
 targets_raw, predictions_raw = predict_series(params, dataset, "test", denormalized=True)
-offset = dataset.splits.train.size + dataset.splits.validation.size + window
-periods = list(series.periods[offset : offset + targets_raw.size])
+periods = list(series.periods[-targets_raw.size:])  # the test targets end the series
 svg = render_line_chart(
     [targets_raw.tolist(), predictions_raw.tolist()],
     ["actual", "predicted"],

@@ -7,7 +7,9 @@ geometry), one ``<polyline>`` per data series; axes, grid and legend use
 
 from __future__ import annotations
 
-from .errors import EmptySeriesError, LengthMismatchError
+import math
+
+from .errors import EmptySeriesError, LengthMismatchError, NonFiniteStateError
 
 WIDTH = 960
 HEIGHT = 480
@@ -52,7 +54,8 @@ def render_line_chart(series_list, labels, title: str, x_labels=None) -> bytes:
 
     All series must share one length of at least two points; ``labels``
     names them in the legend. ``x_labels``, when given, annotates the first
-    and last x positions (e.g. period keys).
+    and last x positions (e.g. period keys). Values that are not finite, or
+    that span too far to scale in float64, raise NonFiniteStateError.
     """
     if not series_list:
         raise EmptySeriesError("no series to plot")
@@ -69,11 +72,14 @@ def render_line_chart(series_list, labels, title: str, x_labels=None) -> bytes:
 
     vmin = min(min(s) for s in series)
     vmax = max(max(s) for s in series)
+    span_x = PLOT_X1 - PLOT_X0
+    span_y = PLOT_Y1 - PLOT_Y0
+    # y_at scales a difference of values by span_y, so that product must stay in float64 too
+    if not all(math.isfinite(v) for s in series for v in s) or math.isinf((vmax - vmin) * span_y):
+        raise NonFiniteStateError("chart values must be finite and span what float64 can scale")
     if vmax == vmin:
         vmin -= 1.0
         vmax += 1.0
-    span_x = PLOT_X1 - PLOT_X0
-    span_y = PLOT_Y1 - PLOT_Y0
 
     def x_at(i: int) -> float:
         return PLOT_X0 + span_x * i / (n - 1)

@@ -210,15 +210,15 @@ def _cmd_analyze(params: dict):
     return files, [records_input], f"analyze: {len(enriched)} records, growth {year_a}->{year_b}"
 
 
+def _train_config(params: dict, window: int, hidden: int, seed: int = TrainConfig.seed):
+    """The TrainConfig of ``window`` and ``hidden`` with the ``_FITTING`` values in ``params``."""
+    return TrainConfig(window_size=window, hidden_size=hidden,
+                       learning_rate=params["learning_rate"], epochs=params["epochs"],
+                       batch_size=params["batch_size"], seed=seed)
+
+
 def _cmd_train(params: dict):
-    config = TrainConfig(
-        window_size=params["window"],
-        hidden_size=params["hidden"],
-        learning_rate=params["learning_rate"],
-        epochs=params["epochs"],
-        batch_size=params["batch_size"],
-        seed=params["seed"],
-    )
+    config = _train_config(params, params["window"], params["hidden"], params["seed"])
     norm = NormSource(params["norm_source"])
     series, records_input = _load_series(params["records"], params["subclass"], params["metric"])
     dataset = build_windowed(series.values, config.window_size, norm)
@@ -244,17 +244,10 @@ def _cmd_train(params: dict):
 
 
 def _cmd_grid(params: dict):
-    base = TrainConfig(
-        window_size=params["windows"][0],
-        hidden_size=params["hiddens"][0],
-        learning_rate=params["learning_rate"],
-        epochs=params["epochs"],
-        batch_size=params["batch_size"],
-    )
     spec = GridSpec(
         window_sizes=tuple(params["windows"]),
         hidden_sizes=tuple(params["hiddens"]),
-        base_config=base,
+        base_config=_train_config(params, params["windows"][0], params["hiddens"][0]),
         master_seed=params["seed"],
         norm_source=NormSource(params["norm_source"]),
     )
@@ -294,9 +287,7 @@ def _cmd_forecast(params: dict):
     series, records_input = _load_series(params["records"], subclass, metric)
     dataset = build_windowed(series.values, config.window_size, norm)
     targets, preds = predict_series(model, dataset, "test", denormalized=True)
-
-    offset = dataset.splits.train.size + dataset.splits.validation.size + config.window_size
-    periods = series.periods[offset : offset + targets.size]
+    periods = series.periods[-targets.size:]  # the test targets end the series
 
     actual, predicted = targets.tolist(), preds.tolist()
     svg = render_line_chart(
@@ -314,15 +305,6 @@ def _cmd_forecast(params: dict):
     return files, inputs, f"forecast: {targets.size} test points"
 
 
-_DISPATCH = {
-    "ingest": _cmd_ingest,
-    "analyze": _cmd_analyze,
-    "train": _cmd_train,
-    "grid": _cmd_grid,
-    "forecast": _cmd_forecast,
-}
-
-
 def _execute(command: str, params: dict) -> int:
     """Run ``command``, then write its outputs and manifest and print its summary.
 
@@ -334,7 +316,7 @@ def _execute(command: str, params: dict) -> int:
     if params["seed"] < 0:  # flags, config files and replayed manifests all come here
         raise InvalidConfigError(f"seed must be >= 0, got {params['seed']}")
     started = _now()
-    files, inputs, summary = _DISPATCH[command](params)
+    files, inputs, summary = _COMMANDS[command][0](params)
     out = Path(params["out"]) / f"{command}-{params['seed']}"
     out.parent.mkdir(parents=True, exist_ok=True)
     hidden = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
@@ -406,7 +388,7 @@ def _read_manifest(path):
     command, params, inputs = doc.get("command"), doc.get("params"), doc.get("inputs")
     if not (isinstance(command, str) and command in _COMMANDS):
         raise ReplayRefusedError(f"replay refused: unknown command {command!r}")
-    options = _COMMON + _COMMANDS[command][1]
+    options = _COMMON + _COMMANDS[command][2]
     names = [name for name, _kind, _default, _help in options]
     if isinstance(params, dict) and command != "ingest" and type(params.get("strict")) is bool:
         del params["strict"]  # written when every command took --strict
@@ -464,7 +446,8 @@ def replay_manifest(manifest_path: str | Path, out_root: str | None = None) -> i
 
 # --- argument handling ------------------------------------------------------
 #
-# Each setting is declared once, as (name, type, default, help). These lists
+# Each command is declared once in _COMMANDS, as (function, summary, options),
+# and each setting once, as (name, type, default, help). These lists
 # build the parser, cast config-file values and resolve the parameters: a
 # flag wins over a config value, which wins over the default. The type is
 #   - a callable: argparse's type= and the cast of a config value;
@@ -509,7 +492,7 @@ _FITTING = [
     ("norm_source", NormSource, NormSource.FULL_SERIES.value, "span that sigma is computed over"),
 ]
 _COMMANDS = {
-    "ingest": ("parse or synthesize a record file", [
+    "ingest": (_cmd_ingest, "parse or synthesize a record file", [
         ("input", str, None, "attack-record JSON/NDJSON export"),
         ("strict", bool, False, "abort on the first malformed record"),
         ("synthetic", bool, False, "generate records instead of reading a file"),
@@ -517,24 +500,24 @@ _COMMANDS = {
         ("start_date", str, SyntheticSpec.start_date.isoformat(), "synthetic range start"),
         ("end_date", str, SyntheticSpec.end_date.isoformat(), "synthetic range end"),
     ]),
-    "analyze": ("write stats/histogram/growth/ranking CSVs", [
+    "analyze": (_cmd_analyze, "write stats/histogram/growth/ranking CSVs", [
         _RECORDS,
         ("year_a", int, None, "growth baseline year"),
         ("year_b", int, None, "growth comparison year"),
     ]),
-    "train": ("train the forecaster on one series", [
+    "train": (_cmd_train, "train the forecaster on one series", [
         *_SERIES,
         ("window", int, 24, "window size W"),
         ("hidden", int, 64, "hidden size H"),
         *_FITTING,
     ]),
-    "grid": ("sweep window and hidden sizes", [
+    "grid": (_cmd_grid, "sweep window and hidden sizes", [
         *_SERIES,
         ("windows", _int_list, list(DEFAULT_WINDOW_SIZES), "comma list of window sizes"),
         ("hiddens", _int_list, list(DEFAULT_HIDDEN_SIZES), "comma list of hidden sizes"),
         *_FITTING,
     ]),
-    "forecast": ("predicted-vs-actual CSV and SVG chart", [
+    "forecast": (_cmd_forecast, "predicted-vs-actual CSV and SVG chart", [
         ("checkpoint", str, None, "checkpoint from train"),
         _RECORDS,
         ("subclass", str, None, "override the checkpoint's series subclass"),
@@ -571,7 +554,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"ddoscast {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (summary, options) in _COMMANDS.items():
+    for command, (_function, summary, options) in _COMMANDS.items():
         p = sub.add_parser(command, parents=[common], help=summary)
         for option in options:
             _add_option(p, *option)
@@ -605,7 +588,7 @@ def _load_config_file(path: str | None) -> dict:
     """
     if path is None:
         return {}
-    kinds = {name: kind for _summary, options in _COMMANDS.values()
+    kinds = {name: kind for _function, _summary, options in _COMMANDS.values()
              for name, kind, _default, _help in _COMMON + options}
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
@@ -636,7 +619,7 @@ def _resolve_params(args: argparse.Namespace) -> dict:
     """Flag > config-file value > built-in default."""
     config = _load_config_file(args.config)
     params = {}
-    for name, _kind, default, _help in _COMMON + _COMMANDS[args.command][1]:
+    for name, _kind, default, _help in _COMMON + _COMMANDS[args.command][2]:
         flag_value = getattr(args, name)
         params[name] = flag_value if flag_value is not None else config.get(name, default)
     return params

@@ -117,7 +117,11 @@ class SeriesTooShortError(DdoscastError):
 
 
 class NonFiniteStateError(DdoscastError):
-    """LSTM state overflowed to inf/nan during a step."""
+    """A value is not finite or overflows float64.
+
+    Raised for LSTM state during a step, a prediction multiplied back by
+    sigma, and chart values that are not finite or span too far to scale.
+    """
 
 
 class LengthMismatchError(DdoscastError):

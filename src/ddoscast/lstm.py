@@ -34,7 +34,6 @@ from __future__ import annotations
 import base64
 import binascii
 import contextlib
-import itertools
 import json
 import math
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -527,51 +526,35 @@ def predict_series(
 # --- checkpointing ----------------------------------------------------------
 
 
-def _v1_layout(hidden_size: int) -> list[tuple[str, int, tuple[int, ...]]]:
-    """The 14 blocks that checkpoint format v1 names: (name, offset, shape)."""
-    h = hidden_size
-    names = [kind + gate for kind in "wub" for gate in "ifog"] + ["wy", "by"]
-    shapes = [(h,)] * 4 + [(h, h)] * 4 + [(h,)] * 5 + [(1,)]
-    offsets = itertools.accumulate((math.prod(shape) for shape in shapes), initial=0)
-    return list(zip(names, offsets, shapes))
-
-
 def _v1_blocks(params: LstmParams) -> dict[str, np.ndarray]:
-    """Views of the 14 checkpoint v1 blocks, in vector order."""
-    return {
-        name: params.flat[lo : lo + math.prod(shape)].reshape(shape)
-        for name, lo, shape in _v1_layout(params.hidden_size)
-    }
-
-
-def _encode_array(arr: np.ndarray) -> dict:
-    contiguous = np.ascontiguousarray(arr, dtype="<f8")
-    return {
-        "shape": list(arr.shape),
-        "data": base64.b64encode(contiguous.tobytes()).decode("ascii"),
-    }
-
-
-def _decode_array(obj: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
-    """Block ``name``, which must have been stored with ``shape`` and finite values."""
-    if obj["shape"] != list(shape):
-        raise CorruptCheckpointError(f"block {name} has shape {obj['shape']!r}, expected {shape}")
-    raw = base64.b64decode(obj["data"], validate=True)  # TypeError unless str or bytes
-    values = np.frombuffer(raw, dtype="<f8")
-    if not np.isfinite(values).all():  # train raises on divergence before it saves
-        raise CorruptCheckpointError(f"block {name} holds a value that is not finite")
-    return values.copy().reshape(shape)
+    """Views of the 14 blocks that checkpoint format v1 names, in vector order."""
+    h = params.hidden_size
+    stacked = (params.W.reshape(4, h), params.U.reshape(4, h, h), params.b.reshape(4, h))
+    blocks = {kind + gate: view[k] for kind, view in zip("wub", stacked)
+              for k, gate in enumerate("ifog")}
+    return blocks | {"wy": params.wy, "by": params.by}
 
 
 def _encode_params(params: LstmParams) -> dict:
-    return {name: _encode_array(block) for name, block in _v1_blocks(params).items()}
+    return {name: {"shape": list(block.shape),
+                   "data": base64.b64encode(block.astype("<f8").tobytes()).decode("ascii")}
+            for name, block in _v1_blocks(params).items()}
 
 
 def _decode_params(encoded: dict, hidden_size: int) -> LstmParams:
-    """Join the 14 v1 blocks into one vector; each must have its H-derived shape."""
-    parts = [_decode_array(encoded[name], name, shape).ravel()
-             for name, _offset, shape in _v1_layout(hidden_size)]
-    return LstmParams(np.concatenate(parts), hidden_size)
+    """Write the 14 v1 blocks into one vector; each needs its H-derived shape and finite values."""
+    params = LstmParams.zeros(hidden_size)
+    for name, block in _v1_blocks(params).items():
+        obj = encoded[name]
+        if obj["shape"] != list(block.shape):
+            raise CorruptCheckpointError(
+                f"block {name} has shape {obj['shape']!r}, expected {block.shape}")
+        raw = base64.b64decode(obj["data"], validate=True)  # TypeError unless str or bytes
+        values = np.frombuffer(raw, dtype="<f8")
+        if not np.isfinite(values).all():  # train raises on divergence before it saves
+            raise CorruptCheckpointError(f"block {name} holds a value that is not finite")
+        block[...] = values.reshape(block.shape)
+    return params
 
 
 def save_checkpoint(

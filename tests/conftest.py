@@ -1,4 +1,6 @@
+import contextlib
 import ctypes
+import io
 import json
 import os
 import re
@@ -7,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
+from ddoscast.cli import main
 from ddoscast.ingest import SyntheticSpec, generate_synthetic
 
 
@@ -43,6 +46,14 @@ def readme_exit_codes() -> set[int]:
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("### Exit codes\n", 1)[1].split("\n#", 1)[0]
     return {int(code) for code in re.findall(r"^\| (\d+) \|", section, flags=re.M)}
+
+
+def quiet_main(args) -> tuple[int, str]:
+    """``cli.main``'s exit code and what it wrote to stderr; stdout is dropped."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main([str(a) for a in args])
+    return code, err.getvalue()
 
 
 def mutate_bytes(draw, data: bytes, tokens: list[bytes]) -> bytes:

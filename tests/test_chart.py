@@ -1,3 +1,4 @@
+import math
 import re
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from ddoscast.chart import PLOT_Y0, PLOT_Y1, render_line_chart
-from ddoscast.errors import EmptySeriesError, LengthMismatchError
+from ddoscast.errors import EmptySeriesError, LengthMismatchError, NonFiniteStateError
 
 
 def polylines(svg: bytes) -> list[str]:
@@ -93,6 +94,21 @@ class TestErrors:
     def test_x_label_count_mismatch(self):
         with pytest.raises(LengthMismatchError):
             render_line_chart([[1.0, 2.0]], ["a"], "bad", x_labels=["only-one"])
+
+    @pytest.mark.parametrize("values", [
+        [1.0, math.nan, 2.0],  # min() and max() both skip this NaN
+        [math.inf, 1.0],
+        [1.0, -math.inf],
+        [1.7e308, -1.7e308],  # vmax - vmin overflows
+        [1e306, -1e306],  # the span fits, but not once scaled to the plot's height
+    ])
+    def test_values_it_cannot_scale(self, values):
+        with pytest.raises(NonFiniteStateError, match="finite and span"):
+            render_line_chart([values, [0.0] * len(values)], ["a", "b"], "bad")
+
+    def test_a_wide_span_it_can_scale(self):
+        svg = render_line_chart([[1e305, -1e305]], ["a"], "wide").decode()
+        assert not re.search(r"inf|nan", svg)
 
 
 DATA = Path(__file__).parent / "data"

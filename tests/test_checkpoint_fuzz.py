@@ -10,9 +10,7 @@ leaves no run directory; a success leaves a manifest, a ``forecast.csv`` of
 finite values and a ``forecast.svg`` with one polyline per series.
 """
 
-import contextlib
 import csv
-import io
 import math
 import re
 import string
@@ -23,21 +21,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mutate_bytes, readme_exit_codes
-from ddoscast.cli import main
+from conftest import mutate_bytes, quiet_main, readme_exit_codes
 
 DOCUMENTED = readme_exit_codes()
 _TOKENS = [b'"', b",", b":", b"{", b"}", b"[", b"]", b"0", b"-", b".", b"e", b"=", b"\\",
            b"null", b"true", b"NaN", b"Infinity", b"1e999"]
 _CLASSES = [string.digits, string.ascii_letters + string.digits + "+/"]
-
-
-def quiet_main(args) -> tuple[int, str]:
-    """``main``'s exit code and what it wrote to stderr."""
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        code = main([str(a) for a in args])
-    return code, err.getvalue()
 
 
 @pytest.fixture(scope="module")

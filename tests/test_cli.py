@@ -1,5 +1,6 @@
 import base64
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -51,6 +52,7 @@ from ddoscast.lstm import (
 )
 from ddoscast.preprocess import Metric, enrich_all
 from ddoscast.records import _load_sidecar, _sidecar_bytes
+from ddoscast.windowing import NormSource, build_windowed
 
 
 @pytest.fixture()
@@ -415,6 +417,37 @@ def test_bad_hyperparameter_exit_two(tmp_path, records_file, capsys, command, fl
     assert err.startswith("error: ")
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()  # rejected before any work or output
+
+
+# each differs from its default, so a value dropped on the way to the model shows
+NON_DEFAULT_FITTING = {"learning_rate": 0.001, "epochs": 2, "batch_size": 16,
+                       "norm_source": "train_only"}
+
+
+@pytest.mark.parametrize("command, sizes", [
+    ("train", ["--window", 2, "--hidden", 2]),
+    ("grid", ["--windows", 2, "--hiddens", 2]),
+])
+def test_every_fitting_value_reaches_the_model(tmp_path, records_file, monkeypatch, command,
+                                               sizes):
+    flags = [arg for name, value in NON_DEFAULT_FITTING.items()
+             for arg in ("--" + name.replace("_", "-"), value)]
+    specs, real_run_grid = [], cli.run_grid
+
+    def run_grid(series, spec):
+        specs.append(spec)
+        return real_run_grid(series, spec)
+
+    monkeypatch.setattr(cli, "run_grid", run_grid)
+    assert run([command, records_file, *sizes, *flags, "--out", tmp_path]) == 0
+    if command == "train":
+        checkpoint = json.loads((tmp_path / "train-0" / "checkpoint.json").read_bytes())
+        config, norm_source = checkpoint["config"], checkpoint["meta"]["norm_source"]
+    else:
+        [spec] = specs
+        config, norm_source = dataclasses.asdict(spec.base_config), spec.norm_source.value
+    assert {name: config[name] for name in ("learning_rate", "epochs", "batch_size")} | {
+        "norm_source": norm_source} == NON_DEFAULT_FITTING
 
 
 def test_empty_grid_list_exit_two(tmp_path, records_file):
@@ -1473,6 +1506,24 @@ def uneven_days_records(tmp_path) -> Path:
                              for day in range(40) for i in range(day * 7 % 9))))
 
 
+def span_past_float64_checkpoint(tmp_path, records: Path) -> Path:
+    """An H=1, W=2 checkpoint whose denormalized predictions on ``records`` are about ±1.1e308.
+
+    Each prediction fits in float64, but the span between them does not. The
+    forget gate is shut and the other gates open, so h = tanh(tanh(50 (x - 4.5 / sigma))),
+    about ±0.76 as the window's last count is above or below 4.5.
+    """
+    series, _entry = cli._load_series(str(records), "TotalTraffic", "count")
+    sigma = build_windowed(series.values, 2, NormSource.FULL_SERIES).normalization.sigma
+    model = LstmParams.zeros(1)
+    model.W[:] = [0.0, 0.0, 0.0, 50.0]
+    model.b[:] = [20.0, -20.0, 20.0, -50.0 * 4.5 / sigma]
+    model.wy[:] = 1.5e308 / sigma
+    config = TrainConfig(window_size=2, hidden_size=1)
+    return write(tmp_path / "checkpoint.json",
+                 save_checkpoint(model, RmsPropState.zeros_like(model), config))
+
+
 FAILING_RUNS = {
     "ingest not JSON": (2, lambda tmp, records: [
         "ingest", write(tmp / "export.json", b"this is not json")]),
@@ -1491,6 +1542,9 @@ FAILING_RUNS = {
     "forecast a prediction past float64 once multiplied by sigma": (1, lambda tmp, records: [
         "forecast", write(tmp / "checkpoint.json",
                           first_value_set(checkpoint_doc(), "params", "by", 1.7e308)),
+        uneven_days_records(tmp)]),
+    "forecast predictions that span past float64": (1, lambda tmp, records: [
+        "forecast", span_past_float64_checkpoint(tmp, uneven_days_records(tmp)),
         uneven_days_records(tmp)]),
     "ingest a negative seed": (2, lambda tmp, records: ["ingest", "--synthetic", "--seed", -1]),
     "train an infinite learning rate": (2, lambda tmp, records: [

@@ -10,9 +10,7 @@ report that the per-entry oracle gives; and the oracle fails exactly when
 the command does.
 """
 
-import contextlib
 import dataclasses
-import io
 import json
 import tempfile
 from pathlib import Path
@@ -20,9 +18,8 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mutate_bytes, readme_exit_codes, record_obj
+from conftest import mutate_bytes, quiet_main, readme_exit_codes, record_obj
 from parse_oracle import oracle_parse
-from ddoscast.cli import main
 from ddoscast.errors import DdoscastError
 
 DOCUMENTED = readme_exit_codes()
@@ -63,14 +60,11 @@ def test_a_mutated_export_ingests_or_fails_with_one_error_line(export, strict):
     with tempfile.TemporaryDirectory() as tmp:
         source, out = Path(tmp) / "export.json", Path(tmp) / "o"
         source.write_bytes(export)
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = main(["ingest", str(source), "--out", str(out),
-                         *(["--strict"] if strict else [])])
+        code, message = quiet_main(["ingest", source, "--out", out,
+                                    *(["--strict"] if strict else [])])
         assert code in DOCUMENTED
         expected = oracle_report(export, strict)
         if code != 0:
-            message = err.getvalue()
             assert message.startswith("error: ") and message.count("\n") == 1, message
             assert "Traceback" not in message
             assert expected is None

@@ -12,9 +12,15 @@ process with that tree first on PYTHONPATH:
 
     ingest, analyze, train --epochs 3, forecast,
     grid --epochs 1 --windows 8,24 --hiddens 16,32,
-    ingest of the first ingest's records.ndjson, into ndjson/
+    ingest of the first ingest's records.ndjson, into ndjson/,
+    train --window 8 --hidden 8 --epochs 2, forecast of that checkpoint
+    and grid --windows 4,8 --hiddens 4 --epochs 1, into options/
 
-The last one reads NDJSON, so it parses in one part, in its own process.
+The NDJSON ingest parses in one part, in its own process. The options/
+runs give every series and fitting option a value other than its default
+(--subclass ICMP --metric max_gbps --norm-source train_only
+--learning-rate 0.001 --batch-size 16; forecast reads them from the
+checkpoint), so a value dropped on its way to the model changes a file.
 Every output file but ``manifest.json`` is compared byte for byte, and
 ``grid.csv`` without its ``wall_ms`` column. One verdict is printed per
 file. The exit code is 0 only if every command exited 0 in both trees and
@@ -46,9 +52,14 @@ with open(sys.argv[1], "w") as fh:
 """
 
 
+_OPTIONS = ["--subclass", "ICMP", "--metric", "max_gbps", "--norm-source", "train_only",
+            "--learning-rate", "0.001", "--batch-size", "16"]
+
+
 def _commands(export: Path, out: Path) -> list[list[str]]:
     records = str(out / "ingest-0" / "records.ndjson")
     common = ["--out", str(out), "--seed", "0"]
+    in_options = ["--out", str(out / "options"), "--seed", "0"]
     return [
         ["ingest", str(export), *common],
         ["analyze", records, *common],
@@ -56,6 +67,11 @@ def _commands(export: Path, out: Path) -> list[list[str]]:
         ["forecast", str(out / "train-0" / "checkpoint.json"), records, *common],
         ["grid", records, "--epochs", "1", "--windows", "8,24", "--hiddens", "16,32", *common],
         ["ingest", records, "--out", str(out / "ndjson"), "--seed", "0"],
+        ["train", records, "--window", "8", "--hidden", "8", "--epochs", "2", *_OPTIONS,
+         *in_options],
+        ["forecast", str(out / "options" / "train-0" / "checkpoint.json"), records, *in_options],
+        ["grid", records, "--windows", "4,8", "--hiddens", "4", "--epochs", "1", *_OPTIONS,
+         *in_options],
     ]
 
 
