@@ -19,6 +19,7 @@ if __name__ == "__main__":
     prologue()
 
 import argparse
+import contextlib
 import dataclasses
 import datetime as dt
 import enum
@@ -26,6 +27,7 @@ import hashlib
 import json
 import os
 import shutil
+import signal
 import tempfile
 from pathlib import Path
 
@@ -63,14 +65,16 @@ from .grid import (
 )
 from .ingest import (
     MAX_UNIX_SECONDS,
+    SUBCLASSES,
     ParseReport,
     RecordColumns,
     Subclass,
     SyntheticSpec,
-    _text_of,
     generate_synthetic,
     raise_first_rejection,
     records_to_ndjson,
+    subclass_code,
+    text_of,
 )
 from .lstm import (
     RmsPropState,
@@ -81,7 +85,8 @@ from .lstm import (
     save_checkpoint,
     train,
 )
-from .preprocess import Granularity, Metric, aggregate, enrich_all, series_for
+from .pool import stop_signals
+from .preprocess import Granularity, Metric, aggregate, series_for
 from .records import ingest_export, read_records, records_files
 from .windowing import NormSource, build_windowed
 
@@ -109,13 +114,12 @@ def _read_records(path: str):
 
 
 def _subclass_of(name: str) -> Subclass:
-    try:
-        return Subclass(name.replace(" ", ""))
-    except ValueError:
+    code = subclass_code(name)
+    if code is None:
         raise InvalidConfigError(
-            f"unknown subclass {name!r}; choose from "
-            f"{', '.join(s.value for s in Subclass)}"
-        ) from None
+            f"unknown subclass {name!r}; choose from {', '.join(s.value for s in Subclass)}"
+        )
+    return SUBCLASSES[code]
 
 
 def _load_series(records_path: str, subclass: str, metric: str):
@@ -173,13 +177,13 @@ def _cmd_ingest(params: dict):
         raise InvalidConfigError("ingest needs an input file or --synthetic")
     if params["synthetic"]:
         records = _synthetic_records(params)
-        files = records_files([records_to_ndjson(records).encode()], enrich_all(records))
+        files = records_files([records_to_ndjson(records).encode()], records)
         report = ParseReport(accepted=len(records))
         inputs = []
     else:
         raw = Path(params["input"]).read_bytes()
         inputs = [_input("input", params["input"], raw)]
-        raw = _text_of(raw)  # frees the bytes: the workers fork with the decoded text only
+        raw = text_of(raw)  # frees the bytes: the workers fork with the decoded text only
         files, report = ingest_export(raw)
         if params["strict"]:
             raise_first_rejection(report)  # before any file is returned, so none is written
@@ -312,6 +316,8 @@ def _execute(command: str, params: dict) -> int:
     hidden sibling of the run directory, manifest last, and only then swapped
     into place. A command that fails or is interrupted leaves no new run
     directory behind, and an older run with the same name keeps every byte.
+    SIGINT and SIGTERM wait from the swap until the hidden sibling is
+    removed, so a stop after publication leaves the new run and no sibling.
     """
     if params["seed"] < 0:  # flags, config files and replayed manifests all come here
         raise InvalidConfigError(f"seed must be >= 0, got {params['seed']}")
@@ -320,6 +326,7 @@ def _execute(command: str, params: dict) -> int:
     out = Path(params["out"]) / f"{command}-{params['seed']}"
     out.parent.mkdir(parents=True, exist_ok=True)
     hidden = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
+    held = contextlib.ExitStack()  # SIGINT and SIGTERM, from the swap through the removal
     try:
         new = hidden / "run"
         new.mkdir()
@@ -340,11 +347,13 @@ def _execute(command: str, params: dict) -> int:
             "finished_utc": _now(),
         }
         (new / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        held.enter_context(stop_signals(signal.SIG_BLOCK))
         _swap_into_place(new, out)
     finally:
         # What is left there: the older run once the new one is published, or
         # the unpublished new one. Removing it is best-effort.
-        shutil.rmtree(hidden, ignore_errors=True)
+        with held:
+            shutil.rmtree(hidden, ignore_errors=True)
     print(f"{summary} -> {out}")
     return 0
 
@@ -354,9 +363,10 @@ def _swap_into_place(new: Path, out: Path) -> None:
 
     Whatever is at ``out`` is the older run: a directory, a file or a
     symlink, which is moved and never followed. It is renamed aside first,
-    and renamed back if the swap fails. A swap that fails with an OSError is
-    tried once more: another run published at ``out`` between the two
-    renames is then the older run in turn.
+    and renamed back if the swap fails. A failed swap is tried once more:
+    another run published at ``out`` between the two renames is then the
+    older run in turn. The caller holds the stop signals, so only an
+    OSError can end a swap early.
     """
     for tries_left in (1, 0):
         aside = new.with_name(f"older-{tries_left}.old")
@@ -365,10 +375,10 @@ def _swap_into_place(new: Path, out: Path) -> None:
                 out.rename(aside)
             new.rename(out)
             return
-        except BaseException as exc:
+        except OSError:
             if os.path.lexists(aside) and not os.path.lexists(out):
                 aside.rename(out)
-            if not (tries_left and isinstance(exc, OSError)):
+            if not tries_left:
                 raise
 
 

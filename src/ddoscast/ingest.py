@@ -8,14 +8,26 @@ appear both with and without spaces in the wild ("TCP SYN" / "TCPSYN");
 spaces are stripped before enum mapping so both spellings parse.
 
 This module alone decides the input format: ``_detect_entries`` yields the
-decoded entries one at a time, and ``records.ingest_export`` asks the same
+decoded entries one at a time, and ``export_parts`` asks the same
 ``_FIRST`` whether the text is an array to cut. Every path checks entries
 with one loop, ``_checked_rows``, which yields a row of column values per
 accepted entry (``_check_entry``), and writes records with one row writer,
 ``_record_lines``. ``parse_records`` gathers the rows into
 ``RecordColumns``; the serializers feed the writer the rows of a
-``RecordColumns``; an ingest part (``records._ingest_part``) feeds it the
-checked rows themselves.
+``RecordColumns``; an export part (``ingest_part``) feeds it the checked
+rows themselves.
+
+``export_parts`` cuts a JSON array at the first "}, {" (any JSON
+whitespace around the comma) at or after each part's share of the text. A
+part decodes as an array of its own: the first is the text up to its cut's
+"}" plus "]", the next "[" plus the text from the cut's "{". A cut inside a
+string leaves the part before it with an unterminated string, and a cut
+inside a nested value leaves it with more than one container open, so when
+every part decodes, every cut fell between two top-level elements and the
+parts' elements are exactly the array's. ``ingest_part`` reads one part in
+one pass: each accepted row goes straight to its NDJSON line and to the
+four ``records.cols`` columns, and the part builds no ``RecordColumns``.
+Neither loads a process pool; ``records.ingest_export`` runs the parts.
 """
 
 from __future__ import annotations
@@ -78,10 +90,7 @@ WIRE_NAMES = {
 # Subclass and attack-class codes index these tuples (declaration order).
 SUBCLASSES = tuple(Subclass)
 ATTACK_CLASSES = tuple(AttackClass)
-# Both spellings of each subclass; any other spacing is squashed first.
-_SUBCLASS_CODE = {
-    name: code for code, sub in enumerate(SUBCLASSES) for name in (sub.value, WIRE_NAMES[sub])
-}
+_SUBCLASS_CODE = {sub.value: code for code, sub in enumerate(SUBCLASSES)}
 _ATTACK_CLASS_CODE = {cls.value: code for code, cls in enumerate(ATTACK_CLASSES)}
 
 _REQUIRED_FIELDS = ("attack_class", "subclass", "max_bps", "start", "stop")
@@ -288,6 +297,15 @@ _OPTIONAL_FIELDS = (
 )
 
 
+def subclass_code(name: str) -> int | None:
+    """The code of the subclass ``name`` spells, or None.
+
+    A name spells a subclass when it is the subclass's value once its
+    spaces are removed: "TotalTraffic", "Total Traffic", "TCP SYN".
+    """
+    return _SUBCLASS_CODE.get(name.replace(" ", ""))
+
+
 def _check_entry(entry):
     """Validate one decoded entry into its row of column values.
 
@@ -309,11 +327,9 @@ def _check_entry(entry):
     raw_subclass = entry["subclass"]
     if not isinstance(raw_subclass, str):
         return None, f"subclass is not a string: {raw_subclass!r}"
-    code = _SUBCLASS_CODE.get(raw_subclass)
+    code = subclass_code(raw_subclass)
     if code is None:
-        code = _SUBCLASS_CODE.get(raw_subclass.replace(" ", ""))
-        if code is None:
-            return None, f"unknown subclass {raw_subclass!r}"
+        return None, f"unknown subclass {raw_subclass!r}"
 
     max_bps = _as_int(entry["max_bps"])
     if max_bps is None or max_bps < 0:
@@ -357,8 +373,8 @@ _FIRST = re.compile(r"\s*(\S?)")
 def _detect_entries(text: str):
     """Yield (entry, location, reason) for each entry of ``text``, in input order.
 
-    The input format is decided here; ``records.ingest_export`` only asks
-    ``_FIRST`` whether the text is an array to cut. Locations are array
+    The input format is decided here; ``export_parts`` only asks ``_FIRST``
+    whether the text is an array to cut. Locations are array
     indices (0-based) for array input and line numbers (1-based) for NDJSON.
     A lone top-level object that is not a single-key array wrapper is one
     NDJSON line, located at the line where it starts. An NDJSON line that
@@ -429,7 +445,7 @@ def _cycle_collector_paused():
             gc.enable()
 
 
-def _text_of(raw: bytes | str) -> str:
+def text_of(raw: bytes | str) -> str:
     """The text of ``raw``; a UTF-8 byte-order mark before it is dropped."""
     if isinstance(raw, str):
         return raw
@@ -479,7 +495,7 @@ def parse_records(raw: bytes | str, strict: bool = False):
     records.
     """
     rejections = []
-    rows = list(_checked_rows(_text_of(raw), rejections))
+    rows = list(_checked_rows(text_of(raw), rejections))
     records = RecordColumns.from_lists(list(zip(*rows)) or [()] * len(_FIELDS))
     report = ParseReport(len(records), len(rejections), rejections)
     if strict:
@@ -551,6 +567,50 @@ def records_to_json(records) -> str:
 def records_to_ndjson(records) -> str:
     """Serialize records one-per-line; parse_records round-trips the result."""
     return "".join(_record_lines(RecordColumns.of(records).rows(), "\n"))
+
+
+_CUT = re.compile(r"\}[ \t\n\r]*,[ \t\n\r]*\{")
+
+
+def export_parts(text: str, parts: int) -> list[tuple[int, int]]:
+    """(start, stop) of each part of the export ``text``, cut at most ``parts - 1`` times.
+
+    Only a JSON array is cut; any other input is the one part
+    ``[(0, len(text))]``.
+    """
+    if _FIRST.match(text)[1] != "[":
+        return [(0, len(text))]
+    bounds, start = [], 0
+    for k in range(1, parts):
+        cut = _CUT.search(text, max(start, len(text) * k // parts))
+        if cut is None:
+            break
+        bounds.append((start, cut.start() + 1))
+        start = cut.end() - 1
+    bounds.append((start, len(text)))
+    return bounds
+
+
+def ingest_part(text: str, start: int, stop: int):
+    """Check and serialize each entry of the part ``text[start:stop]`` of ``text``, in one pass.
+
+    Returns (NDJSON bytes, source columns, rejections): the columns are
+    subclass, start, stop and max_bps, and the rejections are located within
+    the part. Raises NotJsonError when the part does not decode.
+    """
+    kept, rejections = [], []  # kept: each accepted row's subclass, max_bps, start and stop, flat
+
+    def noted(rows):
+        for row in rows:
+            kept.extend(row[1:5])
+            yield row
+
+    # The part's text is not kept in a variable, so it is freed with the decoded entries.
+    head, tail = "[" if start else "", "]" if stop < len(text) else ""
+    rows = _checked_rows(head + text[start:stop] + tail, rejections)
+    ndjson = "".join(_record_lines(noted(rows), "\n")).encode()
+    subclass, max_bps, begin, end = np.array(kept, np.int64).reshape(-1, 4).T
+    return ndjson, (subclass.astype(np.uint8), begin, end, max_bps), rejections
 
 
 _COUNTRIES = ("US", "CN", "DE", "FR", "GB", "RU", "BR", "IN", "KR", "NL")

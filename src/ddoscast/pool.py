@@ -51,7 +51,7 @@ _STOP_SIGNALS = {signal.SIGINT, signal.SIGTERM}
 
 
 @contextlib.contextmanager
-def _stop_signals(how: int):
+def stop_signals(how: int):
     """Block (SIG_BLOCK) or let in (SIG_UNBLOCK) SIGINT and SIGTERM in this thread."""
     previous = signal.pthread_sigmask(how, _STOP_SIGNALS)
     try:
@@ -123,7 +123,7 @@ def run_pool(function, calls: list[tuple], shared: tuple, whose: str,
     order = range(len(calls)) if order is None else order
     # SIGINT and SIGTERM wait while workers are forked and tracked, and again
     # while they are stopped, so an interrupt never strands a worker.
-    with _stop_signals(signal.SIG_BLOCK):
+    with stop_signals(signal.SIG_BLOCK):
         pool = ProcessPoolExecutor(
             worker_count(len(calls)),
             mp_context=multiprocessing.get_context("fork"),
@@ -134,7 +134,7 @@ def run_pool(function, calls: list[tuple], shared: tuple, whose: str,
             futures = [None] * len(calls)
             for i in order:
                 futures[i] = pool.submit(_call, function, calls[i])
-            with _stop_signals(signal.SIG_UNBLOCK):
+            with stop_signals(signal.SIG_UNBLOCK):
                 wait(futures, return_when=FIRST_EXCEPTION)
             for future in futures:
                 if future.done() and future.exception() is not None:

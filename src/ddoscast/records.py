@@ -12,21 +12,11 @@ and every value is in range; otherwise it parses the file. The stamp covers
 the body, so a changed byte anywhere is a stale sidecar. The sidecar is a
 cache: deleting it changes nothing but speed.
 
-``ingest_export`` makes both files from an export. A JSON array is cut into
-one part per worker, each cut at the first "}, {" (any JSON whitespace
-around the comma) at or after the part's share of the text. A part decodes
-as an array of its own: the first is the text up to its cut's "}" plus "]",
-the next "[" plus the text from the cut's "{". A cut inside a string leaves
-the part before it with an unterminated string, and a cut inside a nested
-value leaves it with more than one container open, so when every part
-decodes, every cut fell between two top-level elements and the parts'
-elements are exactly the array's. Each ``pool`` worker reads its own part
-in one pass: ``ingest._checked_rows`` decodes and checks it leniently, and
-each accepted row goes straight to its NDJSON line (``ingest._record_lines``)
-and to the four ``records.cols`` columns. A part builds no
-``RecordColumns``. Any other input is read in one part, in this process, by
-the same function. Whether the text is an array is ``ingest``'s decision,
-read from its ``_FIRST``: the format is decided in that module alone.
+``ingest_export`` makes both files from an export: ``ingest.export_parts``
+cuts it into one part per worker, and each ``pool`` worker reads its own
+part with ``ingest.ingest_part``. An export that is not cut is read in one
+part, in this process, by the same function. How an export is cut and read
+is ``ingest``'s alone; this module runs the parts and merges their results.
 
 This is a module of its own so that importing ``ingest`` to parse or
 generate records loads no process pool.
@@ -34,8 +24,8 @@ generate records loads no process pool.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
-import re
 from pathlib import Path
 
 import numpy as np
@@ -43,12 +33,11 @@ import numpy as np
 from . import pool
 from .errors import EmptyDatasetError, NotJsonError
 from .ingest import (
-    _FIRST,
     SUBCLASSES,
     ParseReport,
-    _checked_rows,
-    _record_lines,
     columns_in_bounds,
+    export_parts,
+    ingest_part,
     parse_records,
 )
 from .preprocess import RecordTable, enrich_all
@@ -92,12 +81,16 @@ def _load_sidecar(path: Path, digest: str) -> RecordTable | None:
     return RecordTable(codes, start, stop, max_bps)
 
 
-def records_files(chunks: list[bytes], table: RecordTable) -> dict:
-    """The records file whose NDJSON is the byte ``chunks`` of the records in ``table``."""
+def records_files(chunks: list[bytes], records) -> dict:
+    """The records file whose NDJSON is the byte ``chunks`` of ``records``.
+
+    ``records`` is any columns of them with ``subclass``, ``start``, ``stop``
+    and ``max_bps``: a ``RecordTable`` or ``ingest.RecordColumns``.
+    """
     digest = hashlib.sha256()
     for chunk in chunks:
         digest.update(chunk)
-    return {"records.ndjson": chunks, SIDECAR_NAME: _sidecar_bytes(table, digest.hexdigest())}
+    return {"records.ndjson": chunks, SIDECAR_NAME: _sidecar_bytes(records, digest.hexdigest())}
 
 
 def read_records(path: str, raw: bytes, digest: str) -> tuple[RecordTable, dict]:
@@ -120,44 +113,6 @@ def read_records(path: str, raw: bytes, digest: str) -> tuple[RecordTable, dict]
     return table, source
 
 
-_CUT = re.compile(r"\}[ \t\n\r]*,[ \t\n\r]*\{")
-
-
-def _part_bounds(text: str, parts: int) -> list[tuple[int, int]]:
-    """(start, stop) of each part of the array ``text``, cut at most ``parts - 1`` times."""
-    bounds, start = [], 0
-    for k in range(1, parts):
-        cut = _CUT.search(text, max(start, len(text) * k // parts))
-        if cut is None:
-            break
-        bounds.append((start, cut.start() + 1))
-        start = cut.end() - 1
-    bounds.append((start, len(text)))
-    return bounds
-
-
-def _ingest_part(text: str, start: int, stop: int):
-    """Check and serialize each entry of the part ``text[start:stop]`` of ``text``, in one pass.
-
-    Returns (NDJSON bytes, source columns, rejections): the columns are
-    subclass, start, stop and max_bps, and the rejections are located within
-    the part. Raises NotJsonError when the part does not decode.
-    """
-    kept, rejections = [], []  # kept: each accepted row's subclass, max_bps, start and stop, flat
-
-    def noted(rows):
-        for row in rows:
-            kept.extend(row[1:5])
-            yield row
-
-    # The part's text is not kept in a variable, so it is freed with the decoded entries.
-    head, tail = "[" if start else "", "]" if stop < len(text) else ""
-    rows = _checked_rows(head + text[start:stop] + tail, rejections)
-    ndjson = "".join(_record_lines(noted(rows), "\n")).encode()
-    subclass, max_bps, begin, end = np.array(kept, np.int64).reshape(-1, 4).T
-    return ndjson, (subclass.astype(np.uint8), begin, end, max_bps), rejections
-
-
 def ingest_export(text: str):
     """The records file of an export's decoded ``text``, and its lenient ParseReport.
 
@@ -166,25 +121,20 @@ def ingest_export(text: str):
     ``records_to_ndjson(records).encode()``, with records and report as
     ``parse_records`` would give them, and raises what it raises.
 
-    A JSON array is cut into one part per ``pool`` worker, and each worker
-    checks and serializes its own part. Rejection locations of a part are
-    shifted by the entries (accepted + rejected) of the parts before it. A
-    part that fails to decode raises NotJsonError through ``run_pool``,
-    which stops the other workers, and the whole text is then read in one
-    part, so a broken document raises the same NotJsonError as
-    ``parse_records``. Any other input, and any input on one worker, is read
-    in one part.
+    ``export_parts`` cuts a JSON array into one part per ``pool`` worker,
+    and each worker checks and serializes its own part (``ingest_part``).
+    Rejection locations of a part are shifted by the entries (accepted +
+    rejected) of the parts before it. A part that fails to decode raises
+    NotJsonError through ``run_pool``, which stops the other workers, and
+    the whole text is then read in one part, so a broken document raises
+    the same NotJsonError as ``parse_records``. Any other input, and any
+    input on one worker, is read in one part.
     """
-    if _FIRST.match(text)[1] == "[":
-        bounds = _part_bounds(text, pool.worker_count())
-        if len(bounds) > 1:
-            try:
-                parts = pool.run_pool(_ingest_part, bounds, (text,), "an ingest worker")
-            except NotJsonError:
-                pass
-            else:
-                return _merge_parts(parts)
-    return _merge_parts([_ingest_part(text, 0, len(text))])
+    bounds = export_parts(text, pool.worker_count())
+    if len(bounds) > 1:
+        with contextlib.suppress(NotJsonError):
+            return _merge_parts(pool.run_pool(ingest_part, bounds, (text,), "an ingest worker"))
+    return _merge_parts([ingest_part(text, 0, len(text))])
 
 
 def _merge_parts(parts: list):

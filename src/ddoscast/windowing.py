@@ -91,8 +91,6 @@ def normalization_stats(values, source: NormSource = NormSource.FULL_SERIES) -> 
     arr = np.asarray(values, dtype=np.float64)
     if source is NormSource.TRAIN_ONLY:
         arr = arr[: arr.size // 2]
-    if arr.size < 2:
-        raise TooFewValuesError("source slice shorter than 2 values")
     return NormalizationStats(
         sigma=std_dev(arr), mu=float(arr.sum() / arr.size), source=source
     )
@@ -129,9 +127,10 @@ def check_window_fits(n_values: int, window_size: int) -> None:
 
     W+1 values are the fewest that give a split one (window, next value)
     sample, so a window that passes yields samples in train, validation
-    and test alike.
+    and test alike. The validation split is the shortest: n // 5 against
+    n // 2 and at least 0.3 n.
     """
-    shortest = min(_split_sizes(n_values))
+    shortest = _split_sizes(n_values)[1]
     if shortest < window_size + 1:
         raise SeriesTooShortForWindowError(
             window_size,

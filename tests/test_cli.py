@@ -1,3 +1,4 @@
+import ast
 import base64
 import contextlib
 import dataclasses
@@ -12,6 +13,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 from types import SimpleNamespace
@@ -510,6 +512,19 @@ def test_readme_layout_lists_exactly_the_modules():
     listed = set(re.findall(r"^\| `(ddoscast\.\w+)`", section, flags=re.M))
     modules = {f"ddoscast.{path.stem}" for path in (root / "src" / "ddoscast").glob("*.py")}
     assert listed == modules - {"ddoscast.__init__"}
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # A leading underscore keeps a name, and the decision behind it, in its module.
+    imported = []
+    for path in sorted(Path(ddoscast.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "ddoscast"):
+                imported += [f"{path.name}: {alias.name} from {node.module}"
+                             for alias in node.names if alias.name.startswith("_")
+                             and not (alias.name.startswith("__") and alias.name.endswith("__"))]
+    assert imported == []
 
 
 @pytest.mark.parametrize(
@@ -1823,19 +1838,46 @@ def test_a_rerun_holds_exactly_the_new_files(tmp_path, older_ingest):
     assert hidden_entries(older_ingest) == []
 
 
-def test_an_interrupted_swap_puts_the_older_run_back(tmp_path, older_ingest, monkeypatch, capsys):
+def test_a_failed_swap_puts_the_older_run_back(tmp_path, older_ingest, monkeypatch, capsys):
     older = tree_bytes(older_ingest / "ingest-0")
     rename = Path.rename
 
-    def rename_interrupting_the_new_run(self, target):
+    def rename_failing_the_new_run(self, target):
         if Path(target) == older_ingest / "ingest-0" and not self.name.endswith(".old"):
-            raise KeyboardInterrupt
+            raise OSError(28, "No space left on device")
         return rename(self, target)
 
-    monkeypatch.setattr(Path, "rename", rename_interrupting_the_new_run)
-    assert run(["ingest", other_export(tmp_path), "--out", older_ingest]) == 130
+    monkeypatch.setattr(Path, "rename", rename_failing_the_new_run)
+    capsys.readouterr()
+    assert run(["ingest", other_export(tmp_path), "--out", older_ingest]) == 1
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
     assert tree_bytes(older_ingest / "ingest-0") == older
     assert hidden_entries(older_ingest) == []
+
+
+def assert_published(out: Path, fresh: Path) -> None:
+    """``out`` holds the ingest run that ``fresh`` holds, and no hidden entry."""
+    published, want = tree_bytes(out / "ingest-0"), tree_bytes(fresh / "ingest-0")
+    assert json.loads(published.pop("manifest.json"))["out_dir"] == str(out / "ingest-0")
+    assert published == {name: data for name, data in want.items() if name != "manifest.json"}
+    assert hidden_entries(out) == []
+
+
+def test_a_stop_during_the_swap_waits_for_the_removal(tmp_path, older_ingest, monkeypatch, capsys):
+    export = other_export(tmp_path)
+    assert run(["ingest", export, "--out", tmp_path / "fresh"]) == 0
+    rename = Path.rename
+
+    def rename_interrupted(self, target):
+        if Path(target) == older_ingest / "ingest-0" and not self.name.endswith(".old"):
+            signal.pthread_kill(threading.get_ident(), signal.SIGINT)
+        return rename(self, target)
+
+    monkeypatch.setattr(Path, "rename", rename_interrupted)
+    capsys.readouterr()
+    assert run(["ingest", export, "--out", older_ingest]) == 130
+    assert capsys.readouterr() == ("", "error: interrupted\n")
+    assert_published(older_ingest, tmp_path / "fresh")
 
 
 @pytest.mark.parametrize("kind", ["symlink", "dangling symlink", "file"])
@@ -1877,10 +1919,7 @@ def test_a_run_published_during_the_swap_is_the_older_run(tmp_path, older_ingest
     monkeypatch.setattr(Path, "rename", rename_after_a_racer_publishes)
     assert run(["ingest", other_export(tmp_path), "--out", older_ingest]) == 0
     assert published
-    rerun, want = tree_bytes(run_dir), tree_bytes(fresh / "ingest-0")
-    assert json.loads(rerun.pop("manifest.json"))["out_dir"] == str(run_dir)
-    assert rerun == {name: data for name, data in want.items() if name != "manifest.json"}
-    assert hidden_entries(older_ingest) == []
+    assert_published(older_ingest, fresh)
 
 
 def test_a_hidden_entry_of_the_run_name_is_left_alone(tmp_path, records_file):
@@ -1947,3 +1986,39 @@ def test_sigterm_while_writing_leaves_the_older_run_as_it_was(tmp_path, records_
     assert (proc.returncode, err) == (143, "")
     assert tree_bytes(out / f"{command}-0") == older
     assert hidden_entries(out) == []
+
+
+# Runs ``python -m ddoscast.cli`` with the removal of its hidden sibling
+# stalled, so the test can signal the command after it published its run.
+STALLED_REMOVAL = """
+import runpy, shutil, time
+
+rmtree = shutil.rmtree
+
+def stalled_rmtree(*args, **kwargs):
+    print("removing", flush=True)
+    time.sleep(2)
+    return rmtree(*args, **kwargs)
+
+shutil.rmtree = stalled_rmtree
+runpy.run_module("ddoscast.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_sigterm_while_removing_the_older_run_waits_for_the_removal(tmp_path, older_ingest):
+    export = other_export(tmp_path)
+    assert run(["ingest", export, "--out", tmp_path / "fresh"]) == 0
+    proc = subprocess.Popen(
+        [sys.executable, "-c", STALLED_REMOVAL, "ingest", str(export), "--out", str(older_ingest)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=cli_env(),
+    )
+    try:
+        assert proc.stdout.readline() == "removing\n", proc.communicate()
+        proc.send_signal(signal.SIGTERM)
+        _out, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert (proc.returncode, err) == (143, "")
+    assert_published(older_ingest, tmp_path / "fresh")

@@ -1,7 +1,11 @@
 """tools/code_lines.py: the code-line count that simplicity changes cite."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
 
@@ -39,3 +43,13 @@ def test_counts_code_lines_by_hand():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert module.code_lines(SNIPPET) == 10
+
+
+@pytest.mark.parametrize("where", ["a module", "a missing path", "a directory of no .py file"])
+def test_a_path_that_holds_no_package_exits_two(tmp_path, where):
+    # A "0 total" for such a path would read as a count of code lines.
+    path = {"a module": TOOL, "a missing path": tmp_path / "missing",
+            "a directory of no .py file": tmp_path}[where]
+    proc = subprocess.run([sys.executable, str(TOOL), str(path)], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: {path} is not a directory holding .py files\n"

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import HUGE_INT, record_obj
-from ddoscast import pool, records
+from ddoscast import ingest, pool, records
 from ddoscast.cli import main
 from ddoscast.errors import DdoscastError
 from ddoscast.ingest import parse_records, records_to_ndjson
@@ -181,7 +181,7 @@ def cut_inside(value_text: str, cut: int, parts: int) -> bytes:
     for before in range(COUNT):
         text = export_of([VALID] * before + [special] + [VALID] * (COUNT - before)).decode()
         lo = text.index(value_text)
-        stop = records._part_bounds(text, parts)[cut - 1][1]
+        stop = ingest.export_parts(text, parts)[cut - 1][1]
         if lo < stop < lo + len(value_text):
             return text.encode()
     raise AssertionError("no layout puts the cut inside the value")
@@ -282,7 +282,7 @@ def test_a_strict_violation_waits_for_every_part_to_decode():
 
 def test_a_single_element_array_is_one_part():
     export = export_of([VALID])
-    assert records._part_bounds(export.decode(), 2) == [(0, len(export))]
+    assert ingest.export_parts(export.decode(), 2) == [(0, len(export))]
     assert ingest_outcome(export, False, 2)[3]
 
 
@@ -292,14 +292,14 @@ def test_the_workers_share_the_decoded_text():
             mock.patch.object(pool, "run_pool", wraps=pool.run_pool) as run_pool:
         records.ingest_export(text)
     function, _calls, shared, _whose = run_pool.call_args.args
-    assert function is records._ingest_part and shared[0] is text
+    assert function is ingest.ingest_part and shared[0] is text
 
 
 def test_only_json_whitespace_separates_the_elements_at_a_cut():
     # Where the cut would fall, the comma has a vertical tab after it: not JSON
     # whitespace, so that array is broken and must not be cut there.
     text = export_of([VALID] * COUNT).decode()
-    stop = records._part_bounds(text, 2)[0][1]
+    stop = ingest.export_parts(text, 2)[0][1]
     assert text[stop:stop + 3] == ", {"
     export = (text[:stop] + ",\x0b" + text[stop + 2:]).encode()
     code, err, _files = assert_same_for_any_worker_count(export, False)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from ddoscast.errors import (
     DegenerateSigmaError,
+    InvalidConfigError,
     SeriesTooShortError,
     SeriesTooShortForWindowError,
     TooFewValuesError,
@@ -114,6 +115,11 @@ class TestMakeWindows:
 
     def test_boundary_zero_samples(self):
         assert len(make_windows(np.arange(8.0), 8)) == 0
+
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_window_below_one_is_refused(self, window):
+        with pytest.raises(InvalidConfigError, match="window_size must be >= 1"):
+            make_windows(np.arange(30.0), window)
 
     def test_index_enumeration(self):
         ws = make_windows(np.arange(10.0), 8)

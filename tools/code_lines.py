@@ -5,6 +5,9 @@ or indentation. Lines that are only part of a module, class or function
 docstring are not counted. Run from the repository root:
 
     python tools/code_lines.py [package directory]
+
+A path that is not a directory holding .py files exits 2 with one
+``error:`` line.
 """
 
 from __future__ import annotations
@@ -41,8 +44,13 @@ def code_lines(source: str) -> int:
 
 def main(argv: list[str]) -> int:
     package = Path(argv[1] if len(argv) > 1 else "src/ddoscast")
+    paths = sorted(package.glob("*.py"))
+    if not paths:
+        # A count of 0 would read as a claim about the code.
+        print(f"error: {package} is not a directory holding .py files", file=sys.stderr)
+        return 2
     total = 0
-    for path in sorted(package.glob("*.py")):
+    for path in paths:
         count = code_lines(path.read_text(encoding="utf-8"))
         total += count
         print(f"{count:6d}  {path.name}")
