@@ -32,12 +32,15 @@ Neither loads a process pool; ``records.ingest_export`` runs the parts.
 
 from __future__ import annotations
 
+import array
+import bisect
 import contextlib
 import datetime as dt
 import enum
 import gc
 import itertools
 import json
+import math
 import random
 import re
 from collections.abc import Sequence
@@ -126,6 +129,10 @@ class AttackRecord:
     src_ports: tuple[int, ...] | None = None
 
 
+# dtypes of the array columns of RecordColumns, in field order
+_DTYPES = (np.uint8, np.uint8, np.int64, np.int64, np.int64)
+
+
 @dataclass(frozen=True, eq=False)
 class RecordColumns(Sequence):
     """Records as parallel columns: what parsing and ``generate_synthetic`` return.
@@ -150,11 +157,8 @@ class RecordColumns(Sequence):
 
     @classmethod
     def from_lists(cls, columns) -> "RecordColumns":
-        """Columns from one list per field, in field order, codes in place of the enums."""
-        arrays = [
-            np.array(values, dtype)
-            for values, dtype in zip(columns, (np.uint8, np.uint8, np.int64, np.int64, np.int64))
-        ]
+        """Columns from one sequence per field, in field order, codes in place of the enums."""
+        arrays = [np.array(values, dtype) for values, dtype in zip(columns, _DTYPES)]
         for array in arrays:
             array.flags.writeable = False
         return cls(*arrays, *map(tuple, columns[5:]))
@@ -175,17 +179,10 @@ class RecordColumns(Sequence):
         return self.start.size
 
     def __getitem__(self, index: int) -> AttackRecord:
-        return AttackRecord(
-            attack_class=ATTACK_CLASSES[self.attack_class[index]],
-            subclass=SUBCLASSES[self.subclass[index]],
-            max_bps=int(self.max_bps[index]),
-            start=int(self.start[index]),
-            stop=int(self.stop[index]),
-            dst_cc=self.dst_cc[index],
-            src_cc=self.src_cc[index],
-            dst_ports=self.dst_ports[index],
-            src_ports=self.src_ports[index],
-        )
+        return _record((ATTACK_CLASSES[self.attack_class[index]], SUBCLASSES[self.subclass[index]],
+                        int(self.max_bps[index]), int(self.start[index]), int(self.stop[index]),
+                        self.dst_cc[index], self.src_cc[index], self.dst_ports[index],
+                        self.src_ports[index]))
 
     def rows(self):
         """Each record's row of column values, as ``_check_entry`` gives it.
@@ -197,8 +194,14 @@ class RecordColumns(Sequence):
                    self.dst_cc, self.src_cc, self.dst_ports, self.src_ports)
 
     def __iter__(self):
-        return (AttackRecord(ATTACK_CLASSES[attack_class], SUBCLASSES[subclass], *rest)
-                for attack_class, subclass, *rest in self.rows())
+        new = object.__new__  # each record as _record builds it, without a call per record
+        for values in zip(map(ATTACK_CLASSES.__getitem__, self.attack_class.tolist()),
+                          map(SUBCLASSES.__getitem__, self.subclass.tolist()),
+                          self.max_bps.tolist(), self.start.tolist(), self.stop.tolist(),
+                          self.dst_cc, self.src_cc, self.dst_ports, self.src_ports):
+            record = new(AttackRecord)
+            record.__dict__.update(zip(_FIELDS, values))
+            yield record
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
@@ -206,7 +209,20 @@ class RecordColumns(Sequence):
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
-_FIELDS = tuple(f.name for f in fields(RecordColumns))
+_FIELDS = tuple(f.name for f in fields(RecordColumns))  # AttackRecord's, in the same order
+
+
+def _record(values) -> AttackRecord:
+    """The AttackRecord of its field values, in field order.
+
+    The values go into the new record's ``__dict__`` in one update, not
+    through the nine ``object.__setattr__`` calls of a frozen dataclass's
+    ``__init__``. The record is the same: it compares, hashes and refuses
+    assignment as a constructed one does.
+    """
+    record = object.__new__(AttackRecord)
+    record.__dict__.update(zip(_FIELDS, values))
+    return record
 
 
 @dataclass
@@ -229,7 +245,7 @@ class SyntheticSpec:
 
     ``start_date``/``end_date`` are inclusive UTC dates; the range must not
     be empty or start before 1970-01-01. Weights, when given, must be
-    non-negative and not all zero.
+    non-negative, not NaN and not all zero, with a finite total.
     """
 
     record_count: int
@@ -246,10 +262,20 @@ class SyntheticSpec:
                 f"end_date {self.end_date} before start_date {self.start_date}"
             )
         weights = self.subclass_weights
-        if weights is not None and any(w < 0 for w in weights.values()):
-            raise AllZeroWeightsError("negative subclass weight")
-        if weights is not None and not any(weights.get(sub, 0.0) > 0 for sub in Subclass):
-            raise AllZeroWeightsError("all subclass weights are zero")
+        if weights is not None:
+            if any(w != w for w in weights.values()):
+                raise InvalidConfigError("a subclass weight is NaN")
+            if any(w < 0 for w in weights.values()):
+                raise AllZeroWeightsError("negative subclass weight")
+            if not any(weights.get(sub, 0.0) > 0 for sub in Subclass):
+                raise AllZeroWeightsError("all subclass weights are zero")
+            total = _subclass_draws(weights)[1][-1]
+            try:
+                finite = math.isfinite(total)
+            except OverflowError:  # an int total beyond the largest float
+                finite = False
+            if not finite:
+                raise InvalidConfigError(f"subclass weights must have a finite total, got {total}")
         if self.start_date < _UNIX_EPOCH:
             raise InvalidConfigError(
                 f"start_date {self.start_date} is before 1970-01-01, the first second a record "
@@ -623,6 +649,39 @@ _DURATION_LOG_MEAN, _DURATION_LOG_SIGMA = 7.0, 1.5
 _BPS_LOG_MEAN, _BPS_LOG_SIGMA = 22.0, 2.0
 
 
+# Kinderman and Monahan's ratio-of-uniforms constant, as random.normalvariate computes it
+_KM_MAGIC = 4 * math.exp(-0.5) / math.sqrt(2.0)
+# Rank of each subclass code by subclass name: the records' second sort key.
+_NAME_RANK = np.argsort(np.argsort([sub.value for sub in SUBCLASSES])).astype(np.uint8)
+_PORTS = 65536
+
+
+def _subclass_draws(weights) -> tuple[list[int], list]:
+    """(population, cum_weights): the subclass codes of positive weight and their running total.
+
+    ``random.choices(population, weights=...)`` builds the same running
+    total, so a draw from these picks the same subclass.
+    """
+    weights = weights or {sub: 1.0 for sub in Subclass}  # the spec refuses {}
+    population = [code for code, sub in enumerate(SUBCLASSES) if weights.get(sub, 0.0) > 0]
+    return population, list(itertools.accumulate(weights[SUBCLASSES[code]] for code in population))
+
+
+def _lognormal(draw, mu: float, sigma: float) -> float:
+    """``random.Random.lognormvariate(mu, sigma)`` of the generator whose ``random`` is ``draw``.
+
+    The Kinderman-Monahan loop of ``normalvariate`` (ACM TOMS 3, 1977),
+    taking the same uniforms from the stream and doing the same float
+    operations, then ``exp``.
+    """
+    while True:
+        u1 = draw()
+        u2 = 1.0 - draw()
+        z = _KM_MAGIC * (u1 - 0.5) / u2
+        if z * z / 4.0 <= -math.log(u2):
+            return math.exp(mu + z * sigma)
+
+
 def generate_synthetic(spec: SyntheticSpec) -> RecordColumns:
     """Deterministic synthetic record set for a SyntheticSpec, as columns.
 
@@ -630,32 +689,81 @@ def generate_synthetic(spec: SyntheticSpec) -> RecordColumns:
     (random.Random only). All timestamps fall inside the spec's date range.
     Records are sorted by start, then by subclass name, and a tie keeps
     draw order.
+
+    Each field is appended straight to its own column, and one stable
+    lexsort orders the columns. The draws are those of ``random.Random``'s
+    ``choices``, ``randrange``, ``lognormvariate``, ``random``, ``choice``,
+    ``sample`` and ``randint``, written out as the same calls to
+    ``random()`` and ``getrandbits()`` that those methods make: a weighted
+    choice is one ``random()`` and a bisect, and a number below n is
+    ``getrandbits(n.bit_length())`` drawn again until it is below n.
     """
-    weights = spec.subclass_weights or {sub: 1.0 for sub in Subclass}  # the spec refuses {}
-    population = [code for code, sub in enumerate(SUBCLASSES) if weights.get(sub, 0.0) > 0]
-    # What random.choices builds from weights= on every call, so the draws are the same.
-    cum_weights = list(itertools.accumulate(weights[SUBCLASSES[code]] for code in population))
+    population, cum_weights = _subclass_draws(spec.subclass_weights)
+    total, last_pick = cum_weights[-1] + 0.0, len(population) - 1
     misuse, detector = map(ATTACK_CLASSES.index, (AttackClass.MISUSE, AttackClass.DETECTOR))
-    names = [sub.value for sub in SUBCLASSES]
     # Day arithmetic, not datetimes: end_date + 1 day overflows datetime at
     # 9999-12-31, whose last second is MAX_UNIX_SECONDS.
     epoch_lo = (spec.start_date - _UNIX_EPOCH).days * _SECONDS_PER_DAY
     epoch_hi = ((spec.end_date - _UNIX_EPOCH).days + 1) * _SECONDS_PER_DAY
+    span = epoch_hi - epoch_lo
+    span_bits, port_bits = span.bit_length(), _PORTS.bit_length()
+    # sample(k <= 3) draws below 10, 9 and 8, all four bits, as choice draws below 10
+    n_countries = len(_COUNTRIES)
+    country_bits = n_countries.bit_length()
+    lognormal, pick = _lognormal, bisect.bisect_right
 
     rng = random.Random(spec.seed)
-    rows = []
-    for _ in range(spec.record_count):
-        subclass = rng.choices(population, cum_weights=cum_weights)[0]
-        start = rng.randrange(epoch_lo, epoch_hi)
-        duration = int(rng.lognormvariate(_DURATION_LOG_MEAN, _DURATION_LOG_SIGMA))
-        stop = min(start + duration, epoch_hi - 1)
-        max_bps = int(rng.lognormvariate(_BPS_LOG_MEAN, _BPS_LOG_SIGMA))
-        attack_class = misuse if rng.random() < 0.8 else detector
-        dst_cc = (rng.choice(_COUNTRIES),) if rng.random() < 0.5 else None
-        src_cc = tuple(rng.sample(_COUNTRIES, k=rng.randint(1, 3))) if rng.random() < 0.5 else None
-        dst_ports = (rng.randint(0, 65535),) if rng.random() < 0.3 else None
-        src_ports = (rng.randint(0, 65535),) if rng.random() < 0.3 else None
-        rows.append((attack_class, subclass, max_bps, start, stop,
-                     dst_cc, src_cc, dst_ports, src_ports))
-    rows.sort(key=lambda row: (row[3], names[row[1]]))
-    return RecordColumns.from_lists(list(zip(*rows)))
+    draw, bits = rng.random, rng.getrandbits
+    # The five array columns take each value as it is drawn, so no int object outlives its draw.
+    columns = [*(array.array(code) for code in "BBqqq"), [], [], [], []]
+    (add_class, add_subclass, add_max_bps, add_start, add_stop,
+     add_dst_cc, add_src_cc, add_dst_ports, add_src_ports) = (column.append for column in columns)
+    with _cycle_collector_paused():
+        for _ in range(spec.record_count):
+            add_subclass(population[pick(cum_weights, draw() * total, 0, last_pick)])
+            offset = bits(span_bits)
+            while offset >= span:
+                offset = bits(span_bits)
+            start = epoch_lo + offset
+            add_start(start)
+            add_stop(min(start + int(lognormal(draw, _DURATION_LOG_MEAN, _DURATION_LOG_SIGMA)),
+                         epoch_hi - 1))
+            add_max_bps(int(lognormal(draw, _BPS_LOG_MEAN, _BPS_LOG_SIGMA)))
+            add_class(misuse if draw() < 0.8 else detector)
+            if draw() < 0.5:
+                j = bits(country_bits)
+                while j >= n_countries:
+                    j = bits(country_bits)
+                add_dst_cc((_COUNTRIES[j],))
+            else:
+                add_dst_cc(None)
+            if draw() < 0.5:
+                k = bits(2)
+                while k >= 3:
+                    k = bits(2)
+                k += 1  # randint(1, 3)
+                pool, picked = list(_COUNTRIES), []  # sample's pool method
+                for top in range(n_countries - 1, n_countries - 1 - k, -1):
+                    j = bits(country_bits)
+                    while j > top:
+                        j = bits(country_bits)
+                    picked.append(pool[j])
+                    pool[j] = pool[top]
+                add_src_cc(tuple(picked))
+            else:
+                add_src_cc(None)
+            for add_ports in (add_dst_ports, add_src_ports):
+                if draw() < 0.3:
+                    port = bits(port_bits)
+                    while port >= _PORTS:
+                        port = bits(port_bits)
+                    add_ports((port,))
+                else:
+                    add_ports(None)
+
+    arrays = [np.array(values, dtype) for values, dtype in zip(columns, _DTYPES)]
+    order = np.lexsort((_NAME_RANK[arrays[1]], arrays[3]))  # stable: a tie keeps draw order
+    positions = order.tolist()
+    return RecordColumns.from_lists([*(column[order] for column in arrays),
+                                     *(tuple(map(values.__getitem__, positions))
+                                       for values in columns[5:])])

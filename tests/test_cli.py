@@ -1087,7 +1087,7 @@ def test_synthetic_ingest_writes_what_parsing_its_records_gives(tmp_path, seed):
 @pytest.mark.parametrize("draw", [1e19, math.inf])  # int() of inf raises OverflowError too
 def test_out_of_range_synthetic_draw_exits_two(tmp_path, capsys, monkeypatch, draw):
     # every duration and max_bps draw; a max_bps of 1e19 does not fit int64
-    monkeypatch.setattr(random.Random, "lognormvariate", lambda self, mu, sigma: draw)
+    monkeypatch.setattr("ddoscast.ingest._lognormal", lambda *args: draw)
     assert run(["ingest", "--synthetic", "--count", 3, "--out", tmp_path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: a synthetic record") and err.count("\n") == 1

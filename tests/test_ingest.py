@@ -1,5 +1,7 @@
 import contextlib
+import dataclasses
 import datetime as dt
+import gc
 import json
 import random
 
@@ -297,6 +299,33 @@ def test_generate_errors():
         )
 
 
+@pytest.mark.parametrize("weights", [
+    pytest.param({Subclass.ICMP: float("nan"), Subclass.TCP_SYN: 1.0}, id="nan"),
+    pytest.param({Subclass.ICMP: float("inf"), Subclass.TCP_SYN: 1.0}, id="infinite"),
+    pytest.param({Subclass.ICMP: 1e308, Subclass.TCP_SYN: 1e308}, id="total-overflows"),
+    pytest.param({Subclass.ICMP: 10**400}, id="int-beyond-float"),
+])
+def test_a_weight_set_without_a_finite_total_is_refused(weights):
+    with pytest.raises(InvalidConfigError) as caught:
+        SyntheticSpec(record_count=1, subclass_weights=weights)
+    assert caught.value.exit_code == 2
+
+
+@pytest.mark.parametrize("draw", [None, 1e19])  # 1e19: a max_bps beyond int64
+@pytest.mark.parametrize("enabled", [True, False])
+def test_generation_leaves_the_cycle_collector_as_it_was(monkeypatch, enabled, draw):
+    if draw is not None:
+        monkeypatch.setattr(ingest, "_lognormal", lambda *args: draw)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with pytest.raises(OverflowError) if draw else contextlib.nullcontext():
+            generate_synthetic(SyntheticSpec(record_count=50, seed=1))
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
 ORACLE_SPECS = [
     *(pytest.param(SyntheticSpec(record_count=count, seed=seed), id=f"seed{seed}-n{count}")
       for seed in (0, 1, 7) for count in (1, 2, 1000)),
@@ -325,6 +354,20 @@ def test_generator_matches_per_record_oracle(spec):
         else:
             assert getattr(got, name) == column, name
     assert records_to_json(got) == records_to_json(expected)
+
+
+@pytest.mark.parametrize("spec", [p for p in ORACLE_SPECS if p.values[0].record_count <= 1000])
+def test_column_records_are_constructed_records(spec):
+    columns = generate_synthetic(spec)
+    records = list(columns)
+    assert records == [columns[i] for i in range(len(columns))] == oracle_generate(spec)
+    for record in records:
+        built = AttackRecord(**vars(record))
+        assert type(record) is AttackRecord and vars(record) == vars(built)
+        assert hash(record) == hash(built)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.max_bps = 0
+        assert dataclasses.replace(record, max_bps=1) == dataclasses.replace(built, max_bps=1)
 
 
 def test_round_trip_both_formats(synthetic_1000):
