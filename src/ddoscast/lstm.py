@@ -526,13 +526,24 @@ def predict_series(
 # --- checkpointing ----------------------------------------------------------
 
 
+def _v1_shapes(h: int) -> dict[str, tuple[int, ...]]:
+    """The shape of each of the 14 blocks that checkpoint format v1 names, in vector order.
+
+    W, U and b hold one block per gate, i/f/o/g; wy and by follow.
+    """
+    return ({kind + gate: shape for kind, shape in (("w", (h,)), ("u", (h, h)), ("b", (h,)))
+             for gate in "ifog"}
+            | {"wy": (h,), "by": (1,)})
+
+
 def _v1_blocks(params: LstmParams) -> dict[str, np.ndarray]:
     """Views of the 14 blocks that checkpoint format v1 names, in vector order."""
-    h = params.hidden_size
-    stacked = (params.W.reshape(4, h), params.U.reshape(4, h, h), params.b.reshape(4, h))
-    blocks = {kind + gate: view[k] for kind, view in zip("wub", stacked)
-              for k, gate in enumerate("ifog")}
-    return blocks | {"wy": params.wy, "by": params.by}
+    blocks, lo = {}, 0
+    for name, shape in _v1_shapes(params.hidden_size).items():
+        hi = lo + math.prod(shape)
+        blocks[name] = params.flat[lo:hi].reshape(shape)
+        lo = hi
+    return blocks
 
 
 def _encode_params(params: LstmParams) -> dict:
@@ -542,19 +553,23 @@ def _encode_params(params: LstmParams) -> dict:
 
 
 def _decode_params(encoded: dict, hidden_size: int) -> LstmParams:
-    """Write the 14 v1 blocks into one vector; each needs its H-derived shape and finite values."""
-    params = LstmParams.zeros(hidden_size)
-    for name, block in _v1_blocks(params).items():
+    """Join the 14 v1 blocks into one vector; each needs its H-derived shape and finite values.
+
+    Every block is checked before the vector is allocated, so a checkpoint
+    whose hidden size was edited up is refused, not a cause of MemoryError.
+    """
+    blocks = []
+    for name, shape in _v1_shapes(hidden_size).items():
         obj = encoded[name]
-        if obj["shape"] != list(block.shape):
+        if obj["shape"] != list(shape):
             raise CorruptCheckpointError(
-                f"block {name} has shape {obj['shape']!r}, expected {block.shape}")
+                f"block {name} has shape {obj['shape']!r}, expected {shape}")
         raw = base64.b64decode(obj["data"], validate=True)  # TypeError unless str or bytes
         values = np.frombuffer(raw, dtype="<f8")
         if not np.isfinite(values).all():  # train raises on divergence before it saves
             raise CorruptCheckpointError(f"block {name} holds a value that is not finite")
-        block[...] = values.reshape(block.shape)
-    return params
+        blocks.append(values.reshape(shape))  # ValueError unless the data fills the shape
+    return LstmParams(np.concatenate(blocks, axis=None, dtype=np.float64), hidden_size)
 
 
 def save_checkpoint(

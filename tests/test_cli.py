@@ -1503,6 +1503,12 @@ def first_value_set(doc: dict, group: str, block: str, value: float) -> dict:
     return doc
 
 
+def config_set(doc: dict, **values) -> dict:
+    """``doc`` with its ``config`` fields ``values`` set."""
+    doc["config"].update(values)
+    return doc
+
+
 def write(path: Path, data) -> Path:
     path.write_bytes(data if isinstance(data, bytes) else json.dumps(data).encode())
     return path
@@ -1552,6 +1558,9 @@ FAILING_RUNS = {
         "grid", records, "--windows", 4000, "--hiddens", 2, "--epochs", 1]),
     "forecast a corrupt checkpoint": (6, lambda tmp, records: [
         "forecast", write(tmp / "checkpoint.json", b"{truncated"), records]),
+    "forecast a checkpoint whose hidden size was edited up": (6, lambda tmp, records: [
+        "forecast", write(tmp / "checkpoint.json", config_set(checkpoint_doc(), hidden_size=10**6)),
+        records]),
     "forecast a one-day series": (4, lambda tmp, records: [
         "forecast", write(tmp / "checkpoint.json", checkpoint_doc()), one_day_records(tmp)]),
     "forecast a prediction past float64 once multiplied by sigma": (1, lambda tmp, records: [

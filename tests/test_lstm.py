@@ -6,6 +6,7 @@ import math
 import os
 import threading
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -800,6 +801,19 @@ def test_one_edited_checkpoint_field_loads_or_is_refused(path, value):
         load_checkpoint(json.dumps(doc).encode())
     except (CorruptCheckpointError, VersionMismatchError):
         pass
+
+
+def test_a_hidden_size_edited_up_is_refused_before_the_vector_is_allocated():
+    doc = copy.deepcopy(SMALL_CHECKPOINT)
+    doc["config"]["hidden_size"] = 10**6  # a vector of 4e12 float64s
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptCheckpointError, match=r"block wi has shape \[2\]"):
+            load_checkpoint(json.dumps(doc).encode())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # Written by ddoscast at commit c0cc8aa, when LstmParams held 14 separate

@@ -7,14 +7,18 @@ package (a checkout's ``src``). PARENT_SRC's ``generate_synthetic`` and
 ``records_to_json`` write one JSON-array export of N records (seed 0,
 2013-06-01..2020-12-31), with three malformed entries in front: a
 non-object, a record without ``stop`` and one that stops before it starts.
-Each tree then runs, each command in a fresh ``python -m ddoscast.cli``
-process with that tree first on PYTHONPATH:
+The same entries are also written as a non-canonical export: compact
+separators, keys unsorted, squashed subclass names ("UDPMisuse") and every
+absent optional member as ``null``, so no record is in the form ingest
+writes. Each tree then runs, each command in a fresh
+``python -m ddoscast.cli`` process with that tree first on PYTHONPATH:
 
     ingest, analyze, train --epochs 3, forecast,
     grid --epochs 1 --windows 8,24 --hiddens 16,32,
     ingest of the first ingest's records.ndjson, into ndjson/,
     train --window 8 --hidden 8 --epochs 2, forecast of that checkpoint
-    and grid --windows 4,8 --hiddens 4 --epochs 1, into options/
+    and grid --windows 4,8 --hiddens 4 --epochs 1, into options/,
+    ingest of the non-canonical export, into noncanonical/
 
 The NDJSON ingest parses in one part, in its own process. The options/
 runs give every series and fitting option a value other than its default
@@ -23,8 +27,8 @@ runs give every series and fitting option a value other than its default
 checkpoint), so a value dropped on its way to the model changes a file.
 Every output file but ``manifest.json`` is compared byte for byte, and
 ``grid.csv`` without its ``wall_ms`` column. One verdict is printed per
-file. The exit code is 0 only if every command exited 0 in both trees and
-every file is the same.
+file, 25 in all. The exit code is 0 only if every command exited 0 in both
+trees and every file is the same.
 """
 
 from __future__ import annotations
@@ -46,9 +50,16 @@ spec = SyntheticSpec(record_count=int(sys.argv[2]), start_date=dt.date(2013, 6, 
 malformed = ["not an object",
              {"attack_class": "Misuse", "subclass": "ICMP", "max_bps": 1, "start": 1},
              {"attack_class": "Misuse", "subclass": "ICMP", "max_bps": 1, "start": 9, "stop": 2}]
-text = records_to_json(generate_synthetic(spec))
+records = generate_synthetic(spec)
+text = records_to_json(records)
 with open(sys.argv[1], "w") as fh:
     fh.write("[" + ", ".join(map(json.dumps, malformed)) + ", " + text[1:])
+noncanonical = [{"subclass": r.subclass.value, "attack_class": r.attack_class.value,
+                 "start": r.start, "stop": r.stop, "max_bps": r.max_bps, "dst_cc": r.dst_cc,
+                 "src_cc": r.src_cc, "dst_ports": r.dst_ports, "src_ports": r.src_ports}
+                for r in records]
+with open(sys.argv[3], "w") as fh:
+    json.dump(malformed + noncanonical, fh, separators=(",", ":"))
 """
 
 
@@ -56,7 +67,7 @@ _OPTIONS = ["--subclass", "ICMP", "--metric", "max_gbps", "--norm-source", "trai
             "--learning-rate", "0.001", "--batch-size", "16"]
 
 
-def _commands(export: Path, out: Path) -> list[list[str]]:
+def _commands(export: Path, noncanonical: Path, out: Path) -> list[list[str]]:
     records = str(out / "ingest-0" / "records.ndjson")
     common = ["--out", str(out), "--seed", "0"]
     in_options = ["--out", str(out / "options"), "--seed", "0"]
@@ -72,6 +83,7 @@ def _commands(export: Path, out: Path) -> list[list[str]]:
         ["forecast", str(out / "options" / "train-0" / "checkpoint.json"), records, *in_options],
         ["grid", records, "--windows", "4,8", "--hiddens", "4", "--epochs", "1", *_OPTIONS,
          *in_options],
+        ["ingest", str(noncanonical), "--out", str(out / "noncanonical"), "--seed", "0"],
     ]
 
 
@@ -117,15 +129,16 @@ def main(argv: list[str] | None = None) -> int:
     ok = True
     with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
         root = Path(tmp)
-        export = root / "export.json"
-        made = _run(args.parent_src.resolve(), ["-c", _EXPORT, str(export), str(args.records)])
+        export, noncanonical = root / "export.json", root / "noncanonical.json"
+        made = _run(args.parent_src.resolve(),
+                    ["-c", _EXPORT, str(export), str(args.records), str(noncanonical)])
         if made.returncode != 0:
             print(f"export: exited {made.returncode}\n{made.stderr}", end="")
             return 1
         outs = {}
         for side, src in (("parent", args.parent_src), ("change", args.change_src)):
             outs[side] = root / side
-            for command in _commands(export, outs[side]):
+            for command in _commands(export, noncanonical, outs[side]):
                 done = _run(src.resolve(), ["-m", "ddoscast.cli", *command])
                 if done.returncode != 0:
                     print(f"{side} {command[0]}: exited {done.returncode}: {done.stderr.strip()}")
