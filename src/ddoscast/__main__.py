@@ -2,20 +2,33 @@
 
 ``python -m ddoscast.cli`` runs the same ``prologue`` from its first lines,
 and the same ``unwind_on_stop`` once its imports are done. This module
-imports only ``os``, ``signal`` and ``sys``, so the prologue runs before
-numpy or any other part of ddoscast is loaded.
+imports only ``contextlib``, ``os``, ``signal`` and ``sys``, so the
+prologue runs before numpy or any other part of ddoscast is loaded.
 
 SIGINT and SIGTERM are the two stop signals, and every command handles
 them the same way: exit 130 after one ``error: interrupted`` line on
-stderr, or exit 143 with nothing on stderr.
+stderr, or exit 143 with nothing on stderr. ``stop_signals`` holds them
+back where a command must not be stopped halfway: while ``cli`` swaps a
+finished run into place, and while ``pool`` forks or stops its workers.
 """
 
+import contextlib
 import os
 import signal
 import sys
 
 # What a stop signal prints on stderr before the command exits 128 + signum.
 _STOP_LINES = {signal.SIGINT: b"error: interrupted\n", signal.SIGTERM: b""}
+
+
+@contextlib.contextmanager
+def stop_signals(how: int):
+    """Block (SIG_BLOCK) or let in (SIG_UNBLOCK) SIGINT and SIGTERM in this thread."""
+    previous = signal.pthread_sigmask(how, _STOP_LINES)
+    try:
+        yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, previous)
 
 
 def _stopped_at_startup(signum, _frame):

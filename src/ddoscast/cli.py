@@ -5,6 +5,12 @@ writes them plus a ``manifest.json`` into ``<out>/<command>-<seed>/``, so a
 run that fails leaves no directory behind. The manifest records the fully
 resolved parameters, so ``replay_manifest`` reproduces a run (and its
 output bytes) from the manifest alone. All randomness flows from ``--seed``.
+
+This module imports, when it loads, only what every command needs and the
+names its option tables take from ``settings`` and ``ingest``, none of
+which loads numpy or the process pool. Each command imports the modules
+it computes with when it runs, so ``ingest`` of an export too small to cut
+starts and ends without either.
 """
 
 from __future__ import annotations
@@ -32,20 +38,7 @@ import tempfile
 from pathlib import Path
 
 from . import __version__
-from .analytics import (
-    GrowthDimension,
-    csv_text,
-    global_stats,
-    growth_to_csv,
-    histogram_duration,
-    histogram_throughput,
-    histogram_to_csv,
-    rank_subclasses,
-    ranking_to_csv,
-    stats_to_csv,
-    yoy_growth,
-)
-from .chart import render_line_chart
+from .__main__ import stop_signals
 from .errors import (
     OUT_OF_MEMORY_EXIT_CODE,
     CorruptCheckpointError,
@@ -53,15 +46,6 @@ from .errors import (
     InputChangedError,
     InvalidConfigError,
     ReplayRefusedError,
-)
-from .grid import (
-    DEFAULT_HIDDEN_SIZES,
-    DEFAULT_WINDOW_SIZES,
-    GridSpec,
-    best_config,
-    grid_to_csv,
-    render_grid_table,
-    run_grid,
 )
 from .ingest import (
     MAX_UNIX_SECONDS,
@@ -76,19 +60,13 @@ from .ingest import (
     subclass_code,
     text_of,
 )
-from .lstm import (
-    RmsPropState,
+from .settings import (
+    DEFAULT_HIDDEN_SIZES,
+    DEFAULT_WINDOW_SIZES,
+    Metric,
+    NormSource,
     TrainConfig,
-    init_model,
-    load_checkpoint,
-    predict_series,
-    save_checkpoint,
-    train,
 )
-from .pool import stop_signals
-from .preprocess import Granularity, Metric, aggregate, series_for
-from .records import ingest_export, read_records, records_files
-from .windowing import NormSource, build_windowed
 
 
 def sha256_hex(raw: bytes) -> str:
@@ -107,6 +85,8 @@ def _now() -> str:
 
 def _read_records(path: str):
     """The RecordTable of a records file and its manifest entry."""
+    from .records import read_records
+
     raw = Path(path).read_bytes()
     entry = _input("records", path, raw)
     table, source = read_records(path, raw, entry["sha256"])
@@ -124,6 +104,8 @@ def _subclass_of(name: str) -> Subclass:
 
 def _load_series(records_path: str, subclass: str, metric: str):
     """The daily series of a records file and the file's manifest entry."""
+    from .preprocess import Granularity, aggregate, series_for
+
     subclass = _subclass_of(subclass)  # a typo fails before the records are read
     enriched, entry = _read_records(records_path)
     table = aggregate(enriched, Granularity.DAILY)
@@ -171,6 +153,8 @@ def _synthetic_records(params: dict) -> RecordColumns:
 
 
 def _cmd_ingest(params: dict):
+    from .records import ingest_export, records_files
+
     if params["synthetic"] and params["input"] is not None:
         raise InvalidConfigError("ingest takes an input file or --synthetic, not both")
     if not params["synthetic"] and params["input"] is None:
@@ -201,6 +185,19 @@ def _growth_years(params: dict, enriched) -> tuple[int, int]:
 
 
 def _cmd_analyze(params: dict):
+    from .analytics import (
+        GrowthDimension,
+        global_stats,
+        growth_to_csv,
+        histogram_duration,
+        histogram_throughput,
+        histogram_to_csv,
+        rank_subclasses,
+        ranking_to_csv,
+        stats_to_csv,
+        yoy_growth,
+    )
+
     enriched, records_input = _read_records(params["records"])
     year_a, year_b = _growth_years(params, enriched)
     files = {
@@ -222,6 +219,10 @@ def _train_config(params: dict, window: int, hidden: int, seed: int = TrainConfi
 
 
 def _cmd_train(params: dict):
+    from .analytics import csv_text
+    from .lstm import RmsPropState, init_model, save_checkpoint, train
+    from .windowing import build_windowed
+
     config = _train_config(params, params["window"], params["hidden"], params["seed"])
     norm = NormSource(params["norm_source"])
     series, records_input = _load_series(params["records"], params["subclass"], params["metric"])
@@ -248,6 +249,8 @@ def _cmd_train(params: dict):
 
 
 def _cmd_grid(params: dict):
+    from .grid import GridSpec, best_config, grid_to_csv, render_grid_table, run_grid
+
     spec = GridSpec(
         window_sizes=tuple(params["windows"]),
         hidden_sizes=tuple(params["hiddens"]),
@@ -280,6 +283,11 @@ def _checkpoint_meta(meta: dict, key: str, default: enum.Enum) -> str:
 
 
 def _cmd_forecast(params: dict):
+    from .analytics import csv_text
+    from .chart import render_line_chart
+    from .lstm import load_checkpoint, predict_series
+    from .windowing import build_windowed
+
     raw = Path(params["checkpoint"]).read_bytes()
     model, _opt, config, meta = load_checkpoint(raw)
 

@@ -17,12 +17,10 @@ import numpy as np
 from . import pool
 from .analytics import csv_text
 from .errors import DivergedNonFiniteError, EmptyGridError, InvalidConfigError, NonFiniteStateError
-from .lstm import TrainConfig, init_model, split_mse, train_epochs
+from .lstm import init_model, split_mse, train_epochs
 from .preprocess import TimeSeries
+from .settings import DEFAULT_HIDDEN_SIZES, DEFAULT_WINDOW_SIZES, TrainConfig
 from .windowing import NormSource, build_windowed, check_window_fits
-
-DEFAULT_WINDOW_SIZES = (8, 16, 24, 32)
-DEFAULT_HIDDEN_SIZES = (32, 64, 128)
 
 
 @dataclass(frozen=True)

@@ -69,8 +69,7 @@ import random
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     AllZeroWeightsError,
@@ -80,6 +79,9 @@ from .errors import (
     SchemaViolationError,
     UnknownSubclassError,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class AttackClass(enum.Enum):
@@ -134,8 +136,8 @@ def columns_in_bounds(start: np.ndarray, stop: np.ndarray, max_bps: np.ndarray) 
     These are the bounds parsing enforces; int64 columns already hold
     max_bps below MAX_BPS_EXCLUSIVE.
     """
-    return bool(np.all(start >= 0) and np.all(start <= stop) and np.all(stop <= MAX_UNIX_SECONDS)
-                and np.all(max_bps >= 0))
+    return bool((start >= 0).all() and (start <= stop).all() and (stop <= MAX_UNIX_SECONDS).all()
+                and (max_bps >= 0).all())
 
 
 @dataclass(frozen=True)
@@ -153,8 +155,8 @@ class AttackRecord:
     src_ports: tuple[int, ...] | None = None
 
 
-# dtypes of the array columns of RecordColumns, in field order
-_DTYPES = (np.uint8, np.uint8, np.int64, np.int64, np.int64)
+# dtypes of the array columns of RecordColumns, in field order: uint8 and int64
+_DTYPES = ("u1", "u1", "i8", "i8", "i8")
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,6 +184,8 @@ class RecordColumns(Sequence):
     @classmethod
     def from_lists(cls, columns) -> "RecordColumns":
         """Columns from one sequence per field, in field order, codes in place of the enums."""
+        import numpy as np
+
         arrays = [np.array(values, dtype) for values, dtype in zip(columns, _DTYPES)]
         for array in arrays:
             array.flags.writeable = False
@@ -680,14 +684,18 @@ _decode_element = json.JSONDecoder().raw_decode
 # A part with more elements the pattern does not take is written in another
 # form (compact separators, say), and decoding it whole is faster.
 _MOST_UNMATCHED = 16
+# NDJSON lines per byte chunk of a part, so no part's NDJSON is ever one string.
+_CHUNK_LINES = 8192
 
 
 def ingest_part(text: str, start: int, stop: int):
     """Check and serialize each entry of the part ``text[start:stop]`` of ``text``, in one pass.
 
-    Returns (NDJSON bytes, source columns, rejections): the columns are
-    subclass, start, stop and max_bps, and the rejections are located within
-    the part. Raises NotJsonError when the part does not decode.
+    Returns (NDJSON chunks, source columns, rejections): the NDJSON is a list
+    of byte chunks of ``_CHUNK_LINES`` lines, the last one shorter; the
+    columns are ``array.array``s of subclass codes ("B") and of start, stop
+    and max_bps ("q"), filled chunk by chunk; the rejections are located
+    within the part. Raises NotJsonError when the part does not decode.
 
     An array part is walked in place, element by element. ``_CANONICAL``
     takes a record in the form ``_record_lines`` writes, and its text is its
@@ -699,26 +707,47 @@ def ingest_part(text: str, start: int, stop: int):
     """
     with _cycle_collector_paused():
         walked = _walk_part(text, start, stop)
-    if walked is None:
-        return _read_part(text, start, stop)
-    lines, kept, rejections = walked
-    if lines:
-        lines.append("")  # the last line's newline
-    return _part_result("\n".join(lines).encode(), kept, rejections)
+    return _read_part(text, start, stop) if walked is None else walked
+
+
+class _Part:
+    """A part's result as it is written: its NDJSON chunks and source columns so far."""
+
+    def __init__(self):
+        self.chunks = []
+        self.columns = (array.array("B"), array.array("q"), array.array("q"), array.array("q"))
+
+    def add(self, lines: list[str], kept: list[int]) -> None:
+        """Add the chunk of NDJSON ``lines``, each without its newline.
+
+        ``kept`` holds the chunk's records' subclass, max_bps, start and
+        stop, flat.
+        """
+        if lines:
+            lines.append("")  # the last line's newline
+            self.chunks.append("\n".join(lines).encode())
+        subclass, begin, end, max_bps = self.columns
+        subclass.fromlist(kept[0::4])
+        max_bps.fromlist(kept[1::4])
+        begin.fromlist(kept[2::4])
+        end.fromlist(kept[3::4])
 
 
 def _walk_part(text: str, start: int, stop: int):
-    """(lines, kept, rejections) of an array part, as ``ingest_part`` describes, or None."""
+    """``ingest_part``'s result for an array part, walked as it describes, or None."""
     pos = start
     if start == 0:
         opened = _OPEN.match(text, 0, stop)
         if opened is None:
             return None
         pos = opened.end()
-    lines, kept, rejections = [], [], []  # kept: as in _read_part
+    part, lines, kept, rejections = _Part(), [], [], []
     match, subclass_of = _CANONICAL.match, _SUBCLASS_OF_TAIL
     unmatched = 0
     for location in itertools.count():
+        if len(lines) >= _CHUNK_LINES:
+            part.add(lines, kept)
+            lines, kept = [], []
         record = match(text, pos, stop)
         if record is not None:
             line, max_bps, begin, end, tail, comma = record.groups()
@@ -750,7 +779,10 @@ def _walk_part(text: str, start: int, stop: int):
     # An element decoded past the part's end leaves pos beyond stop: no comma
     # matches there, and the part does not end.
     ends = _CLOSE.fullmatch(text, pos) if stop == len(text) else pos == stop
-    return (lines, kept, rejections) if ends else None
+    if not ends:
+        return None
+    part.add(lines, kept)
+    return part.chunks, part.columns, rejections
 
 
 def _read_part(text: str, start: int, stop: int):
@@ -759,22 +791,13 @@ def _read_part(text: str, start: int, stop: int):
     This reads every input ``_detect_entries`` reads, and raises its
     NotJsonError on a part that does not decode.
     """
-    kept, rejections = [], []  # kept: each accepted row's subclass, max_bps, start and stop, flat
-
-    def noted(rows):
-        for row in rows:
-            kept.extend(row[1:5])
-            yield row
-
+    part, rejections = _Part(), []
     # The part's text is not kept in a variable, so it is freed with the decoded entries.
     head, tail = "[" if start else "", "]" if stop < len(text) else ""
     rows = _checked_rows(head + text[start:stop] + tail, rejections)
-    return _part_result("".join(_record_lines(noted(rows), "\n")).encode(), kept, rejections)
-
-
-def _part_result(ndjson: bytes, kept: list, rejections: list):
-    subclass, max_bps, begin, end = np.array(kept, np.int64).reshape(-1, 4).T
-    return ndjson, (subclass.astype(np.uint8), begin, end, max_bps), rejections
+    while chunk := list(itertools.islice(rows, _CHUNK_LINES)):
+        part.add(_record_lines(chunk), [value for row in chunk for value in row[1:5]])
+    return part.chunks, part.columns, rejections
 
 
 _COUNTRIES = ("US", "CN", "DE", "FR", "GB", "RU", "BR", "IN", "KR", "NL")
@@ -790,7 +813,7 @@ _BPS_LOG_MEAN, _BPS_LOG_SIGMA = 22.0, 2.0
 # Kinderman and Monahan's ratio-of-uniforms constant, as random.normalvariate computes it
 _KM_MAGIC = 4 * math.exp(-0.5) / math.sqrt(2.0)
 # Rank of each subclass code by subclass name: the records' second sort key.
-_NAME_RANK = np.argsort(np.argsort([sub.value for sub in SUBCLASSES])).astype(np.uint8)
+_NAME_RANK = [sorted(sub.value for sub in SUBCLASSES).index(sub.value) for sub in SUBCLASSES]
 _PORTS = 65536
 
 
@@ -899,8 +922,11 @@ def generate_synthetic(spec: SyntheticSpec) -> RecordColumns:
                 else:
                     add_ports(None)
 
+    import numpy as np
+
     arrays = [np.array(values, dtype) for values, dtype in zip(columns, _DTYPES)]
-    order = np.lexsort((_NAME_RANK[arrays[1]], arrays[3]))  # stable: a tie keeps draw order
+    name_rank = np.array(_NAME_RANK, "u1")[arrays[1]]
+    order = np.lexsort((name_rank, arrays[3]))  # stable: a tie keeps draw order
     positions = order.tolist()
     return RecordColumns.from_lists([*(column[order] for column in arrays),
                                      *(tuple(map(values.__getitem__, positions))

@@ -53,6 +53,7 @@ from .errors import (
     NonFiniteStateError,
     VersionMismatchError,
 )
+from .settings import TrainConfig
 from .windowing import WindowedDataset
 
 CHECKPOINT_VERSION = 1
@@ -107,39 +108,6 @@ class LstmParams:
     @property
     def by(self) -> np.ndarray:
         return self.flat[-1:]
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    window_size: int
-    hidden_size: int
-    learning_rate: float = 0.0002
-    epochs: int = 100
-    batch_size: int = 32
-    rho: float = 0.9
-    epsilon: float = 1e-7
-    seed: int = 0
-    clip_norm: float = 5.0
-
-    def __post_init__(self):
-        for name in ("window_size", "hidden_size", "epochs", "batch_size", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
-        # written as "not ok" so that NaN fails every check
-        for ok, name, rule in (
-            (self.window_size >= 1, "window_size", ">= 1"),
-            (self.hidden_size >= 1, "hidden_size", ">= 1"),
-            (0 < self.learning_rate < math.inf, "learning_rate", "positive and finite"),
-            (self.epochs >= 1, "epochs", ">= 1"),
-            (self.batch_size >= 1, "batch_size", ">= 1"),
-            (0.0 <= self.rho < 1.0, "rho", "in [0, 1)"),
-            (self.epsilon > 0, "epsilon", "positive"),
-            (self.clip_norm > 0, "clip_norm", "positive"),
-            (self.seed >= 0, "seed", ">= 0"),
-        ):
-            if not ok:
-                raise InvalidConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""The forked worker pool that ``grid`` and ``ingest`` run their work in.
+"""The forked worker pool that ``grid`` and the ingest of a large export run their work in.
 
 ``run_pool`` calls one function once per argument tuple, each call in a
 worker process, and returns the results in call order. The pool keeps
@@ -14,19 +14,21 @@ three guarantees for the command that uses it:
   out) raises WorkerLostError, naming whose worker it was.
 - A worker never outlives the process that started it (``_die_with_parent``).
 
-Every worker runs OpenBLAS on one thread, so a computation's bits never
-depend on the core count or the worker count, and two workers' BLAS threads
-never fight over the same CPUs. Workers are forked rather than spawned:
-they start with numpy and ddoscast imported, a script without a __main__
-guard is not run again, and ``shared`` reaches them through the fork
-instead of being pickled once per call. The fork is safe here because
-ProcessPoolExecutor forks every worker before it starts its own threads,
-and OpenBLAS stops its thread pool before a fork and restarts it on use.
+In a process that has numpy loaded, every worker runs OpenBLAS on one
+thread, so a computation's bits never depend on the core count or the
+worker count, and two workers' BLAS threads never fight over the same CPUs;
+where no OpenBLAS thread setter is found, the pool runs one worker. A
+process without numpy (``ingest``) has no BLAS to pin, and neither probes
+nor loads it. Workers are forked rather than spawned: they start with what
+their parent imported, a script without a __main__ guard is not run again,
+and ``shared`` reaches them through the fork instead of being pickled once
+per call. The fork is safe here because ProcessPoolExecutor forks every
+worker before it starts its own threads, and OpenBLAS stops its thread
+pool before a fork and restarts it on use.
 """
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import multiprocessing
 import os
@@ -35,29 +37,29 @@ import sys
 from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 
-from .blas import openblas_threads
+from .__main__ import stop_signals
 from .errors import WorkerLostError
 
 
+def _blas_threads() -> tuple:
+    """``blas.openblas_threads()`` where numpy is loaded; elsewhere (), with nothing loaded."""
+    if "numpy" not in sys.modules:
+        return ()
+    from . import blas
+
+    return blas.openblas_threads()
+
+
 def worker_count(tasks: int | None = None) -> int:
-    """One worker per usable CPU, at most ``tasks``, and only if every worker can pin BLAS."""
-    if not openblas_threads():
+    """One worker per usable CPU, at most ``tasks``.
+
+    Only one where numpy is loaded and its OpenBLAS cannot be pinned to one
+    thread per worker.
+    """
+    if "numpy" in sys.modules and not _blas_threads():
         return 1
     cpus = len(os.sched_getaffinity(0))
     return cpus if tasks is None else min(tasks, cpus)
-
-
-_STOP_SIGNALS = {signal.SIGINT, signal.SIGTERM}
-
-
-@contextlib.contextmanager
-def stop_signals(how: int):
-    """Block (SIG_BLOCK) or let in (SIG_UNBLOCK) SIGINT and SIGTERM in this thread."""
-    previous = signal.pthread_sigmask(how, _STOP_SIGNALS)
-    try:
-        yield
-    finally:
-        signal.pthread_sigmask(signal.SIG_SETMASK, previous)
 
 
 _PR_SET_PDEATHSIG = 1
@@ -99,8 +101,8 @@ def _init_worker(owner_pid: int, shared: tuple = ()) -> None:
     # parent, which stops it, and dies at once on SIGTERM.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    signal.pthread_sigmask(signal.SIG_UNBLOCK, _STOP_SIGNALS)
-    for _get_threads, set_threads in openblas_threads():
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, (signal.SIGINT, signal.SIGTERM))
+    for _get_threads, set_threads in _blas_threads():
         set_threads(1)
     _shared = shared
 

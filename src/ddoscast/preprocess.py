@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import datetime as dt
 import enum
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import SubclassAbsentError
 from .ingest import SUBCLASSES, RecordColumns, Subclass
+from .settings import Metric
 
 _UTC = dt.timezone.utc
 _EPOCH = dt.date(1970, 1, 1)
@@ -32,12 +34,6 @@ class Granularity(enum.Enum):
     WEEKLY = "weekly"
     MONTHLY = "monthly"
     YEARLY = "yearly"
-
-
-class Metric(enum.Enum):
-    COUNT = "count"
-    DURATION_MIN = "duration_min"
-    MAX_GBPS = "max_gbps"
 
 
 def utc(seconds) -> dt.datetime:
@@ -104,8 +100,14 @@ class RecordTable:
         )
 
     def start_years(self) -> np.ndarray:
-        """UTC calendar year of each record's start."""
-        return self.start.astype("datetime64[s]").astype("datetime64[Y]").astype(np.int64) + 1970
+        """UTC calendar year of each record's start, read-only; computed once per table."""
+        return self._start_years
+
+    @functools.cached_property
+    def _start_years(self) -> np.ndarray:
+        years = self.start.astype("datetime64[s]").astype("datetime64[Y]").astype(np.int64) + 1970
+        years.flags.writeable = False
+        return years
 
 
 def enrich_all(records) -> RecordTable:

@@ -13,24 +13,27 @@ the body, so a changed byte anywhere is a stale sidecar. The sidecar is a
 cache: deleting it changes nothing but speed.
 
 ``ingest_export`` makes both files from an export: ``ingest.export_parts``
-cuts it into one part per worker, and each ``pool`` worker reads its own
-part with ``ingest.ingest_part``. An export that is not cut is read in one
-part, in this process, by the same function. How an export is cut and read
-is ``ingest``'s alone; this module runs the parts and merges their results.
+cuts a large one into one part per worker, and each ``pool`` worker reads
+its own part with ``ingest.ingest_part``. An export that is not cut is read
+in one part, in this process, by the same function. How an export is cut
+and read is ``ingest``'s alone; this module runs the parts and merges their
+results.
 
 This is a module of its own so that importing ``ingest`` to parse or
-generate records loads no process pool.
+generate records loads no process pool. Writing a records file loads
+neither numpy nor the pool unless the export is large enough to cut; only
+reading one (``read_records``) builds a numpy ``RecordTable``.
 """
 
 from __future__ import annotations
 
+import array
 import contextlib
 import hashlib
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
-import numpy as np
-
-from . import pool
 from .errors import EmptyDatasetError, NotJsonError
 from .ingest import (
     SUBCLASSES,
@@ -40,12 +43,17 @@ from .ingest import (
     ingest_part,
     parse_records,
 )
-from .preprocess import RecordTable, enrich_all
 
 SIDECAR_NAME = "records.cols"
 _SIDECAR_MAGIC = b"ddoscast records.cols 1".ljust(31) + b"\n"
 _HEADER_BYTES = 64
 _BYTES_PER_RECORD = 3 * 8 + 1
+# The fewest characters of export a worker is started for. A second worker
+# pays only once its part outweighs the fork and the return of its result:
+# in fresh runs on 2 CPUs, from between 15 and 29 MB for exports in
+# ``_record_lines``' form, and from below 5.5 MB for compact ones, whose
+# parts are decoded whole. A cut from 12 MB sits between the two.
+_PART_MIN_CHARS = 6_000_000
 
 
 def _stamp(digest: str, body) -> bytes:
@@ -55,17 +63,33 @@ def _stamp(digest: str, body) -> bytes:
     return stamp.digest()
 
 
+def _little_endian(column):
+    """The bytes of ``column``, any C-contiguous buffer of int64 or uint8 values, little-endian.
+
+    A numpy array and an ``array.array`` alike: the bytes are read through
+    the buffer protocol, and swapped only on a big-endian host.
+    """
+    data = memoryview(column)
+    if sys.byteorder == "little" or data.itemsize == 1:
+        return data.cast("B")
+    swapped = array.array("q", data.tobytes())
+    swapped.byteswap()
+    return swapped
+
+
 def _sidecar_bytes(records, digest: str) -> bytes:
     """The records.cols of ``records``, stamped for the NDJSON whose SHA-256 is ``digest``."""
-    body = b"".join([np.asarray(records.start, "<i8").tobytes(),
-                     np.asarray(records.stop, "<i8").tobytes(),
-                     np.asarray(records.max_bps, "<i8").tobytes(),
-                     np.asarray(records.subclass, np.uint8).tobytes()])
+    body = b"".join([_little_endian(records.start), _little_endian(records.stop),
+                     _little_endian(records.max_bps), _little_endian(records.subclass)])
     return _SIDECAR_MAGIC + _stamp(digest, body) + body
 
 
-def _load_sidecar(path: Path, digest: str) -> RecordTable | None:
-    """The table cached in ``path`` for records whose bytes hash to ``digest``, or None."""
+def _load_sidecar(path: Path, digest: str):
+    """The ``RecordTable`` cached in ``path`` for records whose bytes hash to ``digest``, or None."""
+    import numpy as np
+
+    from .preprocess import RecordTable
+
     try:
         raw = path.read_bytes()
     except OSError:
@@ -85,7 +109,8 @@ def records_files(chunks: list[bytes], records) -> dict:
     """The records file whose NDJSON is the byte ``chunks`` of ``records``.
 
     ``records`` is any columns of them with ``subclass``, ``start``, ``stop``
-    and ``max_bps``: a ``RecordTable`` or ``ingest.RecordColumns``.
+    and ``max_bps``, uint8 and int64 in the host's byte order: a
+    ``RecordTable``, an ``ingest.RecordColumns``, or ``ingest_part``'s arrays.
     """
     digest = hashlib.sha256()
     for chunk in chunks:
@@ -93,13 +118,15 @@ def records_files(chunks: list[bytes], records) -> dict:
     return {"records.ndjson": chunks, SIDECAR_NAME: _sidecar_bytes(records, digest.hexdigest())}
 
 
-def read_records(path: str, raw: bytes, digest: str) -> tuple[RecordTable, dict]:
-    """The table of the records file ``path``, whose bytes ``raw`` hash to ``digest``.
+def read_records(path: str, raw: bytes, digest: str):
+    """The ``RecordTable`` of the records file ``path``, whose bytes ``raw`` hash to ``digest``.
 
     Returns it with what it was read from, as manifest fields: the sidecar
     beside ``path`` when that fits ``raw``, and otherwise "parse", with the
     lenient parse's accepted and rejected counts.
     """
+    from .preprocess import enrich_all
+
     if not raw or raw.isspace():
         raise EmptyDatasetError(f"records file {path} is empty")
     table = _load_sidecar(Path(path).with_name(SIDECAR_NAME), digest)
@@ -121,29 +148,38 @@ def ingest_export(text: str):
     ``records_to_ndjson(records).encode()``, with records and report as
     ``parse_records`` would give them, and raises what it raises.
 
-    ``export_parts`` cuts a JSON array into one part per ``pool`` worker,
-    and each worker checks and serializes its own part (``ingest_part``).
-    Rejection locations of a part are shifted by the entries (accepted +
-    rejected) of the parts before it. A part that fails to decode raises
-    NotJsonError through ``run_pool``, which stops the other workers, and
-    the whole text is then read in one part, so a broken document raises
-    the same NotJsonError as ``parse_records``. Any other input, and any
-    input on one worker, is read in one part.
+    A JSON array of at least two ``_PART_MIN_CHARS`` is cut by
+    ``export_parts`` into one part per ``pool`` worker, each of at least
+    that many characters, and each worker checks and serializes its own
+    part (``ingest_part``). Rejection locations of a part are shifted by the
+    entries (accepted + rejected) of the parts before it. A part that fails
+    to decode raises NotJsonError through ``run_pool``, which stops the
+    other workers, and the whole text is then read in one part, so a broken
+    document raises the same NotJsonError as ``parse_records``. Any other
+    input, and any input on one worker, is read in one part, in this
+    process, without loading the pool.
     """
-    bounds = export_parts(text, pool.worker_count())
-    if len(bounds) > 1:
-        with contextlib.suppress(NotJsonError):
-            return _merge_parts(pool.run_pool(ingest_part, bounds, (text,), "an ingest worker"))
+    if len(text) >= 2 * _PART_MIN_CHARS:
+        from . import pool
+
+        bounds = export_parts(text, min(pool.worker_count(), len(text) // _PART_MIN_CHARS))
+        if len(bounds) > 1:
+            with contextlib.suppress(NotJsonError):
+                return _merge_parts(pool.run_pool(ingest_part, bounds, (text,),
+                                                  "an ingest worker"))
     return _merge_parts([ingest_part(text, 0, len(text))])
 
 
 def _merge_parts(parts: list):
     """``ingest_export``'s result from its parts' results."""
-    chunks, columns, rejections, offset = [], [], [], 0
-    for chunk, part_columns, part_rejections in parts:
-        chunks.append(chunk)
-        columns.append(part_columns)
+    chunks, rejections, offset = [], [], 0
+    columns = (array.array("B"), array.array("q"), array.array("q"), array.array("q"))
+    for part_chunks, part_columns, part_rejections in parts:
+        chunks += part_chunks
+        for column, part_column in zip(columns, part_columns):
+            column += part_column
         rejections += [(offset + location, reason) for location, reason in part_rejections]
         offset += len(part_columns[0]) + len(part_rejections)  # the part's entries
-    table = RecordTable(*map(np.concatenate, zip(*columns)))
-    return records_files(chunks, table), ParseReport(len(table), len(rejections), rejections)
+    subclass, start, stop, max_bps = columns
+    merged = SimpleNamespace(subclass=subclass, start=start, stop=stop, max_bps=max_bps)
+    return records_files(chunks, merged), ParseReport(len(start), len(rejections), rejections)

@@ -9,7 +9,6 @@ read-only views of the normalized split, not copies.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -23,11 +22,7 @@ from .errors import (
     SeriesTooShortForWindowError,
     TooFewValuesError,
 )
-
-
-class NormSource(enum.Enum):
-    FULL_SERIES = "full_series"
-    TRAIN_ONLY = "train_only"
+from .settings import NormSource
 
 
 @dataclass(frozen=True)

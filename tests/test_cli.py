@@ -32,7 +32,7 @@ from conftest import (
     readme_exit_codes,
     record_obj,
 )
-from ddoscast import cli
+from ddoscast import cli, grid
 from ddoscast.analytics import global_stats, rank_subclasses, ranking_to_csv, stats_to_csv
 from ddoscast.cli import _build_parser, _resolve_params, main, replay_manifest
 from ddoscast.ingest import (
@@ -42,6 +42,7 @@ from ddoscast.ingest import (
     SyntheticSpec,
     generate_synthetic,
     parse_records,
+    records_to_json,
     records_to_ndjson,
 )
 from ddoscast.lstm import (
@@ -53,7 +54,7 @@ from ddoscast.lstm import (
     save_checkpoint,
 )
 from ddoscast.preprocess import Metric, enrich_all
-from ddoscast.records import _load_sidecar, _sidecar_bytes
+from ddoscast.records import _PART_MIN_CHARS, _load_sidecar, _sidecar_bytes
 from ddoscast.windowing import NormSource, build_windowed
 
 
@@ -434,13 +435,13 @@ def test_every_fitting_value_reaches_the_model(tmp_path, records_file, monkeypat
                                                sizes):
     flags = [arg for name, value in NON_DEFAULT_FITTING.items()
              for arg in ("--" + name.replace("_", "-"), value)]
-    specs, real_run_grid = [], cli.run_grid
+    specs, real_run_grid = [], grid.run_grid
 
     def run_grid(series, spec):
         specs.append(spec)
         return real_run_grid(series, spec)
 
-    monkeypatch.setattr(cli, "run_grid", run_grid)
+    monkeypatch.setattr(grid, "run_grid", run_grid)
     assert run([command, records_file, *sizes, *flags, "--out", tmp_path]) == 0
     if command == "train":
         checkpoint = json.loads((tmp_path / "train-0" / "checkpoint.json").read_bytes())
@@ -504,6 +505,54 @@ def test_ingest_loads_no_pool():
     )
     loaded = "['ddoscast', 'ddoscast.errors', 'ddoscast.ingest']\n"
     assert (proc.returncode, proc.stdout) == (0, loaded)
+
+
+# Runs ``python -m ddoscast.cli`` with ``records._PART_MIN_CHARS`` set to the
+# first argument after the script and the command line the rest, and, as it
+# exits, prints as its last line which of numpy, multiprocessing and
+# concurrent.futures it loaded.
+LOADED_AT_EXIT = """
+import atexit, json, runpy, sys
+from ddoscast import records
+
+def report():
+    print(json.dumps([name for name in ("numpy", "multiprocessing", "concurrent.futures")
+                      if name in sys.modules]))
+
+records._PART_MIN_CHARS = int(sys.argv.pop(1))
+atexit.register(report)
+runpy.run_module("ddoscast.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def loaded_at_exit(*args, part_min_chars: int = _PART_MIN_CHARS) -> list[str]:
+    """Which of numpy, multiprocessing and concurrent.futures a command loaded."""
+    argv = [sys.executable, "-c", LOADED_AT_EXIT, str(part_min_chars), *map(str, args)]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=cli_env())
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("form", ["array", "ndjson"])
+def test_ingest_of_an_export_too_small_to_cut_loads_neither_numpy_nor_a_pool(tmp_path,
+                                                                             records_file, form):
+    export = records_file
+    if form == "array":
+        export = tmp_path / "export.json"
+        export.write_text(records_to_json(parse_records(records_file.read_bytes())[0]))
+    assert loaded_at_exit("ingest", export, "--out", tmp_path / "o") == []
+
+
+def test_ingest_of_an_export_large_enough_to_cut_loads_the_pool_but_not_numpy(tmp_path,
+                                                                             records_file):
+    export = tmp_path / "export.json"
+    export.write_text(records_to_json(parse_records(records_file.read_bytes())[0]))
+    loaded = loaded_at_exit("ingest", export, "--out", tmp_path / "o", part_min_chars=1)
+    assert loaded == ["multiprocessing", "concurrent.futures"]
+
+
+def test_analyze_loads_no_process_pool(tmp_path, records_file):
+    assert loaded_at_exit("analyze", records_file, "--out", tmp_path / "o") == ["numpy"]
 
 
 def test_readme_layout_lists_exactly_the_modules():
@@ -824,6 +873,19 @@ def test_sidecar_state_never_changes_outputs(tmp_path, records_file, capsys, sta
     assert plain_sources == {"parse"}
     assert sources == {"records.cols" if state == "present" else "parse"}
     assert not (tmp_path / "unpickled").exists()
+
+
+def test_the_sidecar_swaps_int64_columns_only_on_a_big_endian_host(monkeypatch):
+    # On a big-endian host the int64 columns are byte-swapped; faking the host's
+    # byte order here makes the swap turn native columns into big-endian ones.
+    records = generate_synthetic(SyntheticSpec(record_count=40, seed=3))
+    digest = cli.sha256_hex(records_to_ndjson(records).encode())
+    columns = (records.start, records.stop, records.max_bps)
+    for byteorder, order in (("little", "<i8"), ("big", ">i8")):
+        monkeypatch.setattr(sys, "byteorder", byteorder)
+        body = _sidecar_bytes(records, digest)[64:]
+        assert body == b"".join(np.asarray(column, order).tobytes() for column in columns) + \
+            records.subclass.tobytes()
 
 
 @NO_LEAKS
@@ -1173,12 +1235,14 @@ def test_killed_worker_fails_grid_with_exit_eight(tmp_path, records_file):
 # --- ingest worker processes ------------------------------------------------------
 
 # Runs ``python -m ddoscast.cli`` with two ingest workers whose entry checks
-# never return, so the test can signal the command while its workers run.
+# never return, so the test can signal the command while its workers run. Its
+# small export is cut as a large one is.
 STALLED_INGEST = """
 import runpy, time
-from ddoscast import ingest, pool
+from ddoscast import ingest, pool, records
 
 pool.worker_count = lambda tasks=None: 2
+records._PART_MIN_CHARS = 1
 ingest._check_entry = lambda entry: time.sleep(3600)
 runpy.run_module("ddoscast.cli", run_name="__main__", alter_sys=True)
 """

@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ddoscast import grid, lstm, pool
+from ddoscast import blas, grid, lstm, pool
 from ddoscast.blas import one_blas_thread
 from ddoscast.errors import (
     DivergedNonFiniteError,
@@ -290,14 +290,14 @@ class TestPool:
 
     def test_worker_count_is_one_per_cpu_up_to_the_cell_count(self, monkeypatch):
         cpus = len(os.sched_getaffinity(0))
-        monkeypatch.setattr(pool, "openblas_threads", lambda: (("a getter", "a setter"),))
+        monkeypatch.setattr(blas, "openblas_threads", lambda: (("a getter", "a setter"),))
         assert pool.worker_count(1) == 1
         assert pool.worker_count(1000) == cpus
-        monkeypatch.setattr(pool, "openblas_threads", lambda: ())
+        monkeypatch.setattr(blas, "openblas_threads", lambda: ())
         assert pool.worker_count(1000) == 1
 
     def test_workers_run_one_blas_thread_and_the_parent_keeps_its_own(self):
-        if not pool.openblas_threads():
+        if not blas.openblas_threads():
             pytest.skip("no OpenBLAS thread setter in this numpy build")
         before = openblas_thread_counts()
         context = multiprocessing.get_context("fork")

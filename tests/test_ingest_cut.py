@@ -3,6 +3,8 @@
 Every case runs the ``ingest`` command with the worker count forced to 1,
 which parses the array in one part, and to 2 and 3, which cut it; the
 outcomes (exit code, stderr and the three data files) must be the same.
+The exports are small, so each case also lowers ``records._PART_MIN_CHARS``
+to one character (``workers``): any array with two elements or more is cut.
 """
 
 import contextlib
@@ -26,11 +28,19 @@ from ddoscast.preprocess import enrich_all
 OUTPUTS = ("records.ndjson", "records.cols", "parse_report.json")
 
 
-def ingest_outcome(export: bytes, strict: bool, workers: int):
+def workers(count: int) -> contextlib.ExitStack:
+    """Patches under which ingest cuts an array into ``count`` parts, however small it is."""
+    stack = contextlib.ExitStack()
+    stack.enter_context(mock.patch.object(pool, "worker_count", lambda tasks=None: count))
+    stack.enter_context(mock.patch.object(records, "_PART_MIN_CHARS", 1))
+    return stack
+
+
+def ingest_outcome(export: bytes, strict: bool, count: int):
     """(exit code, stderr, {file: bytes} or None, whether the parts merged were one part)."""
     with contextlib.ExitStack() as stack:
         tmp = Path(stack.enter_context(tempfile.TemporaryDirectory()))
-        stack.enter_context(mock.patch.object(pool, "worker_count", lambda tasks=None: workers))
+        stack.enter_context(workers(count))
         merge = stack.enter_context(
             mock.patch.object(records, "_merge_parts", wraps=records._merge_parts)
         )
@@ -49,8 +59,8 @@ def ingest_outcome(export: bytes, strict: bool, workers: int):
 def assert_same_for_any_worker_count(export: bytes, strict: bool, counts=(2, 3)) -> tuple:
     """The one-part outcome of ``export``, after checking that every worker count gives it."""
     expected = ingest_outcome(export, strict, 1)[:3]
-    for workers in counts:
-        assert ingest_outcome(export, strict, workers)[:3] == expected, workers
+    for count in counts:
+        assert ingest_outcome(export, strict, count)[:3] == expected, count
     return expected
 
 
@@ -131,16 +141,16 @@ def _outcome(function, text):
         return type(exc), str(exc)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("count", [1, 2])
 @given(st.lists(st.one_of(_part_valid, _part_valid, _part_invalid), min_size=2, max_size=12),
        st.booleans())
 @settings(max_examples=40, deadline=None)
-def test_the_records_file_is_the_parsed_records_serialized(workers, entries, ndjson):
+def test_the_records_file_is_the_parsed_records_serialized(count, entries, ndjson):
     if ndjson:
         text = "".join(json.dumps(entry) + "\n" for entry in entries)
     else:
         text = json.dumps(entries)
-    with mock.patch.object(pool, "worker_count", lambda tasks=None: workers):
+    with workers(count):
         got = _outcome(records.ingest_export, text)
     parsed = _outcome(parse_records, text)
     if isinstance(parsed[0], type):  # the text is not JSON: both raise the same error
@@ -286,10 +296,23 @@ def test_a_single_element_array_is_one_part():
     assert ingest_outcome(export, False, 2)[3]
 
 
+def test_an_export_is_cut_only_into_parts_of_at_least_the_part_size():
+    text = export_of([VALID] * COUNT).decode()
+    half = len(text) // 2
+    with workers(1):
+        files, report = records.ingest_export(text)
+    expected = b"".join(files["records.ndjson"]), files["records.cols"], report
+    for count, part_min, parts in ((2, half, 2), (3, half, 2), (3, half + 1, 0), (3, 1, 3)):
+        with workers(count), mock.patch.object(records, "_PART_MIN_CHARS", part_min), \
+                mock.patch.object(pool, "run_pool", wraps=pool.run_pool) as run_pool:
+            files, report = records.ingest_export(text)
+        assert (len(run_pool.call_args.args[1]) if run_pool.called else 0) == parts, count
+        assert (b"".join(files["records.ndjson"]), files["records.cols"], report) == expected
+
+
 def test_the_workers_share_the_decoded_text():
     text = export_of([VALID] * COUNT).decode() + "\n"
-    with mock.patch.object(pool, "worker_count", lambda tasks=None: 2), \
-            mock.patch.object(pool, "run_pool", wraps=pool.run_pool) as run_pool:
+    with workers(2), mock.patch.object(pool, "run_pool", wraps=pool.run_pool) as run_pool:
         records.ingest_export(text)
     function, _calls, shared, _whose = run_pool.call_args.args
     assert function is ingest.ingest_part and shared[0] is text
@@ -306,9 +329,9 @@ def test_only_json_whitespace_separates_the_elements_at_a_cut():
     assert code == 2 and err.startswith("error: broken JSON array: ")
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_a_byte_order_mark_before_the_array_is_skipped(workers):
+@pytest.mark.parametrize("count", [1, 2])
+def test_a_byte_order_mark_before_the_array_is_skipped(count):
     export = export_of(with_entry(SECOND, STOP_BEFORE_START))
-    expected = ingest_outcome(export, False, workers)
+    expected = ingest_outcome(export, False, count)
     assert expected[0] == 0
-    assert ingest_outcome(b"\xef\xbb\xbf" + export, False, workers) == expected
+    assert ingest_outcome(b"\xef\xbb\xbf" + export, False, count) == expected

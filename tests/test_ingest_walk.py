@@ -37,7 +37,7 @@ def outcome(read, text: str, start: int, stop: int):
         ndjson, columns, rejections = read(text, start, stop)
     except NotJsonError as exc:
         return "NotJsonError", str(exc)
-    return ndjson, [(column.dtype.str, column.tolist()) for column in columns], rejections
+    return ndjson, [(column.typecode, column.tolist()) for column in columns], rejections
 
 
 def assert_parts_read_alike(text: str) -> None:
@@ -319,7 +319,7 @@ def test_the_pattern_takes_every_record_the_writer_writes(parts):
         results = [ingest.ingest_part(text, start, stop)
                    for start, stop in ingest.export_parts(text, parts)]
     assert len(results) == parts
-    assert b"".join(ndjson for ndjson, _columns, _rejections in results) == \
+    assert b"".join(b"".join(chunks) for chunks, _columns, _rejections in results) == \
         records_to_ndjson(records).encode()
     columns = RecordColumns.of(records)
     got = [sum((part[1][k].tolist() for part in results), []) for k in range(4)]

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddoscast import lstm, pool
+from ddoscast import blas, lstm
 from ddoscast.blas import openblas_threads
 from ddoscast.errors import (
     CacheMismatchError,
@@ -611,7 +611,7 @@ class TestTrainLeavesNothingBehind:
         if case == "one CPU":
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         elif case == "no BLAS setter":
-            monkeypatch.setattr(pool, "openblas_threads", lambda: ())
+            monkeypatch.setattr(blas, "openblas_threads", lambda: ())
         seen = set()
         real = lstm.backward
 
