@@ -91,11 +91,11 @@ def global_stats(records: RecordTable) -> GlobalStats:
     )
 
 
-def _counts_by_year(years: np.ndarray, index: np.ndarray, size: int) -> dict[int, list[int]]:
+def _counts_by_year(records: RecordTable, index: np.ndarray, size: int) -> dict[int, list[int]]:
     """Per-year counts of ``index`` values in [0, size), ascending years present."""
-    present, year_index = np.unique(years, return_inverse=True)
-    counts = np.bincount(year_index * size + index, minlength=present.size * size)
-    return dict(zip(present.tolist(), counts.reshape(present.size, size).tolist()))
+    present, year_index = records.year_groups()
+    counts = np.bincount(year_index * size + index, minlength=len(present) * size)
+    return dict(zip(present, counts.reshape(len(present), size).tolist()))
 
 
 def _histogram(records: RecordTable, values, bins, metric: str, per_year: bool) -> Histogram:
@@ -108,7 +108,7 @@ def _histogram(records: RecordTable, values, bins, metric: str, per_year: bool) 
         metric=metric,
         bins=bins,
         counts=np.bincount(index, minlength=len(bins)).tolist(),
-        by_year=_counts_by_year(records.start_years(), index, len(bins)) if per_year else None,
+        by_year=_counts_by_year(records, index, len(bins)) if per_year else None,
     )
 
 
@@ -131,13 +131,13 @@ def yoy_growth(
     records: RecordTable, year_a: int, year_b: int, dimension: GrowthDimension
 ) -> GrowthReport:
     """Compare per-cell values between two years present in the data."""
-    years = records.start_years()
+    present = records.year_groups()[0]
     for year in (year_a, year_b):
-        if not np.any(years == year):
+        if year not in present:
             raise YearAbsentError(f"no records in year {year}")
 
     if dimension is GrowthDimension.SUBCLASS_COUNTS:
-        by_year = _counts_by_year(years, records.subclass, len(SUBCLASSES))
+        by_year = _counts_by_year(records, records.subclass, len(SUBCLASSES))
         labels = [sub.value for sub in SUBCLASSES]
         order = sorted(range(len(labels)), key=labels.__getitem__)
     else:

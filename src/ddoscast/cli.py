@@ -161,7 +161,8 @@ def _cmd_ingest(params: dict):
         raise InvalidConfigError("ingest needs an input file or --synthetic")
     if params["synthetic"]:
         records = _synthetic_records(params)
-        files = records_files([records_to_ndjson(records).encode()], records)
+        columns = (records.subclass, records.start, records.stop, records.max_bps)
+        files = records_files([records_to_ndjson(records).encode()], columns)
         report = ParseReport(accepted=len(records))
         inputs = []
     else:
@@ -177,7 +178,7 @@ def _cmd_ingest(params: dict):
 
 def _growth_years(params: dict, enriched) -> tuple[int, int]:
     """Explicit flags win; otherwise compare the two most recent years seen."""
-    years = sorted(set(enriched.start_years().tolist()))
+    years = enriched.year_groups()[0]
     default_a = years[-2] if len(years) > 1 else years[-1]
     year_a = params["year_a"] if params["year_a"] is not None else default_a
     year_b = params["year_b"] if params["year_b"] is not None else years[-1]

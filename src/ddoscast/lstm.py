@@ -41,7 +41,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import pool
 from .blas import one_blas_thread
 from .errors import (
     CacheMismatchError,
@@ -455,6 +454,8 @@ def _epoch_evaluator():
     executor's thread has ended, and OpenBLAS has its caller's thread
     count back, when this exits.
     """
+    from . import pool  # here, so that forecast, which never trains, loads no process pool
+
     if pool.worker_count(2) < 2:
         yield _evaluate_inline
         return

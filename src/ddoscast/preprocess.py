@@ -109,6 +109,16 @@ class RecordTable:
         years.flags.writeable = False
         return years
 
+    def year_groups(self) -> tuple[tuple[int, ...], np.ndarray]:
+        """The start years present, ascending, and each record's index into them; computed once."""
+        return self._year_groups
+
+    @functools.cached_property
+    def _year_groups(self) -> tuple[tuple[int, ...], np.ndarray]:
+        present, index = np.unique(self._start_years, return_inverse=True)
+        index.flags.writeable = False
+        return tuple(present.tolist()), index
+
 
 def enrich_all(records) -> RecordTable:
     """The RecordTable of parsed ``RecordColumns`` or any sequence of raw records."""

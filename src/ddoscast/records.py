@@ -8,16 +8,18 @@ one fixed layout of n records,
   body         little-endian int64 start, stop and max_bps (8n bytes each),
                then the uint8 subclass codes (n bytes)
 Reading a records file uses them only when the length, magic and stamp fit
-and every value is in range; otherwise it parses the file. The stamp covers
-the body, so a changed byte anywhere is a stale sidecar. The sidecar is a
-cache: deleting it changes nothing but speed.
+and every value is in range; otherwise it reads the file as an export. The
+stamp covers the body, so a changed byte anywhere is a stale sidecar. The
+sidecar is a cache: deleting it changes nothing but speed.
 
-``ingest_export`` makes both files from an export: ``ingest.export_parts``
-cuts a large one into one part per worker, and each ``pool`` worker reads
-its own part with ``ingest.ingest_part``. An export that is not cut is read
-in one part, in this process, by the same function. How an export is cut
-and read is ``ingest``'s alone; this module runs the parts and merges their
-results.
+An export is read one way: ``ingest.export_parts`` cuts a large one into
+one part per worker, each ``pool`` worker reads its own part with
+``ingest.ingest_part``, and ``_merge_parts`` joins the parts' NDJSON
+chunks, columns and rejections. An export that is not cut is read in one
+part, in this process, by the same function. ``ingest_export`` writes the
+records file of the merged parts, and ``read_records`` views their columns
+when a records file has no sidecar that fits. How an export is cut and read
+is ``ingest``'s alone; this module runs the parts and merges their results.
 
 This is a module of its own so that importing ``ingest`` to parse or
 generate records loads no process pool. Writing a records file loads
@@ -32,7 +34,6 @@ import contextlib
 import hashlib
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 from .errors import EmptyDatasetError, NotJsonError
 from .ingest import (
@@ -41,7 +42,7 @@ from .ingest import (
     columns_in_bounds,
     export_parts,
     ingest_part,
-    parse_records,
+    text_of,
 )
 
 SIDECAR_NAME = "records.cols"
@@ -77,10 +78,13 @@ def _little_endian(column):
     return swapped
 
 
-def _sidecar_bytes(records, digest: str) -> bytes:
-    """The records.cols of ``records``, stamped for the NDJSON whose SHA-256 is ``digest``."""
-    body = b"".join([_little_endian(records.start), _little_endian(records.stop),
-                     _little_endian(records.max_bps), _little_endian(records.subclass)])
+def _sidecar_bytes(columns, digest: str) -> bytes:
+    """The records.cols of ``columns``, stamped for the NDJSON whose SHA-256 is ``digest``.
+
+    ``columns`` are the records' subclass, start, stop and max_bps, as
+    ``records_files`` takes them.
+    """
+    body = b"".join(map(_little_endian, [*columns[1:], columns[0]]))  # start, stop, max_bps, codes
     return _SIDECAR_MAGIC + _stamp(digest, body) + body
 
 
@@ -105,17 +109,17 @@ def _load_sidecar(path: Path, digest: str):
     return RecordTable(codes, start, stop, max_bps)
 
 
-def records_files(chunks: list[bytes], records) -> dict:
-    """The records file whose NDJSON is the byte ``chunks`` of ``records``.
+def records_files(chunks: list[bytes], columns) -> dict:
+    """The records file whose NDJSON is the byte ``chunks`` of records with ``columns``.
 
-    ``records`` is any columns of them with ``subclass``, ``start``, ``stop``
-    and ``max_bps``, uint8 and int64 in the host's byte order: a
-    ``RecordTable``, an ``ingest.RecordColumns``, or ``ingest_part``'s arrays.
+    ``columns`` are the records' subclass codes (uint8) and start, stop and
+    max_bps (int64), in the host's byte order and in ``RecordTable``'s
+    argument order: numpy arrays, or ``ingest_part``'s ``array.array``s.
     """
     digest = hashlib.sha256()
     for chunk in chunks:
         digest.update(chunk)
-    return {"records.ndjson": chunks, SIDECAR_NAME: _sidecar_bytes(records, digest.hexdigest())}
+    return {"records.ndjson": chunks, SIDECAR_NAME: _sidecar_bytes(columns, digest.hexdigest())}
 
 
 def read_records(path: str, raw: bytes, digest: str):
@@ -123,17 +127,22 @@ def read_records(path: str, raw: bytes, digest: str):
 
     Returns it with what it was read from, as manifest fields: the sidecar
     beside ``path`` when that fits ``raw``, and otherwise "parse", with the
-    lenient parse's accepted and rejected counts.
+    lenient read's accepted and rejected counts. Without a sidecar that fits,
+    the file is read as ``ingest_export`` reads an export, in parts on the
+    pool from two ``_PART_MIN_CHARS``, and the table views the merged
+    columns; the NDJSON chunks it writes on the way are dropped.
     """
-    from .preprocess import enrich_all
+    import numpy as np
+
+    from .preprocess import RecordTable
 
     if not raw or raw.isspace():
         raise EmptyDatasetError(f"records file {path} is empty")
     table = _load_sidecar(Path(path).with_name(SIDECAR_NAME), digest)
     source = {"read_from": SIDECAR_NAME}
     if table is None:
-        records, report = parse_records(raw)
-        table = enrich_all(records)
+        columns, report = _merge_parts(_read_parts(text_of(raw)))[1:]  # drops the chunks
+        table = RecordTable(*(np.frombuffer(column, column.typecode) for column in columns))
         source = {"read_from": "parse", "accepted": report.accepted, "rejected": report.rejected}
     if not table:
         raise EmptyDatasetError(f"no valid records in {path}")
@@ -147,17 +156,22 @@ def ingest_export(text: str):
     NDJSON as a list of byte chunks whose concatenation is
     ``records_to_ndjson(records).encode()``, with records and report as
     ``parse_records`` would give them, and raises what it raises.
+    """
+    chunks, columns, report = _merge_parts(_read_parts(text))
+    return records_files(chunks, columns), report
+
+
+def _read_parts(text: str) -> list:
+    """The ``ingest_part`` results of the export ``text``, in order.
 
     A JSON array of at least two ``_PART_MIN_CHARS`` is cut by
     ``export_parts`` into one part per ``pool`` worker, each of at least
     that many characters, and each worker checks and serializes its own
-    part (``ingest_part``). Rejection locations of a part are shifted by the
-    entries (accepted + rejected) of the parts before it. A part that fails
-    to decode raises NotJsonError through ``run_pool``, which stops the
-    other workers, and the whole text is then read in one part, so a broken
-    document raises the same NotJsonError as ``parse_records``. Any other
-    input, and any input on one worker, is read in one part, in this
-    process, without loading the pool.
+    part. A part that fails to decode raises NotJsonError through
+    ``run_pool``, which stops the other workers, and the whole text is then
+    read in one part, so a broken document raises the same NotJsonError as
+    ``parse_records``. Any other input, and any input on one worker, is
+    read in one part, in this process, without loading the pool.
     """
     if len(text) >= 2 * _PART_MIN_CHARS:
         from . import pool
@@ -165,13 +179,18 @@ def ingest_export(text: str):
         bounds = export_parts(text, min(pool.worker_count(), len(text) // _PART_MIN_CHARS))
         if len(bounds) > 1:
             with contextlib.suppress(NotJsonError):
-                return _merge_parts(pool.run_pool(ingest_part, bounds, (text,),
-                                                  "an ingest worker"))
-    return _merge_parts([ingest_part(text, 0, len(text))])
+                return pool.run_pool(ingest_part, bounds, (text,), "an ingest worker")
+    return [ingest_part(text, 0, len(text))]
 
 
 def _merge_parts(parts: list):
-    """``ingest_export``'s result from its parts' results."""
+    """(NDJSON chunks, columns, ParseReport) of the export whose parts gave ``parts``.
+
+    The columns are ``array.array``s of subclass codes, start, stop and
+    max_bps, in ``RecordTable``'s argument order. Rejection locations of a
+    part are shifted by the entries (accepted + rejected) of the parts
+    before it.
+    """
     chunks, rejections, offset = [], [], 0
     columns = (array.array("B"), array.array("q"), array.array("q"), array.array("q"))
     for part_chunks, part_columns, part_rejections in parts:
@@ -180,6 +199,4 @@ def _merge_parts(parts: list):
             column += part_column
         rejections += [(offset + location, reason) for location, reason in part_rejections]
         offset += len(part_columns[0]) + len(part_rejections)  # the part's entries
-    subclass, start, stop, max_bps = columns
-    merged = SimpleNamespace(subclass=subclass, start=start, stop=stop, max_bps=max_bps)
-    return records_files(chunks, merged), ParseReport(len(start), len(rejections), rejections)
+    return chunks, columns, ParseReport(len(columns[0]), len(rejections), rejections)

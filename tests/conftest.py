@@ -35,6 +35,14 @@ def record_obj(
 # 5,000 digits: over Python's default int-to-str limit of 4,300
 HUGE_INT = "9" * 5000
 
+# The columns records.cols holds, in RecordTable's argument order.
+SOURCE_COLUMNS = ("subclass", "start", "stop", "max_bps")
+
+
+def source_columns(records) -> list:
+    """The SOURCE_COLUMNS of ``records``, as ``records.records_files`` takes them."""
+    return [getattr(records, name) for name in SOURCE_COLUMNS]
+
 
 def huge_int_line(field="max_bps") -> str:
     """One record object as JSON text whose ``field`` is HUGE_INT."""

@@ -16,7 +16,6 @@ import tempfile
 import threading
 import time
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,12 +24,14 @@ from hypothesis import strategies as st
 
 import ddoscast
 from conftest import (
+    SOURCE_COLUMNS,
     as_ndjson,
     child_pids,
     huge_int_line,
     is_running,
     readme_exit_codes,
     record_obj,
+    source_columns,
 )
 from ddoscast import cli, grid
 from ddoscast.analytics import global_stats, rank_subclasses, ranking_to_csv, stats_to_csv
@@ -555,6 +556,23 @@ def test_analyze_loads_no_process_pool(tmp_path, records_file):
     assert loaded_at_exit("analyze", records_file, "--out", tmp_path / "o") == ["numpy"]
 
 
+def test_a_read_large_enough_to_cut_loads_the_pool(tmp_path, records_file):
+    export = tmp_path / "export.json"
+    export.write_text(records_to_json(parse_records(records_file.read_bytes())[0]))
+    loaded = loaded_at_exit("analyze", export, "--out", tmp_path / "o", part_min_chars=1)
+    assert loaded == ["numpy", "multiprocessing", "concurrent.futures"]
+
+
+def test_forecast_loads_no_process_pool(tmp_path, records_file):
+    assert run(["ingest", records_file, "--out", tmp_path / "i"]) == 0
+    ndjson = tmp_path / "i" / "ingest-0" / "records.ndjson"
+    assert run(["train", ndjson, "--window", 5, "--hidden", 2, "--epochs", 1,
+                "--out", tmp_path / "t"]) == 0
+    checkpoint = tmp_path / "t" / "train-0" / "checkpoint.json"
+    loaded = loaded_at_exit("forecast", checkpoint, ndjson, "--out", tmp_path / "o")
+    assert "multiprocessing" not in loaded
+
+
 def test_readme_layout_lists_exactly_the_modules():
     root = Path(__file__).resolve().parents[1]
     section = (root / "README.md").read_text().split("## Layout\n", 1)[1].split("\n#", 1)[0]
@@ -753,7 +771,6 @@ SIDECAR_COMMANDS = (
     ("grid", ["--windows", "3,4", "--hiddens", "2", "--epochs", 1], ("grid_table.txt",)),
     ("forecast", [], ("forecast.csv", "forecast.svg")),
 )
-SOURCE_COLUMNS = ("subclass", "start", "stop", "max_bps")
 # Turns a file left open, and an exception raised where nothing can catch it,
 # into test failures.
 NO_LEAKS = pytest.mark.filterwarnings(
@@ -797,7 +814,7 @@ def _write_stamped(sidecar: Path, ndjson: Path, **changes) -> None:
     """Write the columns of ``ndjson``, with ``changes``, stamped for its bytes."""
     columns = {**_parsed_columns(ndjson), **changes}
     digest = cli.sha256_hex(ndjson.read_bytes())
-    sidecar.write_bytes(_sidecar_bytes(SimpleNamespace(**columns), digest))
+    sidecar.write_bytes(_sidecar_bytes([columns[name] for name in SOURCE_COLUMNS], digest))
 
 
 def _old_npz(ndjson: Path, **changes) -> bytes:
@@ -883,7 +900,7 @@ def test_the_sidecar_swaps_int64_columns_only_on_a_big_endian_host(monkeypatch):
     columns = (records.start, records.stop, records.max_bps)
     for byteorder, order in (("little", "<i8"), ("big", ">i8")):
         monkeypatch.setattr(sys, "byteorder", byteorder)
-        body = _sidecar_bytes(records, digest)[64:]
+        body = _sidecar_bytes(source_columns(records), digest)[64:]
         assert body == b"".join(np.asarray(column, order).tobytes() for column in columns) + \
             records.subclass.tobytes()
 
@@ -892,7 +909,7 @@ def test_the_sidecar_swaps_int64_columns_only_on_a_big_endian_host(monkeypatch):
 def test_mutated_sidecar_loads_its_columns_or_none(tmp_path):
     records = generate_synthetic(SyntheticSpec(record_count=40, seed=3))
     digest = cli.sha256_hex(records_to_ndjson(records).encode())
-    original = _sidecar_bytes(records, digest)
+    original = _sidecar_bytes(source_columns(records), digest)
     path = tmp_path / "records.cols"
     path.write_bytes(original)
     assert _load_sidecar(path, digest) is not None
@@ -972,6 +989,34 @@ def test_a_parsed_records_read_records_its_counts(tmp_path, records_file, capsys
     entry = json.loads((tmp_path / "o" / "analyze-0" / "manifest.json").read_text())["inputs"][0]
     assert (entry["read_from"], entry["accepted"], entry["rejected"]) == ("parse", accepted, 2)
     assert accepted == 600
+
+
+def _no_parse_records(raw, strict=False):
+    raise AssertionError("a command reached parse_records")
+
+
+@pytest.mark.parametrize("form", ["export", "ndjson-without-sidecar"])
+def test_no_command_reaches_parse_records(tmp_path, records_file, monkeypatch, form):
+    if form == "export":
+        path = tmp_path / "export.json"
+        path.write_text(records_to_json(parse_records(records_file.read_bytes())[0]))
+    else:
+        assert run(["ingest", records_file, "--out", tmp_path / "i"]) == 0
+        path = tmp_path / "i" / "ingest-0" / "records.ndjson"
+        path.with_name("records.cols").unlink()
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "ddoscast" and hasattr(module, "parse_records"):
+            monkeypatch.setattr(module, "parse_records", _no_parse_records)
+    out = tmp_path / "o"
+    assert run(["analyze", path, "--out", out]) == 0
+    assert run(["train", path, "--window", 5, "--hidden", 2, "--epochs", 1, "--out", out]) == 0
+    assert run(["grid", path, "--windows", "3", "--hiddens", "2", "--epochs", 1,
+                "--out", out]) == 0
+    assert run(["forecast", out / "train-0" / "checkpoint.json", path, "--out", out]) == 0
+    for command in ("analyze", "train", "grid", "forecast"):
+        inputs = json.loads((out / f"{command}-0" / "manifest.json").read_text())["inputs"]
+        entry = next(entry for entry in inputs if entry["param"] == "records")
+        assert (entry["read_from"], entry["accepted"], entry["rejected"]) == ("parse", 600, 0)
 
 
 @pytest.mark.parametrize("rejected_only", [False, True])
@@ -1143,7 +1188,8 @@ def test_synthetic_ingest_writes_what_parsing_its_records_gives(tmp_path, seed):
         '{\n  "accepted": 500,\n  "rejected": 0,\n  "rejection_reasons": []\n}\n'
     )
     parsed, _report = parse_records(ndjson, strict=True)
-    assert (out / "records.cols").read_bytes() == _sidecar_bytes(parsed, cli.sha256_hex(ndjson))
+    assert (out / "records.cols").read_bytes() == _sidecar_bytes(source_columns(parsed),
+                                                                   cli.sha256_hex(ndjson))
 
 
 @pytest.mark.parametrize("draw", [1e19, math.inf])  # int() of inf raises OverflowError too

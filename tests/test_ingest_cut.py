@@ -1,10 +1,12 @@
-"""ingest of a JSON array cut into one part per worker.
+"""ingest of a JSON array cut into one part per worker, and a records file read the same way.
 
 Every case runs the ``ingest`` command with the worker count forced to 1,
 which parses the array in one part, and to 2 and 3, which cut it; the
 outcomes (exit code, stderr and the three data files) must be the same.
 The exports are small, so each case also lowers ``records._PART_MIN_CHARS``
 to one character (``workers``): any array with two elements or more is cut.
+``read_records`` without a sidecar reads through the same parts, and the
+last cases compare it with the reference reader, ``parse_records``.
 """
 
 import contextlib
@@ -14,14 +16,15 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import HUGE_INT, record_obj
+from conftest import HUGE_INT, record_obj, source_columns
 from ddoscast import ingest, pool, records
 from ddoscast.cli import main
-from ddoscast.errors import DdoscastError
+from ddoscast.errors import DdoscastError, EmptyDatasetError
 from ddoscast.ingest import parse_records, records_to_ndjson
 from ddoscast.preprocess import enrich_all
 
@@ -157,7 +160,8 @@ def test_the_records_file_is_the_parsed_records_serialized(count, entries, ndjso
         assert got == parsed
         return
     recs, report = parsed
-    want = records.records_files([records_to_ndjson(recs).encode()], enrich_all(recs))
+    want = records.records_files([records_to_ndjson(recs).encode()],
+                                 source_columns(enrich_all(recs)))
     files, got_report = got
     assert b"".join(files["records.ndjson"]) == b"".join(want["records.ndjson"])
     assert files["records.cols"] == want["records.cols"]
@@ -335,3 +339,75 @@ def test_a_byte_order_mark_before_the_array_is_skipped(count):
     expected = ingest_outcome(export, False, count)
     assert expected[0] == 0
     assert ingest_outcome(b"\xef\xbb\xbf" + export, False, count) == expected
+
+
+# --- read_records without a sidecar -------------------------------------------------
+
+def read_outcome(path: Path, raw: bytes):
+    """read_records of ``raw`` as the records file ``path``, which has no sidecar.
+
+    Returns (source columns, manifest fields), or the error's type and text.
+    """
+    try:
+        table, source = records.read_records(str(path), raw, "")
+    except DdoscastError as exc:
+        return type(exc), str(exc)
+    return source_columns(table), source
+
+
+def assert_same_columns(got: list, want: list) -> None:
+    for got_column, want_column in zip(got, want, strict=True):
+        assert got_column.dtype == want_column.dtype
+        assert np.array_equal(got_column, want_column)
+
+
+def test_a_read_in_parts_gives_the_table_of_one_part(tmp_path):
+    export = export_of(with_entry(SECOND, STOP_BEFORE_START))
+    outcomes = []
+    for count, parts in ((1, 0), (2, 2)):
+        with workers(count), mock.patch.object(pool, "run_pool", wraps=pool.run_pool) as run_pool:
+            outcomes.append(read_outcome(tmp_path / "records.ndjson", export))
+        assert (len(run_pool.call_args.args[1]) if run_pool.called else 0) == parts
+    (one_part, source), (cut, cut_source) = outcomes
+    assert source == cut_source == {"read_from": "parse", "accepted": COUNT - 1, "rejected": 1}
+    assert_same_columns(cut, one_part)
+
+
+@st.composite
+def _documents(draw) -> bytes:
+    """An export as an array, NDJSON, a wrapper object or a lone object, perhaps cut short."""
+    form = draw(st.sampled_from(["array", "ndjson", "wrapper", "lone"]))
+    if form == "array":
+        raw = draw(_exports())
+    else:
+        entries = draw(st.lists(_valid | _invalid, min_size=1, max_size=8))
+        if form == "ndjson":
+            lines = [json.dumps(entry) for entry in entries] + draw(st.lists(
+                st.sampled_from(["", "garbage", "{", "  "]), max_size=2))
+            raw = "\n".join(draw(st.permutations(lines))).encode()
+        else:
+            raw = json.dumps({"records": entries} if form == "wrapper" else entries[0]).encode()
+    cut = draw(st.none() | st.integers(0, len(raw)))
+    return raw if cut is None else raw[:cut]
+
+
+@given(_documents())
+@settings(max_examples=60, deadline=None)
+def test_a_read_without_a_sidecar_gives_the_parsed_table(tmp_path_factory, raw):
+    path = tmp_path_factory.getbasetemp() / "records.ndjson"
+    got = read_outcome(path, raw)
+    if not raw or raw.isspace():  # read_records' own error, before any parse
+        assert got == (EmptyDatasetError, f"records file {path} is empty")
+        return
+    try:
+        parsed, report = parse_records(raw)
+    except DdoscastError as exc:  # a broken document: the same error
+        assert got == (type(exc), str(exc))
+        return
+    if not parsed:
+        assert got == (EmptyDatasetError, f"no valid records in {path}")
+        return
+    columns, source = got
+    assert source == {"read_from": "parse", "accepted": report.accepted,
+                      "rejected": report.rejected}
+    assert_same_columns(columns, source_columns(enrich_all(parsed)))

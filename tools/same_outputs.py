@@ -10,24 +10,30 @@ non-object, a record without ``stop`` and one that stops before it starts.
 The same entries are also written as a non-canonical export: compact
 separators, keys unsorted, squashed subclass names ("UDPMisuse") and every
 absent optional member as ``null``, so no record is in the form ingest
-writes. Each tree then runs, each command in a fresh
-``python -m ddoscast.cli`` process with that tree first on PYTHONPATH:
+writes. The export's records are also written as the records.ndjson ingest
+writes, with no records.cols beside it. Each tree then runs, each command
+in a fresh ``python -m ddoscast.cli`` process with that tree first on
+PYTHONPATH:
 
     ingest, analyze, train --epochs 3, forecast,
     grid --epochs 1 --windows 8,24 --hiddens 16,32,
     ingest of the first ingest's records.ndjson, into ndjson/,
     train --window 8 --hidden 8 --epochs 2, forecast of that checkpoint
     and grid --windows 4,8 --hiddens 4 --epochs 1, into options/,
-    ingest of the non-canonical export, into noncanonical/
+    ingest of the non-canonical export, into noncanonical/,
+    analyze and train --epochs 3 of the export itself, into export/,
+    analyze of the records.ndjson that has no records.cols, into bare/
 
-The NDJSON ingest parses in one part, in its own process. The options/
-runs give every series and fitting option a value other than its default
+The NDJSON ingest parses in one part, in its own process. The last three
+commands read a file that has no sidecar, as ingest reads an export: on
+the pool, for an export large enough to cut. The options/ runs give every
+series and fitting option a value other than its default
 (--subclass ICMP --metric max_gbps --norm-source train_only
 --learning-rate 0.001 --batch-size 16; forecast reads them from the
 checkpoint), so a value dropped on its way to the model changes a file.
 Every output file but ``manifest.json`` is compared byte for byte, and
 ``grid.csv`` without its ``wall_ms`` column. One verdict is printed per
-file, 25 in all. The exit code is 0 only if every command exited 0 in both
+file, 35 in all. The exit code is 0 only if every command exited 0 in both
 trees and every file is the same.
 """
 
@@ -44,7 +50,7 @@ from pathlib import Path
 
 _EXPORT = """
 import datetime as dt, json, sys
-from ddoscast.ingest import SyntheticSpec, generate_synthetic, records_to_json
+from ddoscast.ingest import SyntheticSpec, generate_synthetic, records_to_json, records_to_ndjson
 spec = SyntheticSpec(record_count=int(sys.argv[2]), start_date=dt.date(2013, 6, 1),
                      end_date=dt.date(2020, 12, 31), seed=0)
 malformed = ["not an object",
@@ -60,6 +66,8 @@ noncanonical = [{"subclass": r.subclass.value, "attack_class": r.attack_class.va
                 for r in records]
 with open(sys.argv[3], "w") as fh:
     json.dump(malformed + noncanonical, fh, separators=(",", ":"))
+with open(sys.argv[4], "w") as fh:
+    fh.write(records_to_ndjson(records))
 """
 
 
@@ -67,7 +75,7 @@ _OPTIONS = ["--subclass", "ICMP", "--metric", "max_gbps", "--norm-source", "trai
             "--learning-rate", "0.001", "--batch-size", "16"]
 
 
-def _commands(export: Path, noncanonical: Path, out: Path) -> list[list[str]]:
+def _commands(export: Path, noncanonical: Path, bare: Path, out: Path) -> list[list[str]]:
     records = str(out / "ingest-0" / "records.ndjson")
     common = ["--out", str(out), "--seed", "0"]
     in_options = ["--out", str(out / "options"), "--seed", "0"]
@@ -84,6 +92,9 @@ def _commands(export: Path, noncanonical: Path, out: Path) -> list[list[str]]:
         ["grid", records, "--windows", "4,8", "--hiddens", "4", "--epochs", "1", *_OPTIONS,
          *in_options],
         ["ingest", str(noncanonical), "--out", str(out / "noncanonical"), "--seed", "0"],
+        ["analyze", str(export), "--out", str(out / "export"), "--seed", "0"],
+        ["train", str(export), "--epochs", "3", "--out", str(out / "export"), "--seed", "0"],
+        ["analyze", str(bare), "--out", str(out / "bare"), "--seed", "0"],
     ]
 
 
@@ -130,15 +141,16 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
         root = Path(tmp)
         export, noncanonical = root / "export.json", root / "noncanonical.json"
-        made = _run(args.parent_src.resolve(),
-                    ["-c", _EXPORT, str(export), str(args.records), str(noncanonical)])
+        bare = root / "records.ndjson"  # with no records.cols beside it
+        made = _run(args.parent_src.resolve(), ["-c", _EXPORT, str(export), str(args.records),
+                                                str(noncanonical), str(bare)])
         if made.returncode != 0:
             print(f"export: exited {made.returncode}\n{made.stderr}", end="")
             return 1
         outs = {}
         for side, src in (("parent", args.parent_src), ("change", args.change_src)):
             outs[side] = root / side
-            for command in _commands(export, noncanonical, outs[side]):
+            for command in _commands(export, noncanonical, bare, outs[side]):
                 done = _run(src.resolve(), ["-m", "ddoscast.cli", *command])
                 if done.returncode != 0:
                     print(f"{side} {command[0]}: exited {done.returncode}: {done.stderr.strip()}")
