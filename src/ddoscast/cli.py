@@ -56,6 +56,7 @@ from .ingest import (
     SyntheticSpec,
     generate_synthetic,
     raise_first_rejection,
+    read_export,
     records_to_ndjson,
     subclass_code,
     text_of,
@@ -153,7 +154,7 @@ def _synthetic_records(params: dict) -> RecordColumns:
 
 
 def _cmd_ingest(params: dict):
-    from .records import ingest_export, records_files
+    from .records import records_files
 
     if params["synthetic"] and params["input"] is not None:
         raise InvalidConfigError("ingest takes an input file or --synthetic, not both")
@@ -161,17 +162,18 @@ def _cmd_ingest(params: dict):
         raise InvalidConfigError("ingest needs an input file or --synthetic")
     if params["synthetic"]:
         records = _synthetic_records(params)
+        chunks = [records_to_ndjson(records).encode()]
         columns = (records.subclass, records.start, records.stop, records.max_bps)
-        files = records_files([records_to_ndjson(records).encode()], columns)
         report = ParseReport(accepted=len(records))
         inputs = []
     else:
         raw = Path(params["input"]).read_bytes()
         inputs = [_input("input", params["input"], raw)]
         raw = text_of(raw)  # frees the bytes: the workers fork with the decoded text only
-        files, report = ingest_export(raw)
+        chunks, columns, report = read_export(raw)
         if params["strict"]:
             raise_first_rejection(report)  # before any file is returned, so none is written
+    files = records_files(chunks, columns)
     files["parse_report.json"] = json.dumps(dataclasses.asdict(report), indent=2) + "\n"
     return files, inputs, f"ingest: {report.accepted} accepted, {report.rejected} rejected"
 

@@ -8,28 +8,31 @@ appear both with and without spaces in the wild ("TCP SYN" / "TCPSYN");
 spaces are stripped before enum mapping so both spellings parse.
 
 This module alone decides the input format: ``_detect_entries`` yields the
-decoded entries one at a time, and ``export_parts`` asks the same
+decoded entries one at a time, and ``_export_parts`` asks the same
 ``_FIRST`` whether the text is an array to cut. Every path checks a
 decoded entry with ``_check_entry``, which gives its row of column values,
 and writes records with one row writer, ``_record_lines``. The one loop
 over decoded input, ``_checked_rows``, yields the rows of the entries it
 accepts, and ``parse_records`` gathers them into ``RecordColumns``; the
 serializers feed the writer the rows of a ``RecordColumns``; an export
-part (``ingest_part``) feeds it its checked rows themselves.
+part (``_ingest_part``) feeds it its checked rows themselves.
 
-``export_parts`` cuts a JSON array at the first "}, {" (any JSON
+``_export_parts`` cuts a JSON array at the first "}, {" (any JSON
 whitespace around the comma) at or after each part's share of the text. A
 part decodes as an array of its own: the first is the text up to its cut's
 "}" plus "]", the next "[" plus the text from the cut's "{". A cut inside a
 string leaves the part before it with an unterminated string, and a cut
 inside a nested value leaves it with more than one container open, so when
 every part decodes, every cut fell between two top-level elements and the
-parts' elements are exactly the array's. ``ingest_part`` reads one part in
+parts' elements are exactly the array's. ``_ingest_part`` reads one part in
 one pass: each accepted row goes straight to its NDJSON line and to the
 four ``records.cols`` columns, and the part builds no ``RecordColumns``.
-Neither loads a process pool; ``records.ingest_export`` runs the parts.
+``read_export`` is the one reader of an export on the command line: it
+decides whether to cut (``_PART_MIN_CHARS``), runs the parts, on the pool
+or in one part, and merges them. Only it loads the pool, and only for an
+export large enough to cut.
 
-``ingest_part`` walks an array part in place, element by element, and
+``_ingest_part`` walks an array part in place, element by element, and
 takes a record in the form ``_record_lines`` writes with one match of
 ``_CANONICAL``: keys sorted, ", " and ": " separators, the wire subclass
 name, max_bps below 10**18, start and stop of at most 12 digits, ports of
@@ -258,8 +261,7 @@ class ParseReport:
     """Outcome of a lenient parse: accepted + rejected = the entries seen.
 
     That holds for every report, an unparseable NDJSON line being a rejected
-    entry, and ``records.ingest_export`` shifts each part's rejection
-    locations by it.
+    entry, and ``read_export`` shifts each part's rejection locations by it.
     """
 
     accepted: int = 0
@@ -427,7 +429,7 @@ _FIRST = re.compile(r"\s*(\S?)")
 def _detect_entries(text: str):
     """Yield (entry, location, reason) for each entry of ``text``, in input order.
 
-    The input format is decided here; ``export_parts`` only asks ``_FIRST``
+    The input format is decided here; ``_export_parts`` only asks ``_FIRST``
     whether the text is an array to cut. Locations are array
     indices (0-based) for array input and line numbers (1-based) for NDJSON.
     A lone top-level object that is not a single-key array wrapper is one
@@ -626,7 +628,7 @@ def records_to_ndjson(records) -> str:
 _CUT = re.compile(r"\}[ \t\n\r]*,[ \t\n\r]*\{")
 
 
-def export_parts(text: str, parts: int) -> list[tuple[int, int]]:
+def _export_parts(text: str, parts: int) -> list[tuple[int, int]]:
     """(start, stop) of each part of the export ``text``, cut at most ``parts - 1`` times.
 
     Only a JSON array is cut; any other input is the one part
@@ -688,7 +690,7 @@ _MOST_UNMATCHED = 16
 _CHUNK_LINES = 8192
 
 
-def ingest_part(text: str, start: int, stop: int):
+def _ingest_part(text: str, start: int, stop: int):
     """Check and serialize each entry of the part ``text[start:stop]`` of ``text``, in one pass.
 
     Returns (NDJSON chunks, source columns, rejections): the NDJSON is a list
@@ -705,13 +707,15 @@ def ingest_part(text: str, start: int, stop: int):
     but JSON whitespace around a comma or bracket), and for any input that
     is not an array, ``_read_part`` reads the part.
     """
-    with _cycle_collector_paused():
-        walked = _walk_part(text, start, stop)
-    return _read_part(text, start, stop) if walked is None else walked
+    return _walk_part(text, start, stop) or _read_part(text, start, stop)
 
 
 class _Part:
-    """A part's result as it is written: its NDJSON chunks and source columns so far."""
+    """A part's result as it is written, or the parts' as they are merged.
+
+    Its NDJSON chunks and source columns so far; the columns are in
+    ``RecordTable``'s argument order: subclass, start, stop, max_bps.
+    """
 
     def __init__(self):
         self.chunks = []
@@ -734,7 +738,7 @@ class _Part:
 
 
 def _walk_part(text: str, start: int, stop: int):
-    """``ingest_part``'s result for an array part, walked as it describes, or None."""
+    """``_ingest_part``'s result for an array part, walked as it describes, or None."""
     pos = start
     if start == 0:
         opened = _OPEN.match(text, 0, stop)
@@ -786,7 +790,7 @@ def _walk_part(text: str, start: int, stop: int):
 
 
 def _read_part(text: str, start: int, stop: int):
-    """``ingest_part``'s result from the part decoded whole by ``_checked_rows``.
+    """``_ingest_part``'s result from the part decoded whole by ``_checked_rows``.
 
     This reads every input ``_detect_entries`` reads, and raises its
     NotJsonError on a part that does not decode.
@@ -798,6 +802,53 @@ def _read_part(text: str, start: int, stop: int):
     while chunk := list(itertools.islice(rows, _CHUNK_LINES)):
         part.add(_record_lines(chunk), [value for row in chunk for value in row[1:5]])
     return part.chunks, part.columns, rejections
+
+
+# The fewest characters of export a worker is started for. A second worker
+# pays only once its part outweighs the fork and the return of its result:
+# in fresh runs on 2 CPUs, from between 15 and 29 MB for exports in
+# ``_record_lines``' form, and from below 5.5 MB for compact ones, whose
+# parts are decoded whole. A cut from 12 MB sits between the two.
+_PART_MIN_CHARS = 6_000_000
+
+
+def read_export(text: str):
+    """(NDJSON chunks, columns, ParseReport) of the export's decoded ``text``.
+
+    The chunks are bytes whose concatenation is
+    ``records_to_ndjson(records).encode()``; the columns are
+    ``array.array``s of subclass codes, start, stop and max_bps, in
+    ``RecordTable``'s argument order; records and report are those
+    ``parse_records`` gives, and it raises what ``parse_records`` raises.
+
+    A JSON array of at least two ``_PART_MIN_CHARS`` is cut by
+    ``_export_parts`` into one part per ``pool`` worker, each of at least
+    that many characters, and each worker reads its own part with
+    ``_ingest_part``. A part that fails to decode raises NotJsonError
+    through ``run_pool``, which stops the other workers, and the whole text
+    is then read in one part, so a broken document raises the same error.
+    Any other input, and any input on one worker, is read in one part, in
+    this process, without loading the pool. The parts are merged in order,
+    and the rejection locations of a part are shifted by the entries
+    (accepted + rejected) of the parts before it.
+    """
+    parts = None
+    if len(text) >= 2 * _PART_MIN_CHARS:
+        from . import pool
+
+        bounds = _export_parts(text, min(pool.worker_count(), len(text) // _PART_MIN_CHARS))
+        if len(bounds) > 1:
+            with contextlib.suppress(NotJsonError):
+                parts = pool.run_pool(_ingest_part, bounds, (text,), "an ingest worker")
+    merged, rejections, offset = _Part(), [], 0
+    for chunks, columns, part_rejections in parts or [_ingest_part(text, 0, len(text))]:
+        merged.chunks += chunks
+        for column, part_column in zip(merged.columns, columns):
+            column += part_column
+        rejections += [(offset + location, reason) for location, reason in part_rejections]
+        offset += len(columns[0]) + len(part_rejections)  # the part's entries
+    accepted = len(merged.columns[0])
+    return merged.chunks, merged.columns, ParseReport(accepted, len(rejections), rejections)
 
 
 _COUNTRIES = ("US", "CN", "DE", "FR", "GB", "RU", "BR", "IN", "KR", "NL")

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import ctypes
 import io
@@ -47,6 +48,16 @@ def source_columns(records) -> list:
 def huge_int_line(field="max_bps") -> str:
     """One record object as JSON text whose ``field`` is HUGE_INT."""
     return json.dumps(record_obj(**{field: "@huge@"})).replace('"@huge@"', HUGE_INT)
+
+
+def scope_nodes(scope):
+    """The nodes of the ``ast`` ``scope``, without those of the functions defined in it."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
 
 
 def readme_exit_codes() -> set[int]:

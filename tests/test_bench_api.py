@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import scope_nodes
 from ddoscast.ingest import SyntheticSpec, generate_synthetic
 from ddoscast.preprocess import enrich_all
 
@@ -38,7 +39,7 @@ def ddoscast_references(tree: ast.Module) -> list[tuple[ast.AST, str, str]]:
                       if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)))]
     for scope in scopes:
         local = dict(imported)
-        for node in _scope_nodes(scope):
+        for node in scope_nodes(scope):
             if isinstance(node, ast.Assign):
                 value = imported.get(node.value.id) if isinstance(node.value, ast.Name) else None
                 for target in node.targets:
@@ -47,7 +48,7 @@ def ddoscast_references(tree: ast.Module) -> list[tuple[ast.AST, str, str]]:
                             local[target.id] = value
                         else:
                             local.pop(target.id, None)
-        for node in _scope_nodes(scope):
+        for node in scope_nodes(scope):
             if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                     and local.get(node.value.id) in modules):
                 refs.append((node, ".".join(local[node.value.id]), node.attr))
@@ -91,16 +92,6 @@ def unbound_calls(tree: ast.Module) -> list[str]:
         except TypeError as exc:
             problems.append(f"{module}.{name} at line {call.lineno}: {exc}")
     return problems
-
-
-def _scope_nodes(scope):
-    """The nodes of ``scope``, without those of the functions defined in it."""
-    stack = list(ast.iter_child_nodes(scope))
-    while stack:
-        node = stack.pop()
-        yield node
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            stack.extend(ast.iter_child_nodes(node))
 
 
 def _is_module(name: str) -> bool:

@@ -31,12 +31,14 @@ from conftest import (
     is_running,
     readme_exit_codes,
     record_obj,
+    scope_nodes,
     source_columns,
 )
 from ddoscast import cli, grid
 from ddoscast.analytics import global_stats, rank_subclasses, ranking_to_csv, stats_to_csv
 from ddoscast.cli import _build_parser, _resolve_params, main, replay_manifest
 from ddoscast.ingest import (
+    _PART_MIN_CHARS,
     MAX_UNIX_SECONDS,
     SUBCLASSES,
     Subclass,
@@ -55,7 +57,7 @@ from ddoscast.lstm import (
     save_checkpoint,
 )
 from ddoscast.preprocess import Metric, enrich_all
-from ddoscast.records import _PART_MIN_CHARS, _load_sidecar, _sidecar_bytes
+from ddoscast.records import _load_sidecar, _sidecar_bytes
 from ddoscast.windowing import NormSource, build_windowed
 
 
@@ -165,10 +167,12 @@ class TestAnalyze:
         assert hist.startswith("metric,bin_lo,bin_hi,year,count")
         assert ",max_gbps," not in hist.split("\n")[0]
 
-    def test_empty_file_exit_three(self, tmp_path):
+    def test_empty_file_exit_three(self, tmp_path, capsys):
         empty = tmp_path / "empty.ndjson"
-        empty.write_text("")
-        assert run(["analyze", empty, "--out", tmp_path / "o"]) == 3
+        for raw in (b"", b"\xef\xbb\xbf", b"\xef\xbb\xbf \n"):  # a byte-order mark is no content
+            empty.write_bytes(raw)
+            assert run(["analyze", empty, "--out", tmp_path / "o"]) == 3
+            assert capsys.readouterr().err == f"error: records file {empty} is empty\n"
 
     def test_out_of_range_records_are_dropped(self, tmp_path):
         path = tmp_path / "records.ndjson"
@@ -508,19 +512,19 @@ def test_ingest_loads_no_pool():
     assert (proc.returncode, proc.stdout) == (0, loaded)
 
 
-# Runs ``python -m ddoscast.cli`` with ``records._PART_MIN_CHARS`` set to the
+# Runs ``python -m ddoscast.cli`` with ``ingest._PART_MIN_CHARS`` set to the
 # first argument after the script and the command line the rest, and, as it
 # exits, prints as its last line which of numpy, multiprocessing and
 # concurrent.futures it loaded.
 LOADED_AT_EXIT = """
 import atexit, json, runpy, sys
-from ddoscast import records
+from ddoscast import ingest
 
 def report():
     print(json.dumps([name for name in ("numpy", "multiprocessing", "concurrent.futures")
                       if name in sys.modules]))
 
-records._PART_MIN_CHARS = int(sys.argv.pop(1))
+ingest._PART_MIN_CHARS = int(sys.argv.pop(1))
 atexit.register(report)
 runpy.run_module("ddoscast.cli", run_name="__main__", alter_sys=True)
 """
@@ -581,17 +585,67 @@ def test_readme_layout_lists_exactly_the_modules():
     assert listed == modules - {"ddoscast.__init__"}
 
 
-def test_no_module_imports_a_private_name_of_another():
-    # A leading underscore keeps a name, and the decision behind it, in its module.
-    imported = []
-    for path in sorted(Path(ddoscast.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_names_of_others(source: str) -> list[str]:
+    """Each private ddoscast name that the module ``source`` imports or reads from another.
+
+    Those are the ``_``-prefixed names of ``from ddoscast.x import _name``
+    (or ``from .x import _name``), and the ``_``-prefixed attributes read
+    from a module bound by ``from . import m`` or ``from ddoscast import m``.
+    Such a module is seen in the function that imports it and, when it is
+    imported at the top of the file, in every function; a name assigned or
+    taken as a parameter in a function is that function's own.
+    """
+    tree, found, top = ast.parse(source), [], set()
+    scopes = [tree, *(node for node in ast.walk(tree)
+                      if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))]
+    for scope in scopes:  # the file's own scope first
+        nodes, modules = list(scope_nodes(scope)), set(top)
+        for node in nodes:
             if isinstance(node, ast.ImportFrom) and (
                     node.level or (node.module or "").split(".")[0] == "ddoscast"):
-                imported += [f"{path.name}: {alias.name} from {node.module}"
-                             for alias in node.names if alias.name.startswith("_")
-                             and not (alias.name.startswith("__") and alias.name.endswith("__"))]
-    assert imported == []
+                found += [f"{alias.name} from {node.module}"
+                          for alias in node.names if _private(alias.name)]
+                if node.module in (None, "ddoscast"):
+                    modules |= {alias.asname or alias.name for alias in node.names}
+        modules -= {node.id for node in nodes
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+        modules -= {node.arg for node in nodes if isinstance(node, ast.arg)}
+        if scope is tree:
+            top = modules
+        found += [f"{node.value.id}.{node.attr}" for node in nodes
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules and _private(node.attr)]
+    return found
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # A leading underscore keeps a name, and the decision behind it, in its module.
+    found = [f"{path.name}: {name}"
+             for path in sorted(Path(ddoscast.__file__).parent.glob("*.py"))
+             for name in private_names_of_others(path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
+def test_the_import_rule_sees_module_attributes_in_any_scope():
+    source = ("from . import ingest\n"
+              "from .records import _load_sidecar, SIDECAR_NAME\n"
+              "def cut(text):\n"
+              "    return ingest._export_parts(text, 2), ingest.__name__\n"
+              "def count():\n"
+              "    from ddoscast import pool\n"
+              "    return pool.worker_count(), pool._shared\n"
+              "def run(ingest):\n"
+              "    pool = Executor()\n"
+              "    return pool._processes, ingest._text\n")
+    assert private_names_of_others(source) == [
+        "_load_sidecar from records", "ingest._export_parts", "pool._shared",
+    ]
+    pool_source = Path(ddoscast.__file__).with_name("pool.py").read_text(encoding="utf-8")
+    assert "pool._processes" in pool_source and private_names_of_others(pool_source) == []
 
 
 @pytest.mark.parametrize(
@@ -1285,10 +1339,10 @@ def test_killed_worker_fails_grid_with_exit_eight(tmp_path, records_file):
 # small export is cut as a large one is.
 STALLED_INGEST = """
 import runpy, time
-from ddoscast import ingest, pool, records
+from ddoscast import ingest, pool
 
 pool.worker_count = lambda tasks=None: 2
-records._PART_MIN_CHARS = 1
+ingest._PART_MIN_CHARS = 1
 ingest._check_entry = lambda entry: time.sleep(3600)
 runpy.run_module("ddoscast.cli", run_name="__main__", alter_sys=True)
 """

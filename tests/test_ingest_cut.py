@@ -3,13 +3,15 @@
 Every case runs the ``ingest`` command with the worker count forced to 1,
 which parses the array in one part, and to 2 and 3, which cut it; the
 outcomes (exit code, stderr and the three data files) must be the same.
-The exports are small, so each case also lowers ``records._PART_MIN_CHARS``
+The exports are small, so each case also lowers ``ingest._PART_MIN_CHARS``
 to one character (``workers``): any array with two elements or more is cut.
-``read_records`` without a sidecar reads through the same parts, and the
-last cases compare it with the reference reader, ``parse_records``.
+Both the command and ``read_records`` without a sidecar read through
+``ingest.read_export``, and the last cases compare ``read_records`` with
+the reference reader, ``parse_records``.
 """
 
 import contextlib
+import datetime as dt
 import io
 import json
 import tempfile
@@ -25,7 +27,13 @@ from conftest import HUGE_INT, record_obj, source_columns
 from ddoscast import ingest, pool, records
 from ddoscast.cli import main
 from ddoscast.errors import DdoscastError, EmptyDatasetError
-from ddoscast.ingest import parse_records, records_to_ndjson
+from ddoscast.ingest import (
+    SyntheticSpec,
+    generate_synthetic,
+    parse_records,
+    records_to_json,
+    records_to_ndjson,
+)
 from ddoscast.preprocess import enrich_all
 
 OUTPUTS = ("records.ndjson", "records.cols", "parse_report.json")
@@ -35,17 +43,20 @@ def workers(count: int) -> contextlib.ExitStack:
     """Patches under which ingest cuts an array into ``count`` parts, however small it is."""
     stack = contextlib.ExitStack()
     stack.enter_context(mock.patch.object(pool, "worker_count", lambda tasks=None: count))
-    stack.enter_context(mock.patch.object(records, "_PART_MIN_CHARS", 1))
+    stack.enter_context(mock.patch.object(ingest, "_PART_MIN_CHARS", 1))
     return stack
 
 
 def ingest_outcome(export: bytes, strict: bool, count: int):
-    """(exit code, stderr, {file: bytes} or None, whether the parts merged were one part)."""
+    """(exit code, stderr, {file: bytes} or None, whether the export was read in one part).
+
+    Only a read in one part walks a part in this process; workers walk theirs in their own.
+    """
     with contextlib.ExitStack() as stack:
         tmp = Path(stack.enter_context(tempfile.TemporaryDirectory()))
         stack.enter_context(workers(count))
-        merge = stack.enter_context(
-            mock.patch.object(records, "_merge_parts", wraps=records._merge_parts)
+        walk = stack.enter_context(
+            mock.patch.object(ingest, "_walk_part", wraps=ingest._walk_part)
         )
         err = io.StringIO()
         stack.enter_context(contextlib.redirect_stderr(err))
@@ -56,7 +67,7 @@ def ingest_outcome(export: bytes, strict: bool, count: int):
         files = None
         if code == 0:
             files = {name: (tmp / "o" / "ingest-0" / name).read_bytes() for name in OUTPUTS}
-    return code, err.getvalue(), files, merge.called and len(merge.call_args.args[0]) == 1
+    return code, err.getvalue(), files, walk.called
 
 
 def assert_same_for_any_worker_count(export: bytes, strict: bool, counts=(2, 3)) -> tuple:
@@ -154,7 +165,7 @@ def test_the_records_file_is_the_parsed_records_serialized(count, entries, ndjso
     else:
         text = json.dumps(entries)
     with workers(count):
-        got = _outcome(records.ingest_export, text)
+        got = _outcome(ingest.read_export, text)
     parsed = _outcome(parse_records, text)
     if isinstance(parsed[0], type):  # the text is not JSON: both raise the same error
         assert got == parsed
@@ -162,9 +173,9 @@ def test_the_records_file_is_the_parsed_records_serialized(count, entries, ndjso
     recs, report = parsed
     want = records.records_files([records_to_ndjson(recs).encode()],
                                  source_columns(enrich_all(recs)))
-    files, got_report = got
-    assert b"".join(files["records.ndjson"]) == b"".join(want["records.ndjson"])
-    assert files["records.cols"] == want["records.cols"]
+    chunks, columns, got_report = got
+    assert b"".join(chunks) == b"".join(want["records.ndjson"])
+    assert records.records_files(chunks, columns)["records.cols"] == want["records.cols"]
     assert got_report == report
 
 
@@ -195,7 +206,7 @@ def cut_inside(value_text: str, cut: int, parts: int) -> bytes:
     for before in range(COUNT):
         text = export_of([VALID] * before + [special] + [VALID] * (COUNT - before)).decode()
         lo = text.index(value_text)
-        stop = ingest.export_parts(text, parts)[cut - 1][1]
+        stop = ingest._export_parts(text, parts)[cut - 1][1]
         if lo < stop < lo + len(value_text):
             return text.encode()
     raise AssertionError("no layout puts the cut inside the value")
@@ -296,7 +307,7 @@ def test_a_strict_violation_waits_for_every_part_to_decode():
 
 def test_a_single_element_array_is_one_part():
     export = export_of([VALID])
-    assert ingest.export_parts(export.decode(), 2) == [(0, len(export))]
+    assert ingest._export_parts(export.decode(), 2) == [(0, len(export))]
     assert ingest_outcome(export, False, 2)[3]
 
 
@@ -304,12 +315,14 @@ def test_an_export_is_cut_only_into_parts_of_at_least_the_part_size():
     text = export_of([VALID] * COUNT).decode()
     half = len(text) // 2
     with workers(1):
-        files, report = records.ingest_export(text)
+        chunks, columns, report = ingest.read_export(text)
+    files = records.records_files(chunks, columns)
     expected = b"".join(files["records.ndjson"]), files["records.cols"], report
     for count, part_min, parts in ((2, half, 2), (3, half, 2), (3, half + 1, 0), (3, 1, 3)):
-        with workers(count), mock.patch.object(records, "_PART_MIN_CHARS", part_min), \
+        with workers(count), mock.patch.object(ingest, "_PART_MIN_CHARS", part_min), \
                 mock.patch.object(pool, "run_pool", wraps=pool.run_pool) as run_pool:
-            files, report = records.ingest_export(text)
+            chunks, columns, report = ingest.read_export(text)
+        files = records.records_files(chunks, columns)
         assert (len(run_pool.call_args.args[1]) if run_pool.called else 0) == parts, count
         assert (b"".join(files["records.ndjson"]), files["records.cols"], report) == expected
 
@@ -317,16 +330,16 @@ def test_an_export_is_cut_only_into_parts_of_at_least_the_part_size():
 def test_the_workers_share_the_decoded_text():
     text = export_of([VALID] * COUNT).decode() + "\n"
     with workers(2), mock.patch.object(pool, "run_pool", wraps=pool.run_pool) as run_pool:
-        records.ingest_export(text)
+        ingest.read_export(text)
     function, _calls, shared, _whose = run_pool.call_args.args
-    assert function is ingest.ingest_part and shared[0] is text
+    assert function is ingest._ingest_part and shared[0] is text
 
 
 def test_only_json_whitespace_separates_the_elements_at_a_cut():
     # Where the cut would fall, the comma has a vertical tab after it: not JSON
     # whitespace, so that array is broken and must not be cut there.
     text = export_of([VALID] * COUNT).decode()
-    stop = ingest.export_parts(text, 2)[0][1]
+    stop = ingest._export_parts(text, 2)[0][1]
     assert text[stop:stop + 3] == ", {"
     export = (text[:stop] + ",\x0b" + text[stop + 2:]).encode()
     code, err, _files = assert_same_for_any_worker_count(export, False)
@@ -339,6 +352,26 @@ def test_a_byte_order_mark_before_the_array_is_skipped(count):
     expected = ingest_outcome(export, False, count)
     assert expected[0] == 0
     assert ingest_outcome(b"\xef\xbb\xbf" + export, False, count) == expected
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_synthetic_records_and_their_export_ingest_to_the_same_records_file(tmp_path, count):
+    spec = SyntheticSpec(record_count=300, start_date=dt.date(2019, 11, 1),
+                         end_date=dt.date(2020, 2, 29), seed=4)
+    export = tmp_path / "export.json"
+    export.write_text(records_to_json(generate_synthetic(spec)))
+    with workers(count), mock.patch.object(pool, "run_pool", wraps=pool.run_pool) as run_pool, \
+            contextlib.redirect_stdout(io.StringIO()):
+        assert main(["ingest", "--synthetic", "--count", "300", "--seed", "4",
+                     "--start-date", "2019-11-01", "--end-date", "2020-02-29",
+                     "--out", str(tmp_path / "s")]) == 0
+        assert main(["ingest", str(export), "--seed", "4", "--out", str(tmp_path / "e")]) == 0
+    assert run_pool.call_count == (count > 1)  # only the export is cut
+    synthetic, exported = ({name: (tmp_path / out / "ingest-4" / name).read_bytes()
+                            for name in OUTPUTS} for out in "se")
+    assert synthetic == exported
+    report = {"accepted": 300, "rejected": 0, "rejection_reasons": []}
+    assert json.loads(exported["parse_report.json"]) == report
 
 
 # --- read_records without a sidecar -------------------------------------------------

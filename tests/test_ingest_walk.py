@@ -1,10 +1,10 @@
-"""``ingest_part``'s walk of an array part, against the part decoded whole.
+"""``_ingest_part``'s walk of an array part, against the part decoded whole.
 
-``ingest.ingest_part`` takes each record in the form ``_record_lines``
+``ingest._ingest_part`` takes each record in the form ``_record_lines``
 writes with one pattern match, and decodes any other element on its own,
 up to ``ingest._MOST_UNMATCHED`` of them; ``ingest._read_part`` decodes
 the part whole. For every part that
-``export_parts`` cuts a text into, in one, two or three, both must give
+``_export_parts`` cuts a text into, in one, two or three, both must give
 the same NDJSON bytes, columns and rejections, or raise the same
 NotJsonError. The drawn arrays mix canonical records with near misses at
 each of the pattern's edges.
@@ -42,8 +42,8 @@ def outcome(read, text: str, start: int, stop: int):
 
 def assert_parts_read_alike(text: str) -> None:
     for parts in (1, 2, 3):
-        for start, stop in ingest.export_parts(text, parts):
-            walked = outcome(ingest.ingest_part, text, start, stop)
+        for start, stop in ingest._export_parts(text, parts):
+            walked = outcome(ingest._ingest_part, text, start, stop)
             assert walked == outcome(ingest._read_part, text, start, stop), (parts, start, stop)
 
 
@@ -241,7 +241,7 @@ def test_each_edge_of_the_pattern(old, new, taken):
     with mock.patch.object(ingest, "_decode_element", wraps=ingest._decode_element) as decode:
         assert_parts_read_alike(text)
         decode.reset_mock()
-        outcome(ingest.ingest_part, text, 0, len(text))
+        outcome(ingest._ingest_part, text, 0, len(text))
     assert decode.call_count == (0 if taken else 1)
 
 
@@ -265,7 +265,7 @@ def test_a_part_of_too_many_unmatched_elements_is_decoded_whole(unmatched):
     text = "[" + ", ".join(elements) + "]"
     assert_parts_read_alike(text)
     with mock.patch.object(ingest, "_read_part", wraps=ingest._read_part) as read:
-        outcome(ingest.ingest_part, text, 0, len(text))
+        outcome(ingest._ingest_part, text, 0, len(text))
     assert read.called == (unmatched > ingest._MOST_UNMATCHED)
 
 
@@ -275,7 +275,7 @@ def cut_inside(value: str) -> str:
     special = BASE[:-1] + ', "note": ' + value + "}"
     for before in range(40):
         text = "[" + ", ".join([BASE] * before + [special] + [BASE] * (40 - before)) + "]"
-        lo, stop = text.index(value), ingest.export_parts(text, 2)[0][1]
+        lo, stop = text.index(value), ingest._export_parts(text, 2)[0][1]
         if lo < stop < lo + len(value):
             return text
     raise AssertionError("no layout puts the cut inside the value")
@@ -287,8 +287,8 @@ def cut_inside(value: str) -> str:
 def test_a_part_cut_inside_a_value_is_decoded_whole(value):
     text = cut_inside(value)
     assert_parts_read_alike(text)
-    for start, stop in ingest.export_parts(text, 2):
-        assert outcome(ingest.ingest_part, text, start, stop)[0] == "NotJsonError"
+    for start, stop in ingest._export_parts(text, 2):
+        assert outcome(ingest._ingest_part, text, start, stop)[0] == "NotJsonError"
 
 
 # --- the pattern keeps up with the writer ---------------------------------------------
@@ -316,8 +316,8 @@ def test_the_pattern_takes_every_record_the_writer_writes(parts):
     refused = AssertionError("a record the writer wrote was not taken by the pattern")
     with mock.patch.object(ingest, "_read_part", side_effect=refused), \
             mock.patch.object(ingest, "_decode_element", side_effect=refused):
-        results = [ingest.ingest_part(text, start, stop)
-                   for start, stop in ingest.export_parts(text, parts)]
+        results = [ingest._ingest_part(text, start, stop)
+                   for start, stop in ingest._export_parts(text, parts)]
     assert len(results) == parts
     assert b"".join(b"".join(chunks) for chunks, _columns, _rejections in results) == \
         records_to_ndjson(records).encode()
