@@ -12,6 +12,7 @@ Without the file this demo prints the instructions above and exits.
 
 import os
 import sys
+from pathlib import Path
 
 from ddoscast.analytics import global_stats, histogram_throughput, rank_subclasses
 from ddoscast.ingest import parse_records
@@ -23,7 +24,7 @@ if not path or not os.path.exists(path):
     sys.exit(0)
 
 print(f"parsing {path} ...")
-records, report = parse_records(open(path, "rb").read())
+records, report = parse_records(Path(path).read_bytes())
 print(f"accepted={report.accepted} rejected={report.rejected}")
 
 enriched = enrich_all(records)

@@ -73,12 +73,6 @@ class EmptyDateRangeError(DdoscastError):
     exit_code = 2
 
 
-class AllZeroWeightsError(DdoscastError):
-    """Synthetic spec subclass weights are all zero (or negative weights given)."""
-
-    exit_code = 2
-
-
 # --- preprocess / analytics ----------------------------------------------
 
 

@@ -51,16 +51,12 @@ So a broken document raises the same NotJsonError, and NDJSON, wrapper
 objects and lone objects are read as before. This is the speculative
 parsing of Mison (Li et al., "Mison: A Fast JSON Parser for Data
 Analytics", PVLDB 10(10), 2017): recognise the common form cheaply and
-fall back to the full decoder wherever recognition fails. On the seed-0
-192,525-record benchmark export, a fresh ``ingest`` took a median 0.91 s
-of CPU time and peaked at 129 MB (``tools/own_peak.py``, 2 CPUs), against
-1.44 s and 156.6 MB when every part was decoded whole.
+fall back to the full decoder wherever recognition fails.
 """
 
 from __future__ import annotations
 
 import array
-import bisect
 import contextlib
 import datetime as dt
 import enum
@@ -70,12 +66,10 @@ import json
 import math
 import random
 import re
-from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
 from .errors import (
-    AllZeroWeightsError,
     EmptyDateRangeError,
     InvalidConfigError,
     NotJsonError,
@@ -163,15 +157,15 @@ _DTYPES = ("u1", "u1", "i8", "i8", "i8")
 
 
 @dataclass(frozen=True, eq=False)
-class RecordColumns(Sequence):
+class RecordColumns:
     """Records as parallel columns: what parsing and ``generate_synthetic`` return.
 
     ``attack_class`` and ``subclass`` hold uint8 codes into
     ``ATTACK_CLASSES`` and ``SUBCLASSES``; ``max_bps``, ``start`` and
     ``stop`` are int64; the optional country and port lists hold one tuple
-    (or None) per record. The arrays are read-only. As a sequence the
-    columns read as ``AttackRecord`` rows, and they compare equal to any
-    sequence of the same records.
+    (or None) per record. The arrays are read-only. Iterating the columns
+    gives their ``AttackRecord`` rows, in order; ``rows`` gives each
+    record's column values, codes in place of the enums.
     """
 
     attack_class: np.ndarray
@@ -209,12 +203,6 @@ class RecordColumns(Sequence):
     def __len__(self) -> int:
         return self.start.size
 
-    def __getitem__(self, index: int) -> AttackRecord:
-        return _record((ATTACK_CLASSES[self.attack_class[index]], SUBCLASSES[self.subclass[index]],
-                        int(self.max_bps[index]), int(self.start[index]), int(self.stop[index]),
-                        self.dst_cc[index], self.src_cc[index], self.dst_ports[index],
-                        self.src_ports[index]))
-
     def rows(self):
         """Each record's row of column values, as ``_check_entry`` gives it.
 
@@ -225,7 +213,10 @@ class RecordColumns(Sequence):
                    self.dst_cc, self.src_cc, self.dst_ports, self.src_ports)
 
     def __iter__(self):
-        new = object.__new__  # each record as _record builds it, without a call per record
+        # Each record's values go into its __dict__ in one update, not through the nine
+        # object.__setattr__ calls of a frozen dataclass's __init__: the record compares,
+        # hashes and refuses assignment as a constructed one does.
+        new = object.__new__
         for values in zip(map(ATTACK_CLASSES.__getitem__, self.attack_class.tolist()),
                           map(SUBCLASSES.__getitem__, self.subclass.tolist()),
                           self.max_bps.tolist(), self.start.tolist(), self.stop.tolist(),
@@ -234,26 +225,8 @@ class RecordColumns(Sequence):
             record.__dict__.update(zip(_FIELDS, values))
             yield record
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
 
 _FIELDS = tuple(f.name for f in fields(RecordColumns))  # AttackRecord's, in the same order
-
-
-def _record(values) -> AttackRecord:
-    """The AttackRecord of its field values, in field order.
-
-    The values go into the new record's ``__dict__`` in one update, not
-    through the nine ``object.__setattr__`` calls of a frozen dataclass's
-    ``__init__``. The record is the same: it compares, hashes and refuses
-    assignment as a constructed one does.
-    """
-    record = object.__new__(AttackRecord)
-    record.__dict__.update(zip(_FIELDS, values))
-    return record
 
 
 @dataclass
@@ -274,14 +247,12 @@ class SyntheticSpec:
     """Parameters for a deterministic synthetic record set.
 
     ``start_date``/``end_date`` are inclusive UTC dates; the range must not
-    be empty or start before 1970-01-01. Weights, when given, must be
-    non-negative, not NaN and not all zero, with a finite total.
+    be empty or start before 1970-01-01. Every subclass is equally likely.
     """
 
     record_count: int
     start_date: dt.date = dt.date(2019, 1, 1)
     end_date: dt.date = dt.date(2020, 12, 31)
-    subclass_weights: dict[Subclass, float] | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -291,21 +262,6 @@ class SyntheticSpec:
             raise EmptyDateRangeError(
                 f"end_date {self.end_date} before start_date {self.start_date}"
             )
-        weights = self.subclass_weights
-        if weights is not None:
-            if any(w != w for w in weights.values()):
-                raise InvalidConfigError("a subclass weight is NaN")
-            if any(w < 0 for w in weights.values()):
-                raise AllZeroWeightsError("negative subclass weight")
-            if not any(weights.get(sub, 0.0) > 0 for sub in Subclass):
-                raise AllZeroWeightsError("all subclass weights are zero")
-            total = _subclass_draws(weights)[1][-1]
-            try:
-                finite = math.isfinite(total)
-            except OverflowError:  # an int total beyond the largest float
-                finite = False
-            if not finite:
-                raise InvalidConfigError(f"subclass weights must have a finite total, got {total}")
         if self.start_date < _UNIX_EPOCH:
             raise InvalidConfigError(
                 f"start_date {self.start_date} is before 1970-01-01, the first second a record "
@@ -868,17 +824,6 @@ _NAME_RANK = [sorted(sub.value for sub in SUBCLASSES).index(sub.value) for sub i
 _PORTS = 65536
 
 
-def _subclass_draws(weights) -> tuple[list[int], list]:
-    """(population, cum_weights): the subclass codes of positive weight and their running total.
-
-    ``random.choices(population, weights=...)`` builds the same running
-    total, so a draw from these picks the same subclass.
-    """
-    weights = weights or {sub: 1.0 for sub in Subclass}  # the spec refuses {}
-    population = [code for code, sub in enumerate(SUBCLASSES) if weights.get(sub, 0.0) > 0]
-    return population, list(itertools.accumulate(weights[SUBCLASSES[code]] for code in population))
-
-
 def _lognormal(draw, mu: float, sigma: float) -> float:
     """``random.Random.lognormvariate(mu, sigma)`` of the generator whose ``random`` is ``draw``.
 
@@ -906,12 +851,13 @@ def generate_synthetic(spec: SyntheticSpec) -> RecordColumns:
     lexsort orders the columns. The draws are those of ``random.Random``'s
     ``choices``, ``randrange``, ``lognormvariate``, ``random``, ``choice``,
     ``sample`` and ``randint``, written out as the same calls to
-    ``random()`` and ``getrandbits()`` that those methods make: a weighted
-    choice is one ``random()`` and a bisect, and a number below n is
-    ``getrandbits(n.bit_length())`` drawn again until it is below n.
+    ``random()`` and ``getrandbits()`` that those methods make. The
+    subclass code is ``int(random() * 10)``, the index ``choices`` with ten
+    equal weights picks: it bisects their running total 1.0, 2.0, ..., 10.0
+    at ``random() * 10.0``, and even the largest ``random()`` times 10
+    rounds to below 10. A number below n is ``getrandbits(n.bit_length())``
+    drawn again until it is below n.
     """
-    population, cum_weights = _subclass_draws(spec.subclass_weights)
-    total, last_pick = cum_weights[-1] + 0.0, len(population) - 1
     misuse, detector = map(ATTACK_CLASSES.index, (AttackClass.MISUSE, AttackClass.DETECTOR))
     # Day arithmetic, not datetimes: end_date + 1 day overflows datetime at
     # 9999-12-31, whose last second is MAX_UNIX_SECONDS.
@@ -922,7 +868,7 @@ def generate_synthetic(spec: SyntheticSpec) -> RecordColumns:
     # sample(k <= 3) draws below 10, 9 and 8, all four bits, as choice draws below 10
     n_countries = len(_COUNTRIES)
     country_bits = n_countries.bit_length()
-    lognormal, pick = _lognormal, bisect.bisect_right
+    lognormal, n_subclasses = _lognormal, len(SUBCLASSES)
 
     rng = random.Random(spec.seed)
     draw, bits = rng.random, rng.getrandbits
@@ -932,7 +878,7 @@ def generate_synthetic(spec: SyntheticSpec) -> RecordColumns:
      add_dst_cc, add_src_cc, add_dst_ports, add_src_ports) = (column.append for column in columns)
     with _cycle_collector_paused():
         for _ in range(spec.record_count):
-            add_subclass(population[pick(cum_weights, draw() * total, 0, last_pick)])
+            add_subclass(int(draw() * n_subclasses))
             offset = bits(span_bits)
             while offset >= span:
                 offset = bits(span_bits)

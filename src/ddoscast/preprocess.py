@@ -51,11 +51,6 @@ class EnrichedRecord:
     duration_min: float
     max_gbps: float
 
-    @property
-    def duration_s(self) -> int:
-        """Exact attack duration in whole seconds."""
-        return int((self.stop_time - self.start_time).total_seconds())
-
 
 @dataclass(frozen=True, eq=False)
 class RecordTable:
@@ -99,12 +94,9 @@ class RecordTable:
             max_gbps=float(self.max_gbps[index]),
         )
 
-    def start_years(self) -> np.ndarray:
-        """UTC calendar year of each record's start, read-only; computed once per table."""
-        return self._start_years
-
     @functools.cached_property
     def _start_years(self) -> np.ndarray:
+        """UTC calendar year of each record's start, read-only."""
         years = self.start.astype("datetime64[s]").astype("datetime64[Y]").astype(np.int64) + 1970
         years.flags.writeable = False
         return years
@@ -151,12 +143,6 @@ def _keys(periods: np.ndarray, granularity: Granularity) -> list[str]:
         return [f"{year}-W{week:02d}" for year, week, _ in map(dt.date.isocalendar, mondays)]
     unit = {Granularity.DAILY: "D", Granularity.MONTHLY: "M", Granularity.YEARLY: "Y"}[granularity]
     return np.datetime_as_string(periods.astype(f"datetime64[{unit}]")).tolist()
-
-
-def period_key(t: dt.datetime, granularity: Granularity) -> str:
-    """The key of the period holding the calendar date of ``t``."""
-    day = np.array([(t.date() - _EPOCH).days], dtype=np.int64)
-    return _keys(_periods(day, granularity), granularity)[0]
 
 
 # --- aggregation ----------------------------------------------------------

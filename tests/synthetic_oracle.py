@@ -4,7 +4,9 @@
 ``ingest.generate_synthetic`` replaced: it draws the same values from the
 same ``random.Random`` calls but builds one ``AttackRecord`` per record and
 sorts the list, so tests can require both to give the same records in the
-same order.
+same order. It draws each subclass through ``choices`` with ten equal
+weights, the weighted draw that ``generate_synthetic`` writes as one
+multiplication.
 """
 
 import random
@@ -25,16 +27,13 @@ from ddoscast.ingest import (
 
 
 def oracle_generate(spec: SyntheticSpec) -> list[AttackRecord]:
-    weights = spec.subclass_weights or {sub: 1.0 for sub in Subclass}
-    population = [sub for sub in Subclass if weights.get(sub, 0.0) > 0]
-    pop_weights = [weights[sub] for sub in population]
     epoch_lo = (spec.start_date - _UNIX_EPOCH).days * _SECONDS_PER_DAY
     epoch_hi = ((spec.end_date - _UNIX_EPOCH).days + 1) * _SECONDS_PER_DAY
 
     rng = random.Random(spec.seed)
     records = []
     for _ in range(spec.record_count):
-        subclass = rng.choices(population, weights=pop_weights)[0]
+        subclass = rng.choices(list(Subclass), weights=[1.0] * 10)[0]
         start = rng.randrange(epoch_lo, epoch_hi)
         duration = int(rng.lognormvariate(_DURATION_LOG_MEAN, _DURATION_LOG_SIGMA))
         stop = min(start + duration, epoch_hi - 1)

@@ -26,7 +26,7 @@ from ddoscast.ingest import (
     records_to_ndjson,
 )
 from ddoscast.lstm import TrainConfig, init_model, mse, predict_series, train
-from ddoscast.preprocess import Granularity, Metric, aggregate, enrich_all, period_key
+from ddoscast.preprocess import Granularity, Metric, aggregate, enrich_all
 from ddoscast.windowing import build_windowed, make_windows, split, std_dev
 from test_lstm import finite_difference_check
 from test_preprocess import brute_force_cells

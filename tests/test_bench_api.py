@@ -147,5 +147,6 @@ def test_record_table_rows_give_the_start_years():
                          end_date=dt.date(2018, 1, 10), seed=2)
     table = enrich_all(generate_synthetic(spec))
     years = [row.start_time.year for row in table]
-    assert years == table.start_years().tolist()
+    present, index = table.year_groups()
+    assert years == [present[i] for i in index.tolist()]
     assert set(years) == {2016, 2017, 2018}

@@ -71,7 +71,6 @@ EXIT_CODES = {
     errors.SchemaViolationError: 2,
     errors.UnknownSubclassError: 2,
     errors.EmptyDateRangeError: 2,
-    errors.AllZeroWeightsError: 2,
     errors.SubclassAbsentError: 1,
     errors.EmptyDatasetError: 3,
     errors.YearAbsentError: 1,

@@ -13,7 +13,6 @@ from ddoscast.preprocess import (
     Metric,
     aggregate,
     enrich_all,
-    period_key,
     series_for,
 )
 
@@ -34,12 +33,31 @@ def epoch(*args):
     return int(dt.datetime(*args, tzinfo=UTC).timestamp())
 
 
+def calendar_key(day: dt.date, granularity: Granularity) -> str:
+    """The key of the period holding ``day``, from ``datetime`` alone, not ``preprocess``."""
+    if granularity is Granularity.DAILY:
+        return day.isoformat()
+    if granularity is Granularity.WEEKLY:
+        year, week, _ = day.isocalendar()
+        return f"{year}-W{week:02d}"
+    if granularity is Granularity.MONTHLY:
+        return f"{day.year}-{day.month:02d}"
+    return str(day.year)
+
+
+def keys_at(t: dt.datetime) -> tuple[str, ...]:
+    """The period key, at each granularity, that ``aggregate`` gives one record starting at ``t``."""
+    records = enrich_all([make_record(int(t.timestamp()), int(t.timestamp()))])
+    return tuple(key for granularity in Granularity
+                 for key in aggregate(records, granularity).periods())
+
+
 class TestEnrich:
     def test_week_long_attack_duration(self):
         # 604,944 s is the longest attack in the real export (7 days)
         rec = enrich_all([make_record(start=0, stop=604_944)])[0]
         assert rec.duration_min == 10_082.4
-        assert rec.duration_s == 604_944
+        assert rec.stop_time - rec.start_time == dt.timedelta(seconds=604_944)
 
     def test_terabit_throughput_converts_decimal(self):
         rec = enrich_all([make_record(start=0, stop=60, max_bps=1_460_000_000_000)])[0]
@@ -48,7 +66,7 @@ class TestEnrich:
     def test_zero_duration(self):
         rec = enrich_all([make_record(start=1000, stop=1000)])[0]
         assert rec.duration_min == 0.0
-        assert rec.duration_s == 0
+        assert rec.stop_time == rec.start_time
 
     def test_utc_datetimes(self):
         rec = enrich_all([make_record(start=epoch(2020, 6, 1, 23, 30),
@@ -78,7 +96,7 @@ class TestRecordTable:
         assert rows[3] == table[3] == enrich_all([synthetic_1000[3]])[0]
         raw = synthetic_1000[3]
         assert rows[3].start_time == dt.datetime.fromtimestamp(raw.start, tz=UTC)
-        assert rows[3].duration_s == raw.stop - raw.start
+        assert rows[3].stop_time - rows[3].start_time == dt.timedelta(seconds=raw.stop - raw.start)
         assert type(rows[3].max_gbps) is float
 
     def test_columns_are_read_only(self, synthetic_1000):
@@ -95,21 +113,19 @@ class TestRecordTable:
             [make_record(epoch(2019, 12, 31, 23, 59, 59), epoch(2020, 1, 1)),
              make_record(epoch(2020, 1, 1), epoch(2020, 1, 1))]
         )
-        assert table.start_years().tolist() == [2019, 2020]
+        years, index = table.year_groups()
+        assert [years[i] for i in index.tolist()] == [2019, 2020]
 
 
 class TestPeriodKeys:
     def test_canonical_formats(self):
         t = dt.datetime(2020, 1, 3, 15, 0, tzinfo=UTC)
-        assert period_key(t, Granularity.DAILY) == "2020-01-03"
-        assert period_key(t, Granularity.WEEKLY) == "2020-W01"
-        assert period_key(t, Granularity.MONTHLY) == "2020-01"
-        assert period_key(t, Granularity.YEARLY) == "2020"
+        assert keys_at(t) == ("2020-01-03", "2020-W01", "2020-01", "2020")
 
     def test_iso_week_year_boundary(self):
         # 2019-12-30 is a Monday that already belongs to ISO week 2020-W01
         t = dt.datetime(2019, 12, 30, tzinfo=UTC)
-        assert period_key(t, Granularity.WEEKLY) == "2020-W01"
+        assert keys_at(t)[1] == "2020-W01"
 
     @pytest.mark.parametrize(
         "day, keys",
@@ -121,7 +137,7 @@ class TestPeriodKeys:
     )
     def test_first_last_and_week_53_days(self, day, keys):
         t = dt.datetime(day.year, day.month, day.day, 23, 59, 59, tzinfo=UTC)
-        assert tuple(period_key(t, granularity) for granularity in Granularity) == keys
+        assert keys_at(t) == keys
 
     def test_matches_calendar_formats_every_day(self):
         day = dt.date(2019, 12, 20)
@@ -130,7 +146,7 @@ class TestPeriodKeys:
             expected = (day.isoformat(), f"{iso[0]}-W{iso[1]:02d}",
                         f"{day.year:04d}-{day.month:02d}", f"{day.year:04d}")
             t = dt.datetime(day.year, day.month, day.day, tzinfo=UTC)
-            assert tuple(period_key(t, granularity) for granularity in Granularity) == expected
+            assert keys_at(t) == expected
             day += dt.timedelta(days=1)
 
     def test_series_periods_are_contiguous(self):
@@ -203,7 +219,7 @@ def sequential_cells(records, granularity):
     """Loop reference: per-cell sums added one record at a time, in input order."""
     sums = {}
     for rec in records:
-        cell = (period_key(rec.start_time, granularity), rec.subclass)
+        cell = (calendar_key(rec.start_time.date(), granularity), rec.subclass)
         acc = sums.setdefault(cell, [0.0, 0.0, 0])
         acc[0] += rec.duration_min
         acc[1] += rec.max_gbps
@@ -244,7 +260,7 @@ def sequential_series(records, granularity, subclass, metric):
     days = [rec.start_time.date() for rec in records]
     day, periods = min(days), {}
     while day <= max(days):
-        periods.setdefault(period_key(dt.datetime(day.year, day.month, day.day), granularity))
+        periods.setdefault(calendar_key(day, granularity))
         day += dt.timedelta(days=1)
     field = {Metric.COUNT: "count_sum", Metric.DURATION_MIN: "duration_mean",
              Metric.MAX_GBPS: "gbps_mean"}[metric]
@@ -277,10 +293,14 @@ def test_year_end_records_cross_iso_week_53():
 
 
 def brute_force_cells(records, granularity):
-    """Independent oracle: collect values per cell, then statistics.mean."""
+    """Independent oracle: collect values per cell, then statistics.mean.
+
+    Each cell is keyed by ``calendar_key``, so the oracle shares no code
+    with the period arithmetic of ``preprocess``.
+    """
     groups = {}
     for rec in records:
-        key = (period_key(rec.start_time, granularity), rec.subclass)
+        key = (calendar_key(rec.start_time.date(), granularity), rec.subclass)
         groups.setdefault(key, []).append(rec)
     out = {}
     for key, members in groups.items():

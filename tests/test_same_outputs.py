@@ -21,7 +21,7 @@ def test_a_tree_against_itself_is_the_same():
                            "--records", "300"], capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr
     *verdicts, last = done.stdout.splitlines()
-    assert [line.split()[0] for line in verdicts] == ["same"] * 35
+    assert [line.split()[0] for line in verdicts] == ["same"] * 38
     assert last == "all outputs are the same"
 
 

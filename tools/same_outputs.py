@@ -22,18 +22,21 @@ PYTHONPATH:
     and grid --windows 4,8 --hiddens 4 --epochs 1, into options/,
     ingest of the non-canonical export, into noncanonical/,
     analyze and train --epochs 3 of the export itself, into export/,
-    analyze of the records.ndjson that has no records.cols, into bare/
+    analyze of the records.ndjson that has no records.cols, into bare/,
+    ingest --synthetic --count N --seed 0, into synthetic/
 
-The NDJSON ingest parses in one part, in its own process. The last three
-commands read a file that has no sidecar, as ingest reads an export: on
-the pool, for an export large enough to cut. The options/ runs give every
+The NDJSON ingest parses in one part, in its own process. The export/
+and bare/ runs read a file that has no sidecar, as ingest reads an
+export: on the pool, for an export large enough to cut. The synthetic/
+ingest runs each tree's own generator, which the export, written by
+PARENT_SRC alone, cannot compare. The options/ runs give every
 series and fitting option a value other than its default
 (--subclass ICMP --metric max_gbps --norm-source train_only
 --learning-rate 0.001 --batch-size 16; forecast reads them from the
 checkpoint), so a value dropped on its way to the model changes a file.
 Every output file but ``manifest.json`` is compared byte for byte, and
 ``grid.csv`` without its ``wall_ms`` column. One verdict is printed per
-file, 35 in all. The exit code is 0 only if every command exited 0 in both
+file, 38 in all. The exit code is 0 only if every command exited 0 in both
 trees and every file is the same.
 """
 
@@ -75,7 +78,8 @@ _OPTIONS = ["--subclass", "ICMP", "--metric", "max_gbps", "--norm-source", "trai
             "--learning-rate", "0.001", "--batch-size", "16"]
 
 
-def _commands(export: Path, noncanonical: Path, bare: Path, out: Path) -> list[list[str]]:
+def _commands(export: Path, noncanonical: Path, bare: Path, out: Path,
+              count: int) -> list[list[str]]:
     records = str(out / "ingest-0" / "records.ndjson")
     common = ["--out", str(out), "--seed", "0"]
     in_options = ["--out", str(out / "options"), "--seed", "0"]
@@ -95,6 +99,8 @@ def _commands(export: Path, noncanonical: Path, bare: Path, out: Path) -> list[l
         ["analyze", str(export), "--out", str(out / "export"), "--seed", "0"],
         ["train", str(export), "--epochs", "3", "--out", str(out / "export"), "--seed", "0"],
         ["analyze", str(bare), "--out", str(out / "bare"), "--seed", "0"],
+        ["ingest", "--synthetic", "--count", str(count), "--out", str(out / "synthetic"),
+         "--seed", "0"],
     ]
 
 
@@ -150,7 +156,7 @@ def main(argv: list[str] | None = None) -> int:
         outs = {}
         for side, src in (("parent", args.parent_src), ("change", args.change_src)):
             outs[side] = root / side
-            for command in _commands(export, noncanonical, bare, outs[side]):
+            for command in _commands(export, noncanonical, bare, outs[side], args.records):
                 done = _run(src.resolve(), ["-m", "ddoscast.cli", *command])
                 if done.returncode != 0:
                     print(f"{side} {command[0]}: exited {done.returncode}: {done.stderr.strip()}")
