@@ -36,7 +36,7 @@ print(f"sigma={dataset.normalization.sigma:.3f}  "
 config = TrainConfig(window_size=window, hidden_size=16, epochs=25, seed=1)
 params, history = train(init_model(16, seed=1), dataset, config)
 print(f"train MSE: epoch 1 = {history.train_mse[0]:.4f}, "
-      f"epoch {len(history)} = {history.train_mse[-1]:.4f}")
+      f"epoch {len(history.train_mse)} = {history.train_mse[-1]:.4f}")
 
 # 4. One-step-ahead predictions over the held-out test split, compared
 #    against a naive previous-value baseline.

@@ -61,9 +61,9 @@ class GrowthCell:
 
 @dataclass
 class GrowthReport:
+    """One dimension's cells compared between two years; the years are the caller's."""
+
     dimension: str
-    year_a: int
-    year_b: int
     cells: list[GrowthCell]
 
 
@@ -151,7 +151,7 @@ def yoy_growth(
         order = range(len(labels))
     a, b = by_year[year_a], by_year[year_b]
     cells = [GrowthCell(labels[i], a[i], b[i], growth_pct(a[i], b[i])) for i in order]
-    return GrowthReport(dimension=dimension.value, year_a=year_a, year_b=year_b, cells=cells)
+    return GrowthReport(dimension=dimension.value, cells=cells)
 
 
 def rank_subclasses(records: RecordTable, metric: Metric) -> list[tuple[Subclass, float]]:

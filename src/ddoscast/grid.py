@@ -61,10 +61,12 @@ class GridCell:
 
 @dataclass
 class GridResult:
-    """The cells of a grid run; there is always at least one."""
+    """The cells of a grid run; there is always at least one.
+
+    The seed they were trained from is the ``GridSpec``'s.
+    """
 
     cells: list[GridCell]
-    master_seed: int
 
     def __post_init__(self):
         if not self.cells:
@@ -103,7 +105,7 @@ def run_grid(series, spec: GridSpec) -> GridResult:
     # Longest cells first, so the last cell to start is a short one.
     order = sorted(range(len(keys)), key=lambda i: keys[i][0] * keys[i][1], reverse=True)
     cells = pool.run_pool(_train_cell, keys, (values, spec), "a grid worker", order)
-    return GridResult(cells=cells, master_seed=spec.master_seed)
+    return GridResult(cells=cells)
 
 
 def _train_cell(values: np.ndarray, spec: GridSpec, window: int, hidden: int) -> GridCell:

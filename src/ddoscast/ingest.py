@@ -262,7 +262,7 @@ class SyntheticSpec:
             raise EmptyDateRangeError(
                 f"end_date {self.end_date} before start_date {self.start_date}"
             )
-        if self.start_date < _UNIX_EPOCH:
+        if self.start_date < UNIX_EPOCH:
             raise InvalidConfigError(
                 f"start_date {self.start_date} is before 1970-01-01, the first second a record "
                 "can hold"
@@ -808,8 +808,8 @@ def read_export(text: str):
 
 
 _COUNTRIES = ("US", "CN", "DE", "FR", "GB", "RU", "BR", "IN", "KR", "NL")
-_UNIX_EPOCH = dt.date(1970, 1, 1)
-_SECONDS_PER_DAY = 86400
+UNIX_EPOCH = dt.date(1970, 1, 1)
+SECONDS_PER_DAY = 86400
 # Duration (s) and throughput (bps) are log-normal with these parameters:
 # mostly-minutes attacks in the single-digit-Gbps range with a heavy upper
 # tail, which is the texture of the real export.
@@ -861,8 +861,8 @@ def generate_synthetic(spec: SyntheticSpec) -> RecordColumns:
     misuse, detector = map(ATTACK_CLASSES.index, (AttackClass.MISUSE, AttackClass.DETECTOR))
     # Day arithmetic, not datetimes: end_date + 1 day overflows datetime at
     # 9999-12-31, whose last second is MAX_UNIX_SECONDS.
-    epoch_lo = (spec.start_date - _UNIX_EPOCH).days * _SECONDS_PER_DAY
-    epoch_hi = ((spec.end_date - _UNIX_EPOCH).days + 1) * _SECONDS_PER_DAY
+    epoch_lo = (spec.start_date - UNIX_EPOCH).days * SECONDS_PER_DAY
+    epoch_hi = ((spec.end_date - UNIX_EPOCH).days + 1) * SECONDS_PER_DAY
     span = epoch_hi - epoch_lo
     span_bits, port_bits = span.bit_length(), _PORTS.bit_length()
     # sample(k <= 3) draws below 10, 9 and 8, all four bits, as choice draws below 10

@@ -114,9 +114,6 @@ class TrainHistory:
     train_mse: list[float]
     val_mse: list[float]
 
-    def __len__(self) -> int:
-        return len(self.train_mse)
-
 
 @dataclass(frozen=True)
 class RmsPropState:
@@ -322,10 +319,13 @@ def rmsprop_update(
     grads: LstmParams,
     opt_state: RmsPropState,
     lr: float,
-    rho: float = 0.9,
-    epsilon: float = 1e-7,
+    rho: float,
+    epsilon: float,
 ) -> tuple[LstmParams, RmsPropState]:
-    """a <- rho*a + (1-rho)*g^2 ; theta <- theta - lr*g/(sqrt(a)+eps)."""
+    """a <- rho*a + (1-rho)*g^2 ; theta <- theta - lr*g/(sqrt(a)+eps).
+
+    ``TrainConfig`` holds the defaults of lr, rho and epsilon.
+    """
     g = grads.flat
     acc = rho * opt_state.acc.flat + (1.0 - rho) * g * g
     theta = params.flat - lr * g / (np.sqrt(acc) + epsilon)
@@ -471,25 +471,25 @@ def predict_series(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One-step-ahead predictions over a whole split, chronological order.
 
-    Returns (targets, predictions) in normalized units, or multiplied back
-    by sigma when denormalized=True (NonFiniteStateError if a prediction
-    then overflows). The prediction runs every loaded
-    OpenBLAS library on one thread, and gives each its caller's count back
-    on the way out, also when this raises: a daily series' splits make
-    products too small for a second thread to pay.
+    Returns (targets, predictions) in normalized units, or in the series'
+    units when denormalized=True: the targets are then the split's own
+    values (``dataset.raw_splits``), not normalized ones multiplied back,
+    which can miss them by a rounding step; the predictions are multiplied
+    by sigma (NonFiniteStateError if one then overflows). The prediction
+    runs every loaded OpenBLAS library on one thread, and gives each its
+    caller's count back on the way out, also when this raises: a daily
+    series' splits make products too small for a second thread to pay.
     """
     ws = dataset.split(split_name)
     with one_blas_thread():
         preds = predict_batch(params, ws.x)
-    targets = ws.y.copy()
-    if denormalized:
-        sigma = dataset.normalization.sigma
-        with np.errstate(over="ignore"):
-            preds = preds * sigma
-        if not np.isfinite(preds).all():  # sigma > 1 can take a finite prediction past float64
-            raise NonFiniteStateError("a prediction overflowed when multiplied back by sigma")
-        return targets * sigma, preds
-    return targets, preds
+    if not denormalized:
+        return ws.y.copy(), preds
+    with np.errstate(over="ignore"):
+        preds = preds * dataset.normalization.sigma
+    if not np.isfinite(preds).all():  # sigma > 1 can take a finite prediction past float64
+        raise NonFiniteStateError("a prediction overflowed when multiplied back by sigma")
+    return getattr(dataset.raw_splits, split_name)[dataset.window_size:].copy(), preds
 
 
 # --- checkpointing ----------------------------------------------------------

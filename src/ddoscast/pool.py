@@ -54,11 +54,13 @@ def worker_count(tasks: int | None = None) -> int:
     """One worker per usable CPU, at most ``tasks``.
 
     Only one where numpy is loaded and its OpenBLAS cannot be pinned to one
-    thread per worker.
+    thread per worker. A host without ``os.sched_getaffinity`` (macOS) counts
+    its CPUs by ``os.cpu_count()``, and one if that is unknown.
     """
     if "numpy" in sys.modules and not _blas_threads():
         return 1
-    cpus = len(os.sched_getaffinity(0))
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
     return cpus if tasks is None else min(tasks, cpus)
 
 

@@ -21,12 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SubclassAbsentError
-from .ingest import SUBCLASSES, RecordColumns, Subclass
+from .ingest import SECONDS_PER_DAY, SUBCLASSES, UNIX_EPOCH, RecordColumns, Subclass
 from .settings import Metric
 
 _UTC = dt.timezone.utc
-_EPOCH = dt.date(1970, 1, 1)
-SECONDS_PER_DAY = 86_400
 
 
 class Granularity(enum.Enum):
@@ -94,20 +92,18 @@ class RecordTable:
             max_gbps=float(self.max_gbps[index]),
         )
 
-    @functools.cached_property
-    def _start_years(self) -> np.ndarray:
-        """UTC calendar year of each record's start, read-only."""
-        years = self.start.astype("datetime64[s]").astype("datetime64[Y]").astype(np.int64) + 1970
-        years.flags.writeable = False
-        return years
-
     def year_groups(self) -> tuple[tuple[int, ...], np.ndarray]:
-        """The start years present, ascending, and each record's index into them; computed once."""
+        """The start years present, ascending, and each record's index into them; computed once.
+
+        A record's year is the UTC year of its start, by the rule ``aggregate``
+        buckets yearly cells by.
+        """
         return self._year_groups
 
     @functools.cached_property
     def _year_groups(self) -> tuple[tuple[int, ...], np.ndarray]:
-        present, index = np.unique(self._start_years, return_inverse=True)
+        years = _periods(self.start // SECONDS_PER_DAY, Granularity.YEARLY) + 1970
+        present, index = np.unique(years, return_inverse=True)
         index.flags.writeable = False
         return tuple(present.tolist()), index
 
@@ -139,7 +135,7 @@ def _periods(days: np.ndarray, granularity: Granularity) -> np.ndarray:
 def _keys(periods: np.ndarray, granularity: Granularity) -> list[str]:
     """The key of each period."""
     if granularity is Granularity.WEEKLY:
-        mondays = (_EPOCH + dt.timedelta(days=7 * week - 3) for week in periods.tolist())
+        mondays = (UNIX_EPOCH + dt.timedelta(days=7 * week - 3) for week in periods.tolist())
         return [f"{year}-W{week:02d}" for year, week, _ in map(dt.date.isocalendar, mondays)]
     unit = {Granularity.DAILY: "D", Granularity.MONTHLY: "M", Granularity.YEARLY: "Y"}[granularity]
     return np.datetime_as_string(periods.astype(f"datetime64[{unit}]")).tolist()

@@ -75,10 +75,12 @@ def _sidecar_bytes(columns, digest: str) -> bytes:
 
 
 def _load_sidecar(path: Path, digest: str):
-    """The ``RecordTable`` cached in ``path`` for records whose bytes hash to ``digest``, or None."""
-    import numpy as np
+    """The columns cached in ``path`` for records whose bytes hash to ``digest``, or None.
 
-    from .preprocess import RecordTable
+    The columns are read-only views of the file's bytes: the subclass codes
+    and start, stop and max_bps, in ``RecordTable``'s argument order.
+    """
+    import numpy as np
 
     try:
         raw = path.read_bytes()
@@ -92,7 +94,7 @@ def _load_sidecar(path: Path, digest: str):
     codes = np.frombuffer(raw, np.uint8, n, _HEADER_BYTES + 24 * n)
     if not (np.all(codes < len(SUBCLASSES)) and columns_in_bounds(start, stop, max_bps)):
         return None
-    return RecordTable(codes, start, stop, max_bps)
+    return codes, start, stop, max_bps
 
 
 def records_files(chunks: list[bytes], columns) -> dict:
@@ -116,9 +118,9 @@ def read_records(path: str, raw: bytes, digest: str):
     beside ``path`` when that fits ``raw``, and otherwise "parse", with the
     lenient read's accepted and rejected counts. Without a sidecar that fits,
     the file is read as ``ingest`` reads an export, by
-    ``ingest.read_export``, and the table views its columns; the NDJSON
-    chunks it writes on the way are dropped. A file of nothing but
-    whitespace, after a byte-order mark or not, is empty.
+    ``ingest.read_export``; the NDJSON chunks it writes on the way are
+    dropped. Either way the table views the columns read, without a copy. A
+    file of nothing but whitespace, after a byte-order mark or not, is empty.
     """
     import numpy as np
 
@@ -126,12 +128,12 @@ def read_records(path: str, raw: bytes, digest: str):
 
     if _BLANK.match(raw):
         raise EmptyDatasetError(f"records file {path} is empty")
-    table = _load_sidecar(Path(path).with_name(SIDECAR_NAME), digest)
+    columns = _load_sidecar(Path(path).with_name(SIDECAR_NAME), digest)
     source = {"read_from": SIDECAR_NAME}
-    if table is None:
+    if columns is None:
         columns, report = read_export(text_of(raw))[1:]  # drops the chunks
-        table = RecordTable(*(np.frombuffer(column, column.typecode) for column in columns))
         source = {"read_from": "parse", "accepted": report.accepted, "rejected": report.rejected}
+    table = RecordTable(*map(np.asarray, columns))  # an ``array.array`` is viewed, not copied
     if not table:
         raise EmptyDatasetError(f"no valid records in {path}")
     return table, source

@@ -52,11 +52,17 @@ class WindowSet:
 
 @dataclass(frozen=True)
 class WindowedDataset:
-    """A normalized series windowed per split; every split holds at least one sample."""
+    """A normalized series windowed per split; every split holds at least one sample.
+
+    ``raw_splits`` are the same slices of the series' own values, before
+    normalization: a split's targets in the series' units are its raw slice
+    from index ``window_size`` on.
+    """
 
     window_size: int
     normalization: NormalizationStats
     splits: SplitSeries  # normalized value slices
+    raw_splits: SplitSeries  # the series' own value slices
     train: WindowSet
     validation: WindowSet
     test: WindowSet
@@ -167,6 +173,7 @@ def build_windowed(
         window_size=window_size,
         normalization=stats,
         splits=parts,
+        raw_splits=split(values),
         train=make_windows(parts.train, window_size),
         validation=make_windows(parts.validation, window_size),
         test=make_windows(parts.test, window_size),

@@ -17,8 +17,8 @@ from ddoscast.ingest import (
     _COUNTRIES,
     _DURATION_LOG_MEAN,
     _DURATION_LOG_SIGMA,
-    _SECONDS_PER_DAY,
-    _UNIX_EPOCH,
+    SECONDS_PER_DAY,
+    UNIX_EPOCH,
     AttackClass,
     AttackRecord,
     Subclass,
@@ -27,8 +27,8 @@ from ddoscast.ingest import (
 
 
 def oracle_generate(spec: SyntheticSpec) -> list[AttackRecord]:
-    epoch_lo = (spec.start_date - _UNIX_EPOCH).days * _SECONDS_PER_DAY
-    epoch_hi = ((spec.end_date - _UNIX_EPOCH).days + 1) * _SECONDS_PER_DAY
+    epoch_lo = (spec.start_date - UNIX_EPOCH).days * SECONDS_PER_DAY
+    epoch_hi = ((spec.end_date - UNIX_EPOCH).days + 1) * SECONDS_PER_DAY
 
     rng = random.Random(spec.seed)
     records = []

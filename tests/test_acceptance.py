@@ -6,7 +6,6 @@ DDOSCAST_REAL_DATA points at the real attacks_v2.json download; it is
 skipped otherwise.
 """
 
-import json
 import os
 import statistics
 
@@ -23,7 +22,6 @@ from ddoscast.ingest import (
     SyntheticSpec,
     generate_synthetic,
     parse_records,
-    records_to_ndjson,
 )
 from ddoscast.lstm import TrainConfig, init_model, mse, predict_series, train
 from ddoscast.preprocess import Granularity, Metric, aggregate, enrich_all

@@ -229,14 +229,14 @@ class TestPool:
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     def test_same_cells_as_each_cell_alone_for_any_worker_count(self, monkeypatch, workers):
         series = tiny_series()
-        alone = strip_wall(GridResult(each_cell_alone(series, POOL_SPEC), master_seed=3))
+        alone = strip_wall(GridResult(each_cell_alone(series, POOL_SPEC)))
         monkeypatch.setattr(pool, "worker_count", lambda tasks: workers)
         assert strip_wall(run_grid(series, POOL_SPEC)) == alone
 
     @pytest.mark.parametrize("slow", ["first", "last"])
     def test_same_cells_whatever_the_completion_order(self, monkeypatch, slow):
         series = tiny_series()
-        alone = strip_wall(GridResult(each_cell_alone(series, POOL_SPEC), master_seed=3))
+        alone = strip_wall(GridResult(each_cell_alone(series, POOL_SPEC)))
         keys = [(w, h) for w in POOL_SPEC.window_sizes for h in POOL_SPEC.hidden_sizes]
         if slow == "last":
             keys.reverse()
@@ -296,6 +296,13 @@ class TestPool:
         monkeypatch.setattr(blas, "openblas_threads", lambda: ())
         assert pool.worker_count(1000) == 1
 
+    def test_worker_count_without_sched_getaffinity_counts_the_cpus(self, monkeypatch):
+        monkeypatch.setattr(blas, "openblas_threads", lambda: (("a getter", "a setter"),))
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert pool.worker_count(1000) == os.cpu_count()
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert pool.worker_count(1000) == 1
+
     def test_workers_run_one_blas_thread_and_the_parent_keeps_its_own(self):
         if not blas.openblas_threads():
             pytest.skip("no OpenBLAS thread setter in this numpy build")
@@ -326,14 +333,12 @@ def planted_result():
         GridCell(window=24, hidden=64, train_mse=1.0, test_mse=0.40, wall_ms=1.0, seed=2),
         GridCell(window=32, hidden=128, train_mse=1.0, test_mse=0.55, wall_ms=1.0, seed=3),
     ]
-    return GridResult(cells=cells, master_seed=0)
+    return GridResult(cells=cells)
 
 
 class TestBestConfig:
     def test_single_cell(self):
-        result = GridResult(
-            cells=[GridCell(8, 32, 1.0, 0.5, 1.0, 7)], master_seed=0
-        )
+        result = GridResult(cells=[GridCell(8, 32, 1.0, 0.5, 1.0, 7)])
         assert best_config(result) == (8, 32)
 
     def test_planted_minimum(self):
@@ -344,24 +349,24 @@ class TestBestConfig:
             GridCell(window=8, hidden=64, train_mse=1.0, test_mse=0.5, wall_ms=1.0, seed=1),
             GridCell(window=8, hidden=32, train_mse=1.0, test_mse=0.5, wall_ms=1.0, seed=2),
         ]
-        assert best_config(GridResult(cells=cells, master_seed=0)) == (8, 32)
+        assert best_config(GridResult(cells=cells)) == (8, 32)
 
     def test_tie_then_smaller_window(self):
         cells = [
             GridCell(window=16, hidden=32, train_mse=1.0, test_mse=0.5, wall_ms=1.0, seed=1),
             GridCell(window=8, hidden=32, train_mse=1.0, test_mse=0.5, wall_ms=1.0, seed=2),
         ]
-        assert best_config(GridResult(cells=cells, master_seed=0)) == (8, 32)
+        assert best_config(GridResult(cells=cells)) == (8, 32)
 
     def test_order_invariance(self):
         result = planted_result()
-        reversed_result = GridResult(cells=list(reversed(result.cells)), master_seed=0)
+        reversed_result = GridResult(cells=list(reversed(result.cells)))
         assert best_config(result) == best_config(reversed_result)
 
     def test_empty_grid(self):
         # a GridResult always has a cell, so best_config and both renderings have one
         with pytest.raises(EmptyGridError):
-            GridResult(cells=[], master_seed=0)
+            GridResult(cells=[])
 
 
 class TestRendering:
@@ -371,7 +376,7 @@ class TestRendering:
             for w in (8, 16, 24, 32)
             for h in (32, 64, 128)
         ]
-        return GridResult(cells=cells, master_seed=0)
+        return GridResult(cells=cells)
 
     def test_table_shape_twelve_cells(self):
         lines = render_grid_table(self.full_result()).strip().split("\n")
@@ -380,7 +385,7 @@ class TestRendering:
             assert len(line.split()) == 1 + 6  # window + 3 hidden sizes * 2 mse
 
     def test_table_shape_single_cell(self):
-        result = GridResult(cells=[GridCell(8, 32, 1.25, 0.5, 1.0, 7)], master_seed=0)
+        result = GridResult(cells=[GridCell(8, 32, 1.25, 0.5, 1.0, 7)])
         lines = render_grid_table(result).strip().split("\n")
         assert len(lines) == 3
         assert lines[2].split() == ["8", "1.2500", "0.5000"]
@@ -404,6 +409,6 @@ class TestRendering:
     def test_empty_errors(self):
         # the empty grid is refused when the GridResult is built, before either rendering
         with pytest.raises(EmptyGridError):
-            render_grid_table(GridResult(cells=[], master_seed=0))
+            render_grid_table(GridResult(cells=[]))
         with pytest.raises(EmptyGridError):
-            grid_to_csv(GridResult(cells=[], master_seed=0))
+            grid_to_csv(GridResult(cells=[]))

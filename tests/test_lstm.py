@@ -68,12 +68,12 @@ def manual_dataset(x: np.ndarray, y: np.ndarray, window: int, sigma=1.0) -> Wind
     """Dataset whose train, validation and test splits all hold the hand-made windows."""
     stats = NormalizationStats(sigma=sigma, mu=0.0, source=NormSource.FULL_SERIES)
     windows = WindowSet(x=x, y=y)
+    no_values = SplitSeries(train=np.empty(0), validation=np.empty(0), test=np.empty(0))
     return WindowedDataset(
         window_size=window,
         normalization=stats,
-        splits=SplitSeries(
-            train=np.empty(0), validation=np.empty(0), test=np.empty(0)
-        ),
+        splits=no_values,
+        raw_splits=no_values,
         train=windows,
         validation=windows,
         test=windows,
@@ -352,7 +352,7 @@ class TestRmsProp:
         params = init_model(3, seed=9)
         grads = zero_params(3)
         state = RmsPropState(acc=LstmParams(np.full_like(params.flat, 0.5), 3))
-        new_params, new_state = rmsprop_update(params, grads, state, lr=0.1)
+        new_params, new_state = rmsprop_update(params, grads, state, lr=0.1, rho=0.9, epsilon=1e-7)
         assert params_equal(new_params, params)
         assert np.all(new_state.acc.flat == 0.45)  # rho * a
 
@@ -360,7 +360,9 @@ class TestRmsProp:
         params = zero_params(1)
         grads = LstmParams(np.ones_like(params.flat), 1)
         state = RmsPropState.zeros_like(params)
-        new_params, new_state = rmsprop_update(params, grads, state, lr=0.0002)
+        new_params, new_state = rmsprop_update(
+            params, grads, state, lr=0.0002, rho=0.9, epsilon=1e-7
+        )
         assert new_state.acc.W[0] == pytest.approx(0.1, rel=1e-12)
         expected_step = -0.0002 / (math.sqrt(0.1) + 1e-7)
         assert new_params.W[0] == pytest.approx(expected_step, rel=1e-12)
@@ -373,7 +375,7 @@ class TestRmsProp:
         theta, a = 0.0, 0.0
         for g in g_values:
             grads = LstmParams(np.full_like(params.flat, g), 1)
-            params, state = rmsprop_update(params, grads, state, lr=0.01)
+            params, state = rmsprop_update(params, grads, state, lr=0.01, rho=0.9, epsilon=1e-7)
             a = 0.9 * a + 0.1 * g * g
             theta = theta - 0.01 * g / (math.sqrt(a) + 1e-7)
         assert params.U[3, 0] == pytest.approx(theta, rel=1e-12)  # candidate gate
@@ -407,7 +409,7 @@ class TestTrain:
         ds = sine_dataset()
         config = TrainConfig(window_size=8, hidden_size=4, epochs=5, seed=1)
         _, history = train(init_model(4, seed=1), ds, config)
-        assert len(history) == 5
+        assert len(history.train_mse) == 5
         assert all(v >= 0 for v in history.train_mse)
 
     def test_deterministic_per_seed(self):
@@ -443,7 +445,7 @@ class TestTrain:
         with pytest.raises(DivergedNonFiniteError) as err:
             train(params, ds, TrainConfig(window_size=8, hidden_size=4, epochs=3))
         assert err.value.history is not None
-        assert len(err.value.history) < 3
+        assert len(err.value.history.train_mse) < 3
 
     def test_noiseless_sine_improves_over_training(self):
         # per-epoch monotonicity is not promised (stochastic batches);
@@ -560,7 +562,7 @@ class TestTrainMatchesSequentialLoop:
             outcomes.append((str(err.value), err.value.history))
         (message, history), (ref_message, ref_history) = outcomes
         assert message == ref_message
-        assert len(history) == len(ref_history) == 1
+        assert len(history.train_mse) == len(ref_history.train_mse) == 1
         assert history.train_mse == ref_history.train_mse
         assert history.val_mse == ref_history.val_mse
 
@@ -646,13 +648,15 @@ class TestPredictSeries:
             assert preds[i] == pytest.approx(single, rel=1e-14)
 
     def test_denormalized_scales_both(self):
-        ds = build_windowed(np.cos(np.arange(80.0)) * 3 + 9, 5)
+        values = np.cos(np.arange(80.0)) * 3 + 9
+        ds = build_windowed(values, 5)
         params = init_model(4, seed=13)
         t_norm, p_norm = predict_series(params, ds, "test")
         t_raw, p_raw = predict_series(params, ds, "test", denormalized=True)
         sigma = ds.normalization.sigma
         assert np.allclose(t_raw, t_norm * sigma, rtol=1e-15)
         assert np.allclose(p_raw, p_norm * sigma, rtol=1e-15)
+        assert np.array_equal(t_raw, values[-len(ds.test):])  # the series' own values
 
     @pytest.mark.parametrize("outcome", ["returns", "raises"])
     def test_one_blas_thread_and_the_callers_count_restored(

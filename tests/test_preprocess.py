@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ddoscast.errors import SubclassAbsentError
-from ddoscast.ingest import AttackClass, AttackRecord, Subclass, SyntheticSpec, generate_synthetic
+from ddoscast.ingest import AttackClass, AttackRecord, Subclass
 from ddoscast.preprocess import (
     SUBCLASSES,
     CellStats,

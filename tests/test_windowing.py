@@ -213,7 +213,8 @@ class TestBuildWindowed:
         stats = NormalizationStats(sigma=1.0, mu=0.0, source=NormSource.FULL_SERIES)
         no_values = SplitSeries(train=np.empty(0), validation=np.empty(0), test=np.empty(0))
         with pytest.raises(SeriesTooShortForWindowError, match=empty) as err:
-            WindowedDataset(window_size=4, normalization=stats, splits=no_values, **parts)
+            WindowedDataset(window_size=4, normalization=stats, splits=no_values,
+                            raw_splits=no_values, **parts)
         assert err.value.window == 4
 
 
