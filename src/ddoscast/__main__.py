@@ -9,7 +9,8 @@ SIGINT and SIGTERM are the two stop signals, and every command handles
 them the same way: exit 130 after one ``error: interrupted`` line on
 stderr, or exit 143 with nothing on stderr. ``stop_signals`` holds them
 back where a command must not be stopped halfway: while ``cli`` swaps a
-finished run into place, and while ``pool`` forks or stops its workers.
+finished run into place, and while ``pool`` runs its workers, which lets
+them in only between two waits.
 """
 
 import contextlib
@@ -23,9 +24,14 @@ _STOP_LINES = {signal.SIGINT: b"error: interrupted\n", signal.SIGTERM: b""}
 
 @contextlib.contextmanager
 def stop_signals(how: int):
-    """Block (SIG_BLOCK) or let in (SIG_UNBLOCK) SIGINT and SIGTERM in this thread."""
-    previous = signal.pthread_sigmask(how, _STOP_LINES)
+    """Block (SIG_BLOCK) or let in (SIG_UNBLOCK) SIGINT and SIGTERM in this thread.
+
+    A pending stop signal that SIG_UNBLOCK lets in runs its handler in the
+    unblocking call; the mask is put back also when that handler raises.
+    """
+    previous = signal.pthread_sigmask(signal.SIG_BLOCK, ())
     try:
+        signal.pthread_sigmask(how, _STOP_LINES)
         yield
     finally:
         signal.pthread_sigmask(signal.SIG_SETMASK, previous)

@@ -581,6 +581,12 @@ def load_checkpoint(raw: bytes):
             f"checkpoint format {version!r}, expected {CHECKPOINT_VERSION}"
         )
     try:
+        # TrainConfig's own TypeError would print an unknown key as it is,
+        # line breaks and all; the error names it by repr, on one line.
+        names = {f.name for f in fields(TrainConfig)}
+        unknown = [key for key in payload["config"] if key not in names]
+        if unknown:
+            raise TypeError(f"unknown config keys {unknown!r}")
         config = TrainConfig(**payload["config"])
         params = _decode_params(payload["params"], config.hidden_size)
         acc = _decode_params(payload["opt_acc"], config.hidden_size)

@@ -91,6 +91,9 @@ def _die_with_parent(owner_pid: int) -> None:
         os.kill(os.getpid(), signal.SIGKILL)
 
 
+# How long run_pool waits on its workers before it lets a stop signal in.
+_STOP_POLL_S = 0.05
+
 # In a worker, the ``shared`` arguments of the run_pool call that forked it.
 # Set once per worker process by _init_worker; the parent never sets it.
 _shared: tuple = ()
@@ -125,8 +128,11 @@ def run_pool(function, calls: list[tuple], shared: tuple, whose: str,
     worker it was ("a grid worker").
     """
     order = range(len(calls)) if order is None else order
-    # SIGINT and SIGTERM wait while workers are forked and tracked, and again
-    # while they are stopped, so an interrupt never strands a worker.
+    # SIGINT and SIGTERM are held back for the whole run, so that their
+    # handlers never raise inside the executor's locks and waits, nor arrive
+    # unseen just before a wait starts and leave it waiting for workers that
+    # never finish. They are let in only between two waits of at most
+    # _STOP_POLL_S seconds each; an interrupt never strands a worker.
     with stop_signals(signal.SIG_BLOCK):
         pool = ProcessPoolExecutor(
             worker_count(len(calls)),
@@ -138,8 +144,12 @@ def run_pool(function, calls: list[tuple], shared: tuple, whose: str,
             futures = [None] * len(calls)
             for i in order:
                 futures[i] = pool.submit(_call, function, calls[i])
-            with stop_signals(signal.SIG_UNBLOCK):
-                wait(futures, return_when=FIRST_EXCEPTION)
+            while True:
+                done, not_done = wait(futures, _STOP_POLL_S, FIRST_EXCEPTION)
+                if not not_done or any(future.exception() is not None for future in done):
+                    break
+                with stop_signals(signal.SIG_UNBLOCK):
+                    pass  # a pending stop signal's handler raises here
             for future in futures:
                 if future.done() and future.exception() is not None:
                     raise future.exception()

@@ -204,6 +204,12 @@ def _killed_cell(values, spec, window, hidden):
     time.sleep(60)
 
 
+def _interrupting_call(delay):
+    time.sleep(delay)
+    os.kill(os.getppid(), signal.SIGINT)
+    time.sleep(60)
+
+
 POOL_SPEC = GridSpec(
     window_sizes=(3, 5), hidden_sizes=(2, 4), base_config=tiny_config(), master_seed=3
 )
@@ -287,6 +293,30 @@ class TestPool:
             assert signal.getsignal(signal.SIGTERM) is own_handler
         finally:
             signal.signal(signal.SIGTERM, previous)
+
+    def test_a_stop_signal_is_taken_only_where_run_pool_lets_it_in(self, monkeypatch):
+        # Not inside the executor's waits and locks: a handler that raises
+        # there can leave a lock held, and a signal that comes just before a
+        # wait starts goes unseen until the workers finish.
+        monkeypatch.setattr(pool, "worker_count", lambda tasks: 2)
+        taken_in = []
+
+        def interrupt(signum, frame):
+            while frame.f_code.co_name != "run_pool":  # the calls that run_pool is in
+                taken_in.append((os.path.basename(frame.f_code.co_filename), frame.f_code.co_name))
+                frame = frame.f_back
+            raise KeyboardInterrupt
+
+        previous = signal.signal(signal.SIGINT, interrupt)
+        started = time.monotonic()
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                pool.run_pool(_interrupting_call, [(0.5,), (60,)], (), "a test worker")
+        finally:
+            signal.signal(signal.SIGINT, previous)
+        assert taken_in == [("signal.py", "pthread_sigmask"), ("__main__.py", "stop_signals"),
+                            ("contextlib.py", "__enter__")]
+        assert time.monotonic() - started < 30
 
     def test_worker_count_is_one_per_cpu_up_to_the_cell_count(self, monkeypatch):
         cpus = len(os.sched_getaffinity(0))

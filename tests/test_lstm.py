@@ -764,6 +764,15 @@ class TestCheckpoint:
         with pytest.raises(CorruptCheckpointError):
             load_checkpoint(json.dumps(doc).encode())
 
+    def test_unknown_config_key_is_named_on_one_line(self):
+        params, state, config, meta = self.trained_bits()
+        doc = json.loads(save_checkpoint(params, state, config, meta))
+        doc["config"]["lear\ning_rate"] = doc["config"].pop("learning_rate")
+        with pytest.raises(CorruptCheckpointError) as caught:
+            load_checkpoint(json.dumps(doc).encode())
+        assert str(caught.value) == (
+            "malformed checkpoint field: unknown config keys ['lear\\ning_rate']")
+
 
 def _small_checkpoint() -> dict:
     model = init_model(2, seed=0)
